@@ -19,7 +19,10 @@
 #   bench   Bench smoke: the Figure-2 R(t) scenario at reduced
 #           iterations (OSPREY_BENCH_SMOKE=1), checking that
 #           results/BENCH_fig2_rt.json is emitted and the warm-start
-#           online refit beats the cold full refit.
+#           online refit beats the cold full refit; then the repository
+#           benchmark's smoke run (bench/osprey_bench/run.py --smoke),
+#           so a src/ API change that breaks the benchmark's build or
+#           its output checks fails the gate.
 #   asan    address+undefined sanitizer build, full ctest suite.
 #   ubsan   standalone undefined-behavior sanitizer build, full ctest
 #           suite (catches UB that ASan's instrumentation masks).
@@ -139,7 +142,8 @@ stage_bench() {
   cmake --build build -j "$JOBS" --target bench_fig2_rt &&
   OSPREY_BENCH_SMOKE=1 ./build/bench/bench_fig2_rt &&
   test -s results/BENCH_fig2_rt.json &&
-  echo "bench artifact: results/BENCH_fig2_rt.json"
+  echo "bench artifact: results/BENCH_fig2_rt.json" &&
+  python3 bench/osprey_bench/run.py --smoke
 }
 
 stage_asan() {

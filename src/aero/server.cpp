@@ -13,26 +13,6 @@ using osprey::util::ValueObject;
 
 namespace {
 
-/// The retry policy a flow actually runs with: the spec's full policy
-/// when enabled, otherwise one synthesized from the legacy
-/// max_retries/retry_backoff knobs (exponential, multiplier 2, capped at
-/// 8x the initial backoff, no jitter).
-osprey::util::RetryPolicy effective_policy(const IngestionFlowSpec& spec) {
-  if (spec.retry.enabled()) return spec.retry;
-  osprey::util::RetryPolicy policy;
-  policy.max_attempts = spec.max_retries;
-  policy.initial_backoff = spec.retry_backoff;
-  return policy;
-}
-
-osprey::util::RetryPolicy effective_policy(const AnalysisFlowSpec& spec) {
-  if (spec.retry.enabled()) return spec.retry;
-  osprey::util::RetryPolicy policy;
-  policy.max_attempts = spec.max_retries;
-  policy.initial_backoff = spec.retry_backoff;
-  return policy;
-}
-
 /// Degradation reason recorded while an upstream source outage window
 /// is active. Matched verbatim when the source answers again so only
 /// outage-caused degradation is lifted by a successful fetch.
@@ -91,6 +71,9 @@ AeroServer::AeroServer(fabric::EventLoop& loop, fabric::AuthService& auth,
   superseded_triggers_ = &metrics->counter(
       "aero_superseded_triggers_total",
       "triggers whose payload was replaced by fresher upstream data");
+  analysis_superseded_ = &metrics->counter(
+      "aero_analysis_superseded_triggers_total",
+      "scheduled analysis retries made obsolete by a newer trigger");
   deferred_triggers_ = &metrics->counter(
       "aero_deferred_triggers_total",
       "triggers deferred because a circuit breaker was open");
@@ -158,9 +141,11 @@ IngestionHandles AeroServer::register_ingestion(IngestionFlowSpec spec) {
   Ingestion ing;
   ing.raw_uuid = intern_object(spec.name + "/raw", spec.name);
   ing.output_uuid = intern_object(spec.name + "/transformed", spec.name);
-  ing.retry = effective_policy(spec);
-  ing.breaker = osprey::util::CircuitBreaker(spec.breaker);
-  ing.retry_key = osprey::util::stable_key(spec.name.c_str());
+  ing.trigger.retry = spec.retry;
+  ing.trigger.breaker = osprey::util::CircuitBreaker(spec.breaker);
+  ing.trigger.retry_key = osprey::util::stable_key(spec.name.c_str());
+  ing.trigger.permanent = ingestion_permanent_;
+  ing.trigger.superseded = superseded_triggers_;
   ing.spec = std::move(spec);
 
   std::size_t index = ingestions_.size();
@@ -250,9 +235,11 @@ std::vector<std::string> AeroServer::register_analysis(AnalysisFlowSpec spec) {
   for (const std::string& uuid : spec.input_uuids) {
     analysis.consumed_version[uuid] = db_.latest_version_number(uuid);
   }
-  analysis.retry = effective_policy(spec);
-  analysis.breaker = osprey::util::CircuitBreaker(spec.breaker);
-  analysis.retry_key = osprey::util::stable_key(spec.name.c_str());
+  analysis.trigger.retry = spec.retry;
+  analysis.trigger.breaker = osprey::util::CircuitBreaker(spec.breaker);
+  analysis.trigger.retry_key = osprey::util::stable_key(spec.name.c_str());
+  analysis.trigger.permanent = analysis_permanent_;
+  analysis.trigger.superseded = analysis_superseded_;
   analysis.spec = std::move(spec);
 
   std::vector<std::string> outputs = analysis.output_uuids;
@@ -321,55 +308,25 @@ void AeroServer::poll_ingestion(std::size_t index) {
   }
   OSPREY_LOG_INFO("aero", "update detected for '" << ing.spec.name << "' at "
                           << osprey::util::format_sim_time(loop_.now()));
-  if (ing.running) {
-    // A new upstream version arrived mid-run; remember the freshest one.
-    if (ing.pending) {
-      superseded_triggers_->inc();
-      record_incident(fabric::IncidentCategory::kRecovery,
-                      "trigger-superseded", ing.spec.name,
-                      "queued payload replaced by fresher upstream data");
-    }
-    ing.pending = true;
+  if (!admit(FlowKind::kIngestion, index)) {
     ing.pending_payload = std::move(*payload);
     return;
   }
-  if (!ing.breaker.allow(loop_.now())) {
-    // Circuit open: park the payload and probe when the breaker is
-    // willing to admit traffic again.
-    deferred_triggers_->inc();
-    if (ing.pending) {
-      superseded_triggers_->inc();
-      record_incident(fabric::IncidentCategory::kRecovery,
-                      "trigger-superseded", ing.spec.name,
-                      "deferred payload replaced by fresher upstream data");
-    }
-    ing.pending = true;
-    ing.pending_payload = std::move(*payload);
-    SimTime probe = probe_time(ing.breaker, loop_.now());
-    record_incident(fabric::IncidentCategory::kDegraded, "trigger-deferred",
-                    ing.spec.name, "circuit open; probe at " +
-                        osprey::util::format_sim_time(probe));
-    schedule_ingestion_probe(index, probe);
-    return;
-  }
-  ing.attempts = 0;  // fresh trigger
-  ++ing.trigger_gen;
   run_ingestion_flow(index, std::move(*payload), "poll:" + ing.spec.source->url());
 }
 
 void AeroServer::run_ingestion_flow(std::size_t index, std::string payload,
                                     const std::string& trigger) {
   Ingestion& ing = ingestions_[index];
-  ing.running = true;
+  ing.trigger.running = true;
   ing.current_payload = payload;  // kept in case the run must be retried
   ingestion_runs_->inc();
   if (tracer_ != nullptr) {
     // Top-level span for the whole ingest run; the wrapped flow and its
     // steps (and their transfers/compute tasks) nest underneath.
-    ing.span = tracer_->begin_span(obs::Category::kAero,
-                                   "ingest:" + ing.spec.name,
-                                   obs::sim_ns(loop_.now()), obs::kNoSpan,
-                                   trigger);
+    ing.trigger.span = tracer_->begin_span(
+        obs::Category::kAero, "ingest:" + ing.spec.name,
+        obs::sim_ns(loop_.now()), obs::kNoSpan, trigger);
   }
 
   const IngestionFlowSpec& spec = ing.spec;
@@ -477,152 +434,12 @@ void AeroServer::run_ingestion_flow(std::size_t index, std::string payload,
 
   // The flow span (and everything the steps submit) nests under the
   // ingest span.
-  obs::CurrentSpanGuard ingest_guard(ing.span);
+  obs::CurrentSpanGuard ingest_guard(ing.trigger.span);
   flows_.run(flow, token_,
              [this, index, run_id](const fabric::FlowRunRecord& rec,
                                    const Value&) {
-               Ingestion& ing2 = ingestions_[index];
-               bool ok = rec.status == fabric::FlowRunStatus::kSucceeded;
-               // Incidents recorded below correlate with this run's span.
-               obs::CurrentSpanGuard run_guard(ing2.span);
-               if (tracer_ != nullptr) {
-                 std::string err;
-                 for (const fabric::StepRecord& sr : rec.steps) {
-                   if (!sr.ok && !sr.error.empty()) err = sr.error;
-                 }
-                 tracer_->end_span(ing2.span, obs::sim_ns(loop_.now()), ok,
-                                   err);
-                 ing2.span = obs::kNoSpan;
-               }
-               std::vector<VersionRef> outputs;
-               if (ok) {
-                 outputs.push_back(VersionRef{
-                     ing2.raw_uuid, db_.latest_version_number(ing2.raw_uuid)});
-                 outputs.push_back(
-                     VersionRef{ing2.output_uuid,
-                                db_.latest_version_number(ing2.output_uuid)});
-               } else {
-                 failed_runs_->inc();
-               }
-               db_.finish_run(run_id,
-                              ok ? RunStatus::kSucceeded : RunStatus::kFailed,
-                              outputs, loop_.now());
-               ing2.running = false;
-               note_run_outcome(ing2.breaker, ing2.spec.name, ok);
-               std::string output_uuid = ing2.output_uuid;
-               if (ok) {
-                 clear_degraded({ing2.raw_uuid, ing2.output_uuid},
-                                ing2.spec.name);
-                 on_version_added(output_uuid,
-                                  "update of " + ing2.spec.name);
-               } else if (ing2.attempts < ing2.retry.max_attempts &&
-                          !ing2.pending) {
-                 // Retry the same payload after a (jittered) backoff.
-                 ++ing2.attempts;
-                 retries_->inc();
-                 int attempt = ing2.attempts;
-                 std::uint64_t gen = ing2.trigger_gen;
-                 SimTime delay = ing2.retry.jittered(attempt, ing2.retry_key);
-                 record_incident(
-                     fabric::IncidentCategory::kRecovery, "retry-scheduled",
-                     ing2.spec.name,
-                     "attempt " + std::to_string(attempt) + " in " +
-                         osprey::util::format_duration(delay));
-                 loop_.schedule_after(delay, [this, index, attempt, gen] {
-                   fire_ingestion_retry(index, attempt, gen);
-                 });
-                 return;
-               } else if (!ok) {
-                 if (ing2.pending) {
-                   // The failed payload is obsolete: fresher upstream
-                   // data is queued and takes over below.
-                   superseded_triggers_->inc();
-                   record_incident(
-                       fabric::IncidentCategory::kRecovery,
-                       "trigger-superseded", ing2.spec.name,
-                       "failed payload replaced by fresher upstream data");
-                 } else {
-                   ingestion_permanent_->inc();
-                   mark_degraded({ing2.output_uuid}, ing2.spec.name,
-                                 "ingestion '" + ing2.spec.name +
-                                     "' exhausted its retry budget");
-                 }
-               }
-               // Re-run for any upstream update that arrived meanwhile.
-               Ingestion& ing3 = ingestions_[index];
-               if (ing3.pending) {
-                 if (!ing3.breaker.allow(loop_.now())) {
-                   deferred_triggers_->inc();
-                   SimTime probe = probe_time(ing3.breaker, loop_.now());
-                   record_incident(
-                       fabric::IncidentCategory::kDegraded,
-                       "trigger-deferred", ing3.spec.name,
-                       "circuit open; probe at " +
-                           osprey::util::format_sim_time(probe));
-                   schedule_ingestion_probe(index, probe);
-                   return;
-                 }
-                 ing3.pending = false;
-                 ing3.attempts = 0;
-                 ++ing3.trigger_gen;
-                 std::string payload2 = std::move(ing3.pending_payload);
-                 run_ingestion_flow(index, std::move(payload2),
-                                    "poll(pending):" +
-                                        ing3.spec.source->url());
-               }
+               finish(FlowKind::kIngestion, index, run_id, rec);
              });
-}
-
-void AeroServer::fire_ingestion_retry(std::size_t index, int attempt,
-                                      std::uint64_t gen) {
-  Ingestion& ing = ingestions_[index];
-  if (ing.cancelled) return;
-  if (gen != ing.trigger_gen || ing.running) {
-    // A fresh trigger took over while this retry waited; its payload
-    // will never publish.
-    superseded_triggers_->inc();
-    record_incident(fabric::IncidentCategory::kRecovery,
-                    "trigger-superseded", ing.spec.name,
-                    "retry " + std::to_string(attempt) +
-                        " obsolete: newer trigger in flight");
-    return;
-  }
-  if (!ing.breaker.allow(loop_.now())) {
-    // Breaker still open: push the retry past its reopen time without
-    // consuming another attempt.
-    loop_.schedule_at(std::max(probe_time(ing.breaker, loop_.now()),
-                               loop_.now() + 1),
-                      [this, index, attempt, gen] {
-                        fire_ingestion_retry(index, attempt, gen);
-                      });
-    return;
-  }
-  run_ingestion_flow(index, ing.current_payload,
-                     "retry " + std::to_string(attempt) + ":" +
-                         ing.spec.source->url());
-}
-
-void AeroServer::schedule_ingestion_probe(std::size_t index, SimTime at) {
-  loop_.schedule_at(std::max(at, loop_.now() + 1), [this, index] {
-    Ingestion& ing = ingestions_[index];
-    if (ing.cancelled || ing.running || !ing.pending) return;
-    osprey::util::BreakerState before = ing.breaker.state();
-    if (!ing.breaker.allow(loop_.now())) {
-      schedule_ingestion_probe(index, probe_time(ing.breaker, loop_.now()));
-      return;
-    }
-    if (before == osprey::util::BreakerState::kOpen) {
-      record_incident(fabric::IncidentCategory::kRecovery,
-                      "circuit-half-open", ing.spec.name,
-                      "admitting probe run");
-    }
-    ing.pending = false;
-    ing.attempts = 0;
-    ++ing.trigger_gen;
-    std::string payload = std::move(ing.pending_payload);
-    run_ingestion_flow(index, std::move(payload),
-                       "probe:" + ing.spec.source->url());
-  });
 }
 
 bool AeroServer::analysis_ready(const Analysis& analysis) const {
@@ -659,25 +476,10 @@ void AeroServer::on_version_added(const std::string& uuid,
     if (!is_input) continue;
     if (!analysis_ready(analysis)) continue;
     analysis_triggers_->inc();
-    if (analysis.running) {
-      analysis.pending = true;
+    if (!admit(FlowKind::kAnalysis, i)) {
       analysis.pending_cause = cause;
       continue;
     }
-    if (!analysis.breaker.allow(loop_.now())) {
-      deferred_triggers_->inc();
-      analysis.pending = true;
-      analysis.pending_cause = cause;
-      SimTime probe = probe_time(analysis.breaker, loop_.now());
-      record_incident(fabric::IncidentCategory::kDegraded, "trigger-deferred",
-                      analysis.spec.name,
-                      "circuit open; probe at " +
-                          osprey::util::format_sim_time(probe));
-      schedule_analysis_probe(i, probe);
-      continue;
-    }
-    analysis.attempts = 0;  // fresh trigger
-    ++analysis.trigger_gen;
     run_analysis_flow(i, cause);
   }
 }
@@ -685,10 +487,10 @@ void AeroServer::on_version_added(const std::string& uuid,
 void AeroServer::run_analysis_flow(std::size_t index,
                                    const std::string& trigger) {
   Analysis& analysis = analyses_[index];
-  analysis.running = true;
+  analysis.trigger.running = true;
   analysis_runs_->inc();
   if (tracer_ != nullptr) {
-    analysis.span = tracer_->begin_span(
+    analysis.trigger.span = tracer_->begin_span(
         obs::Category::kAero, "analyze:" + analysis.spec.name,
         obs::sim_ns(loop_.now()), obs::kNoSpan, trigger);
   }
@@ -842,128 +644,218 @@ void AeroServer::run_analysis_flow(std::size_t index,
         done(true, "");
       }});
 
-  obs::CurrentSpanGuard analyze_guard(analysis.span);
-  flows_.run(
-      flow, token_,
-      [this, index, run_id](const fabric::FlowRunRecord& rec, const Value&) {
-        Analysis& a = analyses_[index];
-        bool ok = rec.status == fabric::FlowRunStatus::kSucceeded;
-        // Incidents recorded below correlate with this run's span.
-        obs::CurrentSpanGuard run_guard(a.span);
-        if (tracer_ != nullptr) {
-          std::string err;
-          for (const fabric::StepRecord& sr : rec.steps) {
-            if (!sr.ok && !sr.error.empty()) err = sr.error;
-          }
-          tracer_->end_span(a.span, obs::sim_ns(loop_.now()), ok, err);
-          a.span = obs::kNoSpan;
-        }
-        std::vector<VersionRef> outs;
-        if (ok) {
-          for (const std::string& uuid : a.output_uuids) {
-            outs.push_back(VersionRef{uuid, db_.latest_version_number(uuid)});
-          }
-        } else {
-          failed_runs_->inc();
-        }
-        db_.finish_run(run_id, ok ? RunStatus::kSucceeded : RunStatus::kFailed,
-                       outs, loop_.now());
-        a.running = false;
-        note_run_outcome(a.breaker, a.spec.name, ok);
-        std::string flow_name = a.spec.name;
-        if (ok) {
-          clear_degraded(a.output_uuids, a.spec.name);
-          // Announce each output version; may trigger downstream flows.
-          std::vector<std::string> produced = a.output_uuids;
-          for (const std::string& uuid : produced) {
-            on_version_added(uuid, "update of " + flow_name);
-          }
-        } else if (a.attempts < a.retry.max_attempts && !a.pending) {
-          ++a.attempts;
-          retries_->inc();
-          int attempt = a.attempts;
-          std::uint64_t gen = a.trigger_gen;
-          SimTime delay = a.retry.jittered(attempt, a.retry_key);
-          record_incident(fabric::IncidentCategory::kRecovery,
-                          "retry-scheduled", a.spec.name,
-                          "attempt " + std::to_string(attempt) + " in " +
-                              osprey::util::format_duration(delay));
-          loop_.schedule_after(delay, [this, index, attempt, gen] {
-            fire_analysis_retry(index, attempt, gen);
-          });
-          return;
-        } else if (!ok && !a.pending) {
-          analysis_permanent_->inc();
-          mark_degraded(a.output_uuids, a.spec.name,
-                        "analysis '" + a.spec.name +
-                            "' exhausted its retry budget");
-        }
-        Analysis& a2 = analyses_[index];
-        if (a2.pending && analysis_ready(a2)) {
-          if (!a2.breaker.allow(loop_.now())) {
-            deferred_triggers_->inc();
-            SimTime probe = probe_time(a2.breaker, loop_.now());
-            record_incident(fabric::IncidentCategory::kDegraded,
-                            "trigger-deferred", a2.spec.name,
-                            "circuit open; probe at " +
-                                osprey::util::format_sim_time(probe));
-            schedule_analysis_probe(index, probe);
-            return;
-          }
-          a2.pending = false;
-          a2.attempts = 0;
-          ++a2.trigger_gen;
-          std::string cause = std::move(a2.pending_cause);
-          run_analysis_flow(index, cause + " (queued)");
-        } else {
-          a2.pending = false;
-        }
-      });
+  obs::CurrentSpanGuard analyze_guard(analysis.trigger.span);
+  flows_.run(flow, token_,
+             [this, index, run_id](const fabric::FlowRunRecord& rec,
+                                   const Value&) {
+               finish(FlowKind::kAnalysis, index, run_id, rec);
+             });
 }
 
-void AeroServer::fire_analysis_retry(std::size_t index, int attempt,
-                                     std::uint64_t gen) {
-  Analysis& a = analyses_[index];
-  // A newer trigger superseded the run this retry was scheduled for;
-  // analysis re-triggering is driven by input versions, so nothing is
-  // lost by dropping it.
-  if (gen != a.trigger_gen || a.running) return;
-  if (!a.breaker.allow(loop_.now())) {
-    loop_.schedule_at(std::max(probe_time(a.breaker, loop_.now()),
+AeroServer::FlowTrigger& AeroServer::trigger_of(FlowKind kind,
+                                                std::size_t index) {
+  return kind == FlowKind::kIngestion ? ingestions_[index].trigger
+                                      : analyses_[index].trigger;
+}
+
+const std::string& AeroServer::flow_name(FlowKind kind,
+                                         std::size_t index) const {
+  return kind == FlowKind::kIngestion ? ingestions_[index].spec.name
+                                      : analyses_[index].spec.name;
+}
+
+bool AeroServer::still_ready(FlowKind kind, std::size_t index) const {
+  return kind == FlowKind::kIngestion || analysis_ready(analyses_[index]);
+}
+
+bool AeroServer::admit(FlowKind kind, std::size_t index) {
+  FlowTrigger& t = trigger_of(kind, index);
+  if (!t.running && t.breaker.allow(loop_.now())) {
+    t.attempts = 0;  // fresh trigger
+    ++t.trigger_gen;
+    return true;
+  }
+  const std::string& name = flow_name(kind, index);
+  // An ingestion payload that is replaced before it ran never publishes.
+  // Analysis triggers coalesce by design: the newest cause replaces the
+  // pending one, and the run consumes the latest input versions anyway.
+  if (t.pending && kind == FlowKind::kIngestion) {
+    supersede(t, name,
+              t.running ? "queued payload replaced by fresher upstream data"
+                        : "deferred payload replaced by fresher upstream data");
+  }
+  t.pending = true;
+  if (t.running) return false;
+  // Circuit open: park the trigger and probe when the breaker is
+  // willing to admit traffic again.
+  deferred_triggers_->inc();
+  SimTime probe = probe_time(t.breaker, loop_.now());
+  record_incident(fabric::IncidentCategory::kDegraded, "trigger-deferred",
+                  name,
+                  "circuit open; probe at " +
+                      osprey::util::format_sim_time(probe));
+  schedule_probe(kind, index, probe);
+  return false;
+}
+
+void AeroServer::finish(FlowKind kind, std::size_t index,
+                        std::uint64_t run_id,
+                        const fabric::FlowRunRecord& rec) {
+  FlowTrigger& t = trigger_of(kind, index);
+  const std::string name = flow_name(kind, index);
+  const bool ingestion = kind == FlowKind::kIngestion;
+  bool ok = rec.status == fabric::FlowRunStatus::kSucceeded;
+  // Incidents recorded below correlate with this run's span.
+  obs::CurrentSpanGuard run_guard(t.span);
+  if (tracer_ != nullptr) {
+    std::string err;
+    for (const fabric::StepRecord& sr : rec.steps) {
+      if (!sr.ok && !sr.error.empty()) err = sr.error;
+    }
+    tracer_->end_span(t.span, obs::sim_ns(loop_.now()), ok, err);
+    t.span = obs::kNoSpan;
+  }
+  // The data products a run publishes; ingestion announces only the
+  // transformed output to analyses (the raw copy is an archive).
+  std::vector<std::string> products;
+  std::vector<std::string> announced;
+  if (ingestion) {
+    const Ingestion& ing = ingestions_[index];
+    products = {ing.raw_uuid, ing.output_uuid};
+    announced = {ing.output_uuid};
+  } else {
+    products = analyses_[index].output_uuids;
+    announced = products;
+  }
+  std::vector<VersionRef> outputs;
+  if (ok) {
+    for (const std::string& uuid : products) {
+      outputs.push_back(VersionRef{uuid, db_.latest_version_number(uuid)});
+    }
+  } else {
+    failed_runs_->inc();
+  }
+  db_.finish_run(run_id, ok ? RunStatus::kSucceeded : RunStatus::kFailed,
+                 outputs, loop_.now());
+  t.running = false;
+  note_run_outcome(t.breaker, name, ok);
+  if (ok) {
+    clear_degraded(products, name);
+    // Announce each output version; may trigger downstream flows.
+    for (const std::string& uuid : announced) {
+      on_version_added(uuid, "update of " + name);
+    }
+  } else if (t.attempts < t.retry.max_attempts && !t.pending) {
+    // Retry the same trigger after a (jittered) backoff.
+    ++t.attempts;
+    retries_->inc();
+    int attempt = t.attempts;
+    std::uint64_t gen = t.trigger_gen;
+    SimTime delay = t.retry.jittered(attempt, t.retry_key);
+    record_incident(fabric::IncidentCategory::kRecovery, "retry-scheduled",
+                    name,
+                    "attempt " + std::to_string(attempt) + " in " +
+                        osprey::util::format_duration(delay));
+    loop_.schedule_after(delay, [this, kind, index, attempt, gen] {
+      fire_retry(kind, index, attempt, gen);
+    });
+    return;
+  } else if (!t.pending) {
+    t.permanent->inc();
+    mark_degraded(announced, name,
+                  std::string(ingestion ? "ingestion '" : "analysis '") +
+                      name + "' exhausted its retry budget");
+  } else if (ingestion) {
+    // The failed payload is obsolete: fresher upstream data is queued
+    // and takes over below. (A failed analysis hands over to its
+    // pending trigger, which consumes the same or newer inputs.)
+    supersede(t, name, "failed payload replaced by fresher upstream data");
+  }
+  // Re-run for any trigger that arrived meanwhile.
+  FlowTrigger& t2 = trigger_of(kind, index);
+  bool rerun = t2.pending && still_ready(kind, index);
+  t2.pending = false;
+  if (rerun && admit(kind, index)) relaunch(kind, index, Relaunch::kQueued);
+}
+
+void AeroServer::fire_retry(FlowKind kind, std::size_t index, int attempt,
+                            std::uint64_t gen) {
+  if (kind == FlowKind::kIngestion && ingestions_[index].cancelled) return;
+  FlowTrigger& t = trigger_of(kind, index);
+  if (gen != t.trigger_gen || t.running) {
+    // A fresh trigger took over while this retry waited.
+    supersede(t, flow_name(kind, index),
+              "retry " + std::to_string(attempt) +
+                  " obsolete: newer trigger in flight");
+    return;
+  }
+  if (!t.breaker.allow(loop_.now())) {
+    // Breaker still open: push the retry past its reopen time without
+    // consuming another attempt.
+    loop_.schedule_at(std::max(probe_time(t.breaker, loop_.now()),
                                loop_.now() + 1),
-                      [this, index, attempt, gen] {
-                        fire_analysis_retry(index, attempt, gen);
+                      [this, kind, index, attempt, gen] {
+                        fire_retry(kind, index, attempt, gen);
                       });
     return;
   }
-  run_analysis_flow(index,
-                    "retry " + std::to_string(attempt) + ":" + a.spec.name);
+  relaunch(kind, index, Relaunch::kRetry, attempt);
 }
 
-void AeroServer::schedule_analysis_probe(std::size_t index, SimTime at) {
-  loop_.schedule_at(std::max(at, loop_.now() + 1), [this, index] {
-    Analysis& a = analyses_[index];
-    if (a.running || !a.pending) return;
-    osprey::util::BreakerState before = a.breaker.state();
-    if (!a.breaker.allow(loop_.now())) {
-      schedule_analysis_probe(index, probe_time(a.breaker, loop_.now()));
+void AeroServer::schedule_probe(FlowKind kind, std::size_t index,
+                                SimTime at) {
+  loop_.schedule_at(std::max(at, loop_.now() + 1), [this, kind, index] {
+    if (kind == FlowKind::kIngestion && ingestions_[index].cancelled) return;
+    FlowTrigger& t = trigger_of(kind, index);
+    if (t.running || !t.pending) return;
+    osprey::util::BreakerState before = t.breaker.state();
+    if (!t.breaker.allow(loop_.now())) {
+      schedule_probe(kind, index, probe_time(t.breaker, loop_.now()));
       return;
     }
     if (before == osprey::util::BreakerState::kOpen) {
       record_incident(fabric::IncidentCategory::kRecovery,
-                      "circuit-half-open", a.spec.name,
+                      "circuit-half-open", flow_name(kind, index),
                       "admitting probe run");
     }
-    if (!analysis_ready(a)) {
-      a.pending = false;
-      return;
-    }
-    a.pending = false;
-    a.attempts = 0;
-    ++a.trigger_gen;
-    std::string cause = std::move(a.pending_cause);
-    run_analysis_flow(index, cause + " (probe)");
+    t.pending = false;
+    if (!still_ready(kind, index)) return;
+    t.attempts = 0;
+    ++t.trigger_gen;
+    relaunch(kind, index, Relaunch::kProbe);
   });
+}
+
+void AeroServer::relaunch(FlowKind kind, std::size_t index, Relaunch how,
+                          int attempt) {
+  const bool queued = how == Relaunch::kQueued;
+  const std::string retry = "retry " + std::to_string(attempt) + ":";
+  if (kind == FlowKind::kIngestion) {
+    Ingestion& ing = ingestions_[index];
+    const std::string& url = ing.spec.source->url();
+    if (how == Relaunch::kRetry) {
+      run_ingestion_flow(index, ing.current_payload, retry + url);
+    } else {
+      std::string payload = std::move(ing.pending_payload);
+      run_ingestion_flow(index, std::move(payload),
+                         (queued ? "poll(pending):" : "probe:") + url);
+    }
+    return;
+  }
+  Analysis& a = analyses_[index];
+  if (how == Relaunch::kRetry) {
+    run_analysis_flow(index, retry + a.spec.name);
+  } else {
+    std::string cause = std::move(a.pending_cause);
+    run_analysis_flow(index, cause + (queued ? " (queued)" : " (probe)"));
+  }
+}
+
+void AeroServer::supersede(FlowTrigger& trigger, const std::string& site,
+                           const std::string& detail) {
+  trigger.superseded->inc();
+  record_incident(fabric::IncidentCategory::kRecovery, "trigger-superseded",
+                  site, detail);
 }
 
 void AeroServer::set_fault_plan(fabric::FaultPlan* plan) {

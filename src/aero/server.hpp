@@ -63,12 +63,7 @@ struct IngestionFlowSpec {
   std::string base_path;  // raw -> <base>/raw, transformed -> <base>/transformed
 
   /// Automatic re-runs after a failed flow (transfer/compute faults).
-  /// Legacy knobs: when `retry` below is disabled, an exponential
-  /// policy is synthesized from these (initial = retry_backoff,
-  /// multiplier 2, cap 8x).
-  int max_retries = 0;
-  SimTime retry_backoff = 5 * osprey::util::kMinute;
-  /// Full retry policy (overrides the legacy knobs when enabled).
+  /// Disabled by default (max_attempts = 0).
   osprey::util::RetryPolicy retry;
   /// Optional circuit breaker: after `failure_threshold` consecutive
   /// failed runs the flow stops being triggered until a half-open probe
@@ -103,11 +98,8 @@ struct AnalysisFlowSpec {
   /// "outputs" object in its result). One data object per name.
   std::vector<std::string> output_names;
 
-  /// Automatic re-runs after a failed flow (transfer/compute faults).
-  /// Same semantics as IngestionFlowSpec: legacy knobs plus optional
-  /// full policy and breaker.
-  int max_retries = 0;
-  SimTime retry_backoff = 5 * osprey::util::kMinute;
+  /// Automatic re-runs and circuit breaker; same semantics as
+  /// IngestionFlowSpec.
   osprey::util::RetryPolicy retry;
   osprey::util::CircuitBreakerConfig breaker;
 };
@@ -243,6 +235,10 @@ class AeroServer {
   std::uint64_t superseded_triggers() const {
     return superseded_triggers_->value();
   }
+  /// Scheduled analysis retries made obsolete by a newer trigger.
+  std::uint64_t analysis_superseded_triggers() const {
+    return analysis_superseded_->value();
+  }
   /// Triggers deferred because a circuit breaker was open.
   std::uint64_t deferred_triggers() const {
     return deferred_triggers_->value();
@@ -250,8 +246,31 @@ class AeroServer {
   std::uint64_t stale_serves() const { return stale_serves_->value(); }
 
  private:
+  /// The trigger state machine every flow runs, whatever its kind
+  /// (DESIGN.md §4c): a trigger starts a run when the flow is idle and
+  /// its breaker admits it; otherwise it waits as `pending` behind the
+  /// in-flight run or a half-open probe. A failed run retries under
+  /// `retry`; a retry whose trigger generation was overtaken counts as
+  /// superseded, and an exhausted budget as a permanent failure.
+  struct FlowTrigger {
+    bool running = false;
+    bool pending = false;  // a trigger is waiting (run in flight / breaker)
+    int attempts = 0;      // retries of the current trigger
+    /// Bumped on every fresh trigger so a stale retry timer (scheduled
+    /// for a previous trigger) can recognize it was superseded.
+    std::uint64_t trigger_gen = 0;
+    osprey::util::RetryPolicy retry;
+    osprey::util::CircuitBreaker breaker;
+    std::uint64_t retry_key = 0;  // jitter key (hash of the flow name)
+    /// Span of the in-flight "ingest:"/"analyze:" run (kNoSpan when idle).
+    obs::SpanId span = obs::kNoSpan;
+    obs::Counter* permanent = nullptr;   // the kind's exhausted budgets
+    obs::Counter* superseded = nullptr;  // the kind's superseded triggers
+  };
+
   struct Ingestion {
     IngestionFlowSpec spec;
+    FlowTrigger trigger;
     std::string raw_uuid;
     std::string output_uuid;
     std::string last_checksum;  // of the upstream payload last ingested
@@ -260,42 +279,26 @@ class AeroServer {
     /// and skips the SHA-256 entirely on the (overwhelmingly common)
     /// unchanged poll — the scale bottleneck at sub-daily cadences.
     std::optional<std::string> last_payload;
-    bool running = false;
-    bool pending = false;       // an update arrived while running
     std::string pending_payload;
-    int attempts = 0;           // of the current trigger (for retries)
     std::string current_payload;  // kept for retry re-runs
     fabric::TimerId timer = 0;
     bool paused = false;
     bool cancelled = false;
-    /// Effective retry policy (spec.retry or synthesized from the
-    /// legacy max_retries/retry_backoff knobs).
-    osprey::util::RetryPolicy retry;
-    osprey::util::CircuitBreaker breaker;
-    std::uint64_t retry_key = 0;   // jitter key (hash of the flow name)
-    /// Bumped on every fresh trigger so a stale retry timer (scheduled
-    /// for a previous trigger) can recognize it was superseded.
-    std::uint64_t trigger_gen = 0;
-    /// Span of the in-flight "ingest:<name>" run (kNoSpan when idle).
-    obs::SpanId span = obs::kNoSpan;
   };
 
   struct Analysis {
     AnalysisFlowSpec spec;
+    FlowTrigger trigger;
     std::vector<std::string> output_uuids;
     /// For the ALL policy: the version of each input consumed last run.
     std::map<std::string, int> consumed_version;
-    bool running = false;
-    bool pending = false;
+    /// Cause of the pending trigger; a newer cause overwrites it (the
+    /// run consumes the latest input versions either way).
     std::string pending_cause;
-    int attempts = 0;           // of the current trigger (for retries)
-    osprey::util::RetryPolicy retry;
-    osprey::util::CircuitBreaker breaker;
-    std::uint64_t retry_key = 0;
-    std::uint64_t trigger_gen = 0;
-    /// Span of the in-flight "analyze:<name>" run (kNoSpan when idle).
-    obs::SpanId span = obs::kNoSpan;
   };
+
+  /// How a run that did not come straight from a fresh trigger starts.
+  enum class Relaunch { kQueued, kProbe, kRetry };
 
   /// Existing object with this exact name+producer (recovered across a
   /// restart), or a freshly registered one.
@@ -307,15 +310,33 @@ class AeroServer {
   void run_ingestion_flow(std::size_t index, std::string payload,
                           const std::string& trigger);
   void run_analysis_flow(std::size_t index, const std::string& trigger);
-  /// Start the pending ingestion payload once its circuit breaker
-  /// admits a half-open probe.
-  void schedule_ingestion_probe(std::size_t index, SimTime at);
-  void schedule_analysis_probe(std::size_t index, SimTime at);
+
+  // The shared trigger state machine. A flow is (kind, index) into
+  // ingestions_ / analyses_; the kind only decides how a run starts and
+  // whether a pending trigger is still ready.
+  FlowTrigger& trigger_of(FlowKind kind, std::size_t index);
+  const std::string& flow_name(FlowKind kind, std::size_t index) const;
+  /// Is a pending trigger still worth a run? Ingestion payloads always
+  /// are; an analysis re-evaluates its trigger policy.
+  bool still_ready(FlowKind kind, std::size_t index) const;
+  /// A fresh trigger: true when the caller may start the run now;
+  /// otherwise it is parked as pending (behind the in-flight run, or
+  /// deferred behind a breaker probe).
+  bool admit(FlowKind kind, std::size_t index);
+  /// Run-completion bookkeeping: span, provenance, breaker, then
+  /// publish / retry / supersede / permanent failure, then the pending
+  /// trigger.
+  void finish(FlowKind kind, std::size_t index, std::uint64_t run_id,
+              const fabric::FlowRunRecord& rec);
   /// Fire a scheduled retry (re-checking breaker and supersession).
-  void fire_ingestion_retry(std::size_t index, int attempt,
-                            std::uint64_t gen);
-  void fire_analysis_retry(std::size_t index, int attempt,
-                           std::uint64_t gen);
+  void fire_retry(FlowKind kind, std::size_t index, int attempt,
+                  std::uint64_t gen);
+  /// Start the pending trigger once the breaker admits a half-open probe.
+  void schedule_probe(FlowKind kind, std::size_t index, SimTime at);
+  void relaunch(FlowKind kind, std::size_t index, Relaunch how,
+                int attempt = 0);
+  void supersede(FlowTrigger& trigger, const std::string& site,
+                 const std::string& detail);
   /// Record a recovery/degradation incident (no-op without a log).
   void record_incident(fabric::IncidentCategory category,
                        const std::string& kind, const std::string& site,
@@ -367,6 +388,7 @@ class AeroServer {
   obs::Counter* ingestion_permanent_ = nullptr;
   obs::Counter* analysis_permanent_ = nullptr;
   obs::Counter* superseded_triggers_ = nullptr;
+  obs::Counter* analysis_superseded_ = nullptr;
   obs::Counter* deferred_triggers_ = nullptr;
   obs::Counter* stale_serves_ = nullptr;
 

@@ -178,7 +178,7 @@ void ShardPartition::add_feed(const FeedSpec& spec) {
   ing.storage = &eagle_;
   ing.collection = "data";
   ing.base_path = "feed/" + spec.name;
-  ing.max_retries = spec.max_retries;
+  ing.retry.max_attempts = spec.max_retries;
   aero::IngestionHandles handles = server_.register_ingestion(std::move(ing));
 
   aero::AnalysisFlowSpec ana;
@@ -193,7 +193,7 @@ void ShardPartition::add_feed(const FeedSpec& spec) {
   ana.collection = "data";
   ana.base_path = "analysis/" + spec.name;
   ana.output_names = {"out"};
-  ana.max_retries = spec.max_retries;
+  ana.retry.max_attempts = spec.max_retries;
   std::string analysis_uuid = server_.register_analysis(std::move(ana))[0];
 
   tracked_[analysis_uuid] = Tracked{spec.name, "analysis"};

@@ -9,6 +9,8 @@
 ///   - no update is silently dropped: every detected upstream update is
 ///     accounted for as a published version, a permanent failure, or a
 ///     superseded trigger;
+///   - no analysis retry is silently dropped: every scheduled analysis
+///     retry either ran or was counted as superseded;
 ///   - stakeholders always get an answer: serve_latest() returns either
 ///     a fresh estimate or a stale one with an explicit reason;
 ///   - every required fault class actually fired and was recorded in the
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -160,6 +163,28 @@ void assert_chaos_invariants(ChaosRun& run) {
       << " permanent=" << server.ingestion_permanent_failures()
       << " superseded=" << server.superseded_triggers();
 
+  // Analysis retries are accounted for too: every retry scheduled at an
+  // analysis site either started a "retry N:" run or was superseded by
+  // a newer trigger before its timer fired.
+  std::set<std::string> analysis_sites;
+  std::uint64_t retry_runs = 0;
+  for (const auto& rec : db.runs()) {
+    if (rec.kind != oa::FlowKind::kAnalysis) continue;
+    analysis_sites.insert(rec.flow_name);
+    if (rec.trigger.rfind("retry ", 0) == 0) ++retry_runs;
+  }
+  std::uint64_t retries_scheduled = 0;
+  for (const of::Incident& inc : plan.log().incidents()) {
+    if (inc.component == "aero" && inc.kind == "retry-scheduled" &&
+        analysis_sites.count(inc.site) > 0) {
+      ++retries_scheduled;
+    }
+  }
+  EXPECT_EQ(retries_scheduled,
+            retry_runs + server.analysis_superseded_triggers())
+      << "scheduled=" << retries_scheduled << " retry_runs=" << retry_runs
+      << " superseded=" << server.analysis_superseded_triggers();
+
   // Graceful degradation: a stakeholder asking for any data product gets
   // an estimate or an honest staleness signal — never nothing.
   auto check_served = [&](const std::string& uuid) {
@@ -242,6 +267,8 @@ TEST(ChaosDeterminism, FixedSeedRunIsBitIdentical) {
   EXPECT_EQ(sa.retries(), sb.retries());
   EXPECT_EQ(sa.permanent_failures(), sb.permanent_failures());
   EXPECT_EQ(sa.superseded_triggers(), sb.superseded_triggers());
+  EXPECT_EQ(sa.analysis_superseded_triggers(),
+            sb.analysis_superseded_triggers());
 
   // Same final R(t): every published data product is byte-identical.
   for (std::size_t i = 0; i < a.usecase->analysis_outputs().size(); ++i) {

@@ -67,7 +67,7 @@ class FailureInjectionTest : public ::testing::Test {
   }
 
   oa::IngestionFlowSpec spec_with(std::shared_ptr<oa::DataSource> source,
-                                  int max_retries = 0) {
+                                  int max_attempts = 0) {
     oa::IngestionFlowSpec spec;
     spec.name = "ing";
     spec.source = std::move(source);
@@ -79,9 +79,26 @@ class FailureInjectionTest : public ::testing::Test {
     spec.storage = &eagle;
     spec.collection = "data";
     spec.base_path = "ing";
-    spec.max_retries = max_retries;
-    spec.retry_backoff = 10 * kMinute;
+    spec.retry.max_attempts = max_attempts;
+    spec.retry.initial_backoff = 10 * kMinute;
     return spec;
+  }
+
+  oa::AnalysisFlowSpec analysis_with(const std::string& input_uuid,
+                                     const std::string& function_id) {
+    oa::AnalysisFlowSpec ana;
+    ana.name = "ana";
+    ana.input_uuids = {input_uuid};
+    ana.policy = oa::TriggerPolicy::kAny;
+    ana.compute = &login;
+    ana.function_id = function_id;
+    ana.staging = &scratch;
+    ana.staging_collection = "staging";
+    ana.storage = &eagle;
+    ana.collection = "data";
+    ana.base_path = "ana";
+    ana.output_names = {"out.txt"};
+    return ana;
   }
 };
 
@@ -153,20 +170,9 @@ TEST_F(FailureInjectionTest, AnalysisRetriesAfterComputeFailure) {
                              {0, "data"}});
   auto handles = server.register_ingestion(spec_with(source));
 
-  oa::AnalysisFlowSpec ana;
-  ana.name = "ana";
-  ana.input_uuids = {handles.output_uuid};
-  ana.policy = oa::TriggerPolicy::kAny;
-  ana.compute = &login;
-  ana.function_id = flaky_fn;
-  ana.staging = &scratch;
-  ana.staging_collection = "staging";
-  ana.storage = &eagle;
-  ana.collection = "data";
-  ana.base_path = "ana";
-  ana.output_names = {"out.txt"};
-  ana.max_retries = 3;
-  ana.retry_backoff = 10 * kMinute;
+  oa::AnalysisFlowSpec ana = analysis_with(handles.output_uuid, flaky_fn);
+  ana.retry.max_attempts = 3;
+  ana.retry.initial_backoff = 10 * kMinute;
   auto outputs = server.register_analysis(std::move(ana));
 
   loop.run_until(kDay);
@@ -174,6 +180,50 @@ TEST_F(FailureInjectionTest, AnalysisRetriesAfterComputeFailure) {
   EXPECT_EQ(server.db().latest_version_number(outputs[0]), 1);
   EXPECT_EQ(server.failed_runs(), 2u);
   EXPECT_EQ(server.retries(), 2u);
+}
+
+TEST_F(FailureInjectionTest, SupersededAnalysisRetryIsCounted) {
+  // The analysis fails once and schedules a retry 3h out; a fresh input
+  // version at 1h re-triggers it first, so the retry is obsolete when
+  // its timer fires. It must be accounted for, never silently dropped.
+  of::IncidentLog log;
+  server.set_incident_log(&log);
+  int calls = 0;
+  std::string flaky_fn = login.register_function(
+      "flaky",
+      [&calls](const Value& args) -> Value {
+        if (++calls == 1) throw std::runtime_error("transient OOM");
+        return trivial_analysis(args);
+      },
+      10 * kSecond);
+  auto source = std::make_shared<oa::ScriptedSource>(
+      "https://ok/feed", std::vector<std::pair<of::SimTime, std::string>>{
+                             {0, "a"}, {kHour, "b"}});
+  oa::IngestionFlowSpec ing = spec_with(source);
+  ing.poll_period = kHour;
+  auto handles = server.register_ingestion(std::move(ing));
+
+  oa::AnalysisFlowSpec ana = analysis_with(handles.output_uuid, flaky_fn);
+  ana.retry.max_attempts = 2;
+  ana.retry.initial_backoff = 3 * kHour;
+  auto outputs = server.register_analysis(std::move(ana));
+
+  loop.run_until(kDay);
+  EXPECT_EQ(calls, 2);  // the failure and the re-triggered run; no retry
+  EXPECT_EQ(server.db().latest_version_number(outputs[0]), 1);
+  EXPECT_EQ(server.retries(), 1u);
+  std::vector<std::string> superseded;
+  for (const of::Incident& inc : log.incidents()) {
+    if (inc.kind == "trigger-superseded") {
+      superseded.push_back(inc.site + " | " + inc.detail);
+    }
+  }
+  EXPECT_EQ(superseded,
+            (std::vector<std::string>{
+                "ana | retry 1 obsolete: newer trigger in flight"}));
+  EXPECT_EQ(server.analysis_superseded_triggers(), 1u);
+  // Ingestion's supersede counter keeps its own identity.
+  EXPECT_EQ(server.superseded_triggers(), 0u);
 }
 
 TEST_F(FailureInjectionTest, NoRetryBudgetMeansPermanentFailure) {
@@ -363,3 +413,89 @@ TEST_F(FailureInjectionTest, CorruptedTransferIsRejectedAndRetried) {
   }
   EXPECT_TRUE(saw_rejection);
 }
+
+// ---------------------------------------------------------------------------
+// Circuit-breaker deferral, characterized per flow kind: the flow fails
+// once (threshold 1 opens the breaker), a fresh trigger arrives while the
+// breaker is open, is deferred, and runs as the half-open probe.
+// ---------------------------------------------------------------------------
+
+class BreakerDeferralTest
+    : public FailureInjectionTest,
+      public ::testing::WithParamInterface<oa::FlowKind> {};
+
+TEST_P(BreakerDeferralTest, DeferredTriggerRunsAsTheHalfOpenProbe) {
+  const bool analysis = GetParam() == oa::FlowKind::kAnalysis;
+  of::IncidentLog log;
+  server.set_incident_log(&log);
+  // Fails on its first call only.
+  int calls = 0;
+  std::string flaky_fn = login.register_function(
+      "flaky",
+      [&calls, analysis](const Value& args) {
+        if (++calls == 1) throw std::runtime_error("transient");
+        return analysis ? trivial_analysis(args) : identity_transform(args);
+      },
+      10 * kSecond);
+  ou::CircuitBreakerConfig breaker;
+  breaker.failure_threshold = 1;
+  breaker.open_timeout = 3 * kHour;
+
+  // A new upstream version at 1h: inside the 3h open window.
+  auto source = std::make_shared<oa::ScriptedSource>(
+      "https://ok/feed", std::vector<std::pair<of::SimTime, std::string>>{
+                             {0, "a"}, {kHour, "b"}});
+  oa::IngestionFlowSpec ing = spec_with(source);
+  ing.poll_period = kHour;
+  if (!analysis) {
+    ing.function_id = flaky_fn;
+    ing.breaker = breaker;
+  }
+  auto handles = server.register_ingestion(std::move(ing));
+  if (analysis) {
+    oa::AnalysisFlowSpec ana = analysis_with(handles.output_uuid, flaky_fn);
+    ana.breaker = breaker;
+    server.register_analysis(std::move(ana));
+  }
+  loop.run_until(kDay);
+
+  const std::string site = analysis ? "ana" : "ing";
+  const std::string probe_at =
+      analysis ? "d000 03:00:23.001" : "d000 03:00:11.001";
+  std::vector<std::string> incidents;
+  for (const of::Incident& inc : log.incidents()) {
+    incidents.push_back(inc.kind + " | " + inc.site + " | " + inc.detail);
+  }
+  EXPECT_EQ(incidents,
+            (std::vector<std::string>{
+                "circuit-opened | " + site +
+                    " | after 1 consecutive failure(s)",
+                "degraded | " + site + " | " +
+                    (analysis ? "analysis 'ana'" : "ingestion 'ing'") +
+                    " exhausted its retry budget; serving last-good "
+                    "estimates",
+                "trigger-deferred | " + site + " | circuit open; probe at " +
+                    probe_at,
+                "circuit-half-open | " + site + " | admitting probe run",
+                "circuit-closed | " + site + " | probe(s) succeeded",
+                "recovered | " + site + " | fresh estimate published"}));
+
+  std::vector<std::string> runs;
+  for (const oa::RunRecord& run : server.db().runs()) {
+    runs.push_back(run.flow_name + " | " + run.trigger + " | " +
+                   (run.status == oa::RunStatus::kSucceeded ? "ok" : "failed"));
+  }
+  const std::vector<std::string> expected_runs =
+      analysis ? std::vector<std::string>{"ing | poll:https://ok/feed | ok",
+                                          "ana | update of ing | failed",
+                                          "ing | poll:https://ok/feed | ok",
+                                          "ana | update of ing (probe) | ok"}
+               : std::vector<std::string>{"ing | poll:https://ok/feed | failed",
+                                          "ing | probe:https://ok/feed | ok"};
+  EXPECT_EQ(runs, expected_runs);
+  EXPECT_EQ(server.deferred_triggers(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FlowKinds, BreakerDeferralTest,
+                         ::testing::Values(oa::FlowKind::kIngestion,
+                                           oa::FlowKind::kAnalysis));
