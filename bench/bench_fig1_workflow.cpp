@@ -239,7 +239,8 @@ int main() {
   // Recover-and-compare self-check over the last pass's files.
   util::RealFs recovery_fs(kWalRoot);
   aero::MetadataDb recovered;
-  aero::Wal recovery_wal(recovery_fs, wal_options);
+  obs::MetricsRegistry recovery_metrics;
+  aero::Wal recovery_wal(recovery_fs, wal_options, recovery_metrics);
   aero::RecoveryStats stats = recovery_wal.recover(recovered);
   const bool identical = recovered.to_json().to_json() == walled.db_json &&
                          walled.db_json == base.db_json;

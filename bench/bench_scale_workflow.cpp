@@ -11,9 +11,8 @@
 ///     shard::ShardedFabric on 8 shards with tracing off, which is how
 ///     a deployment of that size would actually run. Per-partition
 ///     event queues stay tiny and unchanged polls skip the checksum
-///     hash, so events/wall-second must sustain at least 5x the
-///     single-loop baseline (checked against
-///     results/BENCH_scale_workflow.json; cadence is recorded there).
+///     hash. Cadence, tracing and feed count all differ from section 1,
+///     so the two events/wall-second figures are not a speedup ratio.
 ///
 /// OSPREY_BENCH_SMOKE=1 shrinks both sections for CI smoke runs; the
 /// JSON records the mode so the gate knows not to compare smoke
@@ -80,18 +79,16 @@ int main() {
   const std::size_t num_shards = 8;
 
   std::printf("%s", util::banner(
-      "Scale — single-loop baseline vs 8-shard fabric").c_str());
+      "Scale — single-loop baseline and 8-shard fabric").c_str());
 
   // --- section 1: single-loop baseline (tracing on) -------------------
   obs::TraceRecorder tracer;
-  obs::MetricsRegistry metrics;
   fabric::EventLoop loop;
   fabric::AuthService auth;
   fabric::TimerService timers(loop, auth);
   fabric::TransferService transfers(loop, auth);
   fabric::FlowsService flows(loop, auth);
-  aero::AeroServer server(loop, auth, timers, transfers, flows, "aero",
-                          &metrics);
+  aero::AeroServer server(loop, auth, timers, transfers, flows);
   fabric::StorageEndpoint eagle("eagle", loop, auth);
   fabric::StorageEndpoint scratch("scratch", loop, auth);
   fabric::BatchScheduler pbs(loop, 8);
@@ -99,15 +96,11 @@ int main() {
   fabric::ComputeEndpoint compute("compute", loop, auth, pbs);
   timers.set_tracer(&tracer);
   transfers.set_tracer(&tracer);
-  transfers.set_metrics(&metrics);
   flows.set_tracer(&tracer);
   server.set_tracer(&tracer);
   pbs.set_tracer(&tracer);
-  pbs.set_metrics(&metrics);
   login.set_tracer(&tracer);
-  login.set_metrics(&metrics);
   compute.set_tracer(&tracer);
-  compute.set_metrics(&metrics);
   eagle.create_collection("data", server.token());
   scratch.create_collection("staging", server.token());
   std::string transform_fn =
@@ -222,9 +215,6 @@ int main() {
     rounds = fabric.coordinator().rounds_dispatched("scale");
     aggregates = fabric.coordinator().aggregates_published("scale");
   }
-  double speedup =
-      sharded.events_per_wall_second() / base.events_per_wall_second();
-
   util::TextTable stable({"metric", "sharded"});
   stable.add_row({"virtual days simulated", std::to_string(sharded_days)});
   stable.add_row({"feeds", std::to_string(sharded_feeds)});
@@ -238,15 +228,11 @@ int main() {
                   util::TextTable::num(sharded.wall_ms, 0) + " ms"});
   stable.add_row({"events/wall-sec",
                   util::TextTable::num(sharded.events_per_wall_second(), 0)});
-  stable.add_row({"speedup vs single loop",
-                  util::TextTable::num(speedup, 2) + "x"});
   std::printf("%s\n", stable.render().c_str());
 
   std::printf("%d feeds of always-on surveillance sustain %.0f "
-              "events/wall-sec on %zu shards (%.1fx the single-loop "
-              "baseline).\n",
-              sharded_feeds, sharded.events_per_wall_second(), num_shards,
-              speedup);
+              "events/wall-sec on %zu shards.\n",
+              sharded_feeds, sharded.events_per_wall_second(), num_shards);
 
   // --- observability: BENCH_*.json perf snapshot ---------------------
   std::vector<obs::SpanRecord> spans = tracer.snapshot();
@@ -281,9 +267,8 @@ int main() {
   sh["events_per_wall_second"] = Value(sharded.events_per_wall_second());
   sh["aggregation_rounds"] = Value(rounds);
   sh["aggregates_published"] = Value(aggregates);
-  sh["speedup_vs_single_loop"] = Value(speedup);
   bench["sharded"] = Value(std::move(sh));
-  bench["metrics"] = metrics.snapshot();
+  bench["metrics"] = loop.metrics().snapshot();
   util::write_text_file("results/BENCH_scale_workflow.json",
                         Value(std::move(bench)).to_json());
   std::printf("wrote results/BENCH_scale_workflow.json\n");

@@ -41,10 +41,7 @@ AeroServer::AeroServer(fabric::EventLoop& loop, fabric::AuthService& auth,
       identity_(std::move(identity)),
       token_(auth.issue_full_token(identity_)),
       db_(uuid_seed) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
+  if (metrics == nullptr) metrics = &loop.metrics();
   metrics_ = metrics;
   polls_ = &metrics->counter("aero_polls_total",
                              "upstream source polls performed");
@@ -91,7 +88,7 @@ RecoveryStats AeroServer::enable_durability(osprey::util::DurableFs& fs,
   OSPREY_REQUIRE(wal_ == nullptr, "durability is already enabled");
   OSPREY_REQUIRE(db_.update_count() == 0,
                  "enable_durability must precede flow registration");
-  wal_ = std::make_unique<Wal>(fs, std::move(options), metrics_, tracer_,
+  wal_ = std::make_unique<Wal>(fs, std::move(options), *metrics_, tracer_,
                                [this] { return obs::sim_ns(loop_.now()); });
   RecoveryStats stats = wal_->recover(db_);
   // Runs in flight at the crash can never complete — their compute and

@@ -110,8 +110,8 @@ class AeroServer {
   /// The server authenticates to the fabric as `identity` (a full-scope
   /// token is issued at construction). Collections the flows touch must
   /// be readable/writable by this identity. The Figure-1 counters live
-  /// in `metrics` (non-owning); when nullptr the server owns a private
-  /// registry, so standalone construction keeps working. `uuid_seed`
+  /// in `metrics` (non-owning); nullptr means the loop's registry, which
+  /// the fabric services already report into. `uuid_seed`
   /// seeds the metadata db's uuid generator — sharded deployments give
   /// every partition's server a distinct, stable seed so object uuids
   /// never collide across partitions (and recovery, which replays uuid
@@ -171,8 +171,8 @@ class AeroServer {
   /// incidents become instant events correlated by parent span id.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// The registry holding the server's counters (owned fallback or the
-  /// one passed at construction).
+  /// The registry holding the server's counters: the one passed at
+  /// construction, else the loop's.
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
@@ -370,8 +370,6 @@ class AeroServer {
   std::vector<Ingestion> ingestions_;
   std::vector<Analysis> analyses_;
 
-  /// Fallback registry when none is injected at construction.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
 

@@ -37,10 +37,6 @@ std::optional<std::uint64_t> lsn_from_path(const std::string& path) {
   return lsn;
 }
 
-void inc(obs::Counter* c, std::uint64_t delta = 1) {
-  if (c != nullptr) c->inc(delta);
-}
-
 }  // namespace
 
 std::string encode_record(const std::string& payload) {
@@ -87,30 +83,27 @@ DecodedRecord decode_record(const std::string& buffer, std::size_t offset) {
 }
 
 Wal::Wal(osprey::util::DurableFs& fs, WalOptions options,
-         obs::MetricsRegistry* metrics, obs::TraceRecorder* tracer,
+         obs::MetricsRegistry& metrics, obs::TraceRecorder* tracer,
          std::function<std::uint64_t()> now_ns)
     : fs_(fs),
       options_(std::move(options)),
       tracer_(tracer),
-      now_ns_(std::move(now_ns)) {
-  if (metrics != nullptr) {
-    appends_ = &metrics->counter("aero_wal_appends_total",
-                                 "WAL records appended");
-    fsyncs_ = &metrics->counter("aero_wal_fsyncs_total",
-                                "durability barriers issued by the WAL");
-    checkpoints_ = &metrics->counter("aero_wal_checkpoints_total",
-                                     "checkpoints written");
-    replayed_ = &metrics->counter("aero_wal_replayed_records_total",
-                                  "WAL records replayed during recovery");
-    torn_ = &metrics->counter("aero_wal_torn_records_total",
-                              "torn WAL records discarded during recovery");
-    corrupt_ = &metrics->counter(
-        "aero_wal_corrupt_records_total",
-        "checksum-rejected WAL records discarded during recovery");
-    recoveries_ = &metrics->counter("aero_wal_recoveries_total",
-                                    "recovery passes performed");
-  }
-}
+      now_ns_(std::move(now_ns)),
+      appends_(metrics.counter("aero_wal_appends_total",
+                               "WAL records appended")),
+      fsyncs_(metrics.counter("aero_wal_fsyncs_total",
+                              "durability barriers issued by the WAL")),
+      checkpoints_(metrics.counter("aero_wal_checkpoints_total",
+                                   "checkpoints written")),
+      replayed_(metrics.counter("aero_wal_replayed_records_total",
+                                "WAL records replayed during recovery")),
+      torn_(metrics.counter("aero_wal_torn_records_total",
+                            "torn WAL records discarded during recovery")),
+      corrupt_(metrics.counter(
+          "aero_wal_corrupt_records_total",
+          "checksum-rejected WAL records discarded during recovery")),
+      recoveries_(metrics.counter("aero_wal_recoveries_total",
+                                  "recovery passes performed")) {}
 
 Wal::~Wal() {
   if (db_ != nullptr) db_->set_wal_hook({});
@@ -126,7 +119,7 @@ std::string Wal::checkpoint_path(std::uint64_t lsn) const {
 
 RecoveryStats Wal::recover(MetadataDb& db) {
   RecoveryStats stats;
-  inc(recoveries_);
+  recoveries_.inc();
   std::uint64_t t0 = now_ns_ ? now_ns_() : 0;
 
   // Newest valid checkpoint wins; older generations are the fallback
@@ -138,7 +131,7 @@ RecoveryStats Wal::recover(MetadataDb& db) {
     DecodedRecord frame = decode_record(*bytes, 0);
     if (frame.status != DecodeStatus::kOk) {
       ++stats.corrupt;
-      inc(corrupt_);
+      corrupt_.inc();
       continue;
     }
     try {
@@ -151,7 +144,7 @@ RecoveryStats Wal::recover(MetadataDb& db) {
       break;
     } catch (const osprey::util::Error&) {
       ++stats.corrupt;
-      inc(corrupt_);
+      corrupt_.inc();
     }
   }
 
@@ -190,10 +183,10 @@ RecoveryStats Wal::recover(MetadataDb& db) {
       if (!applied) {
         if (frame.status == DecodeStatus::kTorn) {
           ++stats.torn;
-          inc(torn_);
+          torn_.inc();
         } else {
           ++stats.corrupt;
-          inc(corrupt_);
+          corrupt_.inc();
         }
         damaged = true;
         // Truncate-by-rewrite: the valid prefix of this segment becomes
@@ -203,7 +196,7 @@ RecoveryStats Wal::recover(MetadataDb& db) {
       }
       ++expect;
       ++stats.replayed;
-      inc(replayed_);
+      replayed_.inc();
       offset += frame.consumed;
     }
   }
@@ -215,7 +208,7 @@ RecoveryStats Wal::recover(MetadataDb& db) {
       if (start && *start >= expect) fs_.remove(segment);
     }
     fs_.sync();
-    inc(fsyncs_);
+    fsyncs_.inc();
   }
 
   next_lsn_ = expect;
@@ -250,11 +243,11 @@ void Wal::on_record(const osprey::util::Value& record) {
   fs_.append(current_segment_, encode_record(Value(std::move(framed)).to_json()));
   if (options_.sync_each_append) {
     fs_.sync();
-    inc(fsyncs_);
+    fsyncs_.inc();
   }
   ++next_lsn_;
   ++appends_since_checkpoint_;
-  inc(appends_);
+  appends_.inc();
 }
 
 void Wal::checkpoint() {
@@ -268,8 +261,8 @@ void Wal::write_checkpoint(std::uint64_t lsn) {
   obj["db"] = db_->to_json();
   fs_.write(checkpoint_path(lsn), encode_record(Value(std::move(obj)).to_json()));
   fs_.sync();
-  inc(fsyncs_);
-  inc(checkpoints_);
+  fsyncs_.inc();
+  checkpoints_.inc();
   // Rotate: records after this checkpoint start a fresh segment, so
   // every closed segment holds only records some checkpoint covers.
   current_segment_ = segment_path(lsn + 1);

@@ -70,11 +70,11 @@ struct RecoveryStats {
 
 class Wal {
  public:
-  /// `fs` must outlive the Wal. Metrics/tracer are optional (nullptr =
-  /// no observability). `now_ns` supplies virtual time for trace
-  /// events; unset records them at t=0.
+  /// `fs` and `metrics` must outlive the Wal. The tracer is optional
+  /// (nullptr = no trace events). `now_ns` supplies virtual time for
+  /// trace events; unset records them at t=0.
   Wal(osprey::util::DurableFs& fs, WalOptions options,
-      obs::MetricsRegistry* metrics = nullptr,
+      obs::MetricsRegistry& metrics,
       obs::TraceRecorder* tracer = nullptr,
       std::function<std::uint64_t()> now_ns = {});
   ~Wal();
@@ -116,13 +116,13 @@ class Wal {
 
   obs::TraceRecorder* tracer_ = nullptr;
   std::function<std::uint64_t()> now_ns_;
-  obs::Counter* appends_ = nullptr;
-  obs::Counter* fsyncs_ = nullptr;
-  obs::Counter* checkpoints_ = nullptr;
-  obs::Counter* replayed_ = nullptr;
-  obs::Counter* torn_ = nullptr;
-  obs::Counter* corrupt_ = nullptr;
-  obs::Counter* recoveries_ = nullptr;
+  obs::Counter& appends_;
+  obs::Counter& fsyncs_;
+  obs::Counter& checkpoints_;
+  obs::Counter& replayed_;
+  obs::Counter& torn_;
+  obs::Counter& corrupt_;
+  obs::Counter& recoveries_;
 };
 
 }  // namespace osprey::aero

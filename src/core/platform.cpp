@@ -9,14 +9,10 @@ OspreyPlatform::OspreyPlatform()
       timers_(loop_, auth_),
       transfers_(loop_, auth_),
       flows_(loop_, auth_),
-      aero_(loop_, auth_, timers_, transfers_, flows_, "aero", &metrics_) {
-  loop_.set_metrics(&metrics_);
+      aero_(loop_, auth_, timers_, transfers_, flows_) {
   timers_.set_tracer(&tracer_);
-  timers_.set_metrics(&metrics_);
   transfers_.set_tracer(&tracer_);
-  transfers_.set_metrics(&metrics_);
   flows_.set_tracer(&tracer_);
-  flows_.set_metrics(&metrics_);
   aero_.set_tracer(&tracer_);
   task_db_.set_tracer(&tracer_);
 }
@@ -40,7 +36,6 @@ fabric::BatchScheduler& OspreyPlatform::add_scheduler(const std::string& name,
   fabric::BatchScheduler& ref = *s;
   ref.set_fault_plan(plan_);
   ref.set_tracer(&tracer_);
-  ref.set_metrics(&metrics_);
   schedulers_.emplace(name, std::move(s));
   return ref;
 }
@@ -54,7 +49,6 @@ fabric::ComputeEndpoint& OspreyPlatform::add_login_endpoint(
   fabric::ComputeEndpoint& ref = *ep;
   ref.set_fault_plan(plan_);
   ref.set_tracer(&tracer_);
-  ref.set_metrics(&metrics_);
   compute_.emplace(name, std::move(ep));
   return ref;
 }
@@ -68,7 +62,6 @@ fabric::ComputeEndpoint& OspreyPlatform::add_batch_endpoint(
   fabric::ComputeEndpoint& ref = *ep;
   ref.set_fault_plan(plan_);
   ref.set_tracer(&tracer_);
-  ref.set_metrics(&metrics_);
   compute_.emplace(name, std::move(ep));
   return ref;
 }

@@ -63,9 +63,10 @@ class OspreyPlatform {
   /// simulated time, so replays of the same seed yield identical traces.
   obs::TraceRecorder& tracer() { return tracer_; }
   const obs::TraceRecorder& tracer() const { return tracer_; }
-  /// The platform-wide metrics registry (fabric_* and aero_* metrics).
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  /// The platform-wide metrics registry (fabric_* and aero_* metrics):
+  /// the event loop's.
+  obs::MetricsRegistry& metrics() { return loop_.metrics(); }
+  const obs::MetricsRegistry& metrics() const { return loop_.metrics(); }
 
   /// Attach a chaos FaultPlan (non-owning) to every fabric service and
   /// the AERO server — including endpoints/schedulers added later.
@@ -83,9 +84,8 @@ class OspreyPlatform {
 
  private:
   // Declared before the services so it outlives everything tracing
-  // into it (and so aero_ can take &metrics_ at construction).
+  // into it.
   obs::TraceRecorder tracer_;
-  obs::MetricsRegistry metrics_;
   fabric::EventLoop loop_;
   fabric::AuthService auth_;
   fabric::TimerService timers_;

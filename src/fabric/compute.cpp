@@ -9,23 +9,37 @@ namespace osprey::fabric {
 
 ComputeEndpoint::ComputeEndpoint(std::string name, EventLoop& loop,
                                  AuthService& auth, int slots)
-    : name_(std::move(name)),
-      loop_(loop),
-      auth_(auth),
-      kind_(EndpointKind::kLoginNode),
-      slots_(slots),
-      uuids_(0xC0DE) {
+    : ComputeEndpoint(std::move(name), loop, auth, EndpointKind::kLoginNode,
+                      slots, nullptr) {
   OSPREY_REQUIRE(slots >= 1, "login-node endpoint needs at least one slot");
 }
 
 ComputeEndpoint::ComputeEndpoint(std::string name, EventLoop& loop,
                                  AuthService& auth, BatchScheduler& scheduler)
+    : ComputeEndpoint(std::move(name), loop, auth, EndpointKind::kBatch, 1,
+                      &scheduler) {}
+
+ComputeEndpoint::ComputeEndpoint(std::string name, EventLoop& loop,
+                                 AuthService& auth, EndpointKind kind,
+                                 int slots, BatchScheduler* scheduler)
     : name_(std::move(name)),
       loop_(loop),
       auth_(auth),
-      kind_(EndpointKind::kBatch),
-      scheduler_(&scheduler),
-      uuids_(0xC0DE) {}
+      kind_(kind),
+      slots_(slots),
+      scheduler_(scheduler),
+      uuids_(0xC0DE),
+      m_succeeded_(loop.metrics().counter(
+          "fabric_compute_tasks_succeeded_total",
+          "compute tasks that ran to completion")),
+      m_failed_(loop.metrics().counter(
+          "fabric_compute_tasks_failed_total",
+          "compute tasks that failed (outage, kill, walltime, error)")),
+      m_latency_(loop.metrics().histogram(
+          "fabric_compute_task_latency_ms",
+          {1e3, 10e3, 60e3, 600e3, 3.6e6, 14.4e6},
+          "submission-to-completion virtual latency per compute task "
+          "(ms)")) {}
 
 std::string ComputeEndpoint::register_function(const std::string& name,
                                                ComputeFn fn, SimTime cost) {
@@ -46,22 +60,13 @@ bool ComputeEndpoint::has_function(const std::string& function_id) const {
   return functions_.count(function_id) > 0;
 }
 
-void ComputeEndpoint::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_succeeded_ = &own_succeeded_;
-    m_failed_ = &own_failed_;
-    m_latency_ = nullptr;
-    return;
-  }
-  m_succeeded_ = &metrics->counter("fabric_compute_tasks_succeeded_total",
-                                   "compute tasks that ran to completion");
-  m_failed_ = &metrics->counter(
-      "fabric_compute_tasks_failed_total",
-      "compute tasks that failed (outage, kill, walltime, error)");
-  m_latency_ = &metrics->histogram(
-      "fabric_compute_task_latency_ms",
-      {1e3, 10e3, 60e3, 600e3, 3.6e6, 14.4e6},
-      "submission-to-completion virtual latency per compute task (ms)");
+std::size_t ComputeEndpoint::completed_count() const {
+  // `completed` is stamped by the same event that reports the terminal
+  // status to the caller; the status itself turns terminal earlier, when
+  // the body runs.
+  return static_cast<std::size_t>(std::count_if(
+      records_.begin(), records_.end(),
+      [](const ComputeTaskRecord& r) { return r.completed >= 0; }));
 }
 
 void ComputeEndpoint::finish_obs(const ComputeTaskRecord& rec) {
@@ -71,12 +76,12 @@ void ComputeEndpoint::finish_obs(const ComputeTaskRecord& rec) {
                       rec.error);
   }
   if (ok) {
-    m_succeeded_->inc();
+    m_succeeded_.inc();
   } else {
-    m_failed_->inc();
+    m_failed_.inc();
   }
-  if (m_latency_ != nullptr && rec.completed >= rec.submitted) {
-    m_latency_->observe(static_cast<double>(rec.completed - rec.submitted));
+  if (rec.completed >= rec.submitted) {
+    m_latency_.observe(static_cast<double>(rec.completed - rec.submitted));
   }
 }
 

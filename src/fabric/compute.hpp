@@ -82,10 +82,6 @@ class ComputeEndpoint {
   /// parented to the submitting thread's current span.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// Bind task counters and the end-to-end latency histogram to
-  /// `metrics` (non-owning; nullptr detaches).
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   /// Walltime requested for each batch job (batch endpoints only).
   /// Tasks whose declared cost exceeds it are killed by the scheduler
   /// and reported failed ("walltime exceeded").
@@ -110,10 +106,9 @@ class ComputeEndpoint {
 
   const ComputeTaskRecord& task(ComputeTaskId id) const;
   const std::vector<ComputeTaskRecord>& tasks() const { return records_; }
-  std::size_t completed_count() const {
-    return static_cast<std::size_t>(m_succeeded_->value() +
-                                    m_failed_->value());
-  }
+  /// Tasks of this endpoint whose completion has landed (succeeded or
+  /// failed). The registry's task counters are per loop instead.
+  std::size_t completed_count() const;
 
  private:
   struct Registered {
@@ -128,6 +123,9 @@ class ComputeEndpoint {
     Value args;
     Callback on_done;
   };
+
+  ComputeEndpoint(std::string name, EventLoop& loop, AuthService& auth,
+                  EndpointKind kind, int slots, BatchScheduler* scheduler);
 
   void run_on_login_node(PendingTask task);
   void run_via_scheduler(PendingTask task);
@@ -152,13 +150,9 @@ class ComputeEndpoint {
   std::vector<ComputeTaskRecord> records_;
   std::deque<PendingTask> login_queue_;
   obs::TraceRecorder* tracer_ = nullptr;
-  // Task counters always point at a live obs::Counter: the owned
-  // fallbacks until set_metrics binds a registry, so completed_count()
-  // works unwired. The histogram stays optional.
-  obs::Counter own_succeeded_, own_failed_;
-  obs::Counter* m_succeeded_ = &own_succeeded_;
-  obs::Counter* m_failed_ = &own_failed_;
-  obs::Histogram* m_latency_ = nullptr;
+  obs::Counter& m_succeeded_;
+  obs::Counter& m_failed_;
+  obs::Histogram& m_latency_;
 
   /// Ends the span and bumps metrics when a task record completes.
   void finish_obs(const ComputeTaskRecord& rec);

@@ -4,6 +4,10 @@
 
 namespace osprey::fabric {
 
+EventLoop::EventLoop()
+    : processed_(metrics_.counter("fabric_events_processed_total",
+                                  "events fired by the virtual-time loop")) {}
+
 EventId EventLoop::schedule_at(SimTime t, Callback cb) {
   OSPREY_REQUIRE(t >= now_, "cannot schedule an event in the past");
   OSPREY_REQUIRE(static_cast<bool>(cb), "null event callback");
@@ -20,15 +24,6 @@ EventId EventLoop::schedule_after(SimTime dt, Callback cb) {
 
 bool EventLoop::cancel(EventId id) { return callbacks_.erase(id) > 0; }
 
-void EventLoop::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    processed_ = &own_processed_;
-    return;
-  }
-  processed_ = &metrics->counter("fabric_events_processed_total",
-                                 "events fired by the virtual-time loop");
-}
-
 bool EventLoop::fire_next() {
   while (!queue_.empty()) {
     Entry entry = queue_.top();
@@ -43,7 +38,7 @@ bool EventLoop::fire_next() {
     now_ = entry.time;
     Callback cb = std::move(it->second);
     callbacks_.erase(it);
-    processed_->inc();
+    processed_.inc();
     cb();
     return true;
   }

@@ -24,9 +24,17 @@ using EventId = std::uint64_t;
 
 /// Single-threaded priority-queue event loop over virtual time.
 /// Events at equal times fire in scheduling order (stable).
+///
+/// The loop owns the metrics registry of everything scheduled on it:
+/// every fabric service binds its counters and histograms from
+/// `metrics()` at construction, so one loop is one registry.
 class EventLoop {
  public:
   using Callback = std::function<void()>;
+
+  EventLoop();
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   SimTime now() const { return now_; }
 
@@ -49,11 +57,12 @@ class EventLoop {
 
   bool empty() const { return callbacks_.empty(); }
   std::size_t pending() const { return callbacks_.size(); }
-  std::uint64_t events_processed() const { return processed_->value(); }
+  /// Events this loop has fired.
+  std::uint64_t events_processed() const { return processed_.value(); }
 
-  /// Bind the processed-events counter to `metrics` (non-owning;
-  /// nullptr reverts to the loop's private fallback counter).
-  void set_metrics(obs::MetricsRegistry* metrics);
+  /// The registry shared by this loop and every service on it.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   struct Entry {
@@ -67,14 +76,12 @@ class EventLoop {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  // Always points at a live obs::Counter: the owned fallback until
-  // set_metrics binds a registry, so events_processed() works unwired.
-  obs::Counter own_processed_;
-  obs::Counter* processed_ = &own_processed_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
   // Live callbacks; cancellation erases the entry, leaving a tombstone in
   // the priority queue that fire_next() skips.
   std::map<EventId, Callback> callbacks_;
+  obs::MetricsRegistry metrics_;
+  obs::Counter& processed_;
 
   /// Pop queue entries until one is live and run it; returns false when
   /// nothing is live.

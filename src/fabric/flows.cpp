@@ -8,16 +8,11 @@
 namespace osprey::fabric {
 
 FlowsService::FlowsService(EventLoop& loop, AuthService& auth)
-    : loop_(loop), auth_(auth) {}
-
-void FlowsService::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    succeeded_ = &own_succeeded_;
-    return;
-  }
-  succeeded_ = &metrics->counter("fabric_flow_runs_succeeded_total",
-                                 "flow runs that completed every step");
-}
+    : loop_(loop),
+      auth_(auth),
+      succeeded_(loop.metrics().counter(
+          "fabric_flow_runs_succeeded_total",
+          "flow runs that completed every step")) {}
 
 FlowRunId FlowsService::run(const FlowDefinition& flow,
                             const std::string& token, RunCallback on_done,
@@ -112,7 +107,7 @@ void FlowsService::finish(std::shared_ptr<ActiveRun> run,
     tracer_->end_span(rec.trace_span, obs::sim_ns(rec.ended),
                       status == FlowRunStatus::kSucceeded);
   }
-  if (status == FlowRunStatus::kSucceeded) succeeded_->inc();
+  if (status == FlowRunStatus::kSucceeded) succeeded_.inc();
   if (run->on_done) run->on_done(rec, run->context.state);
 }
 

@@ -81,10 +81,6 @@ class FlowsService {
   /// inside a step (transfers, compute) nest under the step's span.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// Bind the succeeded-runs counter to `metrics` (non-owning; nullptr
-  /// reverts to the service's private fallback counter).
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   using RunCallback = std::function<void(const FlowRunRecord&,
                                          const osprey::util::Value& state)>;
 
@@ -97,8 +93,9 @@ class FlowsService {
   const FlowRunRecord& record(FlowRunId id) const;
   const std::vector<FlowRunRecord>& records() const { return records_; }
   std::size_t runs_started() const { return records_.size(); }
+  /// Runs that completed every step, across this loop's FlowsServices.
   std::size_t runs_succeeded() const {
-    return static_cast<std::size_t>(succeeded_->value());
+    return static_cast<std::size_t>(succeeded_.value());
   }
 
  private:
@@ -117,10 +114,7 @@ class FlowsService {
   FaultPlan* plan_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
   std::vector<FlowRunRecord> records_;
-  // Always points at a live obs::Counter: the owned fallback until
-  // set_metrics binds a registry, so runs_succeeded() works unwired.
-  obs::Counter own_succeeded_;
-  obs::Counter* succeeded_ = &own_succeeded_;
+  obs::Counter& succeeded_;
 };
 
 }  // namespace osprey::fabric

@@ -23,19 +23,12 @@ BatchScheduler::BatchScheduler(EventLoop& loop, int total_nodes,
     : loop_(loop),
       total_nodes_(total_nodes),
       free_nodes_(total_nodes),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      m_queue_wait_(loop.metrics().histogram(
+          "fabric_job_queue_wait_ms",
+          {1e3, 60e3, 600e3, 3.6e6, 14.4e6, 86.4e6},
+          "virtual queue wait per started batch job (ms)")) {
   OSPREY_REQUIRE(total_nodes > 0, "scheduler needs at least one node");
-}
-
-void BatchScheduler::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_queue_wait_ = nullptr;
-    return;
-  }
-  m_queue_wait_ = &metrics->histogram(
-      "fabric_job_queue_wait_ms",
-      {1e3, 60e3, 600e3, 3.6e6, 14.4e6, 86.4e6},
-      "virtual queue wait per started batch job (ms)");
 }
 
 JobId BatchScheduler::submit(JobSpec spec) {
@@ -112,9 +105,7 @@ void BatchScheduler::try_start_jobs() {
     JobRecord& rec = records_[id];
     rec.state = JobState::kRunning;
     rec.started = loop_.now();
-    if (m_queue_wait_ != nullptr) {
-      m_queue_wait_->observe(static_cast<double>(rec.queue_wait()));
-    }
+    m_queue_wait_.observe(static_cast<double>(rec.queue_wait()));
     OSPREY_LOG_DEBUG("pbs", "job " << id << " '" << rec.name << "' started on "
                                    << spec.nodes << " node(s)");
 

@@ -69,9 +69,6 @@ class BatchScheduler {
   /// wait is visible as the gap before the nested compute span.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// Bind the queue-wait histogram to `metrics` (nullptr detaches).
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   JobId submit(JobSpec spec);
   /// Cancel a queued job (running jobs cannot be cancelled in this model).
   bool cancel(JobId id);
@@ -100,7 +97,7 @@ class BatchScheduler {
   std::string name_;
   FaultPlan* plan_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
-  obs::Histogram* m_queue_wait_ = nullptr;
+  obs::Histogram& m_queue_wait_;
   bool outage_recheck_pending_ = false;
   std::deque<QueuedJob> queue_;
   std::vector<JobRecord> records_;

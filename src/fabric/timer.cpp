@@ -5,16 +5,10 @@
 namespace osprey::fabric {
 
 TimerService::TimerService(EventLoop& loop, AuthService& auth)
-    : loop_(loop), auth_(auth) {}
-
-void TimerService::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    fires_ = &own_fires_;
-    return;
-  }
-  fires_ = &metrics->counter("fabric_timer_fires_total",
-                             "periodic timer firings");
-}
+    : loop_(loop),
+      auth_(auth),
+      fires_(loop.metrics().counter("fabric_timer_fires_total",
+                                    "periodic timer firings")) {}
 
 TimerId TimerService::every(SimTime period, SimTime first_at,
                             std::function<void()> fn,
@@ -35,7 +29,7 @@ void TimerService::arm(TimerId id, SimTime at) {
   timer.pending_event = loop_.schedule_at(at, [this, id, at] {
     auto it = timers_.find(id);
     if (it == timers_.end()) return;  // cancelled meanwhile
-    fires_->inc();
+    fires_.inc();
     if (tracer_ != nullptr) {
       tracer_->instant(
           obs::Category::kFlow,

@@ -35,12 +35,9 @@ class TimerService {
   /// firing becomes an instant event ("timer:<name>").
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// Bind the fires counter to `metrics` (non-owning; nullptr reverts
-  /// to the service's private fallback counter).
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   std::size_t active_count() const { return timers_.size(); }
-  std::uint64_t total_fires() const { return fires_->value(); }
+  /// Timer firings on this service's loop (all its TimerServices).
+  std::uint64_t total_fires() const { return fires_.value(); }
 
  private:
   struct Timer {
@@ -56,10 +53,7 @@ class TimerService {
   AuthService& auth_;
   std::map<TimerId, Timer> timers_;
   TimerId next_id_ = 0;
-  // Always points at a live obs::Counter: the owned fallback until
-  // set_metrics binds a registry, so total_fires() works unwired.
-  obs::Counter own_fires_;
-  obs::Counter* fires_ = &own_fires_;
+  obs::Counter& fires_;
   obs::TraceRecorder* tracer_ = nullptr;
 };
 

@@ -14,7 +14,19 @@ TransferService::TransferService(EventLoop& loop, AuthService& auth,
     : loop_(loop),
       auth_(auth),
       latency_(latency),
-      bandwidth_(bandwidth_bytes_per_s) {
+      bandwidth_(bandwidth_bytes_per_s),
+      m_completed_(loop.metrics().counter(
+          "fabric_transfers_completed_total",
+          "transfers whose destination write completed and verified")),
+      m_failed_(loop.metrics().counter(
+          "fabric_transfers_failed_total",
+          "transfers that ended in a terminal failure")),
+      m_injected_(loop.metrics().counter(
+          "fabric_transfers_injected_failures_total",
+          "transfer failures injected by inject_failures()")),
+      m_bytes_(loop.metrics().histogram(
+          "fabric_transfer_bytes", {1e3, 1e4, 1e5, 1e6, 1e7, 1e8},
+          "payload size per completed transfer (bytes)")) {
   OSPREY_REQUIRE(bandwidth_ > 0.0, "bandwidth must be positive");
 }
 
@@ -33,7 +45,7 @@ bool TransferService::should_fail_next() {
   z ^= z >> 31;
   double u = static_cast<double>(z >> 11) * 0x1.0p-53;
   if (u < failure_rate_) {
-    m_injected_->inc();
+    m_injected_.inc();
     return true;
   }
   return false;
@@ -44,27 +56,6 @@ void TransferService::set_default_timeout(SimTime timeout) {
   timeout_ = timeout;
 }
 
-void TransferService::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_completed_ = &own_completed_;
-    m_failed_ = &own_failed_;
-    m_injected_ = &own_injected_;
-    m_bytes_ = nullptr;
-    return;
-  }
-  m_completed_ = &metrics->counter("fabric_transfers_completed_total",
-                                   "transfers whose destination write "
-                                   "completed and verified");
-  m_failed_ = &metrics->counter("fabric_transfers_failed_total",
-                                "transfers that ended in a terminal failure");
-  m_injected_ = &metrics->counter(
-      "fabric_transfers_injected_failures_total",
-      "transfer failures injected by inject_failures()");
-  m_bytes_ = &metrics->histogram(
-      "fabric_transfer_bytes", {1e3, 1e4, 1e5, 1e6, 1e7, 1e8},
-      "payload size per completed transfer (bytes)");
-}
-
 void TransferService::finish_obs(const TransferRecord& rec) {
   const bool ok = rec.status == TransferStatus::kSucceeded;
   if (tracer_ != nullptr) {
@@ -72,12 +63,10 @@ void TransferService::finish_obs(const TransferRecord& rec) {
                       rec.error);
   }
   if (ok) {
-    m_completed_->inc();
-    if (m_bytes_ != nullptr) {
-      m_bytes_->observe(static_cast<double>(rec.bytes));
-    }
+    m_completed_.inc();
+    m_bytes_.observe(static_cast<double>(rec.bytes));
   } else {
-    m_failed_->inc();
+    m_failed_.inc();
   }
 }
 

@@ -50,8 +50,10 @@ class TransferService {
   /// with probability `rate` (after its latency). Deterministic per
   /// `seed`. Used to exercise the orchestration layer's retry paths.
   void inject_failures(double rate, std::uint64_t seed);
+  /// Failures injected by inject_failures() across this loop's
+  /// TransferServices.
   std::size_t injected_failures() const {
-    return static_cast<std::size_t>(m_injected_->value());
+    return static_cast<std::size_t>(m_injected_.value());
   }
 
   /// Attach a chaos FaultPlan (non-owning; nullptr detaches). The plan
@@ -63,10 +65,6 @@ class TransferService {
   /// transfer becomes a span from submission to completion, parented
   /// to the submitting thread's current span.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
-
-  /// Bind completion counters and the payload-size histogram to
-  /// `metrics` (non-owning; nullptr detaches).
-  void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Per-operation timeout: a transfer whose (possibly stalled) virtual
   /// duration exceeds it fails at the deadline instead of hanging the
@@ -91,8 +89,9 @@ class TransferService {
   /// Virtual duration a payload of `bytes` takes under the cost model.
   SimTime duration_for(std::uint64_t bytes) const;
 
+  /// Verified completions across this loop's TransferServices.
   std::size_t completed_count() const {
-    return static_cast<std::size_t>(m_completed_->value());
+    return static_cast<std::size_t>(m_completed_.value());
   }
 
  private:
@@ -108,14 +107,10 @@ class TransferService {
   FaultPlan* plan_ = nullptr;
   SimTime timeout_ = 0;
   obs::TraceRecorder* tracer_ = nullptr;
-  // Counters always point at a live obs::Counter: the owned fallbacks
-  // until set_metrics binds a registry, so accessors work unwired. The
-  // histogram stays optional (it has no default bucket layout).
-  obs::Counter own_completed_, own_failed_, own_injected_;
-  obs::Counter* m_completed_ = &own_completed_;
-  obs::Counter* m_failed_ = &own_failed_;
-  obs::Counter* m_injected_ = &own_injected_;
-  obs::Histogram* m_bytes_ = nullptr;
+  obs::Counter& m_completed_;
+  obs::Counter& m_failed_;
+  obs::Counter& m_injected_;
+  obs::Histogram& m_bytes_;
 
   bool should_fail_next();
   void fail_after(TransferId id, SimTime delay, std::string error,

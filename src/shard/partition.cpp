@@ -82,7 +82,7 @@ ShardPartition::ShardPartition(PartitionConfig config)
       transfers_(loop_, auth_),
       flows_(loop_, auth_),
       server_(loop_, auth_, timers_, transfers_, flows_,
-              "aero/" + config_.key, &metrics_,
+              "aero/" + config_.key, /*metrics=*/nullptr,
               partition_uuid_seed(config_.key)),
       eagle_("eagle", loop_, auth_),
       scratch_("scratch", loop_, auth_),
@@ -95,11 +95,6 @@ ShardPartition::ShardPartition(PartitionConfig config)
 
   tracer_.set_shard_label(config_.key);
   tracer_.set_enabled(config_.tracing);
-  loop_.set_metrics(&metrics_);
-  timers_.set_metrics(&metrics_);
-  transfers_.set_metrics(&metrics_);
-  flows_.set_metrics(&metrics_);
-  login_.set_metrics(&metrics_);
   timers_.set_tracer(&tracer_);
   transfers_.set_tracer(&tracer_);
   flows_.set_tracer(&tracer_);
@@ -115,7 +110,7 @@ ShardPartition::ShardPartition(PartitionConfig config)
   aggregate_fn_ = login_.register_function("aggregate", aggregate_fn_impl,
                                            config_.aggregate_cost);
 
-  cache_ = std::make_unique<serve::ResultCache>(server_, metrics_);
+  cache_ = std::make_unique<serve::ResultCache>(server_, loop_.metrics());
   cache_->set_shard(config_.key);
 
   server_.add_update_listener(

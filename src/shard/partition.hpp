@@ -120,8 +120,9 @@ class ShardPartition {
     return chaos_ ? &chaos_->log() : nullptr;
   }
   std::vector<obs::SpanRecord> spans() const { return tracer_.snapshot(); }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-  obs::MetricsRegistry& metrics() { return metrics_; }
+  /// The partition's metrics registry: its event loop's.
+  const obs::MetricsRegistry& metrics() const { return loop_.metrics(); }
+  obs::MetricsRegistry& metrics() { return loop_.metrics(); }
 
   /// Test/tool introspection into the partition's orchestration stack.
   aero::AeroServer& server() { return server_; }
@@ -135,7 +136,6 @@ class ShardPartition {
 
   PartitionConfig config_;
   obs::TraceRecorder tracer_;
-  obs::MetricsRegistry metrics_;
   fabric::EventLoop loop_;
   fabric::AuthService auth_;
   fabric::TimerService timers_;

@@ -16,6 +16,7 @@
 #include "aero/wal.hpp"
 #include "crypto/sha256.hpp"
 #include "fabric/fault.hpp"
+#include "obs/metrics.hpp"
 #include "serve/cache.hpp"
 #include "util/durable_fs.hpp"
 
@@ -94,7 +95,8 @@ TEST_P(RecoverySeedTest, CrashReplayIsByteIdenticalToUninterruptedRun) {
   ou::MemFs ref_fs;
   oa::MetadataDb ref_db;
   {
-    oa::Wal wal(ref_fs, opts);
+    osprey::obs::MetricsRegistry metrics;
+    oa::Wal wal(ref_fs, opts, metrics);
     wal.recover(ref_db);
     for (std::uint64_t i = 0; i < kOps; ++i) scripted_op(ref_db, seed, i);
   }
@@ -114,7 +116,8 @@ TEST_P(RecoverySeedTest, CrashReplayIsByteIdenticalToUninterruptedRun) {
   bool completed = false;
   while (!completed) {
     oa::MetadataDb db;
-    oa::Wal wal(fs, opts);
+    osprey::obs::MetricsRegistry metrics;
+    oa::Wal wal(fs, opts, metrics);
     oa::RecoveryStats stats = wal.recover(db);
     applied = stats.checkpoint_lsn + stats.replayed;
     ASSERT_LE(applied, kOps) << "recovery replayed ops that never ran";
@@ -149,7 +152,8 @@ TEST_P(RecoverySeedTest, CrashReplayIsByteIdenticalToUninterruptedRun) {
 
   // ...and so does a final cold recovery from the durable files alone.
   oa::MetadataDb db;
-  oa::Wal wal(fs, opts);
+  osprey::obs::MetricsRegistry metrics;
+  oa::Wal wal(fs, opts, metrics);
   oa::RecoveryStats stats = wal.recover(db);
   EXPECT_EQ(stats.checkpoint_lsn + stats.replayed, kOps);
   EXPECT_EQ(db_bytes(db), expected);

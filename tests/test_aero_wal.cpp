@@ -71,7 +71,8 @@ void scripted_op(oa::MetadataDb& db, std::uint64_t seed, std::uint64_t i) {
 std::vector<std::string> record_log(ou::MemFs& fs, std::uint64_t seed,
                                     std::uint64_t ops) {
   oa::MetadataDb db;
-  oa::Wal wal(fs, oa::WalOptions{});
+  osprey::obs::MetricsRegistry metrics;
+  oa::Wal wal(fs, oa::WalOptions{}, metrics);
   wal.recover(db);
   std::vector<std::string> states;
   states.push_back(db_bytes(db));  // state after 0 ops
@@ -165,7 +166,8 @@ TEST(WalFuzz, TruncateAtEveryByteOffsetRecoversLongestPrefix) {
     std::size_t expected = records_within(bytes, bytes.size() - cut);
 
     oa::MetadataDb db;
-    oa::Wal wal(fs, oa::WalOptions{});
+    osprey::obs::MetricsRegistry metrics;
+    oa::Wal wal(fs, oa::WalOptions{}, metrics);
     oa::RecoveryStats stats;
     ASSERT_NO_THROW(stats = wal.recover(db)) << "cut " << cut;
     EXPECT_EQ(stats.replayed, expected) << "cut " << cut;
@@ -204,7 +206,8 @@ TEST(WalFuzz, BitFlipAtEveryByteRejectsDamagedRecord) {
     }
 
     oa::MetadataDb db;
-    oa::Wal wal(fs, oa::WalOptions{});
+    osprey::obs::MetricsRegistry metrics;
+    oa::Wal wal(fs, oa::WalOptions{}, metrics);
     oa::RecoveryStats stats;
     ASSERT_NO_THROW(stats = wal.recover(db)) << "flip " << flip;
     // The damaged record and everything after it are rejected; the
@@ -222,7 +225,8 @@ TEST(WalFuzz, DamagedLogStaysAppendableAfterRecovery) {
   fs.truncate_tail(segment, 10);  // tear the final record
 
   oa::MetadataDb db;
-  oa::Wal wal(fs, oa::WalOptions{});
+  osprey::obs::MetricsRegistry metrics;
+  oa::Wal wal(fs, oa::WalOptions{}, metrics);
   oa::RecoveryStats stats = wal.recover(db);
   std::uint64_t applied = stats.checkpoint_lsn + stats.replayed;
   // Re-issue the lost tail plus fresh ops; then a second recovery must
@@ -231,7 +235,7 @@ TEST(WalFuzz, DamagedLogStaysAppendableAfterRecovery) {
   std::string expected = db_bytes(db);
 
   oa::MetadataDb db2;
-  oa::Wal wal2(fs, oa::WalOptions{});
+  oa::Wal wal2(fs, oa::WalOptions{}, metrics);
   oa::RecoveryStats stats2 = wal2.recover(db2);
   EXPECT_EQ(stats2.torn, 0u);
   EXPECT_EQ(stats2.corrupt, 0u);
@@ -246,7 +250,8 @@ TEST(WalCheckpoint, AutomaticCheckpointsBoundReplayAndPruneSegments) {
   opts.checkpoint_every = 5;
   {
     oa::MetadataDb db;
-    oa::Wal wal(fs, opts);
+    osprey::obs::MetricsRegistry metrics;
+    oa::Wal wal(fs, opts, metrics);
     wal.recover(db);
     for (std::uint64_t i = 0; i < 23; ++i) scripted_op(db, 21, i);
   }
@@ -256,7 +261,8 @@ TEST(WalCheckpoint, AutomaticCheckpointsBoundReplayAndPruneSegments) {
   EXPECT_EQ(checkpoints.size(), 2u);
 
   oa::MetadataDb db;
-  oa::Wal wal(fs, opts);
+  osprey::obs::MetricsRegistry metrics;
+  oa::Wal wal(fs, opts, metrics);
   oa::RecoveryStats stats = wal.recover(db);
   EXPECT_TRUE(stats.checkpoint_loaded);
   EXPECT_EQ(stats.checkpoint_lsn + stats.replayed, 23u);
@@ -270,7 +276,8 @@ TEST(WalCheckpoint, CorruptNewestCheckpointFallsBackToOlderGeneration) {
   std::string expected;
   {
     oa::MetadataDb db;
-    oa::Wal wal(fs, opts);
+    osprey::obs::MetricsRegistry metrics;
+    oa::Wal wal(fs, opts, metrics);
     wal.recover(db);
     for (std::uint64_t i = 0; i < 17; ++i) scripted_op(db, 5, i);
     expected = db_bytes(db);
@@ -280,7 +287,8 @@ TEST(WalCheckpoint, CorruptNewestCheckpointFallsBackToOlderGeneration) {
   fs.flip_byte(checkpoints.back(), 40, 0x08);  // damage the newest
 
   oa::MetadataDb db;
-  oa::Wal wal(fs, opts);
+  osprey::obs::MetricsRegistry metrics;
+  oa::Wal wal(fs, opts, metrics);
   oa::RecoveryStats stats = wal.recover(db);
   EXPECT_TRUE(stats.checkpoint_loaded);
   EXPECT_GE(stats.corrupt, 1u);
@@ -292,14 +300,15 @@ TEST(WalCheckpoint, CorruptNewestCheckpointFallsBackToOlderGeneration) {
 TEST(WalCheckpoint, ExplicitCheckpointTruncatesReplay) {
   ou::MemFs fs;
   oa::MetadataDb db;
-  oa::Wal wal(fs, oa::WalOptions{});
+  osprey::obs::MetricsRegistry metrics;
+  oa::Wal wal(fs, oa::WalOptions{}, metrics);
   wal.recover(db);
   for (std::uint64_t i = 0; i < 6; ++i) scripted_op(db, 9, i);
   wal.checkpoint();
   scripted_op(db, 9, 6);
 
   oa::MetadataDb db2;
-  oa::Wal wal2(fs, oa::WalOptions{});
+  oa::Wal wal2(fs, oa::WalOptions{}, metrics);
   oa::RecoveryStats stats = wal2.recover(db2);
   EXPECT_TRUE(stats.checkpoint_loaded);
   EXPECT_EQ(stats.checkpoint_lsn, 6u);
@@ -311,7 +320,7 @@ TEST(WalCheckpoint, ObservabilityCountersTrackWalActivity) {
   ou::MemFs fs;
   osprey::obs::MetricsRegistry metrics;
   oa::MetadataDb db;
-  oa::Wal wal(fs, oa::WalOptions{}, &metrics);
+  oa::Wal wal(fs, oa::WalOptions{}, metrics);
   wal.recover(db);
   for (std::uint64_t i = 0; i < 4; ++i) scripted_op(db, 2, i);
   wal.checkpoint();
@@ -321,7 +330,7 @@ TEST(WalCheckpoint, ObservabilityCountersTrackWalActivity) {
   EXPECT_GE(metrics.counter("aero_wal_fsyncs_total").value(), 5u);
 
   oa::MetadataDb db2;
-  oa::Wal wal2(fs, oa::WalOptions{}, &metrics);
+  oa::Wal wal2(fs, oa::WalOptions{}, metrics);
   wal2.recover(db2);
   EXPECT_EQ(metrics.counter("aero_wal_recoveries_total").value(), 2u);
   EXPECT_EQ(metrics.counter("aero_wal_replayed_records_total").value(), 0u);

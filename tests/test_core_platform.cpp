@@ -30,6 +30,29 @@ TEST(Platform, EndpointConstructionAndLookup) {
   EXPECT_THROW(platform.add_storage_endpoint("eagle"), ou::InvalidArgument);
 }
 
+TEST(Platform, CompletedCountIsPerEndpoint) {
+  // Both endpoints report into the platform's one registry; each must
+  // still count only its own tasks.
+  oc::OspreyPlatform platform;
+  platform.add_scheduler("pbs", 4);
+  osprey::fabric::ComputeEndpoint& login =
+      platform.add_login_endpoint("login", 2);
+  osprey::fabric::ComputeEndpoint& batch =
+      platform.add_batch_endpoint("batch", platform.scheduler("pbs"));
+  const std::string token = platform.issue_token("user");
+  auto identity = [](const Value& args) { return args; };
+  const std::string on_login =
+      login.register_function("id", identity, ou::kMinute);
+  const std::string on_batch =
+      batch.register_function("id", identity, ou::kMinute);
+  for (int i = 0; i < 2; ++i) login.execute(on_login, Value(i), token, {});
+  for (int i = 0; i < 3; ++i) batch.execute(on_batch, Value(i), token, {});
+  platform.run_days(1);
+
+  EXPECT_EQ(login.completed_count(), 2u);
+  EXPECT_EQ(batch.completed_count(), 3u);
+}
+
 TEST(Platform, RunDaysAdvancesClock) {
   oc::OspreyPlatform platform;
   platform.run_days(3);

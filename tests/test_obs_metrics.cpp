@@ -1,14 +1,19 @@
 /// obs::MetricsRegistry semantics: counter/gauge basics, histogram
 /// bucketing and quantile edge cases, deterministic snapshot ordering,
-/// kind collisions, and the Prometheus text exposition format.
+/// kind collisions, the Prometheus text exposition format, and the
+/// instrument layout the production wiring sites register.
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/platform.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "shard/partition.hpp"
 #include "util/error.hpp"
 
 namespace obs = osprey::obs;
@@ -142,4 +147,123 @@ TEST(Prometheus, TextExpositionFormat) {
   EXPECT_NE(text.find("task_ms_count 3"), std::string::npos);
   // Deterministic: a second export is byte-identical.
   EXPECT_EQ(text, obs::prometheus_text(reg));
+}
+
+// --- registry layout of the production wiring sites ----------------------
+//
+// Every instrument's kind and name, then its help string and (for
+// histograms) bucket bounds on indented lines, in sorted order. Together
+// these fix the Prometheus exposition of a wiring site up to the sample
+// values, so a change in which service registers what, or where, cannot
+// silently rename, drop, re-describe or re-bucket a metric.
+
+namespace {
+
+std::string registry_layout(const obs::MetricsRegistry& reg) {
+  std::ostringstream out;
+  for (const std::string& name : reg.counter_names()) {
+    out << "counter " << name << "\n  " << reg.help(name) << "\n";
+  }
+  for (const std::string& name : reg.gauge_names()) {
+    out << "gauge " << name << "\n  " << reg.help(name) << "\n";
+  }
+  for (const std::string& name : reg.histogram_names()) {
+    out << "histogram " << name << "\n  " << reg.help(name) << "\n  le";
+    for (double bound : reg.find_histogram(name)->bounds()) {
+      out << " " << std::setprecision(17) << bound;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+// The AERO server's Figure-1 counters plus the fabric counters every
+// wiring site registers.
+const std::string kAeroAndFabricCounters =
+    "counter aero_analysis_permanent_failures_total\n"
+    "  analysis triggers that exhausted their retry budget\n"
+    "counter aero_analysis_runs_total\n"
+    "  analysis flow runs started\n"
+    "counter aero_analysis_superseded_triggers_total\n"
+    "  scheduled analysis retries made obsolete by a newer trigger\n"
+    "counter aero_analysis_triggers_total\n"
+    "  analysis trigger evaluations that fired\n"
+    "counter aero_deferred_triggers_total\n"
+    "  triggers deferred because a circuit breaker was open\n"
+    "counter aero_failed_runs_total\n"
+    "  ingestion or analysis runs that failed\n"
+    "counter aero_fetch_errors_total\n"
+    "  upstream fetches that raised\n"
+    "counter aero_ingestion_permanent_failures_total\n"
+    "  ingestion triggers that exhausted their retry budget\n"
+    "counter aero_ingestion_runs_total\n"
+    "  ingestion flow runs started\n"
+    "counter aero_polls_total\n"
+    "  upstream source polls performed\n"
+    "counter aero_retries_total\n"
+    "  retry runs scheduled after a failure\n"
+    "counter aero_stale_serves_total\n"
+    "  serve_latest calls answered stale\n"
+    "counter aero_superseded_triggers_total\n"
+    "  triggers whose payload was replaced by fresher upstream data\n"
+    "counter aero_updates_detected_total\n"
+    "  polls whose payload checksum changed\n"
+    "counter fabric_compute_tasks_failed_total\n"
+    "  compute tasks that failed (outage, kill, walltime, error)\n"
+    "counter fabric_compute_tasks_succeeded_total\n"
+    "  compute tasks that ran to completion\n"
+    "counter fabric_events_processed_total\n"
+    "  events fired by the virtual-time loop\n"
+    "counter fabric_flow_runs_succeeded_total\n"
+    "  flow runs that completed every step\n"
+    "counter fabric_timer_fires_total\n"
+    "  periodic timer firings\n"
+    "counter fabric_transfers_completed_total\n"
+    "  transfers whose destination write completed and verified\n"
+    "counter fabric_transfers_failed_total\n"
+    "  transfers that ended in a terminal failure\n"
+    "counter fabric_transfers_injected_failures_total\n"
+    "  transfer failures injected by inject_failures()\n";
+
+const std::string kServeCounters =
+    "counter serve_cache_hits_total\n"
+    "  lookups answered from a validated entry\n"
+    "counter serve_cache_invalidations_total\n"
+    "  entries invalidated by version bumps or degradation flips\n"
+    "counter serve_cache_misses_total\n"
+    "  lookups with no entry (origin fetched)\n"
+    "counter serve_cache_revalidates_total\n"
+    "  lookups whose entry was invalidated (origin re-fetched)\n";
+const std::string kComputeLatencyHistogram =
+    "histogram fabric_compute_task_latency_ms\n"
+    "  submission-to-completion virtual latency per compute task (ms)\n"
+    "  le 1000 10000 60000 600000 3600000 14400000\n";
+const std::string kQueueWaitHistogram =
+    "histogram fabric_job_queue_wait_ms\n"
+    "  virtual queue wait per started batch job (ms)\n"
+    "  le 1000 60000 600000 3600000 14400000 86400000\n";
+const std::string kTransferBytesHistogram =
+    "histogram fabric_transfer_bytes\n"
+    "  payload size per completed transfer (bytes)\n"
+    "  le 1000 10000 100000 1000000 10000000 100000000\n";
+
+}  // namespace
+
+TEST(RegistryLayout, PlatformWithSchedulerLoginAndBatchEndpoints) {
+  osprey::core::OspreyPlatform platform;
+  platform.add_scheduler("pbs", 4);
+  platform.add_login_endpoint("login", 2);
+  platform.add_batch_endpoint("batch", platform.scheduler("pbs"));
+  EXPECT_EQ(registry_layout(platform.metrics()),
+            kAeroAndFabricCounters + kComputeLatencyHistogram +
+                kQueueWaitHistogram + kTransferBytesHistogram);
+}
+
+TEST(RegistryLayout, ShardPartition) {
+  osprey::shard::PartitionConfig config;
+  config.key = "feed0";
+  osprey::shard::ShardPartition partition(config);
+  EXPECT_EQ(registry_layout(partition.metrics()),
+            kAeroAndFabricCounters + kServeCounters +
+                kComputeLatencyHistogram + kTransferBytesHistogram);
 }
