@@ -1,14 +1,15 @@
 /// Micro-benchmarks (google-benchmark) of the substrates: throughput
-/// numbers that bound how far the simulated platform scales — SHA-256
-/// hashing, storage puts, event-loop dispatch, EMEWS task round-trips,
-/// MetaRVM steps/s, GP fit/predict scaling, Saltelli throughput, and the
-/// Goldstein MCMC iteration cost.
+/// numbers that bound how far the simulated platform scales — storage
+/// puts, EMEWS task round-trips, MetaRVM steps/s, GP fit/predict
+/// scaling, Saltelli throughput, and the Goldstein MCMC iteration cost.
+/// SHA-256 throughput and event-loop dispatch are osprey_bench probes
+/// (crypto.sha256_mb_per_s, fabric.dispatch_ns_per_event), with a
+/// committed baseline in bench/osprey_bench/baseline/.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
-#include "crypto/sha256.hpp"
 #include "emews/task_api.hpp"
 #include "emews/worker_pool.hpp"
 #include "epi/metarvm.hpp"
@@ -24,16 +25,6 @@
 
 using namespace osprey;
 
-static void BM_Sha256(benchmark::State& state) {
-  std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::hash_hex(payload));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
 static void BM_StoragePut(benchmark::State& state) {
   fabric::EventLoop loop;
   fabric::AuthService auth;
@@ -47,18 +38,6 @@ static void BM_StoragePut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoragePut);
-
-static void BM_EventLoopDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    fabric::EventLoop loop;
-    for (int i = 0; i < 1000; ++i) {
-      loop.schedule_at(i, [] {});
-    }
-    loop.run_all();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventLoopDispatch);
 
 static void BM_TaskRoundTrip(benchmark::State& state) {
   emews::TaskDb db;

@@ -32,8 +32,9 @@
 #           retry/backoff property tests. See DESIGN.md §"Fault model".
 #   recovery durability gate: thread sanitizer build of the WAL /
 #           crash-recovery suite, then `ctest -L wal` (WAL framing,
-#           torn/corrupt-log fuzzing, snapshot round trips, whole-server
-#           crash drills, 16-seed kProcessCrash crash-replay sweep).
+#           torn/corrupt-log fuzzing, snapshot round trips, the WAL over
+#           an on-disk RealFs, whole-server crash drills, 16-seed
+#           kProcessCrash crash-replay sweep).
 #           See DESIGN.md §"Durability".
 #   serve   serving-tier gate: thread sanitizer build of the cache /
 #           front-end suite, then `ctest -L serve` (invalidation,
@@ -190,7 +191,7 @@ stage_recovery() {
   fi
   cmake -B build-tsan -S . -DOSPREY_SANITIZE=thread >/dev/null &&
   cmake --build build-tsan -j "$JOBS" \
-      --target test_aero_wal test_aero_recovery &&
+      --target test_aero_wal test_aero_recovery test_util_real_fs &&
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -L wal)
 }
 

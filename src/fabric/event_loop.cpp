@@ -1,5 +1,7 @@
 #include "fabric/event_loop.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace osprey::fabric {
@@ -11,10 +13,19 @@ EventLoop::EventLoop()
 EventId EventLoop::schedule_at(SimTime t, Callback cb) {
   OSPREY_REQUIRE(t >= now_, "cannot schedule an event in the past");
   OSPREY_REQUIRE(static_cast<bool>(cb), "null event callback");
-  EventId id = next_seq_++;
-  queue_.push(Entry{t, id});
-  callbacks_.emplace(id, std::move(cb));
-  return id;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  ++live_;
+  queue_.push(Entry{t, next_seq_++, slot, s.gen});
+  return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
 EventId EventLoop::schedule_after(SimTime dt, Callback cb) {
@@ -22,41 +33,53 @@ EventId EventLoop::schedule_after(SimTime dt, Callback cb) {
   return schedule_at(now_ + dt, std::move(cb));
 }
 
-bool EventLoop::cancel(EventId id) { return callbacks_.erase(id) > 0; }
+EventLoop::Callback EventLoop::take(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  ++s.gen;
+  free_slots_.push_back(slot);
+  --live_;
+  return std::exchange(s.cb, nullptr);
+}
 
-bool EventLoop::fire_next() {
+bool EventLoop::cancel(EventId id) {
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  if (s.gen != static_cast<std::uint32_t>(id >> 32) || !s.cb) return false;
+  // The callback is destroyed here, after the slot is consistent again
+  // (a capture's destructor may use the loop). Its heap entry is now
+  // stale and skipped when popped.
+  take(slot);
+  return true;
+}
+
+bool EventLoop::has_live_top() {
   while (!queue_.empty()) {
-    Entry entry = queue_.top();
-    auto it = callbacks_.find(entry.seq);
-    if (it == callbacks_.end()) {
-      queue_.pop();  // tombstone of a cancelled event
-      continue;
-    }
-    // Advance time, detach the callback, then run it (the callback may
-    // schedule or cancel other events, including itself re-arming).
-    queue_.pop();
-    now_ = entry.time;
-    Callback cb = std::move(it->second);
-    callbacks_.erase(it);
-    processed_.inc();
-    cb();
-    return true;
+    const Entry& top = queue_.top();
+    if (slots_[top.slot].gen == top.gen) return true;
+    queue_.pop();  // cancelled
   }
   return false;
+}
+
+void EventLoop::fire_top() {
+  const Entry entry = queue_.top();
+  queue_.pop();
+  now_ = entry.time;
+  // Detach the callback and free the slot before running it: the
+  // callback may schedule (reusing the slot) or cancel other events, and
+  // cancelling its own id finds a bumped generation.
+  Callback cb = take(entry.slot);
+  processed_.inc();
+  cb();
 }
 
 std::size_t EventLoop::run_until(SimTime t) {
   OSPREY_REQUIRE(t >= now_, "run_until into the past");
   std::size_t fired = 0;
-  while (!queue_.empty()) {
-    // Peek past tombstones to find the next live event time.
-    Entry entry = queue_.top();
-    if (callbacks_.find(entry.seq) == callbacks_.end()) {
-      queue_.pop();
-      continue;
-    }
-    if (entry.time > t) break;
-    if (fire_next()) ++fired;
+  while (has_live_top() && queue_.top().time <= t) {
+    fire_top();
+    ++fired;
   }
   now_ = t;
   return fired;
@@ -64,7 +87,8 @@ std::size_t EventLoop::run_until(SimTime t) {
 
 std::size_t EventLoop::run_all(std::size_t max_events) {
   std::size_t fired = 0;
-  while (fired < max_events && fire_next()) {
+  while (fired < max_events && has_live_top()) {
+    fire_top();
     ++fired;
   }
   OSPREY_CHECK(fired < max_events, "event loop exceeded max_events cap");

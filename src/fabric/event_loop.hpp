@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <queue>
 #include <vector>
 
@@ -20,10 +19,17 @@ namespace osprey::fabric {
 
 using osprey::util::SimTime;
 
+/// Opaque handle of one scheduled event: (generation << 32) | slot.
 using EventId = std::uint64_t;
 
 /// Single-threaded priority-queue event loop over virtual time.
 /// Events at equal times fire in scheduling order (stable).
+///
+/// A pending event's callback lives in a slot of a reusable vector; its
+/// heap entry carries the slot and the slot's generation. Firing or
+/// cancelling an event destroys the callback, bumps the generation and
+/// frees the slot, so a stale EventId or heap entry no longer matches
+/// and cancel() and the skip of cancelled entries are O(1) checks.
 ///
 /// The loop owns the metrics registry of everything scheduled on it:
 /// every fabric service binds its counters and histograms from
@@ -43,8 +49,8 @@ class EventLoop {
   /// Schedule `cb` at now + dt.
   EventId schedule_after(SimTime dt, Callback cb);
 
-  /// Cancel a pending event; returns false if it already fired or is
-  /// unknown.
+  /// Cancel a pending event and destroy its callback now; returns false
+  /// if it already fired (or is firing), was cancelled, or is unknown.
   bool cancel(EventId id);
 
   /// Process all events with time <= t, then advance the clock to t.
@@ -55,8 +61,8 @@ class EventLoop {
   /// events; a safety cap guards against runaway self-scheduling loops).
   std::size_t run_all(std::size_t max_events = 10'000'000);
 
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t pending() const { return callbacks_.size(); }
+  bool empty() const { return live_ == 0; }
+  std::size_t pending() const { return live_; }
   /// Events this loop has fired.
   std::uint64_t events_processed() const { return processed_.value(); }
 
@@ -67,25 +73,34 @@ class EventLoop {
  private:
   struct Entry {
     SimTime time;
-    std::uint64_t seq;  // doubles as the EventId
+    std::uint64_t seq;  // scheduling order: the tie-break at equal times
+    std::uint32_t slot;
+    std::uint32_t gen;  // the slot's generation when scheduled
     bool operator>(const Entry& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
     }
   };
+  struct Slot {
+    Callback cb;  // empty while the slot is free
+    std::uint32_t gen = 0;
+  };
+
+  /// Invalidate the slot's ids, free it and hand back its callback.
+  Callback take(std::uint32_t slot);
+  /// Pop cancelled entries off the top; true when a live one remains.
+  bool has_live_top();
+  /// Pop the (live) top entry and run its callback.
+  void fire_top();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::size_t live_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  // Live callbacks; cancellation erases the entry, leaving a tombstone in
-  // the priority queue that fire_next() skips.
-  std::map<EventId, Callback> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   obs::MetricsRegistry metrics_;
   obs::Counter& processed_;
-
-  /// Pop queue entries until one is live and run it; returns false when
-  /// nothing is live.
-  bool fire_next();
 };
 
 }  // namespace osprey::fabric

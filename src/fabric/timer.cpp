@@ -19,30 +19,35 @@ TimerId TimerService::every(SimTime period, SimTime first_at,
   OSPREY_REQUIRE(static_cast<bool>(fn), "null timer callback");
   OSPREY_REQUIRE(first_at >= loop_.now(), "first firing is in the past");
   TimerId id = next_id_++;
-  timers_.emplace(id, Timer{name, period, std::move(fn), 0});
-  arm(id, first_at);
+  Timer& timer =
+      timers_.emplace(id, Timer{name, period, std::move(fn), first_at, 0})
+          .first->second;
+  arm(id, timer);
   return id;
 }
 
-void TimerService::arm(TimerId id, SimTime at) {
-  Timer& timer = timers_.at(id);
-  timer.pending_event = loop_.schedule_at(at, [this, id, at] {
-    auto it = timers_.find(id);
-    if (it == timers_.end()) return;  // cancelled meanwhile
-    fires_.inc();
-    if (tracer_ != nullptr) {
-      tracer_->instant(
-          obs::Category::kFlow,
-          "timer:" + (it->second.name.empty() ? std::to_string(id)
-                                              : it->second.name),
-          obs::sim_ns(loop_.now()), obs::kNoSpan);
-    }
-    // Re-arm before invoking so the callback may cancel the timer.
-    SimTime next = at + it->second.period;
-    std::function<void()> fn = it->second.fn;  // copy: cancel() may erase
-    arm(id, next);
-    fn();
-  });
+void TimerService::arm(TimerId id, Timer& timer) {
+  // Two words of capture: std::function stores the closure inline.
+  timer.pending_event =
+      loop_.schedule_at(timer.next_at, [this, id] { fire(id); });
+}
+
+void TimerService::fire(TimerId id) {
+  auto it = timers_.find(id);
+  if (it == timers_.end()) return;  // cancelled meanwhile
+  Timer& timer = it->second;
+  fires_.inc();
+  if (tracer_ != nullptr) {
+    tracer_->instant(
+        obs::Category::kFlow,
+        "timer:" + (timer.name.empty() ? std::to_string(id) : timer.name),
+        obs::sim_ns(loop_.now()), obs::kNoSpan);
+  }
+  // Re-arm before invoking so the callback may cancel the timer.
+  timer.next_at += timer.period;
+  std::function<void()> fn = timer.fn;  // copy: cancel() may erase
+  arm(id, timer);
+  fn();
 }
 
 bool TimerService::cancel(TimerId id) {

@@ -44,10 +44,13 @@ class TimerService {
     std::string name;
     SimTime period;
     std::function<void()> fn;
+    SimTime next_at;  // when the pending event fires
     EventId pending_event;
   };
 
-  void arm(TimerId id, SimTime at);
+  /// Schedule the timer's next firing at `timer.next_at`.
+  void arm(TimerId id, Timer& timer);
+  void fire(TimerId id);
 
   EventLoop& loop_;
   AuthService& auth_;

@@ -84,14 +84,15 @@ void FrontEnd::submit(ServeRequest request, Callback done) {
 void FrontEnd::pump() {
   if (busy_ || queue_.empty()) return;
   busy_ = true;
-  Queued q = std::move(queue_.front());
-  queue_.pop_front();
-  queue_depth_gauge_->set(static_cast<double>(queue_.size()));
+  Queued& q = queue_.front();
 
   // The cache outcome is decided at dequeue time; the per-outcome
   // service time models the work that outcome costs.
   ResultCache::Result r = cache_.lookup(q.request.uuid);
-  ServeOutcome outcome = to_serve_outcome(r.outcome);
+  current_.outcome = to_serve_outcome(r.outcome);
+  current_.estimate = std::move(r.estimate);
+  current_.done = std::move(q.done);
+  current_.enqueued_at = q.enqueued_at;
   SimTime service = config_.hit_service_time;
   if (r.outcome == CacheOutcome::kMiss) {
     service = config_.miss_service_time;
@@ -99,36 +100,33 @@ void FrontEnd::pump() {
     service = config_.revalidate_service_time;
   }
 
-  obs::SpanId span = obs::kNoSpan;
+  current_.span = obs::kNoSpan;
   if (tracer_ != nullptr) {
-    span = tracer_->begin_span(
+    current_.span = tracer_->begin_span(
         obs::Category::kServe, "serve:" + q.request.uuid,
         obs::sim_ns(loop_.now()), obs::kNoSpan,
-        q.request.tenant + " " + serve_outcome_name(outcome));
+        q.request.tenant + " " + serve_outcome_name(current_.outcome));
   }
+  queue_.pop_front();
+  queue_depth_gauge_->set(static_cast<double>(queue_.size()));
 
-  loop_.schedule_after(
-      service, [this, q = std::move(q), estimate = std::move(r.estimate),
-                outcome, span]() mutable {
-        finish(std::move(q.request), std::move(q.done), outcome,
-               std::move(estimate), q.enqueued_at, span);
-      });
+  loop_.schedule_after(service, [this] { finish(); });
 }
 
-void FrontEnd::finish(ServeRequest /*request*/, Callback done,
-                      ServeOutcome outcome,
-                      aero::AeroServer::ServedEstimate estimate,
-                      SimTime enqueued_at, obs::SpanId span) {
+void FrontEnd::finish() {
   ServeResponse resp;
-  resp.outcome = outcome;
-  resp.estimate = std::move(estimate);
-  resp.enqueued_at = enqueued_at;
+  resp.outcome = current_.outcome;
+  resp.estimate = std::move(current_.estimate);
+  resp.enqueued_at = current_.enqueued_at;
   resp.completed_at = loop_.now();
   served_->inc();
   latency_ms_->observe(static_cast<double>(resp.latency()));
   if (tracer_ != nullptr) {
-    tracer_->end_span(span, obs::sim_ns(loop_.now()), true);
+    tracer_->end_span(current_.span, obs::sim_ns(loop_.now()), true);
   }
+  // `done` may submit, and so start the next service, which reuses
+  // current_.
+  Callback done = std::move(current_.done);
   busy_ = false;
   if (done) done(resp);
   pump();

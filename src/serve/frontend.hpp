@@ -96,12 +96,20 @@ class FrontEnd {
     Callback done;
     SimTime enqueued_at = 0;
   };
+  /// The one request in service: everything its completion needs, kept
+  /// here so the completion event captures only `this`.
+  struct InService {
+    Callback done;
+    SimTime enqueued_at = 0;
+    ServeOutcome outcome = ServeOutcome::kShed;
+    aero::AeroServer::ServedEstimate estimate;
+    obs::SpanId span = obs::kNoSpan;
+  };
 
   /// Start service on the queue head (no-op when idle or empty).
   void pump();
-  void finish(ServeRequest request, Callback done, ServeOutcome outcome,
-              aero::AeroServer::ServedEstimate estimate, SimTime enqueued_at,
-              obs::SpanId span);
+  /// Complete the request in service, then start the next one.
+  void finish();
 
   fabric::EventLoop& loop_;
   fabric::AuthService& auth_;
@@ -111,6 +119,7 @@ class FrontEnd {
 
   std::deque<Queued> queue_;
   bool busy_ = false;  // a request is in service
+  InService current_;  // valid while busy_
 
   obs::Counter* served_ = nullptr;
   obs::Counter* shed_ = nullptr;

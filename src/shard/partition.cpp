@@ -94,12 +94,15 @@ ShardPartition::ShardPartition(PartitionConfig config)
   OSPREY_REQUIRE(config_.ordinal >= 1, "ordinal 0 is the coordinator");
 
   tracer_.set_shard_label(config_.key);
-  tracer_.set_enabled(config_.tracing);
-  timers_.set_tracer(&tracer_);
-  transfers_.set_tracer(&tracer_);
-  flows_.set_tracer(&tracer_);
-  login_.set_tracer(&tracer_);
-  server_.set_tracer(&tracer_);
+  if (config_.tracing) {
+    // Untraced, the services hold no recorder at all, so they never
+    // build span names only to drop them.
+    timers_.set_tracer(&tracer_);
+    transfers_.set_tracer(&tracer_);
+    flows_.set_tracer(&tracer_);
+    login_.set_tracer(&tracer_);
+    server_.set_tracer(&tracer_);
+  }
 
   eagle_.create_collection("data", server_.token());
   scratch_.create_collection("staging", server_.token());

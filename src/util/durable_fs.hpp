@@ -75,10 +75,14 @@ class MemFs : public DurableFs {
   std::map<std::string, std::string> files_;
 };
 
-/// On-disk implementation rooted at a directory; used by the benches so
-/// WAL overhead includes real file IO. write() goes through a rename so
-/// replacement is atomic on POSIX; sync() fsyncs every file written or
-/// appended since the last barrier, then the root directory.
+/// On-disk (POSIX) implementation rooted at a directory; used by the
+/// benches so WAL overhead includes real file IO. write() goes through a
+/// "<path>.tmp" sibling and a rename, so replacement is atomic; list()
+/// never returns such temp files. Missing directories are created on
+/// demand, only when opening a file fails for want of them. sync()
+/// fsyncs every file written or appended since the last barrier, then
+/// every directory whose entries changed since then: the parent of each
+/// file created, renamed or removed and of each directory created.
 class RealFs : public DurableFs {
  public:
   explicit RealFs(std::string root);
@@ -94,8 +98,17 @@ class RealFs : public DurableFs {
 
  private:
   std::string full(const std::string& path) const;
+  /// Open `target` with `flags` (which include O_CREAT); on ENOENT create
+  /// its missing parent directories and retry. Returns the descriptor.
+  int open_creating(const std::string& target, int flags);
+  /// Create `dir` and any missing ancestors, marking the parent of each
+  /// one created as dirty.
+  void create_missing_dirs(const std::string& dir);
+  void mark_parent_dirty(const std::string& target);
+
   std::string root_;
-  std::vector<std::string> dirty_;  // full paths pending an fsync
+  std::vector<std::string> dirty_files_;  // full paths pending an fsync
+  std::vector<std::string> dirty_dirs_;   // directories with changed entries
 };
 
 }  // namespace osprey::util

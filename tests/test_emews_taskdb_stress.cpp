@@ -87,9 +87,12 @@ TEST(TaskDbStress, ConcurrentClaimCompleteRequeue) {
   });
 
   submitter.join();
-  // Wait until every task has finished, then release the workers.
-  while (db.finished_count() < kTasks) {
-    db.wait_for_more_finished(db.finished_count());
+  // Wait until every task has finished, then release the workers. Read
+  // the count once per pass: waiting for "more than" a second, later
+  // read could wait for a task after the last one, forever.
+  for (std::uint64_t seen = db.finished_count(); seen < kTasks;
+       seen = db.finished_count()) {
+    db.wait_for_more_finished(seen);
   }
   db.close();
   monitor.join();

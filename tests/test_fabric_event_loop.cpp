@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace of = osprey::fabric;
@@ -105,4 +109,210 @@ TEST(EventLoop, ProcessedCounter) {
   for (int i = 0; i < 7; ++i) loop.schedule_at(i * kSecond, [] {});
   loop.run_all();
   EXPECT_EQ(loop.events_processed(), 7u);
+}
+
+// --- cancel/slot-reuse contract ------------------------------------------
+// An EventId names one scheduling, not a storage location: once that
+// event fired or was cancelled the id is dead, even if a newer event now
+// occupies whatever storage the old one used.
+
+TEST(EventLoop, StaleIdOfFiredEventDoesNotCancelNewerEvent) {
+  of::EventLoop loop;
+  of::EventId fired_id = loop.schedule_at(kSecond, [] {});
+  loop.run_all();
+  EXPECT_FALSE(loop.cancel(fired_id));
+
+  int newer = 0;
+  loop.schedule_at(2 * kSecond, [&] { ++newer; });
+  EXPECT_FALSE(loop.cancel(fired_id));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(newer, 1);
+}
+
+TEST(EventLoop, StaleIdOfCancelledEventDoesNotCancelNewerEvent) {
+  of::EventLoop loop;
+  of::EventId cancelled = loop.schedule_at(kSecond, [] {});
+  EXPECT_TRUE(loop.cancel(cancelled));
+
+  int newer = 0;
+  of::EventId fresh = loop.schedule_at(kSecond, [&] { ++newer; });
+  EXPECT_NE(fresh, cancelled);
+  EXPECT_FALSE(loop.cancel(cancelled));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(newer, 1);
+  EXPECT_FALSE(loop.cancel(fresh));
+}
+
+TEST(EventLoop, StaleIdsStayDeadAcrossManyReuses) {
+  of::EventLoop loop;
+  std::vector<of::EventId> dead;
+  for (int round = 0; round < 50; ++round) {
+    of::EventId id = loop.schedule_after(kSecond, [] {});
+    if (round % 2 == 0) {
+      EXPECT_TRUE(loop.cancel(id));
+    } else {
+      loop.run_all();
+    }
+    dead.push_back(id);
+  }
+  int live = 0;
+  of::EventId keep = loop.schedule_after(kSecond, [&] { ++live; });
+  for (of::EventId id : dead) {
+    EXPECT_NE(id, keep);
+    EXPECT_FALSE(loop.cancel(id));
+  }
+  loop.run_all();
+  EXPECT_EQ(live, 1);
+}
+
+TEST(EventLoop, CancelReleasesCapturesImmediately) {
+  of::EventLoop loop;
+  auto held = std::make_shared<int>(7);
+  of::EventId id = loop.schedule_at(kHour, [held] { (void)*held; });
+  loop.schedule_at(kSecond, [] {});
+  EXPECT_EQ(held.use_count(), 2);
+  EXPECT_TRUE(loop.cancel(id));
+  // Released at cancel, not when the loop later pops the dead entry.
+  EXPECT_EQ(held.use_count(), 1);
+  loop.run_all();
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+TEST(EventLoop, FiredCallbackReleasesCaptures) {
+  of::EventLoop loop;
+  std::weak_ptr<int> watch;
+  {
+    auto held = std::make_shared<int>(8);
+    watch = held;
+    loop.schedule_at(kSecond, [held] { (void)*held; });
+  }
+  EXPECT_FALSE(watch.expired());  // the pending callback owns it
+  loop.run_all();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventLoop, SelfCancelFromInsideCallbackReturnsFalse) {
+  of::EventLoop loop;
+  of::EventId self = 0;
+  bool ran = false;
+  bool cancelled_self = true;
+  self = loop.schedule_at(kSecond, [&] {
+    ran = true;
+    cancelled_self = loop.cancel(self);
+  });
+  loop.run_all();
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(cancelled_self);
+}
+
+TEST(EventLoop, CallbackMayCancelOtherPendingEvents) {
+  of::EventLoop loop;
+  std::vector<int> order;
+  of::EventId later = 0;
+  loop.schedule_at(kSecond, [&] {
+    order.push_back(1);
+    EXPECT_TRUE(loop.cancel(later));
+  });
+  later = loop.schedule_at(kSecond, [&] { order.push_back(2); });
+  loop.schedule_at(kSecond, [&] { order.push_back(3); });
+  loop.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(EventLoop, PendingAndEmptyTrackFireCancelAndRearm) {
+  of::EventLoop loop;
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.pending(), 0u);
+
+  of::EventId a = loop.schedule_at(kSecond, [] {});
+  of::EventId b = loop.schedule_at(2 * kSecond, [] {});
+  EXPECT_FALSE(loop.empty());
+  EXPECT_EQ(loop.pending(), 2u);
+
+  EXPECT_TRUE(loop.cancel(a));
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_FALSE(loop.cancel(a));
+  EXPECT_EQ(loop.pending(), 1u);
+
+  // A callback that re-arms itself keeps exactly one event pending.
+  int rearms = 0;
+  std::vector<std::size_t> pending_inside;  // self is never counted
+  std::function<void()> rearm = [&] {
+    pending_inside.push_back(loop.pending());
+    if (++rearms < 3) loop.schedule_after(kSecond, rearm);
+  };
+  loop.schedule_at(kSecond, rearm);
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(loop.run_until(kSecond), 1u);
+  EXPECT_EQ(loop.pending(), 2u);  // b plus the re-armed event
+
+  EXPECT_TRUE(loop.cancel(b));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(rearms, 3);
+  EXPECT_EQ(pending_inside, (std::vector<std::size_t>{1, 0, 0}));
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, EqualTimeFifoHoldsAfterSlotRecycling) {
+  of::EventLoop loop;
+  // Churn: fire some events and cancel others in an interleaved order so
+  // whatever storage the loop recycles is handed out scrambled.
+  std::vector<of::EventId> ids;
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(loop.schedule_at((i % 7 + 1) * kSecond, [] {}));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) loop.cancel(ids[i]);
+  loop.run_until(4 * kSecond);
+  for (std::size_t i = 1; i < ids.size(); i += 3) loop.cancel(ids[i]);
+  loop.run_all();
+  ASSERT_TRUE(loop.empty());
+
+  std::vector<int> order;
+  const of::SimTime t = loop.now() + kSecond;
+  for (int i = 0; i < 300; ++i) {
+    of::EventId id = loop.schedule_at(t, [&order, i] { order.push_back(i); });
+    if (i % 5 == 4) {
+      loop.cancel(id);  // holes in the middle of the equal-time run
+    }
+  }
+  // Events scheduled from inside an equal-time callback go after every
+  // event already queued for that time.
+  loop.schedule_at(t, [&] {
+    order.push_back(1000);
+    loop.schedule_at(t, [&] { order.push_back(1001); });
+  });
+  loop.run_all();
+
+  std::vector<int> expected;
+  for (int i = 0; i < 300; ++i) {
+    if (i % 5 != 4) expected.push_back(i);
+  }
+  expected.push_back(1000);
+  expected.push_back(1001);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventLoop, AcceptsLvalueStdFunctionAndLeavesItIntact) {
+  of::EventLoop loop;
+  int calls = 0;
+  std::function<void()> fn = [&calls] { ++calls; };
+  loop.schedule_after(kSecond, fn);
+  loop.schedule_after(kSecond, fn);
+  ASSERT_TRUE(static_cast<bool>(fn));
+  loop.run_all();
+  EXPECT_EQ(calls, 2);
+  fn();
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(EventLoop, NullCallbackIsRejected) {
+  of::EventLoop loop;
+  std::function<void()> empty_fn;
+  EXPECT_THROW(loop.schedule_at(kSecond, empty_fn),
+               osprey::util::InvalidArgument);
+  EXPECT_TRUE(loop.empty());
 }
