@@ -43,9 +43,12 @@
 #   shard   sharded-fabric gate: thread sanitizer build of the
 #           src/shard suite, then `ctest -L shard` (mailbox total
 #           order, campaign round trips, per-partition WAL recovery,
-#           and the 16-seed cross-shard-count byte-identity sweep with
-#           chaos on), plus the scale bench at OSPREY_BENCH_SMOKE=1
-#           checking results/BENCH_scale_workflow.json is emitted.
+#           the flat-history gate, and the 16-seed cross-shard-count
+#           byte-identity sweep with chaos on), plus smoke reps of
+#           osprey_bench's two sharded workloads, feeds_hourly and
+#           feeds_durable (4 shards, output checks; a failed check
+#           exits non-zero), with their report lines written to
+#           results/osprey_bench_shard_smoke.jsonl.
 #           See DESIGN.md §"Sharded fabric".
 #
 # Usage: scripts/check.sh [--skip-tsan] [stage ...]
@@ -214,11 +217,22 @@ stage_shard() {
   cmake --build build-tsan -j "$JOBS" \
       --target test_shard_fabric test_shard_replay &&
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -L shard) &&
-  cmake -B build -S . >/dev/null &&
-  cmake --build build -j "$JOBS" --target bench_scale_workflow &&
-  OSPREY_BENCH_SMOKE=1 ./build/bench/bench_scale_workflow &&
-  test -s results/BENCH_scale_workflow.json &&
-  echo "bench artifact: results/BENCH_scale_workflow.json"
+  shard_bench_smoke
+}
+
+shard_bench_smoke() {  # the same build directory run.py uses
+  local dir=.bench_build/osprey_bench report=results/osprey_bench_shard_smoke.jsonl
+  cmake -S bench/osprey_bench -B "$dir" -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+  cmake --build "$dir" --target osprey_bench -j "$JOBS" &&
+  mkdir -p results && : > "$report" || return 1
+  local w status=0
+  for w in feeds_hourly feeds_durable; do
+    rm -rf "$dir/shard-smoke" && mkdir -p "$dir/shard-smoke" &&
+    "$dir/osprey_bench" --workload "$w" --seed 1 --smoke \
+        --scratch "$dir/shard-smoke" >> "$report" || status=1
+  done
+  rm -rf "$dir/shard-smoke"
+  [[ $status -eq 0 ]] && echo "bench artifact: $report"
 }
 
 run_stage lint  stage_lint

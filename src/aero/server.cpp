@@ -522,39 +522,48 @@ void AeroServer::run_analysis_flow(std::size_t index,
         auto remaining =
             std::make_shared<std::size_t>(s.input_uuids.size());
         auto failed = std::make_shared<bool>(false);
-        for (const std::string& uuid : s.input_uuids) {
-          std::optional<DataVersion> ver = db_.latest_version(uuid);
-          if (!ver.has_value()) {
-            done(false, "input has no version: " + uuid);
-            return;
+        // A throwing submission (expired token, ACL race) fails the step
+        // through the flow's catch; the transfers already submitted must
+        // not fail it a second time.
+        try {
+          for (const std::string& uuid : s.input_uuids) {
+            std::optional<DataVersion> ver = db_.latest_version(uuid);
+            if (!ver.has_value()) {
+              *failed = true;
+              done(false, "input has no version: " + uuid);
+              return;
+            }
+            std::string staging_path = "stage/" + uuid;
+            transfers_.transfer(
+                *s.storage, ver->collection, ver->path, *s.staging,
+                s.staging_collection, staging_path, token_,
+                [this, index, uuid, staged, staging_path, remaining, failed,
+                 done](const fabric::TransferRecord& rec) {
+                  if (*failed) return;
+                  if (rec.status != fabric::TransferStatus::kSucceeded) {
+                    *failed = true;
+                    done(false, "stage-in failed: " + rec.error);
+                    return;
+                  }
+                  Analysis& a2 = analyses_[index];
+                  // The read can fail too (expired token, ACL race); that
+                  // must fail the step, not escape into the event loop.
+                  try {
+                    const fabric::StoredObject& obj = a2.spec.staging->get(
+                        a2.spec.staging_collection, staging_path, token_);
+                    (*staged)[uuid] = obj.bytes;
+                  } catch (const osprey::util::Error& e) {
+                    *failed = true;
+                    done(false, std::string("stage-in read failed: ") +
+                                    e.what());
+                    return;
+                  }
+                  if (--(*remaining) == 0) done(true, "");
+                });
           }
-          std::string staging_path = "stage/" + uuid;
-          transfers_.transfer(
-              *s.storage, ver->collection, ver->path, *s.staging,
-              s.staging_collection, staging_path, token_,
-              [this, index, uuid, staged, staging_path, remaining, failed,
-               done](const fabric::TransferRecord& rec) {
-                if (*failed) return;
-                if (rec.status != fabric::TransferStatus::kSucceeded) {
-                  *failed = true;
-                  done(false, "stage-in failed: " + rec.error);
-                  return;
-                }
-                Analysis& a2 = analyses_[index];
-                // The read can fail too (expired token, ACL race); that
-                // must fail the step, not escape into the event loop.
-                try {
-                  const fabric::StoredObject& obj = a2.spec.staging->get(
-                      a2.spec.staging_collection, staging_path, token_);
-                  (*staged)[uuid] = obj.bytes;
-                } catch (const osprey::util::Error& e) {
-                  *failed = true;
-                  done(false, std::string("stage-in read failed: ") +
-                                  e.what());
-                  return;
-                }
-                if (--(*remaining) == 0) done(true, "");
-              });
+        } catch (...) {
+          *failed = true;
+          throw;
         }
       }});
 
@@ -605,22 +614,29 @@ void AeroServer::run_analysis_flow(std::size_t index,
         const AnalysisFlowSpec& s = a.spec;
         auto remaining = std::make_shared<std::size_t>(s.output_names.size());
         auto failed = std::make_shared<bool>(false);
-        for (const std::string& name : s.output_names) {
-          std::string staging_path = s.base_path + "/" + name;
-          s.staging->put(s.staging_collection, staging_path,
-                         outputs->at(name), token_);
-          transfers_.transfer(
-              *s.staging, s.staging_collection, staging_path, *s.storage,
-              s.collection, staging_path, token_,
-              [remaining, failed, done](const fabric::TransferRecord& rec) {
-                if (*failed) return;
-                if (rec.status != fabric::TransferStatus::kSucceeded) {
-                  *failed = true;
-                  done(false, "stage-out failed: " + rec.error);
-                  return;
-                }
-                if (--(*remaining) == 0) done(true, "");
-              });
+        // As in stage-in: a throwing put or submission fails the step
+        // once, through the flow's catch.
+        try {
+          for (const std::string& name : s.output_names) {
+            std::string staging_path = s.base_path + "/" + name;
+            s.staging->put(s.staging_collection, staging_path,
+                           outputs->at(name), token_);
+            transfers_.transfer(
+                *s.staging, s.staging_collection, staging_path, *s.storage,
+                s.collection, staging_path, token_,
+                [remaining, failed, done](const fabric::TransferRecord& rec) {
+                  if (*failed) return;
+                  if (rec.status != fabric::TransferStatus::kSucceeded) {
+                    *failed = true;
+                    done(false, "stage-out failed: " + rec.error);
+                    return;
+                  }
+                  if (--(*remaining) == 0) done(true, "");
+                });
+          }
+        } catch (...) {
+          *failed = true;
+          throw;
         }
       }});
 

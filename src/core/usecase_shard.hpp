@@ -2,10 +2,9 @@
 
 /// \file usecase_shard.hpp
 /// Shared builder for the sharded-scale surveillance workload: N feeds
-/// publishing weekly (staggered across weekdays, the same scheme the
-/// single-loop scale bench uses) plus one cross-region aggregation.
-/// Used by bench/bench_scale_workflow and the shard replay sweep so
-/// both drive literally the same campaign.
+/// publishing weekly (staggered across weekdays) plus one cross-region
+/// aggregation. Used by osprey_bench's feeds workloads and the shard
+/// tests so they all drive literally the same campaign.
 
 #include <string>
 

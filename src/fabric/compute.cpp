@@ -60,16 +60,11 @@ bool ComputeEndpoint::has_function(const std::string& function_id) const {
   return functions_.count(function_id) > 0;
 }
 
-std::size_t ComputeEndpoint::completed_count() const {
-  // `completed` is stamped by the same event that reports the terminal
-  // status to the caller; the status itself turns terminal earlier, when
-  // the body runs.
-  return static_cast<std::size_t>(std::count_if(
-      records_.begin(), records_.end(),
-      [](const ComputeTaskRecord& r) { return r.completed >= 0; }));
-}
-
-void ComputeEndpoint::finish_obs(const ComputeTaskRecord& rec) {
+ComputeTaskRecord ComputeEndpoint::retire(ComputeTaskId id) {
+  auto node = in_flight_.extract(id);
+  OSPREY_CHECK(!node.empty(), "compute task completed twice");
+  ComputeTaskRecord rec = std::move(node.mapped());
+  rec.completed = loop_.now();
   const bool ok = rec.status == ComputeTaskStatus::kSucceeded;
   if (tracer_ != nullptr) {
     tracer_->end_span(rec.trace_span, obs::sim_ns(rec.completed), ok,
@@ -83,6 +78,7 @@ void ComputeEndpoint::finish_obs(const ComputeTaskRecord& rec) {
   if (rec.completed >= rec.submitted) {
     m_latency_.observe(static_cast<double>(rec.completed - rec.submitted));
   }
+  return rec;
 }
 
 ComputeTaskId ComputeEndpoint::execute(const std::string& function_id,
@@ -93,16 +89,15 @@ ComputeTaskId ComputeEndpoint::execute(const std::string& function_id,
   if (it == functions_.end()) {
     throw osprey::util::NotFound("unknown compute function: " + function_id);
   }
-  ComputeTaskId id = records_.size();
-  ComputeTaskRecord rec;
+  ComputeTaskId id = next_id_++;
+  ComputeTaskRecord& rec = in_flight_[id];
   rec.id = id;
   rec.function_name = it->second.name;
   rec.endpoint = name_;
   rec.submitted = loop_.now();
-  records_.push_back(rec);
   if (tracer_ != nullptr) {
-    records_[id].trace_span = tracer_->begin_span(
-        obs::Category::kCompute, "compute:" + records_[id].function_name,
+    rec.trace_span = tracer_->begin_span(
+        obs::Category::kCompute, "compute:" + rec.function_name,
         obs::sim_ns(rec.submitted), obs::kInheritParent,
         name_ + (kind_ == EndpointKind::kBatch ? " (batch)" : " (login)"));
   }
@@ -115,12 +110,11 @@ ComputeTaskId ComputeEndpoint::execute(const std::string& function_id,
     Callback cb = std::move(on_done);
     loop_.schedule_after(10 * osprey::util::kSecond,
                          [this, id, cb = std::move(cb)] {
-                           ComputeTaskRecord& r = records_[id];
+                           ComputeTaskRecord& r = in_flight_.at(id);
                            r.status = ComputeTaskStatus::kFailed;
                            r.error = "endpoint unreachable (outage)";
-                           r.completed = loop_.now();
-                           finish_obs(r);
-                           if (cb) cb(Value(nullptr), r);
+                           ComputeTaskRecord retired = retire(id);
+                           if (cb) cb(Value(nullptr), retired);
                          });
     return id;
   }
@@ -142,7 +136,7 @@ void ComputeEndpoint::set_batch_walltime(SimTime walltime) {
 }
 
 SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
-  ComputeTaskRecord& rec = records_[task.id];
+  ComputeTaskRecord& rec = in_flight_.at(task.id);
   rec.started = loop_.now();
   rec.status = ComputeTaskStatus::kRunning;
   SimTime duration = 0;   // raw declared cost (returned to the scheduler)
@@ -198,9 +192,7 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
   loop_.schedule_after(occupy,
                        [this, id, cb = std::move(cb),
                         result = std::move(result)] {
-                         ComputeTaskRecord& r = records_[id];
-                         r.completed = loop_.now();
-                         finish_obs(r);
+                         ComputeTaskRecord r = retire(id);
                          if (cb) cb(result, r);
                        });
   return duration;
@@ -248,11 +240,6 @@ void ComputeEndpoint::run_via_scheduler(PendingTask task) {
     return execute_body(*shared, limit);
   };
   scheduler_->submit(std::move(spec));
-}
-
-const ComputeTaskRecord& ComputeEndpoint::task(ComputeTaskId id) const {
-  OSPREY_REQUIRE(id < records_.size(), "unknown compute task id");
-  return records_[id];
 }
 
 }  // namespace osprey::fabric

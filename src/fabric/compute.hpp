@@ -20,7 +20,7 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "fabric/auth.hpp"
 #include "fabric/event_loop.hpp"
@@ -101,14 +101,19 @@ class ComputeEndpoint {
 
   /// Execute asynchronously; `on_done` fires in virtual time once the
   /// task has run (or failed — result is null and record.error set).
+  /// The record is retired when its completion lands: `on_done` gets the
+  /// final record, and the endpoint keeps no history.
   ComputeTaskId execute(const std::string& function_id, Value args,
                         const std::string& token, Callback on_done);
 
-  const ComputeTaskRecord& task(ComputeTaskId id) const;
-  const std::vector<ComputeTaskRecord>& tasks() const { return records_; }
+  /// Tasks submitted whose completion has not landed yet.
+  std::size_t in_flight() const { return in_flight_.size(); }
   /// Tasks of this endpoint whose completion has landed (succeeded or
-  /// failed). The registry's task counters are per loop instead.
-  std::size_t completed_count() const;
+  /// failed): ids issued minus in_flight(). The registry's task
+  /// counters are per loop instead.
+  std::size_t completed_count() const {
+    return static_cast<std::size_t>(next_id_) - in_flight_.size();
+  }
 
  private:
   struct Registered {
@@ -147,15 +152,19 @@ class ComputeEndpoint {
   SimTime batch_walltime_ = 4 * osprey::util::kHour;
   osprey::util::UuidFactory uuids_;
   std::map<std::string, Registered> functions_;  // id -> registration
-  std::vector<ComputeTaskRecord> records_;
+  /// In-flight records by id; node-based, so the record a running body
+  /// fills stays valid while that body submits more tasks.
+  std::unordered_map<ComputeTaskId, ComputeTaskRecord> in_flight_;
+  ComputeTaskId next_id_ = 0;
   std::deque<PendingTask> login_queue_;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::Counter& m_succeeded_;
   obs::Counter& m_failed_;
   obs::Histogram& m_latency_;
 
-  /// Ends the span and bumps metrics when a task record completes.
-  void finish_obs(const ComputeTaskRecord& rec);
+  /// Retires a record as its completion lands: stamps `completed`, ends
+  /// the span and bumps metrics.
+  ComputeTaskRecord retire(ComputeTaskId id);
 };
 
 }  // namespace osprey::fabric

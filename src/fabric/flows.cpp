@@ -19,29 +19,28 @@ FlowRunId FlowsService::run(const FlowDefinition& flow,
                             osprey::util::Value initial_state) {
   auth_.validate(token, scopes::kFlows);
   OSPREY_REQUIRE(!flow.steps.empty(), "flow has no steps");
-  FlowRunId id = records_.size();
-  FlowRunRecord rec;
+  FlowRunId id = next_id_++;
+  auto active = std::make_shared<ActiveRun>();
+  FlowRunRecord& rec = active->record;
   rec.id = id;
   rec.flow_name = flow.name;
   rec.started = loop_.now();
-  records_.push_back(rec);
   if (tracer_ != nullptr) {
-    records_[id].trace_span = tracer_->begin_span(
+    rec.trace_span = tracer_->begin_span(
         obs::Category::kFlow, "flow:" + flow.name, obs::sim_ns(rec.started));
   }
-
-  auto active = std::make_shared<ActiveRun>();
   active->flow = flow;
   active->context.run_id = id;
   active->context.state = std::move(initial_state);
   active->on_done = std::move(on_done);
+  in_flight_.emplace(id, active);
 
   loop_.schedule_after(0, [this, active] { advance(active); });
   return id;
 }
 
 void FlowsService::advance(std::shared_ptr<ActiveRun> run) {
-  FlowRunRecord& rec = records_[run->context.run_id];
+  FlowRunRecord& rec = run->record;
   if (run->next_step >= run->flow.steps.size()) {
     finish(run, FlowRunStatus::kSucceeded);
     return;
@@ -59,8 +58,12 @@ void FlowsService::advance(std::shared_ptr<ActiveRun> run) {
 
   // The completion continuation may fire later in virtual time.
   auto done = [this, run, step_index](bool ok, const std::string& error) {
-    FlowRunRecord& r = records_[run->context.run_id];
+    FlowRunRecord& r = run->record;
     StepRecord& sr = r.steps[step_index];
+    // The first completion wins. A run finishes only once its current
+    // step has ended, so this also drops completions that arrive after
+    // the run finished.
+    if (sr.ended >= 0) return;
     sr.ended = loop_.now();
     sr.ok = ok;
     sr.error = error;
@@ -76,11 +79,10 @@ void FlowsService::advance(std::shared_ptr<ActiveRun> run) {
     advance(run);
   };
 
-  auto invoke = [this, run, step_index, done] {
+  auto invoke = [run, step_index, done] {
     const FlowStep& s = run->flow.steps[step_index];
     // Transfers/compute submitted by the step body nest under its span.
-    obs::CurrentSpanGuard span_guard(
-        records_[run->context.run_id].steps[step_index].trace_span);
+    obs::CurrentSpanGuard span_guard(run->record.steps[step_index].trace_span);
     try {
       s.fn(run->context, done);
     } catch (const std::exception& e) {
@@ -100,7 +102,7 @@ void FlowsService::advance(std::shared_ptr<ActiveRun> run) {
 
 void FlowsService::finish(std::shared_ptr<ActiveRun> run,
                           FlowRunStatus status) {
-  FlowRunRecord& rec = records_[run->context.run_id];
+  FlowRunRecord& rec = run->record;
   rec.status = status;
   rec.ended = loop_.now();
   if (tracer_ != nullptr) {
@@ -108,12 +110,8 @@ void FlowsService::finish(std::shared_ptr<ActiveRun> run,
                       status == FlowRunStatus::kSucceeded);
   }
   if (status == FlowRunStatus::kSucceeded) succeeded_.inc();
+  in_flight_.erase(rec.id);
   if (run->on_done) run->on_done(rec, run->context.state);
-}
-
-const FlowRunRecord& FlowsService::record(FlowRunId id) const {
-  OSPREY_REQUIRE(id < records_.size(), "unknown flow run id");
-  return records_[id];
 }
 
 }  // namespace osprey::fabric

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fabric/auth.hpp"
@@ -52,7 +53,9 @@ struct FlowRunContext {
 };
 
 /// A step completes by calling `done(ok, error)` — possibly later in
-/// virtual time (after a transfer or compute task finishes).
+/// virtual time (after a transfer or compute task finishes). Only the
+/// first call counts; later calls, including any that arrive after the
+/// run finished, are ignored.
 using StepDone = std::function<void(bool ok, const std::string& error)>;
 using StepFn = std::function<void(FlowRunContext&, StepDone)>;
 
@@ -67,7 +70,7 @@ struct FlowDefinition {
   std::vector<FlowStep> steps;
 };
 
-/// Runs flow definitions and keeps their run records.
+/// Runs flow definitions; keeps the records of in-flight runs only.
 class FlowsService {
  public:
   FlowsService(EventLoop& loop, AuthService& auth);
@@ -85,14 +88,15 @@ class FlowsService {
                                          const osprey::util::Value& state)>;
 
   /// Start a run; steps execute in order, each beginning when its
-  /// predecessor's `done` fires. A failed step aborts the run.
+  /// predecessor's `done` fires. A failed step aborts the run. The run's
+  /// record is retired when it finishes: `on_done` gets the final
+  /// record, and the service keeps no history.
   FlowRunId run(const FlowDefinition& flow, const std::string& token,
                 RunCallback on_done = nullptr,
                 osprey::util::Value initial_state = {});
 
-  const FlowRunRecord& record(FlowRunId id) const;
-  const std::vector<FlowRunRecord>& records() const { return records_; }
-  std::size_t runs_started() const { return records_.size(); }
+  /// Runs started that have not finished yet.
+  std::size_t in_flight() const { return in_flight_.size(); }
   /// Runs that completed every step, across this loop's FlowsServices.
   std::size_t runs_succeeded() const {
     return static_cast<std::size_t>(succeeded_.value());
@@ -104,6 +108,7 @@ class FlowsService {
     FlowRunContext context;
     RunCallback on_done;
     std::size_t next_step = 0;
+    FlowRunRecord record;
   };
 
   void advance(std::shared_ptr<ActiveRun> run);
@@ -113,7 +118,10 @@ class FlowsService {
   AuthService& auth_;
   FaultPlan* plan_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
-  std::vector<FlowRunRecord> records_;
+  /// In-flight runs by id. Step continuations share ownership, so a run
+  /// outlives its entry until the last late `done` is dropped.
+  std::unordered_map<FlowRunId, std::shared_ptr<ActiveRun>> in_flight_;
+  FlowRunId next_id_ = 0;
   obs::Counter& succeeded_;
 };
 

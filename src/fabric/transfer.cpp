@@ -74,13 +74,19 @@ void TransferService::fail_after(TransferId id, SimTime delay,
                                  std::string error, const Callback& on_done) {
   loop_.schedule_after(delay,
                        [this, id, error = std::move(error), on_done] {
-                         TransferRecord& r = records_[id];
+                         TransferRecord r = retire(id);
                          r.status = TransferStatus::kFailed;
                          r.error = error;
                          r.completed = loop_.now();
                          finish_obs(r);
                          if (on_done) on_done(r);
                        });
+}
+
+TransferRecord TransferService::retire(TransferId id) {
+  auto node = in_flight_.extract(id);
+  OSPREY_CHECK(!node.empty(), "transfer completed twice");
+  return std::move(node.mapped());
 }
 
 SimTime TransferService::duration_for(std::uint64_t bytes) const {
@@ -96,7 +102,7 @@ TransferId TransferService::transfer(
     const std::string& token, Callback on_done) {
   auth_.validate(token, scopes::kTransfer);
 
-  TransferId id = records_.size();
+  TransferId id = next_id_++;
   TransferRecord rec;
   rec.id = id;
   rec.src_endpoint = src.name();
@@ -123,9 +129,8 @@ TransferId TransferService::transfer(
 
   rec.bytes = bytes.size();
   rec.checksum = checksum;
-  records_.push_back(rec);
   if (tracer_ != nullptr) {
-    records_[id].trace_span = tracer_->begin_span(
+    rec.trace_span = tracer_->begin_span(
         obs::Category::kTransfer,
         "transfer:" + rec.src_endpoint + "->" + rec.dst_endpoint,
         obs::sim_ns(rec.submitted), obs::kInheritParent,
@@ -133,15 +138,20 @@ TransferId TransferService::transfer(
   }
 
   if (!read_ok) {
-    records_[id].status = TransferStatus::kFailed;
-    records_[id].error = error;
-    records_[id].completed = loop_.now();
-    finish_obs(records_[id]);
+    // Fails at submission, so it is never in flight; the callback still
+    // fires from the loop, never re-entrantly.
+    rec.status = TransferStatus::kFailed;
+    rec.error = error;
+    rec.completed = loop_.now();
+    finish_obs(rec);
     if (on_done) {
-      loop_.schedule_after(0, [this, id, on_done] { on_done(records_[id]); });
+      loop_.schedule_after(0,
+                           [rec = std::move(rec), on_done] { on_done(rec); });
     }
     return id;
   }
+  const std::uint64_t size = rec.bytes;
+  in_flight_.emplace(id, std::move(rec));
 
   if (should_fail_next()) {
     // Injected network failure: surfaces after the setup latency, like a
@@ -164,7 +174,7 @@ TransferId TransferService::transfer(
                            now)) {
     stall = plan_->stall_delay;
   }
-  SimTime duration = duration_for(rec.bytes) + stall;
+  SimTime duration = duration_for(size) + stall;
   if (timeout_ > 0 && duration > timeout_) {
     // The per-operation timeout converts a stalled transfer into a
     // recoverable failure instead of an indefinitely late completion.
@@ -189,7 +199,7 @@ TransferId TransferService::transfer(
   loop_.schedule_after(
       duration, [this, id, &dst, dst_collection, dst_path, token,
                  bytes = std::move(bytes), checksum, on_done] {
-        TransferRecord& r = records_[id];
+        TransferRecord r = retire(id);
         // Verify the digest of what actually arrived BEFORE the
         // destination write: a corrupted payload is rejected, never
         // accepted into storage (the caller re-transfers).
@@ -222,11 +232,6 @@ TransferId TransferService::transfer(
         if (on_done) on_done(r);
       });
   return id;
-}
-
-const TransferRecord& TransferService::record(TransferId id) const {
-  OSPREY_REQUIRE(id < records_.size(), "unknown transfer id");
-  return records_[id];
 }
 
 }  // namespace osprey::fabric

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "fabric/auth.hpp"
 #include "fabric/event_loop.hpp"
@@ -76,15 +76,17 @@ class TransferService {
 
   /// Start an async copy; `on_done` fires (in virtual time) when the
   /// write at the destination has completed and its checksum verified.
-  /// The source is read at submission time (consistent snapshot).
+  /// The source is read at submission time (consistent snapshot). The
+  /// record is retired when its completion lands: `on_done` gets the
+  /// final record, and the service keeps no history.
   TransferId transfer(StorageEndpoint& src, const std::string& src_collection,
                       const std::string& src_path, StorageEndpoint& dst,
                       const std::string& dst_collection,
                       const std::string& dst_path, const std::string& token,
                       Callback on_done = nullptr);
 
-  const TransferRecord& record(TransferId id) const;
-  const std::vector<TransferRecord>& records() const { return records_; }
+  /// Transfers submitted whose completion has not landed yet.
+  std::size_t in_flight() const { return in_flight_.size(); }
 
   /// Virtual duration a payload of `bytes` takes under the cost model.
   SimTime duration_for(std::uint64_t bytes) const;
@@ -99,7 +101,9 @@ class TransferService {
   AuthService& auth_;
   SimTime latency_;
   double bandwidth_;
-  std::vector<TransferRecord> records_;
+  /// In-flight records by id; a record leaves when its completion lands.
+  std::unordered_map<TransferId, TransferRecord> in_flight_;
+  TransferId next_id_ = 0;
   // Failure injection state (simple xorshift-free counter hash keeps the
   // fabric library independent of num/).
   double failure_rate_ = 0.0;
@@ -115,6 +119,8 @@ class TransferService {
   bool should_fail_next();
   void fail_after(TransferId id, SimTime delay, std::string error,
                   const Callback& on_done);
+  /// Removes a record from the in-flight table as its completion lands.
+  TransferRecord retire(TransferId id);
   /// Ends the span and bumps metrics once a record reaches a terminal
   /// status (every completion path funnels through this).
   void finish_obs(const TransferRecord& rec);

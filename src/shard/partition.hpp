@@ -127,6 +127,9 @@ class ShardPartition {
   /// Test/tool introspection into the partition's orchestration stack.
   aero::AeroServer& server() { return server_; }
   serve::ResultCache& cache() { return *cache_; }
+  const fabric::TransferService& transfers() const { return transfers_; }
+  const fabric::FlowsService& flows() const { return flows_; }
+  const fabric::ComputeEndpoint& login() const { return login_; }
 
  private:
   void add_feed(const FeedSpec& spec);

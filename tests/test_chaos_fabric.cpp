@@ -6,6 +6,8 @@
 ///
 /// Invariants asserted for every seed:
 ///   - the pipeline quiesces: no flow run is left kRunning (never hangs);
+///   - every run finishes exactly once: aero_failed_runs_total equals
+///     the failed runs in the MetadataDb;
 ///   - no update is silently dropped: every detected upstream update is
 ///     accounted for as a published version, a permanent failure, or a
 ///     superseded trigger;
@@ -147,6 +149,14 @@ void assert_chaos_invariants(ChaosRun& run) {
         << "flow '" << rec.flow_name << "' (run " << rec.run_id
         << ") still running at quiescence";
   }
+
+  // Every run finishes exactly once: the failed-run counter
+  // (aero_failed_runs_total) agrees with the provenance.
+  std::uint64_t failed_in_db = 0;
+  for (const auto& rec : db.runs()) {
+    if (rec.status == oa::RunStatus::kFailed) ++failed_in_db;
+  }
+  EXPECT_EQ(server.failed_runs(), failed_in_db);
 
   // Accounting: no update silently dropped. Every detected upstream
   // update either published a version, exhausted its retry budget

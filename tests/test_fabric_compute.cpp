@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace of = osprey::fabric;
@@ -146,11 +148,18 @@ TEST_F(ComputeTest, TaskRecordsAccumulate) {
   of::ComputeEndpoint login("login", loop, auth, 4);
   std::string fn = login.register_function(
       "f", [](const Value&) { return Value(0); }, kSecond);
+  std::vector<of::ComputeTaskRecord> done;
   for (int i = 0; i < 5; ++i) {
-    login.execute(fn, Value(ou::ValueObject{}), token, nullptr);
+    login.execute(fn, Value(ou::ValueObject{}), token,
+                  [&](const Value&, const of::ComputeTaskRecord& rec) {
+                    done.push_back(rec);
+                  });
   }
+  EXPECT_EQ(login.in_flight(), 5u);
   loop.run_all();
-  EXPECT_EQ(login.tasks().size(), 5u);
+  ASSERT_EQ(done.size(), 5u);
   EXPECT_EQ(login.completed_count(), 5u);
-  EXPECT_EQ(login.task(0).function_name, "f");
+  EXPECT_EQ(login.in_flight(), 0u);
+  EXPECT_EQ(done[0].id, 0u);
+  EXPECT_EQ(done[0].function_name, "f");
 }

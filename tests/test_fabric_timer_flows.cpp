@@ -125,13 +125,15 @@ TEST_F(TimerFlowsTest, FailedStepAbortsFlow) {
         ran.push_back("never");
         done(true, "");
       }});
-  of::FlowRunId id = flows.run(flow, token);
+  of::FlowRunRecord rec;
+  flows.run(flow, token,
+            [&](const of::FlowRunRecord& r, const ou::Value&) { rec = r; });
   loop.run_all();
   EXPECT_EQ(ran, (std::vector<std::string>{"ok", "boom"}));
-  const of::FlowRunRecord& rec = flows.record(id);
   EXPECT_EQ(rec.status, of::FlowRunStatus::kFailed);
   EXPECT_EQ(rec.steps.back().error, "exploded");
   EXPECT_EQ(flows.runs_succeeded(), 0u);
+  EXPECT_EQ(flows.in_flight(), 0u);
 }
 
 TEST_F(TimerFlowsTest, ThrowingStepIsCaught) {
@@ -141,11 +143,63 @@ TEST_F(TimerFlowsTest, ThrowingStepIsCaught) {
       "throws", [](of::FlowRunContext&, of::StepDone) {
         throw std::runtime_error("step exception");
       }});
-  of::FlowRunId id = flows.run(flow, token);
+  of::FlowRunRecord rec;
+  flows.run(flow, token,
+            [&](const of::FlowRunRecord& r, const ou::Value&) { rec = r; });
   loop.run_all();
-  EXPECT_EQ(flows.record(id).status, of::FlowRunStatus::kFailed);
-  EXPECT_NE(flows.record(id).steps[0].error.find("step exception"),
-            std::string::npos);
+  EXPECT_EQ(rec.status, of::FlowRunStatus::kFailed);
+  EXPECT_NE(rec.steps.at(0).error.find("step exception"), std::string::npos);
+}
+
+TEST_F(TimerFlowsTest, LateDoneAfterThrowDoesNotFinishTheRunAgain) {
+  // The step hands its continuation to a later event (as a multi-transfer
+  // step does) and then throws: the throw fails the run, and the late
+  // completion must not finish it a second time.
+  of::FlowDefinition flow;
+  flow.name = "late";
+  flow.steps.push_back(of::FlowStep{
+      "submit-then-throw", [&](of::FlowRunContext&, of::StepDone done) {
+        loop.schedule_after(kSecond, [done] { done(false, "late failure"); });
+        throw std::runtime_error("submission threw");
+      }});
+  int finishes = 0;
+  std::string error;
+  flows.run(flow, token,
+            [&](const of::FlowRunRecord& rec, const ou::Value&) {
+              ++finishes;
+              EXPECT_EQ(rec.status, of::FlowRunStatus::kFailed);
+              error = rec.steps.at(0).error;
+            });
+  loop.run_all();
+  EXPECT_EQ(finishes, 1);
+  EXPECT_EQ(error, "submission threw");
+}
+
+TEST_F(TimerFlowsTest, FirstDoneWins) {
+  int second_runs = 0;
+  of::FlowDefinition flow;
+  flow.name = "twice";
+  flow.steps.push_back(
+      of::FlowStep{"done-twice", [](of::FlowRunContext&, of::StepDone done) {
+                     done(true, "");
+                     done(false, "ignored");
+                   }});
+  flow.steps.push_back(
+      of::FlowStep{"second", [&](of::FlowRunContext&, of::StepDone done) {
+                     ++second_runs;
+                     done(true, "");
+                   }});
+  int finishes = 0;
+  flows.run(flow, token,
+            [&](const of::FlowRunRecord& rec, const ou::Value&) {
+              ++finishes;
+              EXPECT_EQ(rec.status, of::FlowRunStatus::kSucceeded);
+              EXPECT_TRUE(rec.steps.at(0).ok);
+            });
+  loop.run_all();
+  EXPECT_EQ(second_runs, 1);
+  EXPECT_EQ(finishes, 1);
+  EXPECT_EQ(flows.runs_succeeded(), 1u);
 }
 
 TEST_F(TimerFlowsTest, StateFlowsBetweenSteps) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace of = osprey::fabric;
@@ -43,11 +45,13 @@ TEST_F(TransferTest, DurationFollowsCostModel) {
   // 1 MB at 1 MB/s + 2 s latency = 3 s.
   std::string big(1'000'000, 'x');
   src.put("c", "big", big, token);
-  of::TransferId id =
-      transfers.transfer(src, "c", "big", dst, "c", "big", token);
+  ou::SimTime took = -1;
+  transfers.transfer(src, "c", "big", dst, "c", "big", token,
+                     [&](const of::TransferRecord& rec) {
+                       took = rec.completed - rec.submitted;
+                     });
   loop.run_all();
-  const of::TransferRecord& rec = transfers.record(id);
-  EXPECT_EQ(rec.completed - rec.submitted, 3 * ou::kSecond);
+  EXPECT_EQ(took, 3 * ou::kSecond);
 }
 
 TEST_F(TransferTest, SnapshotsSourceAtSubmission) {
@@ -60,18 +64,18 @@ TEST_F(TransferTest, SnapshotsSourceAtSubmission) {
 
 TEST_F(TransferTest, MissingSourceFails) {
   bool done = false;
-  of::TransferId id = transfers.transfer(src, "c", "missing", dst, "c", "x",
-                                         token,
-                                         [&](const of::TransferRecord& rec) {
-                                           done = true;
-                                           EXPECT_EQ(rec.status,
-                                                     of::TransferStatus::kFailed);
-                                           EXPECT_FALSE(rec.error.empty());
-                                         });
+  of::TransferStatus status = of::TransferStatus::kInFlight;
+  transfers.transfer(src, "c", "missing", dst, "c", "x", token,
+                     [&](const of::TransferRecord& rec) {
+                       done = true;
+                       status = rec.status;
+                       EXPECT_FALSE(rec.error.empty());
+                     });
   loop.run_all();
   EXPECT_TRUE(done);
-  EXPECT_EQ(transfers.record(id).status, of::TransferStatus::kFailed);
+  EXPECT_EQ(status, of::TransferStatus::kFailed);
   EXPECT_EQ(transfers.completed_count(), 0u);
+  EXPECT_EQ(transfers.in_flight(), 0u);
 }
 
 TEST_F(TransferTest, RequiresTransferScope) {
@@ -84,10 +88,18 @@ TEST_F(TransferTest, RequiresTransferScope) {
 TEST_F(TransferTest, RecordsAccumulate) {
   src.put("c", "a", "1", token);
   src.put("c", "b", "2", token);
-  transfers.transfer(src, "c", "a", dst, "c", "a", token);
-  transfers.transfer(src, "c", "b", dst, "c", "b", token);
+  std::vector<of::TransferId> completed;
+  auto on_done = [&](const of::TransferRecord& rec) {
+    completed.push_back(rec.id);
+  };
+  EXPECT_EQ(transfers.transfer(src, "c", "a", dst, "c", "a", token, on_done),
+            0u);
+  EXPECT_EQ(transfers.transfer(src, "c", "b", dst, "c", "b", token, on_done),
+            1u);
+  EXPECT_EQ(transfers.in_flight(), 2u);
   loop.run_all();
-  EXPECT_EQ(transfers.records().size(), 2u);
+  EXPECT_EQ(completed, (std::vector<of::TransferId>{0, 1}));
   EXPECT_EQ(transfers.completed_count(), 2u);
-  EXPECT_THROW(transfers.record(99), ou::InvalidArgument);
+  // Completed records are retired; the callback had the last look.
+  EXPECT_EQ(transfers.in_flight(), 0u);
 }

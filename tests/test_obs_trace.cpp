@@ -238,10 +238,11 @@ TEST(GoldenDeterminism, CriticalPathMakespanMatchesWorkflowTimeline) {
   obs::CriticalPathReport report =
       obs::analyze(run.platform->tracer().snapshot());
 
-  // The trace extent must agree with the flow service's own records:
-  // the earliest flow start and the latest flow end bound the workflow
-  // (every other span nests inside some flow run or its trigger).
-  const auto& records = run.platform->flows().records();
+  // The trace extent must agree with the run provenance: the earliest
+  // run start and the latest run end bound the workflow (every other
+  // span nests inside some flow run or its trigger). Each AERO run wraps
+  // exactly one flow run and shares its start and end times.
+  const auto& records = run.platform->aero().db().runs();
   ASSERT_FALSE(records.empty());
   SimTime min_started = records.front().started;
   SimTime max_ended = 0;

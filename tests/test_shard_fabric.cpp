@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <set>
 
 #include "core/usecase_shard.hpp"
@@ -303,6 +305,62 @@ TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
   EXPECT_EQ(fabric2.partition("iwss-feed0").feeds()[0].analysis_uuid,
             analysis_uuid_run1);
   EXPECT_GT(fabric2.coordinator().rounds_dispatched("iwss"), 0u);
+}
+
+namespace {
+
+/// Per partition: the largest in_flight() of its transfers, flows and
+/// login endpoint over every epoch barrier of an hourly-poll campaign.
+/// Hourly epochs put a barrier on every poll, while the runs it starts
+/// are in flight.
+using InFlightPeaks = std::map<std::string, std::array<std::size_t, 3>>;
+
+InFlightPeaks run_hourly_campaign(std::size_t shards, int days) {
+  sh::ShardedFabricConfig config;
+  config.num_shards = shards;
+  config.tracing = false;
+  config.epoch = ou::kHour;
+  sh::ShardedFabric fabric(config);
+  fabric.register_campaign(osprey::core::make_surveillance_campaign(
+      "flat", 4, days, ou::kHour));
+  InFlightPeaks peaks;
+  for (ou::SimTime t = config.epoch; t <= days * kDay; t += config.epoch) {
+    fabric.run_until(t);
+    for (const std::string& key : fabric.partition_keys()) {
+      const sh::ShardPartition& p = fabric.partition(key);
+      std::array<std::size_t, 3>& peak = peaks[key];
+      peak[0] = std::max(peak[0], p.transfers().in_flight());
+      peak[1] = std::max(peak[1], p.flows().in_flight());
+      peak[2] = std::max(peak[2], p.login().in_flight());
+    }
+  }
+  // MetadataDb is the one run history: one record per run started.
+  for (const std::string& key : fabric.partition_keys()) {
+    const osprey::aero::AeroServer& server = fabric.partition(key).server();
+    EXPECT_EQ(server.db().runs().size(),
+              server.ingestion_runs() + server.analysis_runs())
+        << key << " at " << days << " days";
+  }
+  return peaks;
+}
+
+}  // namespace
+
+TEST(ShardFabric, RetainedFabricRecordsStayFlatAsTheHorizonGrows) {
+  // Fabric services retire a record when its completion lands, so what
+  // they retain is bounded by the work in flight, not by the horizon.
+  constexpr int kDays = 14;
+  for (std::size_t shards : {2u, 8u}) {
+    InFlightPeaks short_run = run_hourly_campaign(shards, kDays);
+    InFlightPeaks long_run = run_hourly_campaign(shards, 10 * kDays);
+    EXPECT_EQ(short_run, long_run) << shards << " shards";
+    // The barriers do see work in flight, so the gate is not vacuous.
+    std::size_t busiest = 0;
+    for (const auto& [key, peak] : short_run) {
+      busiest = std::max({busiest, peak[0], peak[1], peak[2]});
+    }
+    EXPECT_GT(busiest, 0u) << shards << " shards";
+  }
 }
 
 TEST(ShardFabric, RejectsMalformedKeysAndUnknownPartitions) {
