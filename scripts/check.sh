@@ -182,7 +182,7 @@ stage_chaos() {
   fi
   cmake -B build-tsan -S . -DOSPREY_SANITIZE=thread >/dev/null &&
   cmake --build build-tsan -j "$JOBS" \
-      --target test_chaos_fabric test_retry_policy &&
+      --target test_chaos_fabric test_failure_injection test_retry_policy &&
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -L chaos) &&
   (cd build-tsan && ctest --output-on-failure -R '^test_retry_policy$')
 }

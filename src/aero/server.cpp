@@ -253,9 +253,10 @@ void AeroServer::poll_ingestion(std::size_t index) {
   polls_->inc();
   // Injected upstream outage: the source is unreachable for the whole
   // window, so every poll inside it is one failed fetch.
-  if (plan_ != nullptr &&
-      plan_->in_window(fabric::FaultKind::kSourceOutage, "aero",
-                       ing.spec.name, loop_.now())) {
+  if (fabric::FaultPlan* plan = loop_.fault_plan();
+      plan != nullptr &&
+      plan->in_window(fabric::FaultKind::kSourceOutage, "aero",
+                      ing.spec.name, loop_.now())) {
     fetch_errors_->inc();
     OSPREY_LOG_WARN("aero", "fetch failed for '" << ing.spec.name
                             << "': upstream outage (injected)");
@@ -871,11 +872,6 @@ void AeroServer::supersede(FlowTrigger& trigger, const std::string& site,
                   site, detail);
 }
 
-void AeroServer::set_fault_plan(fabric::FaultPlan* plan) {
-  plan_ = plan;
-  if (incidents_ == nullptr && plan != nullptr) incidents_ = &plan->log();
-}
-
 AeroServer::ServedEstimate AeroServer::serve_latest(const std::string& uuid) {
   ServedEstimate est;
   est.version = db_.latest_version(uuid);
@@ -910,8 +906,9 @@ void AeroServer::record_incident(fabric::IncidentCategory category,
                      obs::sim_ns(loop_.now()), obs::kInheritParent,
                      site + ": " + detail);
   }
-  if (incidents_ == nullptr) return;
-  incidents_->record(loop_.now(), category, kind, "aero", site, detail);
+  fabric::FaultPlan* plan = loop_.fault_plan();
+  if (plan == nullptr) return;
+  plan->log().record(loop_.now(), category, kind, "aero", site, detail);
 }
 
 void AeroServer::note_run_outcome(osprey::util::CircuitBreaker& breaker,

@@ -157,14 +157,6 @@ class AeroServer {
   /// and provenance remain in the metadata DB.
   bool cancel_ingestion(const std::string& name);
 
-  /// Attach a chaos FaultPlan (non-owning). The server consults it for
-  /// upstream source outages; when no incident log was set explicitly,
-  /// recovery/degradation actions are recorded into the plan's log.
-  void set_fault_plan(fabric::FaultPlan* plan);
-  /// Structured record of recovery and degradation actions (non-owning;
-  /// nullptr detaches).
-  void set_incident_log(fabric::IncidentLog* log) { incidents_ = log; }
-
   /// Attach a trace recorder (non-owning; nullptr detaches). Every
   /// ingestion/analysis run becomes an "ingest:"/"analyze:" span (the
   /// wrapped flow and its steps nest underneath), update detections and
@@ -337,7 +329,8 @@ class AeroServer {
                 int attempt = 0);
   void supersede(FlowTrigger& trigger, const std::string& site,
                  const std::string& detail);
-  /// Record a recovery/degradation incident (no-op without a log).
+  /// Record a recovery/degradation incident into the log of the loop's
+  /// fault plan (no-op while no plan is attached).
   void record_incident(fabric::IncidentCategory category,
                        const std::string& kind, const std::string& site,
                        const std::string& detail);
@@ -390,8 +383,6 @@ class AeroServer {
   obs::Counter* deferred_triggers_ = nullptr;
   obs::Counter* stale_serves_ = nullptr;
 
-  fabric::FaultPlan* plan_ = nullptr;
-  fabric::IncidentLog* incidents_ = nullptr;
   /// uuid -> reason its producer is currently failing.
   std::map<std::string, std::string> degraded_;
   /// Serving-tier update listeners, keyed by registration id (ordered

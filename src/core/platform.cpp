@@ -23,7 +23,6 @@ fabric::StorageEndpoint& OspreyPlatform::add_storage_endpoint(
                  "storage endpoint already exists: " + name);
   auto ep = std::make_unique<fabric::StorageEndpoint>(name, loop_, auth_);
   fabric::StorageEndpoint& ref = *ep;
-  ref.set_fault_plan(plan_);
   storage_.emplace(name, std::move(ep));
   return ref;
 }
@@ -34,7 +33,6 @@ fabric::BatchScheduler& OspreyPlatform::add_scheduler(const std::string& name,
                  "scheduler already exists: " + name);
   auto s = std::make_unique<fabric::BatchScheduler>(loop_, nodes, name);
   fabric::BatchScheduler& ref = *s;
-  ref.set_fault_plan(plan_);
   ref.set_tracer(&tracer_);
   schedulers_.emplace(name, std::move(s));
   return ref;
@@ -47,7 +45,6 @@ fabric::ComputeEndpoint& OspreyPlatform::add_login_endpoint(
   auto ep = std::make_unique<fabric::ComputeEndpoint>(name, loop_, auth_,
                                                       slots);
   fabric::ComputeEndpoint& ref = *ep;
-  ref.set_fault_plan(plan_);
   ref.set_tracer(&tracer_);
   compute_.emplace(name, std::move(ep));
   return ref;
@@ -60,7 +57,6 @@ fabric::ComputeEndpoint& OspreyPlatform::add_batch_endpoint(
   auto ep =
       std::make_unique<fabric::ComputeEndpoint>(name, loop_, auth_, sched);
   fabric::ComputeEndpoint& ref = *ep;
-  ref.set_fault_plan(plan_);
   ref.set_tracer(&tracer_);
   compute_.emplace(name, std::move(ep));
   return ref;
@@ -102,14 +98,8 @@ fabric::BatchScheduler& OspreyPlatform::scheduler(const std::string& name) {
 }
 
 void OspreyPlatform::install_fault_plan(fabric::FaultPlan* plan) {
-  plan_ = plan;
-  transfers_.set_fault_plan(plan);
-  flows_.set_fault_plan(plan);
+  loop_.set_fault_plan(plan);
   auth_.set_fault_plan(plan, &loop_);
-  aero_.set_fault_plan(plan);
-  for (auto& [name, ep] : storage_) ep->set_fault_plan(plan);
-  for (auto& [name, sched] : schedulers_) sched->set_fault_plan(plan);
-  for (auto& [name, ep] : compute_) ep->set_fault_plan(plan);
 }
 
 std::string OspreyPlatform::issue_token(const std::string& identity) {

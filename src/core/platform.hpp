@@ -68,11 +68,11 @@ class OspreyPlatform {
   obs::MetricsRegistry& metrics() { return loop_.metrics(); }
   const obs::MetricsRegistry& metrics() const { return loop_.metrics(); }
 
-  /// Attach a chaos FaultPlan (non-owning) to every fabric service and
-  /// the AERO server — including endpoints/schedulers added later.
-  /// Pass nullptr to detach everywhere.
+  /// Attach a chaos FaultPlan (non-owning) to the event loop, which
+  /// every fabric service and the AERO server read it from (so it also
+  /// reaches endpoints/schedulers added later), and to the auth service,
+  /// which is not on the loop. Pass nullptr to detach everywhere.
   void install_fault_plan(fabric::FaultPlan* plan);
-  fabric::FaultPlan* fault_plan() { return plan_; }
 
   /// Issue a full-scope token for a user identity.
   std::string issue_token(const std::string& identity);
@@ -96,7 +96,6 @@ class OspreyPlatform {
   std::map<std::string, std::unique_ptr<fabric::ComputeEndpoint>> compute_;
   aero::AeroServer aero_;
   emews::TaskDb task_db_;
-  fabric::FaultPlan* plan_ = nullptr;
 };
 
 }  // namespace osprey::core

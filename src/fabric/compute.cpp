@@ -102,9 +102,10 @@ ComputeTaskId ComputeEndpoint::execute(const std::string& function_id,
         name_ + (kind_ == EndpointKind::kBatch ? " (batch)" : " (login)"));
   }
 
-  if (plan_ != nullptr &&
-      plan_->in_window(FaultKind::kEndpointOutage, "compute", name_,
-                       loop_.now())) {
+  FaultPlan* plan = loop_.fault_plan();
+  if (plan != nullptr &&
+      plan->in_window(FaultKind::kEndpointOutage, "compute", name_,
+                      loop_.now())) {
     // Endpoint unreachable: the submission fails fast after a short
     // connection timeout instead of queueing into a black hole.
     Callback cb = std::move(on_done);
@@ -158,9 +159,10 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
       result = Value(nullptr);
       occupy = limit;
       OSPREY_LOG_WARN("compute", rec.function_name << " " << rec.error);
-    } else if (plan_ != nullptr &&
-               plan_->should_inject(FaultKind::kComputeKill, "compute",
-                                    name_, loop_.now())) {
+    } else if (FaultPlan* plan = loop_.fault_plan();
+               plan != nullptr &&
+               plan->should_inject(FaultKind::kComputeKill, "compute", name_,
+                                   loop_.now())) {
       // Injected mid-run kill: the task dies halfway through its
       // declared cost; outputs never materialize. The shortened
       // duration is also what the scheduler sees, so the node frees at

@@ -72,11 +72,6 @@ class ComputeEndpoint {
   const std::string& name() const { return name_; }
   EndpointKind kind() const { return kind_; }
 
-  /// Attach a chaos FaultPlan (non-owning; nullptr detaches). The plan
-  /// can kill tasks mid-run (walltime-style) and declare outage windows
-  /// during which submissions fail fast ("endpoint unreachable").
-  void set_fault_plan(FaultPlan* plan) { plan_ = plan; }
-
   /// Attach a trace recorder (non-owning; nullptr detaches). Each task
   /// becomes a span from submission to completion (queue wait included),
   /// parented to the submitting thread's current span.
@@ -148,7 +143,6 @@ class ComputeEndpoint {
   int slots_ = 1;
   int busy_slots_ = 0;
   BatchScheduler* scheduler_ = nullptr;
-  FaultPlan* plan_ = nullptr;
   SimTime batch_walltime_ = 4 * osprey::util::kHour;
   osprey::util::UuidFactory uuids_;
   std::map<std::string, Registered> functions_;  // id -> registration

@@ -19,6 +19,8 @@ namespace osprey::fabric {
 
 using osprey::util::SimTime;
 
+class FaultPlan;
+
 /// Opaque handle of one scheduled event: (generation << 32) | slot.
 using EventId = std::uint64_t;
 
@@ -34,6 +36,11 @@ using EventId = std::uint64_t;
 /// The loop owns the metrics registry of everything scheduled on it:
 /// every fabric service binds its counters and histograms from
 /// `metrics()` at construction, so one loop is one registry.
+///
+/// The loop also carries the chaos plan of everything scheduled on it:
+/// every fault-prone service reads `fault_plan()` at its injection
+/// points (never caching it), so one set_fault_plan() call attaches or
+/// detaches chaos everywhere at once.
 class EventLoop {
  public:
   using Callback = std::function<void()>;
@@ -70,6 +77,11 @@ class EventLoop {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
+  /// Attach a chaos FaultPlan to every service on this loop
+  /// (non-owning; nullptr detaches).
+  void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
+  FaultPlan* fault_plan() const { return fault_plan_; }
+
  private:
   struct Entry {
     SimTime time;
@@ -101,6 +113,7 @@ class EventLoop {
   std::vector<std::uint32_t> free_slots_;
   obs::MetricsRegistry metrics_;
   obs::Counter& processed_;
+  FaultPlan* fault_plan_ = nullptr;
 };
 
 }  // namespace osprey::fabric

@@ -98,8 +98,10 @@ class IncidentLog {
 ///    script_window() declares an outage interval services poll with
 ///    in_window().
 ///
-/// Services hold a non-owning pointer (set_fault_plan); a null plan
-/// means no injection and zero overhead.
+/// The event loop holds a non-owning pointer (EventLoop::set_fault_plan)
+/// that every service on it reads at its injection points; AuthService,
+/// which lives off the loop, takes its own. A null plan means no
+/// injection and zero overhead.
 class FaultPlan {
  public:
   explicit FaultPlan(std::uint64_t seed = 0);

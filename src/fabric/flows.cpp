@@ -89,12 +89,13 @@ void FlowsService::advance(std::shared_ptr<ActiveRun> run) {
       done(false, e.what());
     }
   };
-  if (plan_ != nullptr &&
-      plan_->should_inject(FaultKind::kFlowStall, "flows", rec.flow_name,
-                           loop_.now())) {
+  FaultPlan* plan = loop_.fault_plan();
+  if (plan != nullptr &&
+      plan->should_inject(FaultKind::kFlowStall, "flows", rec.flow_name,
+                          loop_.now())) {
     // The step starts late; the flow itself still completes, so stalls
     // surface as latency, not failure.
-    loop_.schedule_after(plan_->stall_delay, invoke);
+    loop_.schedule_after(plan->stall_delay, invoke);
     return;
   }
   invoke();

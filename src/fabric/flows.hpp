@@ -75,10 +75,6 @@ class FlowsService {
  public:
   FlowsService(EventLoop& loop, AuthService& auth);
 
-  /// Attach a chaos FaultPlan (non-owning; nullptr detaches). The plan
-  /// can delay individual step starts by its stall_delay.
-  void set_fault_plan(FaultPlan* plan) { plan_ = plan; }
-
   /// Attach a trace recorder (non-owning; nullptr detaches). Each run
   /// becomes a span with one child span per step; operations submitted
   /// inside a step (transfers, compute) nest under the step's span.
@@ -116,7 +112,6 @@ class FlowsService {
 
   EventLoop& loop_;
   AuthService& auth_;
-  FaultPlan* plan_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
   /// In-flight runs by id. Step continuations share ownership, so a run
   /// outlives its entry until the last late `done` is dropped.

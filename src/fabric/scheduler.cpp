@@ -74,15 +74,16 @@ bool BatchScheduler::cancel(JobId id) {
 }
 
 void BatchScheduler::try_start_jobs() {
-  if (plan_ != nullptr &&
-      plan_->in_window(FaultKind::kEndpointOutage, "scheduler", name_,
-                       loop_.now())) {
+  FaultPlan* plan = loop_.fault_plan();
+  if (plan != nullptr &&
+      plan->in_window(FaultKind::kEndpointOutage, "scheduler", name_,
+                      loop_.now())) {
     // Machine outage: jobs stay queued; one re-check is armed for the
     // end of the (longest matching) window.
     if (!outage_recheck_pending_) {
       outage_recheck_pending_ = true;
-      SimTime end = plan_->window_end(FaultKind::kEndpointOutage, name_,
-                                      loop_.now());
+      SimTime end = plan->window_end(FaultKind::kEndpointOutage, name_,
+                                     loop_.now());
       loop_.schedule_at(end, [this] {
         outage_recheck_pending_ = false;
         try_start_jobs();

@@ -59,11 +59,6 @@ class BatchScheduler {
   int total_nodes() const { return total_nodes_; }
   int free_nodes() const { return free_nodes_; }
 
-  /// Attach a chaos FaultPlan (non-owning; nullptr detaches). During a
-  /// kEndpointOutage window for this scheduler, queued jobs do not
-  /// start; starts resume automatically when the window ends.
-  void set_fault_plan(FaultPlan* plan) { plan_ = plan; }
-
   /// Attach a trace recorder (non-owning; nullptr detaches). Each job
   /// becomes a span from submission to its terminal state, so queue
   /// wait is visible as the gap before the nested compute span.
@@ -95,7 +90,6 @@ class BatchScheduler {
   int total_nodes_;
   int free_nodes_;
   std::string name_;
-  FaultPlan* plan_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::Histogram& m_queue_wait_;
   bool outage_recheck_pending_ = false;

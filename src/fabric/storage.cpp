@@ -77,9 +77,10 @@ Permission StorageEndpoint::permission_of(const std::string& collection,
 
 void StorageEndpoint::maybe_inject_acl_race(
     const std::string& collection) const {
-  if (plan_ == nullptr) return;
-  if (plan_->should_inject(FaultKind::kAclRace, "storage", name_,
-                           loop_.now())) {
+  FaultPlan* plan = loop_.fault_plan();
+  if (plan == nullptr) return;
+  if (plan->should_inject(FaultKind::kAclRace, "storage", name_,
+                          loop_.now())) {
     throw osprey::util::AuthError(
         "ACL propagation race on collection '" + collection +
         "' (injected): permission not yet visible");

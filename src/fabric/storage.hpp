@@ -36,11 +36,6 @@ class StorageEndpoint {
 
   const std::string& name() const { return name_; }
 
-  /// Attach a chaos FaultPlan (non-owning; nullptr detaches). The plan
-  /// can inject transient ACL propagation races into put/get, which
-  /// surface as AuthError and are retried by the orchestration layer.
-  void set_fault_plan(FaultPlan* plan) { plan_ = plan; }
-
   /// Create a collection owned by the token's identity.
   void create_collection(const std::string& collection,
                          const std::string& token);
@@ -98,7 +93,6 @@ class StorageEndpoint {
   std::string name_;
   EventLoop& loop_;
   AuthService& auth_;
-  FaultPlan* plan_ = nullptr;
   std::map<std::string, Collection> collections_;
   std::uint64_t bytes_stored_ = 0;
   std::size_t puts_ = 0;

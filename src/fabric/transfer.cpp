@@ -21,34 +21,10 @@ TransferService::TransferService(EventLoop& loop, AuthService& auth,
       m_failed_(loop.metrics().counter(
           "fabric_transfers_failed_total",
           "transfers that ended in a terminal failure")),
-      m_injected_(loop.metrics().counter(
-          "fabric_transfers_injected_failures_total",
-          "transfer failures injected by inject_failures()")),
       m_bytes_(loop.metrics().histogram(
           "fabric_transfer_bytes", {1e3, 1e4, 1e5, 1e6, 1e7, 1e8},
           "payload size per completed transfer (bytes)")) {
   OSPREY_REQUIRE(bandwidth_ > 0.0, "bandwidth must be positive");
-}
-
-void TransferService::inject_failures(double rate, std::uint64_t seed) {
-  OSPREY_REQUIRE(rate >= 0.0 && rate <= 1.0, "failure rate in [0,1]");
-  failure_rate_ = rate;
-  failure_state_ = seed | 1;
-}
-
-bool TransferService::should_fail_next() {
-  if (failure_rate_ <= 0.0) return false;
-  // splitmix64 step on the private counter.
-  std::uint64_t z = (failure_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-  if (u < failure_rate_) {
-    m_injected_.inc();
-    return true;
-  }
-  return false;
 }
 
 void TransferService::set_default_timeout(SimTime timeout) {
@@ -153,26 +129,22 @@ TransferId TransferService::transfer(
   const std::uint64_t size = rec.bytes;
   in_flight_.emplace(id, std::move(rec));
 
-  if (should_fail_next()) {
+  SimTime now = loop_.now();
+  FaultPlan* plan = loop_.fault_plan();
+  if (plan != nullptr &&
+      plan->should_inject(FaultKind::kTransferDrop, "transfer", dst.name(),
+                          now)) {
     // Injected network failure: surfaces after the setup latency, like a
     // dropped connection.
     fail_after(id, latency_, "injected network failure", on_done);
     return id;
   }
 
-  SimTime now = loop_.now();
-  if (plan_ != nullptr &&
-      plan_->should_inject(FaultKind::kTransferDrop, "transfer", dst.name(),
-                           now)) {
-    fail_after(id, latency_, "injected network failure", on_done);
-    return id;
-  }
-
   SimTime stall = 0;
-  if (plan_ != nullptr &&
-      plan_->should_inject(FaultKind::kTransferStall, "transfer", dst.name(),
-                           now)) {
-    stall = plan_->stall_delay;
+  if (plan != nullptr &&
+      plan->should_inject(FaultKind::kTransferStall, "transfer", dst.name(),
+                          now)) {
+    stall = plan->stall_delay;
   }
   SimTime duration = duration_for(size) + stall;
   if (timeout_ > 0 && duration > timeout_) {
@@ -185,9 +157,9 @@ TransferId TransferService::transfer(
     return id;
   }
 
-  if (plan_ != nullptr &&
-      plan_->should_inject(FaultKind::kTransferCorrupt, "transfer",
-                           dst.name(), now)) {
+  if (plan != nullptr &&
+      plan->should_inject(FaultKind::kTransferCorrupt, "transfer",
+                          dst.name(), now)) {
     // Flip a bit in flight; the digest check below must catch it.
     if (bytes.empty()) {
       bytes.push_back('\x01');
@@ -207,12 +179,12 @@ TransferId TransferService::transfer(
         if (digest != checksum) {
           r.status = TransferStatus::kFailed;
           r.error = "checksum mismatch: payload corrupted in flight";
-          if (plan_ != nullptr) {
-            plan_->log().record(loop_.now(), IncidentCategory::kRecovery,
-                                "corrupt-payload-rejected", "transfer",
-                                r.dst_endpoint,
-                                r.dst_collection + "/" + r.dst_path +
-                                    " rejected before write");
+          if (FaultPlan* p = loop_.fault_plan(); p != nullptr) {
+            p->log().record(loop_.now(), IncidentCategory::kRecovery,
+                            "corrupt-payload-rejected", "transfer",
+                            r.dst_endpoint,
+                            r.dst_collection + "/" + r.dst_path +
+                                " rejected before write");
           }
         } else {
           try {

@@ -46,21 +46,6 @@ class TransferService {
                   SimTime latency = 2 * osprey::util::kSecond,
                   double bandwidth_bytes_per_s = 100.0e6);
 
-  /// Failure injection: each subsequent transfer independently fails
-  /// with probability `rate` (after its latency). Deterministic per
-  /// `seed`. Used to exercise the orchestration layer's retry paths.
-  void inject_failures(double rate, std::uint64_t seed);
-  /// Failures injected by inject_failures() across this loop's
-  /// TransferServices.
-  std::size_t injected_failures() const {
-    return static_cast<std::size_t>(m_injected_.value());
-  }
-
-  /// Attach a chaos FaultPlan (non-owning; nullptr detaches). The plan
-  /// can drop, stall or corrupt transfers; corruption is caught by the
-  /// digest verification before the destination write completes.
-  void set_fault_plan(FaultPlan* plan) { plan_ = plan; }
-
   /// Attach a trace recorder (non-owning; nullptr detaches). Each
   /// transfer becomes a span from submission to completion, parented
   /// to the submitting thread's current span.
@@ -104,19 +89,12 @@ class TransferService {
   /// In-flight records by id; a record leaves when its completion lands.
   std::unordered_map<TransferId, TransferRecord> in_flight_;
   TransferId next_id_ = 0;
-  // Failure injection state (simple xorshift-free counter hash keeps the
-  // fabric library independent of num/).
-  double failure_rate_ = 0.0;
-  std::uint64_t failure_state_ = 0;
-  FaultPlan* plan_ = nullptr;
   SimTime timeout_ = 0;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::Counter& m_completed_;
   obs::Counter& m_failed_;
-  obs::Counter& m_injected_;
   obs::Histogram& m_bytes_;
 
-  bool should_fail_next();
   void fail_after(TransferId id, SimTime delay, std::string error,
                   const Callback& on_done);
   /// Removes a record from the in-flight table as its completion lands.

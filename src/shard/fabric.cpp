@@ -37,7 +37,6 @@ void ShardedFabric::create_partition(const std::string& key) {
   config.ordinal = static_cast<std::uint32_t>(partitions_.size() + 1);
   config.seed = config_.seed;
   config.tracing = config_.tracing;
-  config.login_slots = config_.login_slots;
   auto partition = std::make_unique<ShardPartition>(std::move(config));
   if (master_chaos_) partition->enable_chaos(*master_chaos_);
   by_key_[key] = partitions_.size();

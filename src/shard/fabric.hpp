@@ -43,7 +43,6 @@ struct ShardedFabricConfig {
   std::uint64_t seed = 0x05FA;
   /// Per-partition tracing (off for throughput benches).
   bool tracing = true;
-  int login_slots = 2;
 };
 
 class ShardedFabric {

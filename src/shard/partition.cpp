@@ -31,6 +31,12 @@ class MailboxSource final : public aero::DataSource {
 
 namespace {
 
+/// Login-node slots and the virtual cost of each registered function.
+constexpr int kLoginSlots = 2;
+constexpr SimTime kTransformCost = 30 * osprey::util::kSecond;
+constexpr SimTime kAnalysisCost = osprey::util::kMinute;
+constexpr SimTime kAggregateCost = osprey::util::kMinute;
+
 /// splitmix64 finalizer (file-local copy, repo idiom).
 std::uint64_t mix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;
@@ -86,7 +92,7 @@ ShardPartition::ShardPartition(PartitionConfig config)
               partition_uuid_seed(config_.key)),
       eagle_("eagle", loop_, auth_),
       scratch_("scratch", loop_, auth_),
-      login_("login", loop_, auth_, config_.login_slots),
+      login_("login", loop_, auth_, kLoginSlots),
       outbox_(config_.ordinal, config_.seed) {
   OSPREY_REQUIRE(!config_.key.empty(), "partition needs a key");
   OSPREY_REQUIRE(config_.key.find('/') == std::string::npos,
@@ -107,11 +113,11 @@ ShardPartition::ShardPartition(PartitionConfig config)
   eagle_.create_collection("data", server_.token());
   scratch_.create_collection("staging", server_.token());
   transform_fn_ = login_.register_function("transform", transform_fn_impl,
-                                           config_.transform_cost);
+                                           kTransformCost);
   analysis_fn_ = login_.register_function("analysis", analysis_fn_impl,
-                                          config_.analysis_cost);
+                                          kAnalysisCost);
   aggregate_fn_ = login_.register_function("aggregate", aggregate_fn_impl,
-                                           config_.aggregate_cost);
+                                           kAggregateCost);
 
   cache_ = std::make_unique<serve::ResultCache>(server_, loop_.metrics());
   cache_->set_shard(config_.key);
@@ -126,13 +132,8 @@ void ShardPartition::enable_chaos(const fabric::FaultPlan& master) {
   OSPREY_REQUIRE(chaos_ == nullptr, "chaos already enabled");
   chaos_ = std::make_unique<fabric::FaultPlan>(
       master.fork(stable_key_hash(config_.key)));
+  loop_.set_fault_plan(chaos_.get());
   auth_.set_fault_plan(chaos_.get(), &loop_);
-  transfers_.set_fault_plan(chaos_.get());
-  flows_.set_fault_plan(chaos_.get());
-  login_.set_fault_plan(chaos_.get());
-  eagle_.set_fault_plan(chaos_.get());
-  scratch_.set_fault_plan(chaos_.get());
-  server_.set_fault_plan(chaos_.get());
 }
 
 aero::RecoveryStats ShardPartition::enable_durability(

@@ -57,10 +57,6 @@ struct PartitionConfig {
   /// (seed, key), so they are invariant under the shard count.
   std::uint64_t seed = 0;
   bool tracing = true;
-  int login_slots = 2;
-  SimTime transform_cost = 30 * osprey::util::kSecond;
-  SimTime analysis_cost = osprey::util::kMinute;
-  SimTime aggregate_cost = osprey::util::kMinute;
 };
 
 class ShardPartition {
@@ -76,8 +72,8 @@ class ShardPartition {
 
   /// Fork `master` into this partition's private fault plan (seeded by
   /// the stable key hash, so each partition draws an independent but
-  /// replayable fault stream) and attach it to every service. Call
-  /// before the first epoch.
+  /// replayable fault stream) and attach it to the partition's loop,
+  /// and so to every service on it. Call before the first epoch.
   void enable_chaos(const fabric::FaultPlan& master);
   /// The partition's private plan (nullptr without chaos).
   fabric::FaultPlan* chaos() { return chaos_.get(); }

@@ -175,7 +175,8 @@ Value upper_transform(const Value& args) {
 
 /// Everything a process holds in memory: fabric services, the AERO
 /// server, endpoints. Destroying a World IS the crash; the DurableFs
-/// passed in plays the disk and lives on.
+/// passed in plays the disk and lives on, and so does the FaultPlan whose
+/// log collects the server's recovery incidents.
 struct World {
   of::EventLoop loop;
   of::AuthService auth;
@@ -189,12 +190,12 @@ struct World {
   std::string transform_fn;
   oa::RecoveryStats recovery;
 
-  World(ou::DurableFs& fs, of::IncidentLog* incidents) {
+  World(ou::DurableFs& fs, of::FaultPlan* plan) {
     eagle.create_collection("data", server.token());
     scratch.create_collection("staging", server.token());
     transform_fn =
         login.register_function("upper", upper_transform, 30 * kSecond);
-    if (incidents != nullptr) server.set_incident_log(incidents);
+    loop.set_fault_plan(plan);
     recovery = server.enable_durability(fs);
   }
 
@@ -226,14 +227,14 @@ std::shared_ptr<oa::ScriptedSource> feed() {
 
 TEST(ServerCrashRecovery, MetadataAndServingTierSurviveRestart) {
   ou::MemFs fs;
-  of::IncidentLog incidents;
+  of::FaultPlan plan;
   osprey::obs::MetricsRegistry cache_metrics;
   auto cache = std::unique_ptr<osprey::serve::ResultCache>();
 
   std::string raw_uuid;
   std::string output_uuid;
   {
-    World w(fs, &incidents);
+    World w(fs, &plan);
     EXPECT_FALSE(w.recovery.checkpoint_loaded);
     oa::IngestionHandles handles = w.register_flow(feed());
     raw_uuid = handles.raw_uuid;
@@ -253,7 +254,7 @@ TEST(ServerCrashRecovery, MetadataAndServingTierSurviveRestart) {
   }  // CRASH: the whole platform is destroyed; only `fs` persists
 
   {
-    World w(fs, &incidents);
+    World w(fs, &plan);
     // Metadata recovered from checkpoint + WAL replay.
     EXPECT_GT(w.recovery.replayed + w.recovery.checkpoint_lsn, 0u);
     EXPECT_EQ(w.server.db().latest_version_number(output_uuid), 1);
@@ -291,10 +292,10 @@ TEST(ServerCrashRecovery, MetadataAndServingTierSurviveRestart) {
 
 TEST(ServerCrashRecovery, InterruptedRunIsAdjudicatedFailed) {
   ou::MemFs fs;
-  of::IncidentLog incidents;
+  of::FaultPlan plan;
   std::string output_uuid;
   {
-    World w(fs, &incidents);
+    World w(fs, &plan);
     oa::IngestionHandles handles = w.register_flow(feed());
     output_uuid = handles.output_uuid;
     // Stop mid-flow: the poll at t=0 has started a run (start_run is in
@@ -307,19 +308,19 @@ TEST(ServerCrashRecovery, InterruptedRunIsAdjudicatedFailed) {
     ASSERT_TRUE(any_running) << "drill needs an in-flight run to interrupt";
   }  // CRASH mid-run
 
-  World w(fs, &incidents);
+  World w(fs, &plan);
   // Every recovered run is adjudicated: nothing stays kRunning.
   ASSERT_FALSE(w.server.db().runs().empty());
   for (const oa::RunRecord& r : w.server.db().runs()) {
     EXPECT_NE(r.status, oa::RunStatus::kRunning);
   }
-  EXPECT_GE(incidents.count_kind("run-interrupted"), 1u);
+  EXPECT_GE(plan.log().count_kind("run-interrupted"), 1u);
 
   // The adjudication itself was write-ahead logged: a second cold
   // recovery sees the failed run without re-adjudicating.
-  of::IncidentLog incidents2;
-  World w2(fs, &incidents2);
-  EXPECT_EQ(incidents2.count_kind("run-interrupted"), 0u);
+  of::FaultPlan plan2;
+  World w2(fs, &plan2);
+  EXPECT_EQ(plan2.log().count_kind("run-interrupted"), 0u);
   EXPECT_EQ(db_bytes(w2.server.db()), db_bytes(w.server.db()));
 }
 

@@ -310,7 +310,7 @@ TEST(ChaosFaults, ComputeKillFailsTaskAndFreesTheNodeEarly) {
   of::ComputeEndpoint compute("c", loop, auth, pbs);
   of::FaultPlan plan(5);
   plan.script_nth(FaultKind::kComputeKill, "c", 0);
-  compute.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
   std::string token = auth.issue_full_token("u");
   bool body_ran = false;
   std::string fn = compute.register_function(
@@ -357,7 +357,7 @@ TEST(ChaosFaults, SchedulerOutageWindowDelaysJobStarts) {
   of::FaultPlan plan(6);
   plan.script_window(FaultKind::kEndpointOutage, "pbs", 0, kHour);
   of::BatchScheduler pbs(loop, 2, "pbs");
-  pbs.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
 
   of::JobSpec spec;
   spec.name = "j";
@@ -378,7 +378,7 @@ TEST(ChaosFaults, ComputeEndpointOutageFailsTasksFast) {
   of::ComputeEndpoint login("login", loop, auth, 2);
   of::FaultPlan plan(7);
   plan.script_window(FaultKind::kEndpointOutage, "login", 0, kHour);
-  login.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
   std::string token = auth.issue_full_token("u");
   std::string fn = login.register_function(
       "f", [](const Value&) { return Value(1); }, kMinute);
@@ -427,7 +427,7 @@ TEST(ChaosFaults, AclRaceIsTransient) {
   of::StorageEndpoint store("s", loop, auth);
   of::FaultPlan plan(9);
   plan.script_nth(FaultKind::kAclRace, "s", 0);
-  store.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
   std::string token = auth.issue_full_token("u");
   store.create_collection("c", token);
   EXPECT_THROW(store.put("c", "x", "data", token), ou::AuthError);
@@ -442,7 +442,7 @@ TEST(ChaosFaults, FlowStallDelaysTheStepWithoutFailingTheRun) {
   of::FlowsService flows(loop, auth);
   of::FaultPlan plan(10);
   plan.script_nth(FaultKind::kFlowStall, "f", 0);
-  flows.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
   std::string token = auth.issue_full_token("u");
 
   of::FlowDefinition flow;

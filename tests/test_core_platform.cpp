@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "aero/source.hpp"
 #include "core/harness.hpp"
 #include "core/metarvm_gsa.hpp"
 #include "core/wastewater_source.hpp"
+#include "fabric/fault.hpp"
 #include "util/error.hpp"
 
 namespace oc = osprey::core;
@@ -51,6 +53,111 @@ TEST(Platform, CompletedCountIsPerEndpoint) {
 
   EXPECT_EQ(login.completed_count(), 2u);
   EXPECT_EQ(batch.completed_count(), 3u);
+}
+
+namespace {
+
+/// Storage endpoints and an ingestion on the platform's "login" endpoint
+/// whose first poll is at `first_poll`; until then its output is
+/// unpublished.
+osprey::aero::IngestionHandles register_feed(
+    oc::OspreyPlatform& platform, osprey::fabric::SimTime first_poll) {
+  osprey::aero::AeroServer& server = platform.aero();
+  osprey::fabric::StorageEndpoint& eagle =
+      platform.add_storage_endpoint("eagle");
+  osprey::fabric::StorageEndpoint& scratch =
+      platform.add_storage_endpoint("scratch");
+  eagle.create_collection("data", server.token());
+  scratch.create_collection("staging", server.token());
+  osprey::aero::IngestionFlowSpec spec;
+  spec.name = "feed";
+  spec.source = std::make_shared<osprey::aero::ScriptedSource>(
+      "https://feed",
+      std::vector<std::pair<osprey::fabric::SimTime, std::string>>{
+          {0, "payload"}});
+  spec.first_poll = first_poll;
+  spec.compute = &platform.compute_endpoint("login");
+  spec.function_id = spec.compute->register_function(
+      "id",
+      [](const Value& args) {
+        ValueObject out;
+        out["output"] = args.at("input");
+        return Value(std::move(out));
+      },
+      ou::kMinute);
+  spec.staging = &scratch;
+  spec.staging_collection = "staging";
+  spec.storage = &eagle;
+  spec.collection = "data";
+  spec.base_path = "feed";
+  return server.register_ingestion(std::move(spec));
+}
+
+}  // namespace
+
+TEST(Platform, DetachedPlanGetsNoAeroIncidents) {
+  // A stale serve is a degradation incident, recorded into the attached
+  // plan's log; once the plan is detached it must not be written to.
+  oc::OspreyPlatform platform;
+  platform.add_login_endpoint("login", 2);
+  const std::string uuid = register_feed(platform, ou::kDay).output_uuid;
+  osprey::fabric::FaultPlan plan(1);
+  platform.install_fault_plan(&plan);
+  EXPECT_TRUE(platform.aero().serve_latest(uuid).stale);
+  ASSERT_EQ(plan.log().size(), 1u);
+
+  platform.install_fault_plan(nullptr);
+  EXPECT_TRUE(platform.aero().serve_latest(uuid).stale);
+  EXPECT_EQ(plan.log().size(), 1u);
+}
+
+TEST(Platform, InstalledPlanReachesLateEndpointsAndDetachesEverywhere) {
+  namespace of = osprey::fabric;
+  oc::OspreyPlatform platform;
+  of::FaultPlan plan(3);
+  plan.script_window(of::FaultKind::kEndpointOutage, "login", 0, ou::kDay);
+  platform.install_fault_plan(&plan);
+
+  // Added after the install, the endpoint still sees the outage.
+  of::ComputeEndpoint& login = platform.add_login_endpoint("login", 2);
+  const std::string token = platform.issue_token("user");
+  const std::string fn = login.register_function(
+      "one", [](const Value&) { return Value(1); }, ou::kMinute);
+  std::string error;
+  login.execute(fn, Value(ValueObject{}), token,
+                [&](const Value&, const of::ComputeTaskRecord& rec) {
+                  error = rec.error;
+                });
+  platform.run_until(ou::kHour);
+  EXPECT_NE(error.find("unreachable"), std::string::npos) << error;
+  EXPECT_EQ(plan.injected(of::FaultKind::kEndpointOutage), 1u);
+
+  // Every kind now fires on every operation at every site, but the plan
+  // is detached: the whole stack runs clean and the plan stays untouched.
+  for (int k = 0; k < of::kNumFaultKinds; ++k) {
+    plan.set_rate(static_cast<of::FaultKind>(k), 1.0);
+  }
+  plan.script_window(of::FaultKind::kEndpointOutage, "", 0, 10 * ou::kDay);
+  plan.script_window(of::FaultKind::kSourceOutage, "", 0, 10 * ou::kDay);
+  platform.install_fault_plan(nullptr);
+  const std::size_t incidents = plan.log().size();
+  const std::uint64_t injected = plan.injected_total();
+
+  platform.add_scheduler("pbs", 1);
+  of::ComputeEndpoint& batch =
+      platform.add_batch_endpoint("batch", platform.scheduler("pbs"));
+  const std::string on_batch = batch.register_function(
+      "one", [](const Value&) { return Value(1); }, ou::kMinute);
+  batch.execute(on_batch, Value(ValueObject{}), token, {});
+  const std::string uuid =
+      register_feed(platform, platform.loop().now()).output_uuid;
+  platform.run_days(1);
+
+  EXPECT_EQ(batch.completed_count(), 1u);
+  EXPECT_EQ(platform.aero().db().latest_version_number(uuid), 1);
+  EXPECT_EQ(platform.aero().failed_runs(), 0u);
+  EXPECT_EQ(plan.log().size(), incidents);
+  EXPECT_EQ(plan.injected_total(), injected);
 }
 
 TEST(Platform, RunDaysAdvancesClock) {

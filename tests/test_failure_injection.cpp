@@ -1,8 +1,9 @@
 /// Failure injection: flaky upstream feeds, injected transfer failures,
 /// walltime kills — and the orchestration layer's recovery behaviour
 /// (counted fetch errors, failed-run provenance, AERO retries).
-/// Upstream outages are scripted on a fabric::FaultPlan (source-outage
-/// windows), so the same chaos machinery drives unit and sweep tests.
+/// Upstream outages and transfer drops are scripted on the event loop's
+/// fabric::FaultPlan, so the same chaos machinery drives unit and sweep
+/// tests.
 
 #include <gtest/gtest.h>
 
@@ -108,7 +109,7 @@ TEST_F(FailureInjectionTest, FlakySourceDoesNotKillTheServer) {
   // FlakySource that threw on those days).
   of::FaultPlan plan(7);
   plan.script_window(of::FaultKind::kSourceOutage, "ing", 0, 3 * kDay);
-  server.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
   auto source = std::make_shared<oa::ScriptedSource>(
       "https://flaky/feed",
       std::vector<std::pair<of::SimTime, std::string>>{{0, "payload"}});
@@ -123,7 +124,9 @@ TEST_F(FailureInjectionTest, FlakySourceDoesNotKillTheServer) {
 }
 
 TEST_F(FailureInjectionTest, InjectedTransferFailureFailsTheRun) {
-  transfers.inject_failures(1.0, 99);  // every transfer fails
+  of::FaultPlan plan(99);
+  plan.set_rate(of::FaultKind::kTransferDrop, 1.0);  // every transfer fails
+  loop.set_fault_plan(&plan);
   auto source = std::make_shared<oa::ScriptedSource>(
       "https://ok/feed", std::vector<std::pair<of::SimTime, std::string>>{
                              {0, "data"}});
@@ -131,7 +134,7 @@ TEST_F(FailureInjectionTest, InjectedTransferFailureFailsTheRun) {
   loop.run_until(kDay);
   EXPECT_GE(server.failed_runs(), 1u);
   EXPECT_EQ(server.db().latest_version_number(handles.output_uuid), 0);
-  EXPECT_GE(transfers.injected_failures(), 1u);
+  EXPECT_GE(plan.injected(of::FaultKind::kTransferDrop), 1u);
   // Provenance records the failure.
   bool saw_failed = false;
   for (const auto& run : server.db().runs()) {
@@ -141,8 +144,12 @@ TEST_F(FailureInjectionTest, InjectedTransferFailureFailsTheRun) {
 }
 
 TEST_F(FailureInjectionTest, RetrySucceedsAfterTransientFailures) {
-  // ~40% of transfers fail; with retries the ingestion eventually lands.
-  transfers.inject_failures(0.4, 7);
+  // The first two transfers landing at 'eagle' drop; with retries the
+  // ingestion lands on the third attempt.
+  of::FaultPlan plan(7);
+  plan.script_nth(of::FaultKind::kTransferDrop, "eagle", 0);
+  plan.script_nth(of::FaultKind::kTransferDrop, "eagle", 1);
+  loop.set_fault_plan(&plan);
   auto source = std::make_shared<oa::ScriptedSource>(
       "https://ok/feed", std::vector<std::pair<of::SimTime, std::string>>{
                              {0, "data"}});
@@ -153,6 +160,9 @@ TEST_F(FailureInjectionTest, RetrySucceedsAfterTransientFailures) {
       << " failed: " << server.failed_runs();
   EXPECT_EQ(eagle.get("data", "ing/transformed", server.token()).bytes,
             "data");
+  EXPECT_EQ(plan.injected(of::FaultKind::kTransferDrop), 2u);
+  EXPECT_EQ(server.retries(), 2u);
+  EXPECT_EQ(server.failed_runs(), 2u);
 }
 
 TEST_F(FailureInjectionTest, AnalysisRetriesAfterComputeFailure) {
@@ -186,8 +196,10 @@ TEST_F(FailureInjectionTest, SupersededAnalysisRetryIsCounted) {
   // The analysis fails once and schedules a retry 3h out; a fresh input
   // version at 1h re-triggers it first, so the retry is obsolete when
   // its timer fires. It must be accounted for, never silently dropped.
-  of::IncidentLog log;
-  server.set_incident_log(&log);
+  // A plan with no rates or scripts injects nothing; its log collects
+  // the server's incidents.
+  of::FaultPlan plan;
+  loop.set_fault_plan(&plan);
   int calls = 0;
   std::string flaky_fn = login.register_function(
       "flaky",
@@ -213,7 +225,7 @@ TEST_F(FailureInjectionTest, SupersededAnalysisRetryIsCounted) {
   EXPECT_EQ(server.db().latest_version_number(outputs[0]), 1);
   EXPECT_EQ(server.retries(), 1u);
   std::vector<std::string> superseded;
-  for (const of::Incident& inc : log.incidents()) {
+  for (const of::Incident& inc : plan.log().incidents()) {
     if (inc.kind == "trigger-superseded") {
       superseded.push_back(inc.site + " | " + inc.detail);
     }
@@ -310,13 +322,15 @@ TEST(TransferInjection, RateZeroNeverFails) {
   a.create_collection("c", token);
   b.create_collection("c", token);
   a.put("c", "x", "data", token);
-  transfers.inject_failures(0.0, 1);
+  of::FaultPlan plan(1);
+  plan.set_rate(of::FaultKind::kTransferDrop, 0.0);
+  loop.set_fault_plan(&plan);
   for (int i = 0; i < 20; ++i) {
     transfers.transfer(a, "c", "x", b, "c", "x" + std::to_string(i), token);
   }
   loop.run_all();
   EXPECT_EQ(transfers.completed_count(), 20u);
-  EXPECT_EQ(transfers.injected_failures(), 0u);
+  EXPECT_EQ(plan.injected(of::FaultKind::kTransferDrop), 0u);
 }
 
 TEST(TransferInjection, RateIsApproximatelyHonored) {
@@ -328,24 +342,31 @@ TEST(TransferInjection, RateIsApproximatelyHonored) {
   a.create_collection("c", token);
   b.create_collection("c", token);
   a.put("c", "x", "data", token);
-  transfers.inject_failures(0.3, 42);
+  of::FaultPlan plan(42);
+  plan.set_rate(of::FaultKind::kTransferDrop, 0.3);
+  loop.set_fault_plan(&plan);
   const int n = 400;
   for (int i = 0; i < n; ++i) {
     transfers.transfer(a, "c", "x", b, "c", "y" + std::to_string(i), token);
   }
   loop.run_all();
-  double rate = static_cast<double>(transfers.injected_failures()) / n;
+  const std::uint64_t dropped = plan.injected(of::FaultKind::kTransferDrop);
+  double rate = static_cast<double>(dropped) / n;
   EXPECT_NEAR(rate, 0.3, 0.08);
-  EXPECT_EQ(transfers.completed_count() + transfers.injected_failures(),
+  EXPECT_EQ(transfers.completed_count() + dropped,
             static_cast<std::size_t>(n));
 }
 
 TEST(TransferInjection, InvalidRateRejected) {
-  of::EventLoop loop;
-  of::AuthService auth;
-  of::TransferService transfers(loop, auth);
-  EXPECT_THROW(transfers.inject_failures(1.5, 1), ou::InvalidArgument);
-  EXPECT_THROW(transfers.inject_failures(-0.1, 1), ou::InvalidArgument);
+  of::FaultPlan plan;
+  EXPECT_THROW(plan.set_rate(of::FaultKind::kTransferDrop, 1.5),
+               ou::InvalidArgument);
+  EXPECT_THROW(plan.set_rate(of::FaultKind::kTransferDrop, -0.1),
+               ou::InvalidArgument);
+  EXPECT_THROW(plan.set_rate(of::FaultKind::kTransferDrop, "b", 1.5),
+               ou::InvalidArgument);
+  EXPECT_THROW(plan.set_rate(of::FaultKind::kTransferDrop, "b", -0.1),
+               ou::InvalidArgument);
 }
 
 TEST(TransferInjection, CorruptedObjectIsNotAccepted) {
@@ -355,7 +376,7 @@ TEST(TransferInjection, CorruptedObjectIsNotAccepted) {
   of::TransferService transfers(loop, auth);
   of::FaultPlan plan(3);
   plan.script_nth(of::FaultKind::kTransferCorrupt, "b", 0);
-  transfers.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
   std::string token = auth.issue_full_token("u");
   a.create_collection("c", token);
   b.create_collection("c", token);
@@ -392,8 +413,7 @@ TEST_F(FailureInjectionTest, CorruptedTransferIsRejectedAndRetried) {
   // Corrupt the first transfer landing at 'eagle'; the retry's
   // transfers are clean.
   plan.script_nth(of::FaultKind::kTransferCorrupt, "eagle", 0);
-  transfers.set_fault_plan(&plan);
-  server.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
   auto source = std::make_shared<oa::ScriptedSource>(
       "https://ok/feed", std::vector<std::pair<of::SimTime, std::string>>{
                              {0, "data"}});
@@ -426,8 +446,8 @@ class BreakerDeferralTest
 
 TEST_P(BreakerDeferralTest, DeferredTriggerRunsAsTheHalfOpenProbe) {
   const bool analysis = GetParam() == oa::FlowKind::kAnalysis;
-  of::IncidentLog log;
-  server.set_incident_log(&log);
+  of::FaultPlan plan;
+  loop.set_fault_plan(&plan);
   // Fails on its first call only.
   int calls = 0;
   std::string flaky_fn = login.register_function(
@@ -463,7 +483,7 @@ TEST_P(BreakerDeferralTest, DeferredTriggerRunsAsTheHalfOpenProbe) {
   const std::string probe_at =
       analysis ? "d000 03:00:23.001" : "d000 03:00:11.001";
   std::vector<std::string> incidents;
-  for (const of::Incident& inc : log.incidents()) {
+  for (const of::Incident& inc : plan.log().incidents()) {
     incidents.push_back(inc.kind + " | " + inc.site + " | " + inc.detail);
   }
   EXPECT_EQ(incidents,

@@ -221,9 +221,7 @@ const std::string kAeroAndFabricCounters =
     "counter fabric_transfers_completed_total\n"
     "  transfers whose destination write completed and verified\n"
     "counter fabric_transfers_failed_total\n"
-    "  transfers that ended in a terminal failure\n"
-    "counter fabric_transfers_injected_failures_total\n"
-    "  transfer failures injected by inject_failures()\n";
+    "  transfers that ended in a terminal failure\n";
 
 const std::string kServeCounters =
     "counter serve_cache_hits_total\n"

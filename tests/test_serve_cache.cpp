@@ -220,7 +220,7 @@ TEST_F(ServeCacheTest, RevalidateVsMissAccounting) {
 TEST_F(ServeCacheTest, SourceOutageStaleReasonPropagatesThroughCacheHits) {
   of::FaultPlan plan(7);
   plan.script_window(of::FaultKind::kSourceOutage, "flow-a", kDay, 3 * kDay);
-  server.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
 
   auto source = std::make_shared<oa::ScriptedSource>(
       "https://feed/a", std::vector<std::pair<of::SimTime, std::string>>{
@@ -353,7 +353,7 @@ std::string run_flood_world(std::uint64_t seed) {
   of::FaultPlan plan(seed);
   plan.script_window(of::FaultKind::kSourceOutage, "feed-b", 9 * kDay,
                      11 * kDay);
-  server.set_fault_plan(&plan);
+  loop.set_fault_plan(&plan);
 
   auto make_spec = [&](const std::string& name,
                        std::shared_ptr<oa::DataSource> source) {
