@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Artifact parity with another commit. Builds <ref> from a plain export
+# of its tree under build-parity/<sha>/, builds the working tree in
+# build/, runs the chaos seed sweep (ChaosSeedTest, seeds 0-15) and the
+# shard seed sweep (ShardReplayTest, seeds 0-15, 1-shard run) on both
+# sides with OSPREY_ARTIFACT_DIR set, and diffs the artifacts: for each
+# seed the incident log, Chrome trace, metrics JSON and Prometheus text.
+#
+# Usage: scripts/parity.sh <ref>
+#   Prints every artifact that differs (or exists on one side only) and
+#   exits non-zero on any difference or when a sweep case fails on
+#   either side. Artifacts stay in build-parity/<sha>/artifacts/{ref,head}
+#   for inspection, e.g. `diff build-parity/<sha>/artifacts/{ref,head}/X`.
+#   The ref's seed tests must write artifacts (tests/artifact_dump.hpp);
+#   older refs produce none and every file is reported as head-only.
+set -uo pipefail
+
+cd "$(dirname "$0")/.."
+if [[ $# -ne 1 ]]; then
+  echo "usage: scripts/parity.sh <ref>" >&2
+  exit 2
+fi
+sha="$(git rev-parse --verify --quiet "$1^{commit}")" || {
+  echo "parity: not a commit: $1" >&2
+  exit 2
+}
+JOBS="$(nproc 2>/dev/null || echo 4)"
+root="build-parity/$sha"
+targets=(--target test_chaos_fabric test_shard_replay)
+
+# A plain export leaves no worktree registration behind in .git.
+if [[ ! -f "$root/src/CMakeLists.txt" ]]; then
+  rm -rf "$root/src" && mkdir -p "$root/src" &&
+  git archive "$sha" | tar -x -C "$root/src" || exit 1
+fi
+build() {  # build <source dir> <build dir> <log>
+  cmake -B "$2" -S "$1" >"$3" 2>&1 &&
+  cmake --build "$2" -j "$JOBS" "${targets[@]}" >>"$3" 2>&1 || {
+    tail -n 30 "$3"
+    echo "parity: build of $1 failed (see $3)" >&2
+    exit 1
+  }
+}
+echo "== build $1 ($sha) =="
+build "$root/src" "$root/build" "$root/build.ref.log"
+echo "== build working tree =="
+build . build "$root/build.head.log"
+
+sweep() {  # sweep <build dir> <artifact dir> <log>
+  local bin="$1/tests" out="$2" log="$3"
+  rm -rf "$out" && mkdir -p "$out"
+  OSPREY_ARTIFACT_DIR="$out" "$bin/test_chaos_fabric" \
+      --gtest_filter='Seeds/ChaosSeedTest.*' >"$log" 2>&1 &&
+  OSPREY_ARTIFACT_DIR="$out" "$bin/test_shard_replay" \
+      --gtest_filter='Seeds/ShardReplayTest.*' >>"$log" 2>&1
+}
+
+echo "== seed sweeps (both sides in parallel) =="
+art="$root/artifacts"
+sweep "$root/build" "$art/ref" "$art.ref.log" &
+ref_pid=$!
+sweep build "$art/head" "$art.head.log" &
+head_pid=$!
+status=0
+wait "$ref_pid" || { echo "parity: a sweep case failed at $1 (see $art.ref.log)"; status=1; }
+wait "$head_pid" || { echo "parity: a sweep case failed in the working tree (see $art.head.log)"; status=1; }
+
+differ=0
+while IFS= read -r file; do
+  echo "differs: $file"
+  differ=$((differ + 1))
+done < <(cd "$art" &&
+         { ls ref; ls head; } | sort -u | while IFS= read -r f; do
+           cmp -s "ref/$f" "head/$f" || echo "$f"
+         done)
+total="$(cd "$art" && { ls ref; ls head; } | sort -u | wc -l)"
+echo "parity: $differ of $total artifacts differ ($art/{ref,head})"
+[[ $differ -eq 0 && $status -eq 0 ]]

@@ -127,22 +127,37 @@ std::string AeroServer::intern_object(const std::string& name,
   return db_.register_object(name, producer);
 }
 
+AeroServer::FlowTrigger AeroServer::new_trigger(
+    const FlowSpec& spec, FlowKind kind,
+    const std::vector<std::string>& outputs) {
+  const bool ingestion = kind == FlowKind::kIngestion;
+  const std::string what = ingestion ? "ingestion" : "analysis";
+  OSPREY_REQUIRE(spec.compute != nullptr, what + " needs a compute endpoint");
+  OSPREY_REQUIRE(spec.staging != nullptr && spec.storage != nullptr,
+                 what + " needs staging and storage endpoints");
+  OSPREY_REQUIRE(spec.compute->has_function(spec.function_id),
+                 std::string(ingestion ? "transformation" : "analysis") +
+                     " function is not registered on the endpoint");
+  FlowTrigger t;
+  t.name = spec.name;
+  t.retry = spec.retry;
+  t.breaker = osprey::util::CircuitBreaker(spec.breaker);
+  t.retry_key = osprey::util::stable_key(spec.name.c_str());
+  t.permanent = ingestion ? ingestion_permanent_ : analysis_permanent_;
+  t.superseded = ingestion ? superseded_triggers_ : analysis_superseded_;
+  for (const std::string& output : outputs) {
+    t.products.push_back(intern_object(spec.name + "/" + output, spec.name));
+  }
+  // Ingestion's first output, the raw payload, is an archive copy.
+  t.announced.assign(t.products.begin() + (ingestion ? 1 : 0),
+                     t.products.end());
+  return t;
+}
+
 IngestionHandles AeroServer::register_ingestion(IngestionFlowSpec spec) {
   OSPREY_REQUIRE(spec.source != nullptr, "ingestion needs a data source");
-  OSPREY_REQUIRE(spec.compute != nullptr, "ingestion needs a compute endpoint");
-  OSPREY_REQUIRE(spec.staging != nullptr && spec.storage != nullptr,
-                 "ingestion needs staging and storage endpoints");
-  OSPREY_REQUIRE(spec.compute->has_function(spec.function_id),
-                 "transformation function is not registered on the endpoint");
-
   Ingestion ing;
-  ing.raw_uuid = intern_object(spec.name + "/raw", spec.name);
-  ing.output_uuid = intern_object(spec.name + "/transformed", spec.name);
-  ing.trigger.retry = spec.retry;
-  ing.trigger.breaker = osprey::util::CircuitBreaker(spec.breaker);
-  ing.trigger.retry_key = osprey::util::stable_key(spec.name.c_str());
-  ing.trigger.permanent = ingestion_permanent_;
-  ing.trigger.superseded = superseded_triggers_;
+  ing.trigger = new_trigger(spec, FlowKind::kIngestion, {"raw", "transformed"});
   ing.spec = std::move(spec);
 
   std::size_t index = ingestions_.size();
@@ -156,7 +171,8 @@ IngestionHandles AeroServer::register_ingestion(IngestionFlowSpec spec) {
 
   OSPREY_LOG_INFO("aero", "registered ingestion flow '" << stored.spec.name
                           << "' polling " << stored.spec.source->url());
-  return IngestionHandles{stored.raw_uuid, stored.output_uuid, stored.timer};
+  return IngestionHandles{stored.trigger.products[0],
+                          stored.trigger.products[1], stored.timer};
 }
 
 AeroServer::Ingestion* AeroServer::find_ingestion(const std::string& name) {
@@ -214,42 +230,28 @@ bool AeroServer::cancel_ingestion(const std::string& name) {
 
 std::vector<std::string> AeroServer::register_analysis(AnalysisFlowSpec spec) {
   OSPREY_REQUIRE(!spec.input_uuids.empty(), "analysis needs input UUIDs");
-  OSPREY_REQUIRE(spec.compute != nullptr, "analysis needs a compute endpoint");
-  OSPREY_REQUIRE(spec.staging != nullptr && spec.storage != nullptr,
-                 "analysis needs staging and storage endpoints");
   OSPREY_REQUIRE(!spec.output_names.empty(), "analysis needs output names");
-  OSPREY_REQUIRE(spec.compute->has_function(spec.function_id),
-                 "analysis function is not registered on the endpoint");
   for (const std::string& uuid : spec.input_uuids) {
     OSPREY_REQUIRE(db_.has_object(uuid), "unknown input UUID: " + uuid);
   }
-
   Analysis analysis;
-  for (const std::string& name : spec.output_names) {
-    analysis.output_uuids.push_back(
-        intern_object(spec.name + "/" + name, spec.name));
-  }
+  analysis.trigger = new_trigger(spec, FlowKind::kAnalysis, spec.output_names);
   for (const std::string& uuid : spec.input_uuids) {
     analysis.consumed_version[uuid] = db_.latest_version_number(uuid);
   }
-  analysis.trigger.retry = spec.retry;
-  analysis.trigger.breaker = osprey::util::CircuitBreaker(spec.breaker);
-  analysis.trigger.retry_key = osprey::util::stable_key(spec.name.c_str());
-  analysis.trigger.permanent = analysis_permanent_;
-  analysis.trigger.superseded = analysis_superseded_;
   analysis.spec = std::move(spec);
 
-  std::vector<std::string> outputs = analysis.output_uuids;
   analyses_.push_back(std::move(analysis));
   OSPREY_LOG_INFO("aero", "registered analysis flow '"
                           << analyses_.back().spec.name << "' with "
                           << analyses_.back().spec.input_uuids.size()
                           << " input(s)");
-  return outputs;
+  return analyses_.back().trigger.products;
 }
 
 void AeroServer::poll_ingestion(std::size_t index) {
   Ingestion& ing = ingestions_[index];
+  const std::string& output_uuid = ing.trigger.announced.front();
   polls_->inc();
   // Injected upstream outage: the source is unreachable for the whole
   // window, so every poll inside it is one failed fetch.
@@ -265,9 +267,8 @@ void AeroServer::poll_ingestion(std::size_t index) {
     // answers again, so the serving tier never labels them fresh.
     // Guarded so a multi-day outage degrades once, not once per poll,
     // and never overwrites a stronger reason (retry exhaustion).
-    if (degraded_.find(ing.output_uuid) == degraded_.end()) {
-      mark_degraded({ing.raw_uuid, ing.output_uuid}, ing.spec.name,
-                    kOutageReason);
+    if (degraded_.find(output_uuid) == degraded_.end()) {
+      mark_degraded(ing.trigger.products, ing.spec.name, kOutageReason);
     }
     return;
   }
@@ -284,9 +285,9 @@ void AeroServer::poll_ingestion(std::size_t index) {
   }
   // The source answered: lift outage-caused degradation. Other reasons
   // (an exhausted retry budget) stand until a fresh version publishes.
-  auto deg = degraded_.find(ing.output_uuid);
+  auto deg = degraded_.find(output_uuid);
   if (deg != degraded_.end() && deg->second == kOutageReason) {
-    clear_degraded({ing.raw_uuid, ing.output_uuid}, ing.spec.name);
+    clear_degraded(ing.trigger.products, ing.spec.name);
   }
   if (!payload.has_value()) return;
   // Identical bytes hash to an identical checksum: skip the SHA-256 on
@@ -310,48 +311,75 @@ void AeroServer::poll_ingestion(std::size_t index) {
     ing.pending_payload = std::move(*payload);
     return;
   }
-  run_ingestion_flow(index, std::move(*payload), "poll:" + ing.spec.source->url());
+  ing.current_payload =
+      std::make_shared<const std::string>(std::move(*payload));
+  run_flow(FlowKind::kIngestion, index, "poll:" + ing.spec.source->url());
 }
 
-void AeroServer::run_ingestion_flow(std::size_t index, std::string payload,
-                                    const std::string& trigger) {
-  Ingestion& ing = ingestions_[index];
-  ing.trigger.running = true;
-  ing.current_payload = payload;  // kept in case the run must be retried
-  ingestion_runs_->inc();
+void AeroServer::run_flow(FlowKind kind, std::size_t index,
+                          const std::string& trigger) {
+  const bool ingestion = kind == FlowKind::kIngestion;
+  FlowTrigger& t = trigger_of(kind, index);
+  t.running = true;
+  (ingestion ? ingestion_runs_ : analysis_runs_)->inc();
   if (tracer_ != nullptr) {
-    // Top-level span for the whole ingest run; the wrapped flow and its
-    // steps (and their transfers/compute tasks) nest underneath.
-    ing.trigger.span = tracer_->begin_span(
-        obs::Category::kAero, "ingest:" + ing.spec.name,
+    // Top-level span for the whole run; the wrapped flow and its steps
+    // (and their transfers/compute tasks) nest underneath.
+    t.span = tracer_->begin_span(
+        obs::Category::kAero, (ingestion ? "ingest:" : "analyze:") + t.name,
         obs::sim_ns(loop_.now()), obs::kNoSpan, trigger);
   }
 
-  const IngestionFlowSpec& spec = ing.spec;
-  std::string raw_path = spec.base_path + "/raw";
-  std::string out_path = spec.base_path + "/transformed";
-
+  // Snapshot the input versions an analysis run consumes.
+  std::vector<VersionRef> inputs;
+  if (!ingestion) {
+    Analysis& analysis = analyses_[index];
+    for (const std::string& uuid : analysis.spec.input_uuids) {
+      int v = db_.latest_version_number(uuid);
+      inputs.push_back(VersionRef{uuid, v});
+      analysis.consumed_version[uuid] = v;
+    }
+  }
   std::uint64_t run_id =
-      db_.start_run(spec.name, FlowKind::kIngestion, trigger, {},
-                    spec.compute->name(), loop_.now());
+      db_.start_run(t.name, kind, trigger, std::move(inputs),
+                    spec_of(kind, index).compute->name(), loop_.now());
 
-  // Shared run state the steps hand forward.
-  auto payload_ptr = std::make_shared<std::string>(std::move(payload));
-  auto output_ptr = std::make_shared<std::string>();
+  // The announced objects are the outputs the publish steps store.
+  auto outputs = std::make_shared<std::vector<Output>>();
+  for (std::size_t k = 0; k < t.announced.size(); ++k) {
+    outputs->push_back(Output{
+        ingestion ? "transformed" : analyses_[index].spec.output_names[k],
+        t.announced[k], "", ""});
+  }
+  fabric::FlowDefinition flow{t.name, {}};
+  if (ingestion) {
+    append_ingestion_steps(flow, index, outputs);
+  } else {
+    append_analysis_steps(flow, index, outputs);
+  }
+  append_publish_steps(flow, kind, index, outputs);
 
-  fabric::FlowDefinition flow;
-  flow.name = spec.name;
+  // The flow span (and everything the steps submit) nests under the
+  // run span.
+  obs::CurrentSpanGuard run_guard(t.span);
+  flows_.run(std::move(flow), token_,
+             [this, kind, index, run_id](const fabric::FlowRunRecord& rec) {
+               finish(kind, index, run_id, rec);
+             });
+}
 
-  // Step 1: upload the raw payload. It lands in compute-local staging
-  // (the "temporarily sent to a Globus Compute endpoint" hop) and is
+void AeroServer::append_ingestion_steps(fabric::FlowDefinition& flow,
+                                        std::size_t index,
+                                        const Outputs& outputs) {
+  auto payload = ingestions_[index].current_payload;
+  // Upload the raw payload. It lands in compute-local staging (the
+  // "temporarily sent to a Globus Compute endpoint" hop) and is
   // transferred to the durable user collection.
   flow.steps.push_back(fabric::FlowStep{
-      "upload-raw",
-      [this, index, payload_ptr, raw_path](fabric::FlowRunContext&,
-                                           fabric::StepDone done) {
-        Ingestion& ing2 = ingestions_[index];
-        const IngestionFlowSpec& s = ing2.spec;
-        s.staging->put(s.staging_collection, raw_path, *payload_ptr, token_);
+      "upload-raw", [this, index, payload](fabric::StepDone done) {
+        const IngestionFlowSpec& s = ingestions_[index].spec;
+        const std::string raw_path = s.base_path + "/raw";
+        s.staging->put(s.staging_collection, raw_path, *payload, token_);
         transfers_.transfer(
             *s.staging, s.staging_collection, raw_path, *s.storage,
             s.collection, raw_path, token_,
@@ -360,31 +388,27 @@ void AeroServer::run_ingestion_flow(std::size_t index, std::string payload,
                 done(false, "raw upload failed: " + rec.error);
                 return;
               }
-              Ingestion& ing3 = ingestions_[index];
-              const IngestionFlowSpec& s3 = ing3.spec;
-              db_.add_version(ing3.raw_uuid, rec.checksum, rec.bytes,
-                              loop_.now(), s3.storage->name(), s3.collection,
-                              raw_path);
+              const Ingestion& ing = ingestions_[index];
+              db_.add_version(ing.trigger.products.front(), rec.checksum,
+                              rec.bytes, loop_.now(), ing.spec.storage->name(),
+                              ing.spec.collection, raw_path);
               done(true, "");
             });
       }});
 
-  // Step 2: run the user's validation/transformation function on the
-  // compute endpoint, with the staged data as input.
+  // Run the user's validation/transformation function on the compute
+  // endpoint, with the staged data as input.
   flow.steps.push_back(fabric::FlowStep{
-      "transform",
-      [this, index, payload_ptr, output_ptr](fabric::FlowRunContext&,
-                                             fabric::StepDone done) {
-        Ingestion& ing2 = ingestions_[index];
-        const IngestionFlowSpec& s = ing2.spec;
+      "transform", [this, index, payload, outputs](fabric::StepDone done) {
+        const IngestionFlowSpec& s = ingestions_[index].spec;
         ValueObject args;
-        args["input"] = Value(*payload_ptr);
+        args["input"] = Value(*payload);
         args["url"] = Value(s.source->url());
         args["args"] = s.function_args;
         s.compute->execute(
             s.function_id, Value(std::move(args)), token_,
-            [output_ptr, done](const Value& result,
-                               const fabric::ComputeTaskRecord& rec) {
+            [outputs, done](const Value& result,
+                            const fabric::ComputeTaskRecord& rec) {
               if (rec.status != fabric::ComputeTaskStatus::kSucceeded) {
                 done(false, "transformation failed: " + rec.error);
                 return;
@@ -393,51 +417,155 @@ void AeroServer::run_ingestion_flow(std::size_t index, std::string payload,
                 done(false, "transformation returned no 'output'");
                 return;
               }
-              *output_ptr = result.at("output").as_string();
+              if (!result.at("output").is_string()) {
+                done(false, "transformation output is not a string");
+                return;
+              }
+              outputs->front().bytes = result.at("output").as_string();
               done(true, "");
             });
       }});
+}
 
-  // Step 3: upload the transformed file to the user collection.
+void AeroServer::append_analysis_steps(fabric::FlowDefinition& flow,
+                                       std::size_t index,
+                                       const Outputs& outputs) {
+  auto staged = std::make_shared<std::map<std::string, std::string>>();
+
+  // Stage every input from the durable collection to the compute
+  // endpoint's temporary space.
   flow.steps.push_back(fabric::FlowStep{
-      "stage-out",
-      [this, index, output_ptr, out_path](fabric::FlowRunContext&,
-                                          fabric::StepDone done) {
-        Ingestion& ing2 = ingestions_[index];
-        const IngestionFlowSpec& s = ing2.spec;
-        s.staging->put(s.staging_collection, out_path, *output_ptr, token_);
-        transfers_.transfer(
-            *s.staging, s.staging_collection, out_path, *s.storage,
-            s.collection, out_path, token_,
-            [done](const fabric::TransferRecord& rec) {
-              done(rec.status == fabric::TransferStatus::kSucceeded,
-                   rec.error);
+      "stage-in", [this, index, staged](fabric::StepDone done) {
+        const AnalysisFlowSpec& s = analyses_[index].spec;
+        auto remaining =
+            std::make_shared<std::size_t>(s.input_uuids.size());
+        auto failed = std::make_shared<bool>(false);
+        // A throwing submission (expired token, ACL race) fails the step
+        // through the flow's catch; the transfers already submitted must
+        // not fail it a second time.
+        try {
+          for (const std::string& uuid : s.input_uuids) {
+            std::optional<DataVersion> ver = db_.latest_version(uuid);
+            if (!ver.has_value()) {
+              *failed = true;
+              done(false, "input has no version: " + uuid);
+              return;
+            }
+            std::string staging_path = "stage/" + uuid;
+            transfers_.transfer(
+                *s.storage, ver->collection, ver->path, *s.staging,
+                s.staging_collection, staging_path, token_,
+                [this, index, uuid, staged, staging_path, remaining, failed,
+                 done](const fabric::TransferRecord& rec) {
+                  if (*failed) return;
+                  if (rec.status != fabric::TransferStatus::kSucceeded) {
+                    *failed = true;
+                    done(false, "stage-in failed: " + rec.error);
+                    return;
+                  }
+                  const AnalysisFlowSpec& s2 = analyses_[index].spec;
+                  // The read can fail too (expired token, ACL race); that
+                  // must fail the step, not escape into the event loop.
+                  try {
+                    const fabric::StoredObject& obj = s2.staging->get(
+                        s2.staging_collection, staging_path, token_);
+                    (*staged)[uuid] = obj.bytes;
+                  } catch (const osprey::util::Error& e) {
+                    *failed = true;
+                    done(false, std::string("stage-in read failed: ") +
+                                    e.what());
+                    return;
+                  }
+                  if (--(*remaining) == 0) done(true, "");
+                });
+          }
+        } catch (...) {
+          *failed = true;
+          throw;
+        }
+      }});
+
+  // Run the user analysis function with the staged inputs.
+  flow.steps.push_back(fabric::FlowStep{
+      "execute", [this, index, staged, outputs](fabric::StepDone done) {
+        const AnalysisFlowSpec& s = analyses_[index].spec;
+        ValueObject input_obj;
+        for (const auto& [uuid, bytes] : *staged) {
+          input_obj[uuid] = Value(bytes);
+        }
+        ValueObject args;
+        args["inputs"] = Value(std::move(input_obj));
+        args["args"] = s.function_args;
+        s.compute->execute(
+            s.function_id, Value(std::move(args)), token_,
+            [outputs, done](const Value& result,
+                            const fabric::ComputeTaskRecord& rec) {
+              if (rec.status != fabric::ComputeTaskStatus::kSucceeded) {
+                done(false, "analysis failed: " + rec.error);
+                return;
+              }
+              if (!result.contains("outputs")) {
+                done(false, "analysis returned no 'outputs'");
+                return;
+              }
+              for (Output& out : *outputs) {
+                if (!result.at("outputs").contains(out.name)) {
+                  done(false, "analysis missing output: " + out.name);
+                  return;
+                }
+                const Value& bytes = result.at("outputs").at(out.name);
+                if (!bytes.is_string()) {
+                  done(false,
+                       "analysis output '" + out.name + "' is not a string");
+                  return;
+                }
+                out.bytes = bytes.as_string();
+              }
+              done(true, "");
             });
       }});
+}
 
-  // Step 4: register versioning metadata for the transformed output;
-  // this is what triggers dependent analysis flows.
+void AeroServer::append_publish_steps(fabric::FlowDefinition& flow,
+                                      FlowKind kind, std::size_t index,
+                                      const Outputs& outputs) {
+  // Upload every output to the durable collection.
   flow.steps.push_back(fabric::FlowStep{
-      "register-metadata",
-      [this, index, output_ptr, out_path](fabric::FlowRunContext&,
-                                          fabric::StepDone done) {
-        Ingestion& ing2 = ingestions_[index];
-        const IngestionFlowSpec& s = ing2.spec;
-        std::string checksum = osprey::crypto::Sha256::hash_hex(*output_ptr);
-        db_.add_version(ing2.output_uuid, checksum, output_ptr->size(),
-                        loop_.now(), s.storage->name(), s.collection,
-                        out_path);
-        done(true, "");
+      "stage-out", [this, kind, index, outputs](fabric::StepDone done) {
+        const FlowSpec& s = spec_of(kind, index);
+        // The first failed transfer or throwing put fails the step; `done`
+        // ignores later calls, and `remaining` then never reaches zero.
+        auto remaining = std::make_shared<std::size_t>(outputs->size());
+        for (Output& out : *outputs) {
+          std::string path = s.base_path + "/" + out.name;
+          out.checksum =
+              s.staging->put(s.staging_collection, path, out.bytes, token_);
+          transfers_.transfer(
+              *s.staging, s.staging_collection, path, *s.storage,
+              s.collection, path, token_,
+              [remaining, done](const fabric::TransferRecord& rec) {
+                if (rec.status != fabric::TransferStatus::kSucceeded) {
+                  done(false, "stage-out failed: " + rec.error);
+                  return;
+                }
+                if (--(*remaining) == 0) done(true, "");
+              });
+        }
       }});
 
-  // The flow span (and everything the steps submit) nests under the
-  // ingest span.
-  obs::CurrentSpanGuard ingest_guard(ing.trigger.span);
-  flows_.run(flow, token_,
-             [this, index, run_id](const fabric::FlowRunRecord& rec,
-                                   const Value&) {
-               finish(FlowKind::kIngestion, index, run_id, rec);
-             });
+  // Register versioning metadata for every output, with the checksum
+  // staging computed on put; this is what triggers dependent analyses.
+  flow.steps.push_back(fabric::FlowStep{
+      "register-metadata",
+      [this, kind, index, outputs](fabric::StepDone done) {
+        const FlowSpec& s = spec_of(kind, index);
+        for (const Output& out : *outputs) {
+          db_.add_version(out.uuid, out.checksum, out.bytes.size(),
+                          loop_.now(), s.storage->name(), s.collection,
+                          s.base_path + "/" + out.name);
+        }
+        done(true, "");
+      }});
 }
 
 bool AeroServer::analysis_ready(const Analysis& analysis) const {
@@ -478,192 +606,8 @@ void AeroServer::on_version_added(const std::string& uuid,
       analysis.pending_cause = cause;
       continue;
     }
-    run_analysis_flow(i, cause);
+    run_flow(FlowKind::kAnalysis, i, cause);
   }
-}
-
-void AeroServer::run_analysis_flow(std::size_t index,
-                                   const std::string& trigger) {
-  Analysis& analysis = analyses_[index];
-  analysis.trigger.running = true;
-  analysis_runs_->inc();
-  if (tracer_ != nullptr) {
-    analysis.trigger.span = tracer_->begin_span(
-        obs::Category::kAero, "analyze:" + analysis.spec.name,
-        obs::sim_ns(loop_.now()), obs::kNoSpan, trigger);
-  }
-
-  const AnalysisFlowSpec& spec = analysis.spec;
-
-  // Snapshot the input versions this run consumes.
-  std::vector<VersionRef> inputs;
-  for (const std::string& uuid : spec.input_uuids) {
-    int v = db_.latest_version_number(uuid);
-    inputs.push_back(VersionRef{uuid, v});
-    analysis.consumed_version[uuid] = v;
-  }
-
-  std::uint64_t run_id = db_.start_run(spec.name, FlowKind::kAnalysis,
-                                       trigger, inputs, spec.compute->name(),
-                                       loop_.now());
-
-  auto staged = std::make_shared<std::map<std::string, std::string>>();
-  auto outputs = std::make_shared<std::map<std::string, std::string>>();
-
-  fabric::FlowDefinition flow;
-  flow.name = spec.name;
-
-  // Step 1: stage every input from the durable collection to the
-  // compute endpoint's temporary space.
-  flow.steps.push_back(fabric::FlowStep{
-      "stage-in",
-      [this, index, staged](fabric::FlowRunContext&, fabric::StepDone done) {
-        Analysis& a = analyses_[index];
-        const AnalysisFlowSpec& s = a.spec;
-        auto remaining =
-            std::make_shared<std::size_t>(s.input_uuids.size());
-        auto failed = std::make_shared<bool>(false);
-        // A throwing submission (expired token, ACL race) fails the step
-        // through the flow's catch; the transfers already submitted must
-        // not fail it a second time.
-        try {
-          for (const std::string& uuid : s.input_uuids) {
-            std::optional<DataVersion> ver = db_.latest_version(uuid);
-            if (!ver.has_value()) {
-              *failed = true;
-              done(false, "input has no version: " + uuid);
-              return;
-            }
-            std::string staging_path = "stage/" + uuid;
-            transfers_.transfer(
-                *s.storage, ver->collection, ver->path, *s.staging,
-                s.staging_collection, staging_path, token_,
-                [this, index, uuid, staged, staging_path, remaining, failed,
-                 done](const fabric::TransferRecord& rec) {
-                  if (*failed) return;
-                  if (rec.status != fabric::TransferStatus::kSucceeded) {
-                    *failed = true;
-                    done(false, "stage-in failed: " + rec.error);
-                    return;
-                  }
-                  Analysis& a2 = analyses_[index];
-                  // The read can fail too (expired token, ACL race); that
-                  // must fail the step, not escape into the event loop.
-                  try {
-                    const fabric::StoredObject& obj = a2.spec.staging->get(
-                        a2.spec.staging_collection, staging_path, token_);
-                    (*staged)[uuid] = obj.bytes;
-                  } catch (const osprey::util::Error& e) {
-                    *failed = true;
-                    done(false, std::string("stage-in read failed: ") +
-                                    e.what());
-                    return;
-                  }
-                  if (--(*remaining) == 0) done(true, "");
-                });
-          }
-        } catch (...) {
-          *failed = true;
-          throw;
-        }
-      }});
-
-  // Step 2: run the user analysis function with the staged inputs.
-  flow.steps.push_back(fabric::FlowStep{
-      "execute",
-      [this, index, staged, outputs](fabric::FlowRunContext&,
-                                     fabric::StepDone done) {
-        Analysis& a = analyses_[index];
-        const AnalysisFlowSpec& s = a.spec;
-        ValueObject input_obj;
-        for (const auto& [uuid, bytes] : *staged) {
-          input_obj[uuid] = Value(bytes);
-        }
-        ValueObject args;
-        args["inputs"] = Value(std::move(input_obj));
-        args["args"] = s.function_args;
-        s.compute->execute(
-            s.function_id, Value(std::move(args)), token_,
-            [index, outputs, done, this](const Value& result,
-                                         const fabric::ComputeTaskRecord& rec) {
-              if (rec.status != fabric::ComputeTaskStatus::kSucceeded) {
-                done(false, "analysis failed: " + rec.error);
-                return;
-              }
-              if (!result.contains("outputs")) {
-                done(false, "analysis returned no 'outputs'");
-                return;
-              }
-              Analysis& a2 = analyses_[index];
-              for (const std::string& name : a2.spec.output_names) {
-                if (!result.at("outputs").contains(name)) {
-                  done(false, "analysis missing output: " + name);
-                  return;
-                }
-                (*outputs)[name] =
-                    result.at("outputs").at(name).as_string();
-              }
-              done(true, "");
-            });
-      }});
-
-  // Step 3: upload every output to the durable collection.
-  flow.steps.push_back(fabric::FlowStep{
-      "stage-out",
-      [this, index, outputs](fabric::FlowRunContext&, fabric::StepDone done) {
-        Analysis& a = analyses_[index];
-        const AnalysisFlowSpec& s = a.spec;
-        auto remaining = std::make_shared<std::size_t>(s.output_names.size());
-        auto failed = std::make_shared<bool>(false);
-        // As in stage-in: a throwing put or submission fails the step
-        // once, through the flow's catch.
-        try {
-          for (const std::string& name : s.output_names) {
-            std::string staging_path = s.base_path + "/" + name;
-            s.staging->put(s.staging_collection, staging_path,
-                           outputs->at(name), token_);
-            transfers_.transfer(
-                *s.staging, s.staging_collection, staging_path, *s.storage,
-                s.collection, staging_path, token_,
-                [remaining, failed, done](const fabric::TransferRecord& rec) {
-                  if (*failed) return;
-                  if (rec.status != fabric::TransferStatus::kSucceeded) {
-                    *failed = true;
-                    done(false, "stage-out failed: " + rec.error);
-                    return;
-                  }
-                  if (--(*remaining) == 0) done(true, "");
-                });
-          }
-        } catch (...) {
-          *failed = true;
-          throw;
-        }
-      }});
-
-  // Step 4: register versioning metadata for every output.
-  flow.steps.push_back(fabric::FlowStep{
-      "register-metadata",
-      [this, index, outputs](fabric::FlowRunContext&, fabric::StepDone done) {
-        Analysis& a = analyses_[index];
-        const AnalysisFlowSpec& s = a.spec;
-        for (std::size_t k = 0; k < s.output_names.size(); ++k) {
-          const std::string& name = s.output_names[k];
-          const std::string& bytes = outputs->at(name);
-          db_.add_version(a.output_uuids[k],
-                          osprey::crypto::Sha256::hash_hex(bytes),
-                          bytes.size(), loop_.now(), s.storage->name(),
-                          s.collection, s.base_path + "/" + name);
-        }
-        done(true, "");
-      }});
-
-  obs::CurrentSpanGuard analyze_guard(analysis.trigger.span);
-  flows_.run(flow, token_,
-             [this, index, run_id](const fabric::FlowRunRecord& rec,
-                                   const Value&) {
-               finish(FlowKind::kAnalysis, index, run_id, rec);
-             });
 }
 
 AeroServer::FlowTrigger& AeroServer::trigger_of(FlowKind kind,
@@ -672,10 +616,9 @@ AeroServer::FlowTrigger& AeroServer::trigger_of(FlowKind kind,
                                       : analyses_[index].trigger;
 }
 
-const std::string& AeroServer::flow_name(FlowKind kind,
-                                         std::size_t index) const {
-  return kind == FlowKind::kIngestion ? ingestions_[index].spec.name
-                                      : analyses_[index].spec.name;
+const FlowSpec& AeroServer::spec_of(FlowKind kind, std::size_t index) const {
+  if (kind == FlowKind::kIngestion) return ingestions_[index].spec;
+  return analyses_[index].spec;
 }
 
 bool AeroServer::still_ready(FlowKind kind, std::size_t index) const {
@@ -689,12 +632,11 @@ bool AeroServer::admit(FlowKind kind, std::size_t index) {
     ++t.trigger_gen;
     return true;
   }
-  const std::string& name = flow_name(kind, index);
   // An ingestion payload that is replaced before it ran never publishes.
   // Analysis triggers coalesce by design: the newest cause replaces the
   // pending one, and the run consumes the latest input versions anyway.
   if (t.pending && kind == FlowKind::kIngestion) {
-    supersede(t, name,
+    supersede(t, t.name,
               t.running ? "queued payload replaced by fresher upstream data"
                         : "deferred payload replaced by fresher upstream data");
   }
@@ -705,7 +647,7 @@ bool AeroServer::admit(FlowKind kind, std::size_t index) {
   deferred_triggers_->inc();
   SimTime probe = probe_time(t.breaker, loop_.now());
   record_incident(fabric::IncidentCategory::kDegraded, "trigger-deferred",
-                  name,
+                  t.name,
                   "circuit open; probe at " +
                       osprey::util::format_sim_time(probe));
   schedule_probe(kind, index, probe);
@@ -716,7 +658,7 @@ void AeroServer::finish(FlowKind kind, std::size_t index,
                         std::uint64_t run_id,
                         const fabric::FlowRunRecord& rec) {
   FlowTrigger& t = trigger_of(kind, index);
-  const std::string name = flow_name(kind, index);
+  const std::string name = t.name;
   const bool ingestion = kind == FlowKind::kIngestion;
   bool ok = rec.status == fabric::FlowRunStatus::kSucceeded;
   // Incidents recorded below correlate with this run's span.
@@ -729,21 +671,9 @@ void AeroServer::finish(FlowKind kind, std::size_t index,
     tracer_->end_span(t.span, obs::sim_ns(loop_.now()), ok, err);
     t.span = obs::kNoSpan;
   }
-  // The data products a run publishes; ingestion announces only the
-  // transformed output to analyses (the raw copy is an archive).
-  std::vector<std::string> products;
-  std::vector<std::string> announced;
-  if (ingestion) {
-    const Ingestion& ing = ingestions_[index];
-    products = {ing.raw_uuid, ing.output_uuid};
-    announced = {ing.output_uuid};
-  } else {
-    products = analyses_[index].output_uuids;
-    announced = products;
-  }
   std::vector<VersionRef> outputs;
   if (ok) {
-    for (const std::string& uuid : products) {
+    for (const std::string& uuid : t.products) {
       outputs.push_back(VersionRef{uuid, db_.latest_version_number(uuid)});
     }
   } else {
@@ -754,8 +684,10 @@ void AeroServer::finish(FlowKind kind, std::size_t index,
   t.running = false;
   note_run_outcome(t.breaker, name, ok);
   if (ok) {
-    clear_degraded(products, name);
-    // Announce each output version; may trigger downstream flows.
+    clear_degraded(t.products, name);
+    // Announce each output version; may trigger downstream flows, so
+    // iterate a copy rather than the flow table's entry.
+    const std::vector<std::string> announced = t.announced;
     for (const std::string& uuid : announced) {
       on_version_added(uuid, "update of " + name);
     }
@@ -776,7 +708,7 @@ void AeroServer::finish(FlowKind kind, std::size_t index,
     return;
   } else if (!t.pending) {
     t.permanent->inc();
-    mark_degraded(announced, name,
+    mark_degraded(t.announced, name,
                   std::string(ingestion ? "ingestion '" : "analysis '") +
                       name + "' exhausted its retry budget");
   } else if (ingestion) {
@@ -798,7 +730,7 @@ void AeroServer::fire_retry(FlowKind kind, std::size_t index, int attempt,
   FlowTrigger& t = trigger_of(kind, index);
   if (gen != t.trigger_gen || t.running) {
     // A fresh trigger took over while this retry waited.
-    supersede(t, flow_name(kind, index),
+    supersede(t, t.name,
               "retry " + std::to_string(attempt) +
                   " obsolete: newer trigger in flight");
     return;
@@ -829,7 +761,7 @@ void AeroServer::schedule_probe(FlowKind kind, std::size_t index,
     }
     if (before == osprey::util::BreakerState::kOpen) {
       record_incident(fabric::IncidentCategory::kRecovery,
-                      "circuit-half-open", flow_name(kind, index),
+                      "circuit-half-open", t.name,
                       "admitting probe run");
     }
     t.pending = false;
@@ -842,27 +774,24 @@ void AeroServer::schedule_probe(FlowKind kind, std::size_t index,
 
 void AeroServer::relaunch(FlowKind kind, std::size_t index, Relaunch how,
                           int attempt) {
+  const bool ingestion = kind == FlowKind::kIngestion;
   const bool queued = how == Relaunch::kQueued;
-  const std::string retry = "retry " + std::to_string(attempt) + ":";
-  if (kind == FlowKind::kIngestion) {
-    Ingestion& ing = ingestions_[index];
-    const std::string& url = ing.spec.source->url();
-    if (how == Relaunch::kRetry) {
-      run_ingestion_flow(index, ing.current_payload, retry + url);
-    } else {
-      std::string payload = std::move(ing.pending_payload);
-      run_ingestion_flow(index, std::move(payload),
-                         (queued ? "poll(pending):" : "probe:") + url);
-    }
-    return;
-  }
-  Analysis& a = analyses_[index];
+  std::string trigger;
   if (how == Relaunch::kRetry) {
-    run_analysis_flow(index, retry + a.spec.name);
+    // The same payload (ingestion) or policy (analysis) runs again.
+    trigger = "retry " + std::to_string(attempt) + ":" +
+              (ingestion ? ingestions_[index].spec.source->url()
+                         : analyses_[index].spec.name);
+  } else if (ingestion) {
+    Ingestion& ing = ingestions_[index];
+    ing.current_payload =
+        std::make_shared<const std::string>(std::move(ing.pending_payload));
+    trigger = (queued ? "poll(pending):" : "probe:") + ing.spec.source->url();
   } else {
-    std::string cause = std::move(a.pending_cause);
-    run_analysis_flow(index, cause + (queued ? " (queued)" : " (probe)"));
+    trigger = std::move(analyses_[index].pending_cause) +
+              (queued ? " (queued)" : " (probe)");
   }
+  run_flow(kind, index, trigger);
 }
 
 void AeroServer::supersede(FlowTrigger& trigger, const std::string& site,

@@ -15,6 +15,11 @@
 ///    update, under an ANY or ALL policy.
 ///  - AERO wraps every user function with stage-in → execute →
 ///    stage-out → metadata-update steps (run as a fabric FlowDefinition).
+///    Both kinds share FlowSpec, registration, the run launcher and the
+///    publish steps; only the steps that produce the output differ
+///    (ingestion: upload-raw, transform; analysis: stage-in, execute).
+///    Steps hand values on by capture (the run's shared payload and
+///    output slots); the fabric keeps no run state for them.
 ///  - The server only ever handles metadata; payloads move between
 ///    storage endpoints via the transfer service.
 
@@ -44,23 +49,20 @@ namespace osprey::aero {
 
 enum class TriggerPolicy { kAny, kAll };
 
-/// Registration request for an ingestion flow (paper: polling frequency,
-/// URL, function + args, compute endpoint, storage collection).
-struct IngestionFlowSpec {
+/// What every AERO flow is registered with: the user function and its
+/// compute endpoint, where outputs land, and how failed runs recover.
+struct FlowSpec {
   std::string name;
-  std::shared_ptr<DataSource> source;
-  SimTime poll_period = osprey::util::kDay;
-  SimTime first_poll = 0;
 
   fabric::ComputeEndpoint* compute = nullptr;
-  std::string function_id;                 // validation/transformation fn
+  std::string function_id;                 // the user function
   osprey::util::Value function_args;       // extra args to that fn
 
   fabric::StorageEndpoint* staging = nullptr;  // compute-local temp space
   std::string staging_collection;
   fabric::StorageEndpoint* storage = nullptr;  // durable collection (Eagle)
   std::string collection;
-  std::string base_path;  // raw -> <base>/raw, transformed -> <base>/transformed
+  std::string base_path;  // output <name> -> <base_path>/<name>
 
   /// Automatic re-runs after a failed flow (transfer/compute faults).
   /// Disabled by default (max_attempts = 0).
@@ -69,6 +71,15 @@ struct IngestionFlowSpec {
   /// failed runs the flow stops being triggered until a half-open probe
   /// succeeds. Disabled by default.
   osprey::util::CircuitBreakerConfig breaker;
+};
+
+/// Registration request for an ingestion flow (paper: polling frequency,
+/// URL, function + args, compute endpoint, storage collection). Outputs:
+/// `raw` (the payload) and `transformed` (the function's result).
+struct IngestionFlowSpec : FlowSpec {
+  std::shared_ptr<DataSource> source;
+  SimTime poll_period = osprey::util::kDay;
+  SimTime first_poll = 0;
 };
 
 /// UUIDs returned by ingestion registration.
@@ -80,28 +91,12 @@ struct IngestionHandles {
 
 /// Registration request for an analysis flow: input data UUIDs instead
 /// of a URL, plus the trigger policy.
-struct AnalysisFlowSpec {
-  std::string name;
+struct AnalysisFlowSpec : FlowSpec {
   std::vector<std::string> input_uuids;
   TriggerPolicy policy = TriggerPolicy::kAll;
-
-  fabric::ComputeEndpoint* compute = nullptr;
-  std::string function_id;
-  osprey::util::Value function_args;
-
-  fabric::StorageEndpoint* staging = nullptr;
-  std::string staging_collection;
-  fabric::StorageEndpoint* storage = nullptr;
-  std::string collection;
-  std::string base_path;
   /// Names of the outputs the analysis function produces (keys of the
   /// "outputs" object in its result). One data object per name.
   std::vector<std::string> output_names;
-
-  /// Automatic re-runs and circuit breaker; same semantics as
-  /// IngestionFlowSpec.
-  osprey::util::RetryPolicy retry;
-  osprey::util::CircuitBreakerConfig breaker;
 };
 
 /// The orchestration server.
@@ -258,13 +253,17 @@ class AeroServer {
     obs::SpanId span = obs::kNoSpan;
     obs::Counter* permanent = nullptr;   // the kind's exhausted budgets
     obs::Counter* superseded = nullptr;  // the kind's superseded triggers
+    std::string name;  // the flow's name (its incident site)
+    /// Objects a successful run versions, and those announced to
+    /// analyses: the outputs the publish steps store (not ingestion's
+    /// raw archive copy).
+    std::vector<std::string> products;
+    std::vector<std::string> announced;
   };
 
   struct Ingestion {
     IngestionFlowSpec spec;
-    FlowTrigger trigger;
-    std::string raw_uuid;
-    std::string output_uuid;
+    FlowTrigger trigger;  // products {raw, transformed}
     std::string last_checksum;  // of the upstream payload last ingested
     /// Raw bytes of the last polled payload. Byte-identical bytes hash
     /// to an identical checksum, so the poll path compares these first
@@ -272,7 +271,8 @@ class AeroServer {
     /// unchanged poll — the scale bottleneck at sub-daily cadences.
     std::optional<std::string> last_payload;
     std::string pending_payload;
-    std::string current_payload;  // kept for retry re-runs
+    /// The latest run's payload (its steps share it; retries reuse it).
+    std::shared_ptr<const std::string> current_payload;
     fabric::TimerId timer = 0;
     bool paused = false;
     bool cancelled = false;
@@ -280,8 +280,7 @@ class AeroServer {
 
   struct Analysis {
     AnalysisFlowSpec spec;
-    FlowTrigger trigger;
-    std::vector<std::string> output_uuids;
+    FlowTrigger trigger;  // products: one per output name, in order
     /// For the ALL policy: the version of each input consumed last run.
     std::map<std::string, int> consumed_version;
     /// Cause of the pending trigger; a newer cause overwrites it (the
@@ -292,22 +291,45 @@ class AeroServer {
   /// How a run that did not come straight from a fresh trigger starts.
   enum class Relaunch { kQueued, kProbe, kRetry };
 
+  /// One output of a run: the user function fills `bytes`; stage-out
+  /// stores them at `<base_path>/<name>` and keeps the put's checksum.
+  struct Output {
+    std::string name;
+    std::string uuid;
+    std::string bytes;
+    std::string checksum;
+  };
+  using Outputs = std::shared_ptr<std::vector<Output>>;
+
   /// Existing object with this exact name+producer (recovered across a
   /// restart), or a freshly registered one.
   std::string intern_object(const std::string& name,
                             const std::string& producer);
+  /// Validate the fields every flow shares, intern one data object per
+  /// output (`<flow>/<output>`) and build the flow's trigger.
+  FlowTrigger new_trigger(const FlowSpec& spec, FlowKind kind,
+                          const std::vector<std::string>& outputs);
   void poll_ingestion(std::size_t index);
   Ingestion* find_ingestion(const std::string& name);
   const Ingestion* find_ingestion(const std::string& name) const;
-  void run_ingestion_flow(std::size_t index, std::string payload,
-                          const std::string& trigger);
-  void run_analysis_flow(std::size_t index, const std::string& trigger);
+  /// Start a run: span, provenance record, the kind's steps, then the
+  /// publish steps; completion goes to finish().
+  void run_flow(FlowKind kind, std::size_t index, const std::string& trigger);
+  /// Ingestion's front steps: upload-raw, transform.
+  void append_ingestion_steps(fabric::FlowDefinition& flow, std::size_t index,
+                              const Outputs& outputs);
+  /// Analysis's front steps: stage-in, execute.
+  void append_analysis_steps(fabric::FlowDefinition& flow, std::size_t index,
+                             const Outputs& outputs);
+  /// The publish steps every flow ends with: stage-out, register-metadata.
+  void append_publish_steps(fabric::FlowDefinition& flow, FlowKind kind,
+                            std::size_t index, const Outputs& outputs);
 
   // The shared trigger state machine. A flow is (kind, index) into
   // ingestions_ / analyses_; the kind only decides how a run starts and
   // whether a pending trigger is still ready.
   FlowTrigger& trigger_of(FlowKind kind, std::size_t index);
-  const std::string& flow_name(FlowKind kind, std::size_t index) const;
+  const FlowSpec& spec_of(FlowKind kind, std::size_t index) const;
   /// Is a pending trigger still worth a run? Ingestion payloads always
   /// are; an analysis re-evaluates its trigger policy.
   bool still_ready(FlowKind kind, std::size_t index) const;

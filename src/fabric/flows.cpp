@@ -14,9 +14,8 @@ FlowsService::FlowsService(EventLoop& loop, AuthService& auth)
           "fabric_flow_runs_succeeded_total",
           "flow runs that completed every step")) {}
 
-FlowRunId FlowsService::run(const FlowDefinition& flow,
-                            const std::string& token, RunCallback on_done,
-                            osprey::util::Value initial_state) {
+FlowRunId FlowsService::run(FlowDefinition flow, const std::string& token,
+                            RunCallback on_done) {
   auth_.validate(token, scopes::kFlows);
   OSPREY_REQUIRE(!flow.steps.empty(), "flow has no steps");
   FlowRunId id = next_id_++;
@@ -29,9 +28,7 @@ FlowRunId FlowsService::run(const FlowDefinition& flow,
     rec.trace_span = tracer_->begin_span(
         obs::Category::kFlow, "flow:" + flow.name, obs::sim_ns(rec.started));
   }
-  active->flow = flow;
-  active->context.run_id = id;
-  active->context.state = std::move(initial_state);
+  active->flow = std::move(flow);
   active->on_done = std::move(on_done);
   in_flight_.emplace(id, active);
 
@@ -84,7 +81,7 @@ void FlowsService::advance(std::shared_ptr<ActiveRun> run) {
     // Transfers/compute submitted by the step body nest under its span.
     obs::CurrentSpanGuard span_guard(run->record.steps[step_index].trace_span);
     try {
-      s.fn(run->context, done);
+      s.fn(done);
     } catch (const std::exception& e) {
       done(false, e.what());
     }
@@ -112,7 +109,7 @@ void FlowsService::finish(std::shared_ptr<ActiveRun> run,
   }
   if (status == FlowRunStatus::kSucceeded) succeeded_.inc();
   in_flight_.erase(rec.id);
-  if (run->on_done) run->on_done(rec, run->context.state);
+  if (run->on_done) run->on_done(rec);
 }
 
 }  // namespace osprey::fabric

@@ -4,7 +4,9 @@
 /// Simulated Globus Flows: named sequences of asynchronous steps with
 /// per-step provenance. AERO wraps every user function in a flow of
 /// stage-in → execute → stage-out → metadata-update steps; this service
-/// runs those sequences and records what happened.
+/// runs those sequences and records what happened. Steps share no
+/// state through the service: a step that hands a value downstream
+/// captures it (e.g. a shared_ptr both steps hold).
 
 #include <cstdint>
 #include <functional>
@@ -18,7 +20,6 @@
 #include "fabric/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/value.hpp"
 
 namespace osprey::fabric {
 
@@ -45,19 +46,12 @@ struct FlowRunRecord {
   obs::SpanId trace_span = obs::kNoSpan;
 };
 
-/// Mutable state shared by the steps of one flow run.
-struct FlowRunContext {
-  FlowRunId run_id = 0;
-  /// Scratch bag steps use to hand values downstream.
-  osprey::util::Value state;
-};
-
 /// A step completes by calling `done(ok, error)` — possibly later in
 /// virtual time (after a transfer or compute task finishes). Only the
 /// first call counts; later calls, including any that arrive after the
 /// run finished, are ignored.
 using StepDone = std::function<void(bool ok, const std::string& error)>;
-using StepFn = std::function<void(FlowRunContext&, StepDone)>;
+using StepFn = std::function<void(StepDone)>;
 
 struct FlowStep {
   std::string name;
@@ -80,16 +74,14 @@ class FlowsService {
   /// inside a step (transfers, compute) nest under the step's span.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  using RunCallback = std::function<void(const FlowRunRecord&,
-                                         const osprey::util::Value& state)>;
+  using RunCallback = std::function<void(const FlowRunRecord&)>;
 
-  /// Start a run; steps execute in order, each beginning when its
-  /// predecessor's `done` fires. A failed step aborts the run. The run's
-  /// record is retired when it finishes: `on_done` gets the final
-  /// record, and the service keeps no history.
-  FlowRunId run(const FlowDefinition& flow, const std::string& token,
-                RunCallback on_done = nullptr,
-                osprey::util::Value initial_state = {});
+  /// Start a run of `flow` (moved into the run); steps execute in order,
+  /// each beginning when its predecessor's `done` fires. A failed step
+  /// aborts the run. The run's record is retired when it finishes:
+  /// `on_done` gets the final record, and the service keeps no history.
+  FlowRunId run(FlowDefinition flow, const std::string& token,
+                RunCallback on_done = nullptr);
 
   /// Runs started that have not finished yet.
   std::size_t in_flight() const { return in_flight_.size(); }
@@ -101,7 +93,6 @@ class FlowsService {
  private:
   struct ActiveRun {
     FlowDefinition flow;
-    FlowRunContext context;
     RunCallback on_done;
     std::size_t next_step = 0;
     FlowRunRecord record;

@@ -1,11 +1,11 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <tuple>
 #include <utility>
 
+#include "obs/merge.hpp"
 #include "util/error.hpp"
 #include "util/value.hpp"
 
@@ -119,61 +119,10 @@ std::vector<SpanRecord> parse_chrome_trace(const std::string& json) {
   return spans;
 }
 
-namespace {
-
-// Deterministic number formatting for the exposition text: integral
-// values print without a fraction, others with %.17g (round-trippable).
-std::string format_number(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(static_cast<std::int64_t>(v)));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-void append_header(std::string& out, const MetricsRegistry& registry,
-                   const std::string& name, const char* type) {
-  const std::string help = registry.help(name);
-  if (!help.empty()) out += "# HELP " + name + " " + help + "\n";
-  out += "# TYPE " + name + " " + type + "\n";
-}
-
-}  // namespace
-
 std::string prometheus_text(const MetricsRegistry& registry) {
-  std::string out;
-  for (const std::string& name : registry.counter_names()) {
-    const Counter* c = registry.find_counter(name);
-    append_header(out, registry, name, "counter");
-    out += name + " " + format_number(static_cast<double>(c->value())) + "\n";
-  }
-  for (const std::string& name : registry.gauge_names()) {
-    const Gauge* g = registry.find_gauge(name);
-    append_header(out, registry, name, "gauge");
-    out += name + " " + format_number(g->value()) + "\n";
-  }
-  for (const std::string& name : registry.histogram_names()) {
-    const Histogram* h = registry.find_histogram(name);
-    append_header(out, registry, name, "histogram");
-    const std::vector<double> bounds = h->bounds();
-    const std::vector<std::uint64_t> buckets = h->bucket_counts();
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += buckets[i];
-      out += name + "_bucket{le=\"" + format_number(bounds[i]) + "\"} " +
-             format_number(static_cast<double>(cumulative)) + "\n";
-    }
-    cumulative += buckets.back();
-    out += name + "_bucket{le=\"+Inf\"} " +
-           format_number(static_cast<double>(cumulative)) + "\n";
-    out += name + "_sum " + format_number(h->sum()) + "\n";
-    out += name + "_count " + format_number(static_cast<double>(h->count())) +
-           "\n";
-  }
-  return out;
+  // The one-source case of the labeled writer: an empty label adds no
+  // shard dimension.
+  return prometheus_text_sharded({{"", &registry}});
 }
 
 }  // namespace osprey::obs

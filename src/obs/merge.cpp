@@ -22,8 +22,8 @@ void require_unique_labels(const std::vector<std::string>& labels) {
   }
 }
 
-// Same deterministic formatting as the single-registry exposition
-// (integers without a fraction, %.17g otherwise).
+// Deterministic number formatting for the exposition text: integral
+// values print without a fraction, others with %.17g (round-trippable).
 std::string format_number(double v) {
   char buf[64];
   if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
@@ -44,6 +44,15 @@ std::vector<std::string> name_union(
     for (const std::string& n : names(*src.registry)) all.insert(n);
   }
   return {all.begin(), all.end()};
+}
+
+/// A sample's label set: the shard label (omitted when empty, as in the
+/// single-registry exposition) then `extra` (e.g. a bucket's le="…").
+std::string sample_labels(const std::string& shard,
+                          const std::string& extra = {}) {
+  std::string inner = shard.empty() ? "" : "shard=\"" + shard + "\"";
+  if (!extra.empty()) inner += (inner.empty() ? "" : ",") + extra;
+  return inner.empty() ? "" : "{" + inner + "}";
 }
 
 void append_family_header(std::string& out,
@@ -127,7 +136,7 @@ std::string prometheus_text_sharded(
     for (const LabeledRegistry& src : sources) {
       const Counter* c = src.registry->find_counter(name);
       if (c == nullptr) continue;
-      out += name + "{shard=\"" + src.label + "\"} " +
+      out += name + sample_labels(src.label) + " " +
              format_number(static_cast<double>(c->value())) + "\n";
     }
   }
@@ -138,7 +147,7 @@ std::string prometheus_text_sharded(
     for (const LabeledRegistry& src : sources) {
       const Gauge* g = src.registry->find_gauge(name);
       if (g == nullptr) continue;
-      out += name + "{shard=\"" + src.label + "\"} " +
+      out += name + sample_labels(src.label) + " " +
              format_number(g->value()) + "\n";
     }
   }
@@ -149,22 +158,20 @@ std::string prometheus_text_sharded(
     for (const LabeledRegistry& src : sources) {
       const Histogram* h = src.registry->find_histogram(name);
       if (h == nullptr) continue;
-      const std::string shard_label = "shard=\"" + src.label + "\"";
       const std::vector<double> bounds = h->bounds();
       const std::vector<std::uint64_t> buckets = h->bucket_counts();
       std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < bounds.size(); ++i) {
+      for (std::size_t i = 0; i <= bounds.size(); ++i) {
         cumulative += buckets[i];
-        out += name + "_bucket{" + shard_label + ",le=\"" +
-               format_number(bounds[i]) + "\"} " +
+        const std::string le =
+            i < bounds.size() ? format_number(bounds[i]) : "+Inf";
+        out += name + "_bucket" +
+               sample_labels(src.label, "le=\"" + le + "\"") + " " +
                format_number(static_cast<double>(cumulative)) + "\n";
       }
-      cumulative += buckets.back();
-      out += name + "_bucket{" + shard_label + ",le=\"+Inf\"} " +
-             format_number(static_cast<double>(cumulative)) + "\n";
-      out += name + "_sum{" + shard_label + "} " + format_number(h->sum()) +
-             "\n";
-      out += name + "_count{" + shard_label + "} " +
+      out += name + "_sum" + sample_labels(src.label) + " " +
+             format_number(h->sum()) + "\n";
+      out += name + "_count" + sample_labels(src.label) + " " +
              format_number(static_cast<double>(h->count())) + "\n";
     }
   }

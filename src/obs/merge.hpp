@@ -54,6 +54,8 @@ osprey::util::Value merged_metrics_snapshot(
 /// every sample. Metric families appear in sorted-name order; within a
 /// family, shards appear in the order given (callers pass partitions in
 /// stable ordinal order). Histograms keep full bucket detail per shard.
+/// An empty label adds no shard dimension: prometheus_text(registry) is
+/// this writer over the single source {"", &registry}.
 std::string prometheus_text_sharded(
     const std::vector<LabeledRegistry>& sources);
 

@@ -6,9 +6,11 @@
 #include <cctype>
 
 #include "crypto/sha256.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace oa = osprey::aero;
+namespace obs = osprey::obs;
 namespace of = osprey::fabric;
 namespace ou = osprey::util;
 using ou::kDay;
@@ -48,6 +50,44 @@ Value concat_analysis(const Value& args) {
   ValueObject out;
   out["outputs"] = Value(std::move(outputs));
   return Value(std::move(out));
+}
+
+/// Analysis with two outputs: the first three bytes of the (single)
+/// input and the rest.
+Value split_analysis(const Value& args) {
+  std::string joined;
+  for (const auto& [uuid, bytes] : args.at("inputs").as_object()) {
+    (void)uuid;
+    joined += bytes.as_string();
+  }
+  ValueObject outputs;
+  outputs["head.txt"] = Value(joined.substr(0, 3));
+  outputs["tail.txt"] = Value(joined.substr(3));
+  ValueObject out;
+  out["outputs"] = Value(std::move(outputs));
+  return Value(std::move(out));
+}
+
+/// Names of the "step:" spans recorded for flow `flow`, in order.
+std::vector<std::string> step_names(const obs::TraceRecorder& recorder,
+                                    const std::string& flow) {
+  std::vector<std::string> names;
+  for (const obs::SpanRecord& span : recorder.snapshot()) {
+    if (span.name.rfind("step:", 0) == 0 && span.detail == flow) {
+      names.push_back(span.name.substr(5));
+    }
+  }
+  return names;
+}
+
+/// The first span named `name` (fails the test when there is none).
+obs::SpanRecord span_named(const obs::TraceRecorder& recorder,
+                           const std::string& name) {
+  for (const obs::SpanRecord& span : recorder.snapshot()) {
+    if (span.name == name) return span;
+  }
+  ADD_FAILURE() << "no span named " << name;
+  return {};
 }
 
 }  // namespace
@@ -355,4 +395,134 @@ TEST_F(AeroServerTest, UpdateListenersFireOnVersionsAndDegradationFlips) {
   server.db().add_version(handles.raw_uuid, std::string(64, 'a'), 1,
                           loop.now(), "eagle", "data", "flow-a/raw");
   EXPECT_EQ(notified.size(), seen);
+}
+
+// ---------------------------------------------------------------------------
+// The AERO wrapper's shape: step names and order per flow kind, and what
+// register-metadata publishes for every output.
+// ---------------------------------------------------------------------------
+
+TEST_F(AeroServerTest, RunShapeAndPublishedVersionsPerKind) {
+  obs::TraceRecorder recorder;
+  server.set_tracer(&recorder);
+  flows.set_tracer(&recorder);
+  std::string split_fn =
+      login.register_function("split", split_analysis, kMinute);
+  auto source = std::make_shared<oa::ScriptedSource>(
+      "https://feed/a", std::vector<std::pair<of::SimTime, std::string>>{
+                            {0, "first"}, {kDay, "second"}});
+  auto handles = server.register_ingestion(ingestion_spec("ing", source));
+  oa::AnalysisFlowSpec spec =
+      analysis_spec("ana", {handles.output_uuid}, oa::TriggerPolicy::kAny);
+  spec.function_id = split_fn;
+  spec.output_names = {"head.txt", "tail.txt"};
+  std::vector<std::string> outputs = server.register_analysis(std::move(spec));
+  ASSERT_EQ(outputs.size(), 2u);
+
+  // Each day's run publishes version `day`; only the latest bytes stay
+  // on the endpoint, so every version is checked while it is current.
+  for (int day = 1; day <= 2; ++day) {
+    loop.run_until((day - 1) * kDay + kHour);
+    for (std::size_t k = 0; k < outputs.size(); ++k) {
+      const std::string name = k == 0 ? "head.txt" : "tail.txt";
+      auto ver = server.db().latest_version(outputs[k]);
+      ASSERT_TRUE(ver.has_value()) << name;
+      EXPECT_EQ(ver->version, day) << name;
+      EXPECT_EQ(ver->path, "ana/" + name);
+      EXPECT_EQ(ver->endpoint, "eagle");
+      EXPECT_EQ(ver->collection, "data");
+      const std::string stored =
+          eagle.get("data", ver->path, server.token()).bytes;
+      EXPECT_EQ(ver->checksum, osprey::crypto::Sha256::hash_hex(stored))
+          << name;
+      EXPECT_EQ(ver->size_bytes, stored.size()) << name;
+    }
+    auto out = server.db().latest_version(handles.output_uuid);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->path, "ing/transformed");
+    EXPECT_EQ(out->checksum,
+              osprey::crypto::Sha256::hash_hex(
+                  eagle.get("data", out->path, server.token()).bytes));
+  }
+  EXPECT_EQ(eagle.get("data", "ana/head.txt", server.token()).bytes, "SEC");
+  EXPECT_EQ(eagle.get("data", "ana/tail.txt", server.token()).bytes, "OND");
+
+  const std::vector<std::string> ingest = {"upload-raw", "transform",
+                                           "stage-out", "register-metadata"};
+  const std::vector<std::string> analyze = {"stage-in", "execute",
+                                            "stage-out", "register-metadata"};
+  std::vector<std::string> twice_ingest = ingest;
+  twice_ingest.insert(twice_ingest.end(), ingest.begin(), ingest.end());
+  std::vector<std::string> twice_analyze = analyze;
+  twice_analyze.insert(twice_analyze.end(), analyze.begin(), analyze.end());
+  EXPECT_EQ(step_names(recorder, "ing"), twice_ingest);
+  EXPECT_EQ(step_names(recorder, "ana"), twice_analyze);
+  EXPECT_EQ(server.failed_runs(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A user function's malformed result fails its run, never the event loop.
+// ---------------------------------------------------------------------------
+
+TEST_F(AeroServerTest, NonStringTransformOutputFailsTheRunNotTheLoop) {
+  obs::TraceRecorder recorder;
+  server.set_tracer(&recorder);
+  flows.set_tracer(&recorder);
+  std::string numeric_fn = login.register_function(
+      "numeric",
+      [](const Value&) {
+        ValueObject out;
+        out["output"] = Value(std::int64_t{42});
+        return Value(std::move(out));
+      },
+      kSecond);
+  auto source = std::make_shared<oa::ScriptedSource>(
+      "https://feed/a", std::vector<std::pair<of::SimTime, std::string>>{
+                            {0, "x"}});
+  oa::IngestionFlowSpec spec = ingestion_spec("ing", source);
+  spec.function_id = numeric_fn;
+  auto handles = server.register_ingestion(std::move(spec));
+
+  EXPECT_NO_THROW(loop.run_until(kHour));
+  EXPECT_EQ(server.failed_runs(), 1u);
+  EXPECT_EQ(server.db().latest_version_number(handles.output_uuid), 0);
+  obs::SpanRecord step = span_named(recorder, "step:transform");
+  EXPECT_FALSE(step.ok);
+  EXPECT_EQ(step.detail, "transformation output is not a string");
+  // The loop keeps serving: the next polls still happen.
+  EXPECT_NO_THROW(loop.run_until(2 * kDay));
+  EXPECT_EQ(server.polls(), 3u);
+}
+
+TEST_F(AeroServerTest, NonStringAnalysisOutputFailsTheRunNotTheLoop) {
+  obs::TraceRecorder recorder;
+  server.set_tracer(&recorder);
+  flows.set_tracer(&recorder);
+  std::string numeric_fn = login.register_function(
+      "numeric",
+      [](const Value&) {
+        ValueObject outputs;
+        outputs["combined.txt"] = Value(std::int64_t{7});
+        ValueObject out;
+        out["outputs"] = Value(std::move(outputs));
+        return Value(std::move(out));
+      },
+      kSecond);
+  auto source = std::make_shared<oa::ScriptedSource>(
+      "https://feed/a", std::vector<std::pair<of::SimTime, std::string>>{
+                            {0, "x"}});
+  auto handles = server.register_ingestion(ingestion_spec("ing", source));
+  oa::AnalysisFlowSpec spec =
+      analysis_spec("ana", {handles.output_uuid}, oa::TriggerPolicy::kAny);
+  spec.function_id = numeric_fn;
+  auto outputs = server.register_analysis(std::move(spec));
+
+  EXPECT_NO_THROW(loop.run_until(kHour));
+  EXPECT_EQ(server.failed_runs(), 1u);
+  EXPECT_EQ(server.db().latest_version_number(outputs[0]), 0);
+  obs::SpanRecord step = span_named(recorder, "step:execute");
+  EXPECT_FALSE(step.ok);
+  EXPECT_EQ(step.detail, "analysis output 'combined.txt' is not a string");
+  EXPECT_NO_THROW(loop.run_until(2 * kDay));
+  EXPECT_EQ(server.polls(), 3u);
 }

@@ -31,9 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "artifact_dump.hpp"
 #include "core/platform.hpp"
 #include "core/usecase_ww.hpp"
 #include "epi/wastewater.hpp"
+#include "obs/export.hpp"
 #include "util/log.hpp"
 
 namespace oa = osprey::aero;
@@ -252,6 +254,13 @@ class ChaosSeedTest : public ::testing::TestWithParam<int> {
 TEST_P(ChaosSeedTest, ConvergesOrDegradesGracefully) {
   ChaosRun run = run_chaos(static_cast<std::uint64_t>(GetParam()));
   assert_chaos_invariants(run);
+  const osprey::obs::MetricsRegistry& metrics = run.platform->metrics();
+  osprey::testing::dump_artifacts(
+      "chaos_seed_" + std::to_string(GetParam()),
+      {{"incidents.txt", run.plan->log().to_string()},
+       {"trace.json", osprey::obs::chrome_trace_json(run.platform->tracer())},
+       {"metrics.json", metrics.snapshot().to_json()},
+       {"metrics.prom", osprey::obs::prometheus_text(metrics)}});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSeedTest, ::testing::Range(0, 16));
@@ -448,10 +457,10 @@ TEST(ChaosFaults, FlowStallDelaysTheStepWithoutFailingTheRun) {
   of::FlowDefinition flow;
   flow.name = "f";
   flow.steps.push_back(of::FlowStep{
-      "step", [](of::FlowRunContext&, of::StepDone done) { done(true, ""); }});
+      "step", [](of::StepDone done) { done(true, ""); }});
   bool succeeded = false;
   SimTime ended = -1;
-  flows.run(flow, token, [&](const of::FlowRunRecord& rec, const Value&) {
+  flows.run(flow, token, [&](const of::FlowRunRecord& rec) {
     succeeded = rec.status == of::FlowRunStatus::kSucceeded;
     ended = rec.ended;
   });

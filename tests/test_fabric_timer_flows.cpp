@@ -67,14 +67,14 @@ TEST_F(TimerFlowsTest, FlowRunsStepsInOrder) {
   flow.name = "pipeline";
   for (const std::string name : {"stage-in", "execute", "stage-out"}) {
     flow.steps.push_back(of::FlowStep{
-        name, [&order, name](of::FlowRunContext&, of::StepDone done) {
+        name, [&order, name](of::StepDone done) {
           order.push_back(name);
           done(true, "");
         }});
   }
   bool finished = false;
   flows.run(flow, token,
-            [&](const of::FlowRunRecord& rec, const ou::Value&) {
+            [&](const of::FlowRunRecord& rec) {
               finished = true;
               EXPECT_EQ(rec.status, of::FlowRunStatus::kSucceeded);
               EXPECT_EQ(rec.steps.size(), 3u);
@@ -86,22 +86,19 @@ TEST_F(TimerFlowsTest, FlowRunsStepsInOrder) {
 }
 
 TEST_F(TimerFlowsTest, AsyncStepsCompleteLater) {
+  of::SimTime second_step_time = -1;
   of::FlowDefinition flow;
   flow.name = "async";
   flow.steps.push_back(of::FlowStep{
-      "wait", [this](of::FlowRunContext&, of::StepDone done) {
+      "wait", [this](of::StepDone done) {
         loop.schedule_after(5 * kSecond, [done] { done(true, ""); });
       }});
   flow.steps.push_back(of::FlowStep{
-      "after", [this](of::FlowRunContext& ctx, of::StepDone done) {
-        ctx.state["t"] = ou::Value(loop.now());
+      "after", [this, &second_step_time](of::StepDone done) {
+        second_step_time = loop.now();
         done(true, "");
       }});
-  of::SimTime second_step_time = -1;
-  flows.run(flow, token,
-            [&](const of::FlowRunRecord&, const ou::Value& state) {
-              second_step_time = state.at("t").as_int();
-            });
+  flows.run(flow, token);
   loop.run_all();
   EXPECT_EQ(second_step_time, 5 * kSecond);
 }
@@ -111,23 +108,23 @@ TEST_F(TimerFlowsTest, FailedStepAbortsFlow) {
   of::FlowDefinition flow;
   flow.name = "failing";
   flow.steps.push_back(of::FlowStep{
-      "ok", [&](of::FlowRunContext&, of::StepDone done) {
+      "ok", [&](of::StepDone done) {
         ran.push_back("ok");
         done(true, "");
       }});
   flow.steps.push_back(of::FlowStep{
-      "boom", [&](of::FlowRunContext&, of::StepDone done) {
+      "boom", [&](of::StepDone done) {
         ran.push_back("boom");
         done(false, "exploded");
       }});
   flow.steps.push_back(of::FlowStep{
-      "never", [&](of::FlowRunContext&, of::StepDone done) {
+      "never", [&](of::StepDone done) {
         ran.push_back("never");
         done(true, "");
       }});
   of::FlowRunRecord rec;
   flows.run(flow, token,
-            [&](const of::FlowRunRecord& r, const ou::Value&) { rec = r; });
+            [&](const of::FlowRunRecord& r) { rec = r; });
   loop.run_all();
   EXPECT_EQ(ran, (std::vector<std::string>{"ok", "boom"}));
   EXPECT_EQ(rec.status, of::FlowRunStatus::kFailed);
@@ -140,12 +137,12 @@ TEST_F(TimerFlowsTest, ThrowingStepIsCaught) {
   of::FlowDefinition flow;
   flow.name = "thrower";
   flow.steps.push_back(of::FlowStep{
-      "throws", [](of::FlowRunContext&, of::StepDone) {
+      "throws", [](of::StepDone) {
         throw std::runtime_error("step exception");
       }});
   of::FlowRunRecord rec;
   flows.run(flow, token,
-            [&](const of::FlowRunRecord& r, const ou::Value&) { rec = r; });
+            [&](const of::FlowRunRecord& r) { rec = r; });
   loop.run_all();
   EXPECT_EQ(rec.status, of::FlowRunStatus::kFailed);
   EXPECT_NE(rec.steps.at(0).error.find("step exception"), std::string::npos);
@@ -158,14 +155,14 @@ TEST_F(TimerFlowsTest, LateDoneAfterThrowDoesNotFinishTheRunAgain) {
   of::FlowDefinition flow;
   flow.name = "late";
   flow.steps.push_back(of::FlowStep{
-      "submit-then-throw", [&](of::FlowRunContext&, of::StepDone done) {
+      "submit-then-throw", [&](of::StepDone done) {
         loop.schedule_after(kSecond, [done] { done(false, "late failure"); });
         throw std::runtime_error("submission threw");
       }});
   int finishes = 0;
   std::string error;
   flows.run(flow, token,
-            [&](const of::FlowRunRecord& rec, const ou::Value&) {
+            [&](const of::FlowRunRecord& rec) {
               ++finishes;
               EXPECT_EQ(rec.status, of::FlowRunStatus::kFailed);
               error = rec.steps.at(0).error;
@@ -180,18 +177,18 @@ TEST_F(TimerFlowsTest, FirstDoneWins) {
   of::FlowDefinition flow;
   flow.name = "twice";
   flow.steps.push_back(
-      of::FlowStep{"done-twice", [](of::FlowRunContext&, of::StepDone done) {
+      of::FlowStep{"done-twice", [](of::StepDone done) {
                      done(true, "");
                      done(false, "ignored");
                    }});
   flow.steps.push_back(
-      of::FlowStep{"second", [&](of::FlowRunContext&, of::StepDone done) {
+      of::FlowStep{"second", [&](of::StepDone done) {
                      ++second_runs;
                      done(true, "");
                    }});
   int finishes = 0;
   flows.run(flow, token,
-            [&](const of::FlowRunRecord& rec, const ou::Value&) {
+            [&](const of::FlowRunRecord& rec) {
               ++finishes;
               EXPECT_EQ(rec.status, of::FlowRunStatus::kSucceeded);
               EXPECT_TRUE(rec.steps.at(0).ok);
@@ -200,29 +197,6 @@ TEST_F(TimerFlowsTest, FirstDoneWins) {
   EXPECT_EQ(second_runs, 1);
   EXPECT_EQ(finishes, 1);
   EXPECT_EQ(flows.runs_succeeded(), 1u);
-}
-
-TEST_F(TimerFlowsTest, StateFlowsBetweenSteps) {
-  of::FlowDefinition flow;
-  flow.name = "stateful";
-  flow.steps.push_back(
-      of::FlowStep{"write", [](of::FlowRunContext& ctx, of::StepDone done) {
-                     ctx.state["acc"] = ou::Value(std::int64_t{10});
-                     done(true, "");
-                   }});
-  flow.steps.push_back(
-      of::FlowStep{"add", [](of::FlowRunContext& ctx, of::StepDone done) {
-                     ctx.state["acc"] =
-                         ou::Value(ctx.state.at("acc").as_int() + 32);
-                     done(true, "");
-                   }});
-  std::int64_t final_acc = 0;
-  flows.run(flow, token,
-            [&](const of::FlowRunRecord&, const ou::Value& state) {
-              final_acc = state.at("acc").as_int();
-            });
-  loop.run_all();
-  EXPECT_EQ(final_acc, 42);
 }
 
 TEST_F(TimerFlowsTest, EmptyFlowRejected) {

@@ -12,6 +12,7 @@
 
 #include "core/platform.hpp"
 #include "obs/export.hpp"
+#include "obs/merge.hpp"
 #include "obs/metrics.hpp"
 #include "shard/partition.hpp"
 #include "util/error.hpp"
@@ -147,6 +148,55 @@ TEST(Prometheus, TextExpositionFormat) {
   EXPECT_NE(text.find("task_ms_count 3"), std::string::npos);
   // Deterministic: a second export is byte-identical.
   EXPECT_EQ(text, obs::prometheus_text(reg));
+}
+
+TEST(Prometheus, UnlabeledAndShardLabeledExpositionsAreByteExact) {
+  obs::MetricsRegistry a;
+  a.counter("aero_polls_total", "upstream polls").inc(7);
+  a.gauge("fabric_queue_depth", "queued jobs").set(2.5);
+  obs::Histogram& ha = a.histogram("task_ms", {10.0, 100.0}, "task latency");
+  ha.observe(5.0);
+  ha.observe(50.0);
+  ha.observe(500.0);
+  // Shard "b" lacks the gauge, so its family lists shard "a" only.
+  obs::MetricsRegistry b;
+  b.counter("aero_polls_total", "upstream polls").inc(3);
+  b.histogram("task_ms", {10.0, 100.0}, "task latency").observe(0.25);
+
+  EXPECT_EQ(obs::prometheus_text(a),
+            "# HELP aero_polls_total upstream polls\n"
+            "# TYPE aero_polls_total counter\n"
+            "aero_polls_total 7\n"
+            "# HELP fabric_queue_depth queued jobs\n"
+            "# TYPE fabric_queue_depth gauge\n"
+            "fabric_queue_depth 2.5\n"
+            "# HELP task_ms task latency\n"
+            "# TYPE task_ms histogram\n"
+            "task_ms_bucket{le=\"10\"} 1\n"
+            "task_ms_bucket{le=\"100\"} 2\n"
+            "task_ms_bucket{le=\"+Inf\"} 3\n"
+            "task_ms_sum 555\n"
+            "task_ms_count 3\n");
+  EXPECT_EQ(obs::prometheus_text_sharded({{"a", &a}, {"b", &b}}),
+            "# HELP aero_polls_total upstream polls\n"
+            "# TYPE aero_polls_total counter\n"
+            "aero_polls_total{shard=\"a\"} 7\n"
+            "aero_polls_total{shard=\"b\"} 3\n"
+            "# HELP fabric_queue_depth queued jobs\n"
+            "# TYPE fabric_queue_depth gauge\n"
+            "fabric_queue_depth{shard=\"a\"} 2.5\n"
+            "# HELP task_ms task latency\n"
+            "# TYPE task_ms histogram\n"
+            "task_ms_bucket{shard=\"a\",le=\"10\"} 1\n"
+            "task_ms_bucket{shard=\"a\",le=\"100\"} 2\n"
+            "task_ms_bucket{shard=\"a\",le=\"+Inf\"} 3\n"
+            "task_ms_sum{shard=\"a\"} 555\n"
+            "task_ms_count{shard=\"a\"} 3\n"
+            "task_ms_bucket{shard=\"b\",le=\"10\"} 1\n"
+            "task_ms_bucket{shard=\"b\",le=\"100\"} 1\n"
+            "task_ms_bucket{shard=\"b\",le=\"+Inf\"} 1\n"
+            "task_ms_sum{shard=\"b\"} 0.25\n"
+            "task_ms_count{shard=\"b\"} 1\n");
 }
 
 // --- registry layout of the production wiring sites ----------------------

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "artifact_dump.hpp"
 #include "core/usecase_shard.hpp"
 #include "fabric/fault.hpp"
 #include "shard/fabric.hpp"
@@ -27,6 +28,7 @@ struct RunArtifacts {
   std::string incidents;
   std::string trace;
   std::string metrics;
+  std::string prometheus;
 };
 
 FaultPlan chaos_for(std::uint64_t seed) {
@@ -57,6 +59,7 @@ RunArtifacts run_campaign(std::uint64_t seed, std::size_t num_shards) {
   out.incidents = fabric.merged_incident_log();
   out.trace = fabric.merged_chrome_trace();
   out.metrics = fabric.merged_metrics().to_json();
+  out.prometheus = fabric.merged_prometheus();
   return out;
 }
 
@@ -67,6 +70,11 @@ class ShardReplayTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ShardReplayTest, ByteIdenticalAcrossShardCountsAndReruns) {
   const std::uint64_t seed = GetParam();
   RunArtifacts base = run_campaign(seed, 1);
+  osprey::testing::dump_artifacts("shard_seed_" + std::to_string(seed),
+                                  {{"incidents.txt", base.incidents},
+                                   {"trace.json", base.trace},
+                                   {"metrics.json", base.metrics},
+                                   {"metrics.prom", base.prometheus}});
   // Chaos at these rates must actually bite, or the sweep proves
   // nothing about fault-path determinism.
   EXPECT_NE(base.incidents.find("[fault]"), std::string::npos)
