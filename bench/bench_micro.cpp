@@ -1,15 +1,19 @@
 /// Micro-benchmarks (google-benchmark) of the substrates: throughput
 /// numbers that bound how far the simulated platform scales — storage
 /// puts, EMEWS task round-trips, MetaRVM steps/s, GP fit/predict
-/// scaling, Saltelli throughput, and the Goldstein MCMC iteration cost.
-/// SHA-256 throughput and event-loop dispatch are osprey_bench probes
-/// (crypto.sha256_mb_per_s, fabric.dispatch_ns_per_event), with a
-/// committed baseline in bench/osprey_bench/baseline/.
+/// scaling, Saltelli throughput, the Goldstein MCMC iteration cost, and
+/// the SHA-256 kernels and JSON codec every AERO payload goes through.
+/// End-to-end SHA-256 throughput and event-loop dispatch are also
+/// osprey_bench probes (crypto.sha256_mb_per_s,
+/// fabric.dispatch_ns_per_event), with a committed baseline in
+/// bench/osprey_bench/baseline/.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdio>
 
+#include "crypto/sha256.hpp"
 #include "emews/task_api.hpp"
 #include "emews/worker_pool.hpp"
 #include "epi/metarvm.hpp"
@@ -22,6 +26,7 @@
 #include "rt/ensemble.hpp"
 #include "rt/goldstein.hpp"
 #include "util/thread_pool.hpp"
+#include "util/value.hpp"
 
 using namespace osprey;
 
@@ -254,5 +259,72 @@ BENCHMARK(BM_EnsembleEstimate4Plants)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// SHA-256 over one buffer: arg 0 picks the kernel (0 = the dispatched
+// one Sha256 uses, 1 = the portable fallback), arg 1 the size in bytes.
+static void BM_Sha256(benchmark::State& state) {
+  const bool portable = state.range(0) != 0;
+  const std::string payload(static_cast<std::size_t>(state.range(1)), 'x');
+  for (auto _ : state) {
+    if (portable) {
+      benchmark::DoNotOptimize(crypto::detail::digest_with(
+          crypto::detail::portable_blocks, payload.data(), payload.size()));
+    } else {
+      crypto::Sha256 h;
+      h.update(payload);
+      benchmark::DoNotOptimize(h.digest());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(1));
+}
+BENCHMARK(BM_Sha256)->ArgsProduct({{0, 1}, {64, 4096, 256 * 1024}});
+
+/// An aggregation round as the shard coordinator posts it to the hub:
+/// one {feed, uuid, version, checksum} member per feed.
+static util::Value aggregate_round(int members) {
+  util::ValueArray inputs;
+  inputs.reserve(static_cast<std::size_t>(members));
+  for (int m = 0; m < members; ++m) {
+    char uuid[40];
+    std::snprintf(uuid, sizeof(uuid), "%08x-0000-4000-8000-%012x",
+                  static_cast<unsigned>(m * 2654435761u),
+                  static_cast<unsigned>(m));
+    util::ValueObject input;
+    input["feed"] = util::Value("feed-" + std::to_string(m));
+    input["uuid"] = util::Value(std::string(uuid));
+    input["version"] = util::Value(std::int64_t{m % 13 + 1});
+    input["checksum"] = util::Value(crypto::Sha256::hash_hex(uuid));
+    inputs.emplace_back(std::move(input));
+  }
+  util::ValueObject round;
+  round["campaign"] = util::Value("bench");
+  round["round"] = util::Value(std::int64_t{7});
+  round["inputs"] = util::Value(std::move(inputs));
+  return util::Value(std::move(round));
+}
+
+static void BM_ValueToJson(benchmark::State& state) {
+  const util::Value round = aggregate_round(1500);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string json = round.to_json();
+    bytes = json.size();
+    benchmark::DoNotOptimize(json);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ValueToJson)->Unit(benchmark::kMicrosecond);
+
+static void BM_ValueParseJson(benchmark::State& state) {
+  const std::string json = aggregate_round(1500).to_json();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::Value::parse_json(json));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(json.size()));
+}
+BENCHMARK(BM_ValueParseJson)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

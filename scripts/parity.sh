@@ -5,14 +5,21 @@
 # shard seed sweep (ShardReplayTest, seeds 0-15, 1-shard run) on both
 # sides with OSPREY_ARTIFACT_DIR set, and diffs the artifacts: for each
 # seed the incident log, Chrome trace, metrics JSON and Prometheus text.
+# It then builds osprey_bench (bench/osprey_bench/CMakeLists.txt) for
+# both sides under build-parity/<sha>/, runs every BENCHMARK.json
+# workload once with --smoke --seed 1 and diffs the reports' `work`
+# maps (the deterministic counts and accuracy figures of each run).
 #
 # Usage: scripts/parity.sh <ref>
-#   Prints every artifact that differs (or exists on one side only) and
-#   exits non-zero on any difference or when a sweep case fails on
-#   either side. Artifacts stay in build-parity/<sha>/artifacts/{ref,head}
-#   for inspection, e.g. `diff build-parity/<sha>/artifacts/{ref,head}/X`.
+#   Prints every artifact and every work count that differs (or exists
+#   on one side only) and exits non-zero on any difference or when a
+#   sweep case or a benchmark rep fails on either side. Artifacts stay
+#   in build-parity/<sha>/artifacts/{ref,head} for inspection, e.g.
+#   `diff build-parity/<sha>/artifacts/{ref,head}/X`, and the reports in
+#   build-parity/<sha>/work/{ref,head}/<workload>.json.
 #   The ref's seed tests must write artifacts (tests/artifact_dump.hpp);
-#   older refs produce none and every file is reported as head-only.
+#   older refs produce none and every file is reported as head-only. A
+#   ref without bench/osprey_bench skips the work-map check.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -75,4 +82,56 @@ done < <(cd "$art" &&
          done)
 total="$(cd "$art" && { ls ref; ls head; } | sort -u | wc -l)"
 echo "parity: $differ of $total artifacts differ ($art/{ref,head})"
+
+bench() {  # bench <source dir> <build dir> <work dir> <log>
+  cmake -S "$1/bench/osprey_bench" -B "$2" >"$4" 2>&1 &&
+  cmake --build "$2" -j "$JOBS" >>"$4" 2>&1 || {
+    tail -n 30 "$4"
+    echo "parity: osprey_bench build of $1 failed (see $4)" >&2
+    exit 1
+  }
+  rm -rf "$3" && mkdir -p "$3/scratch"
+  local w
+  for w in "${workloads[@]}"; do
+    "$2/osprey_bench" --workload "$w" --seed 1 --smoke \
+        --scratch "$3/scratch/$w" >"$3/$w.json" 2>>"$4" || {
+      echo "parity: osprey_bench $w failed in $1 (see $3/$w.json)"
+      status=1
+    }
+  done
+}
+
+work="$root/work"
+if [[ -f "$root/src/bench/osprey_bench/CMakeLists.txt" ]]; then
+  mapfile -t workloads < <(python3 -c \
+      'import json; [print(w["name"]) for w in json.load(open("BENCHMARK.json"))["workloads"]]')
+  echo "== osprey_bench work maps (${workloads[*]}) =="
+  bench "$root/src" "$root/bench-ref" "$work/ref" "$root/bench.ref.log"
+  bench . "$root/bench-head" "$work/head" "$root/bench.head.log"
+  python3 - "$work" "${workloads[@]}" <<'PY' || differ=$((differ + 1))
+import json
+import sys
+
+work, workloads = sys.argv[1], sys.argv[2:]
+differ = 0
+for w in workloads:
+    maps = []
+    for side in ("ref", "head"):
+        try:
+            with open(f"{work}/{side}/{w}.json") as f:
+                maps.append(json.load(f)["work"])
+        except (OSError, ValueError, KeyError):
+            maps.append({})
+    ref, head = maps
+    for key in sorted(set(ref) | set(head)):
+        if ref.get(key) != head.get(key):
+            print(f"differs: {w} work.{key}: {ref.get(key)} -> {head.get(key)}")
+            differ += 1
+print(f"parity: {differ} work counts differ across {len(workloads)} "
+      f"workloads ({work}/{{ref,head}})")
+sys.exit(1 if differ else 0)
+PY
+else
+  echo "parity: $1 has no bench/osprey_bench; work maps not compared"
+fi
 [[ $differ -eq 0 && $status -eq 0 ]]

@@ -274,7 +274,7 @@ void AeroServer::poll_ingestion(std::size_t index) {
   }
   // A flaky upstream must not take the whole server down; failed
   // fetches are counted and retried on the next poll.
-  std::optional<std::string> payload;
+  std::shared_ptr<const std::string> payload;
   try {
     payload = ing.spec.source->fetch(loop_.now());
   } catch (const std::exception& e) {
@@ -289,13 +289,16 @@ void AeroServer::poll_ingestion(std::size_t index) {
   if (deg != degraded_.end() && deg->second == kOutageReason) {
     clear_degraded(ing.trigger.products, ing.spec.name);
   }
-  if (!payload.has_value()) return;
-  // Identical bytes hash to an identical checksum: skip the SHA-256 on
-  // an unchanged poll. This is pure short-circuit — the checksum
-  // comparison below is unchanged for payloads that differ.
-  if (ing.last_payload.has_value() && *payload == *ing.last_payload) return;
+  if (payload == nullptr) return;
+  // The same buffer, or identical bytes, hash to an identical checksum:
+  // skip the SHA-256 on an unchanged poll. This is pure short-circuit —
+  // the checksum comparison below is unchanged for payloads that differ.
+  if (ing.last_payload != nullptr &&
+      (payload == ing.last_payload || *payload == *ing.last_payload)) {
+    return;
+  }
   std::string checksum = osprey::crypto::Sha256::hash_hex(*payload);
-  ing.last_payload = *payload;
+  ing.last_payload = payload;
   if (checksum == ing.last_checksum) return;  // no upstream change
 
   updates_detected_->inc();
@@ -308,11 +311,10 @@ void AeroServer::poll_ingestion(std::size_t index) {
   OSPREY_LOG_INFO("aero", "update detected for '" << ing.spec.name << "' at "
                           << osprey::util::format_sim_time(loop_.now()));
   if (!admit(FlowKind::kIngestion, index)) {
-    ing.pending_payload = std::move(*payload);
+    ing.pending_payload = std::move(payload);
     return;
   }
-  ing.current_payload =
-      std::make_shared<const std::string>(std::move(*payload));
+  ing.current_payload = std::move(payload);
   run_flow(FlowKind::kIngestion, index, "poll:" + ing.spec.source->url());
 }
 
@@ -784,8 +786,7 @@ void AeroServer::relaunch(FlowKind kind, std::size_t index, Relaunch how,
                          : analyses_[index].spec.name);
   } else if (ingestion) {
     Ingestion& ing = ingestions_[index];
-    ing.current_payload =
-        std::make_shared<const std::string>(std::move(ing.pending_payload));
+    ing.current_payload = std::move(ing.pending_payload);
     trigger = (queued ? "poll(pending):" : "probe:") + ing.spec.source->url();
   } else {
     trigger = std::move(analyses_[index].pending_cause) +

@@ -265,12 +265,14 @@ class AeroServer {
     IngestionFlowSpec spec;
     FlowTrigger trigger;  // products {raw, transformed}
     std::string last_checksum;  // of the upstream payload last ingested
-    /// Raw bytes of the last polled payload. Byte-identical bytes hash
-    /// to an identical checksum, so the poll path compares these first
-    /// and skips the SHA-256 entirely on the (overwhelmingly common)
-    /// unchanged poll — the scale bottleneck at sub-daily cadences.
-    std::optional<std::string> last_payload;
-    std::string pending_payload;
+    /// The buffer the last poll hashed. The same buffer, or identical
+    /// bytes, hash to an identical checksum, so the poll path checks
+    /// these first and skips the SHA-256 entirely on the
+    /// (overwhelmingly common) unchanged poll — the scale bottleneck at
+    /// sub-daily cadences.
+    std::shared_ptr<const std::string> last_payload;
+    /// The payload a queued or deferred trigger will run with.
+    std::shared_ptr<const std::string> pending_payload;
     /// The latest run's payload (its steps share it; retries reuse it).
     std::shared_ptr<const std::string> current_payload;
     fabric::TimerId timer = 0;

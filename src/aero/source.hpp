@@ -5,9 +5,12 @@
 /// in for "a URL from which to retrieve the data" — here, the Illinois
 /// Wastewater Surveillance System feed. Sources are polled; AERO
 /// detects updates by checksum change.
+///
+/// A fetch hands out a shared, immutable buffer. A source that returns
+/// the buffer it returned last time tells AERO the content is unchanged
+/// without AERO reading a byte of it.
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,9 +29,9 @@ class DataSource {
   /// The source's URL (identification/provenance only).
   virtual std::string url() const = 0;
 
-  /// Current upstream content at virtual time `now`, or nullopt when the
-  /// source has published nothing yet.
-  virtual std::optional<std::string> fetch(SimTime now) = 0;
+  /// Current upstream content at virtual time `now`, or nullptr when
+  /// the source has published nothing yet.
+  virtual std::shared_ptr<const std::string> fetch(SimTime now) = 0;
 };
 
 /// Test/demo source publishing pre-scripted payloads at fixed times.
@@ -38,13 +41,14 @@ class ScriptedSource final : public DataSource {
                  std::vector<std::pair<SimTime, std::string>> timeline);
 
   std::string url() const override { return url_; }
-  std::optional<std::string> fetch(SimTime now) override;
+  std::shared_ptr<const std::string> fetch(SimTime now) override;
 
   std::size_t fetch_count() const { return fetches_; }
 
  private:
   std::string url_;
-  std::vector<std::pair<SimTime, std::string>> timeline_;  // sorted by time
+  std::vector<SimTime> times_;  // sorted
+  std::vector<std::shared_ptr<const std::string>> payloads_;  // by times_
   std::size_t fetches_ = 0;
 };
 

@@ -19,7 +19,7 @@ class WastewaterSource final : public aero::DataSource {
   explicit WastewaterSource(std::shared_ptr<epi::WastewaterGenerator> gen);
 
   std::string url() const override;
-  std::optional<std::string> fetch(aero::SimTime now) override;
+  std::shared_ptr<const std::string> fetch(aero::SimTime now) override;
 
   const epi::WastewaterGenerator& generator() const { return *gen_; }
 

@@ -14,19 +14,24 @@ using osprey::util::ValueObject;
 /// Upstream "URL" fed by coordinator envelopes instead of a scripted
 /// timeline: the hub's aggregation rides the normal AERO ingestion path
 /// (poll → checksum change → transform → publish), with each
-/// "aggregate-input" envelope becoming the next upstream payload.
+/// "aggregate-input" envelope becoming the next upstream payload. Every
+/// poll between two rounds returns the same buffer.
 class MailboxSource final : public aero::DataSource {
  public:
   explicit MailboxSource(std::string url) : url_(std::move(url)) {}
 
   std::string url() const override { return url_; }
-  std::optional<std::string> fetch(SimTime) override { return payload_; }
+  std::shared_ptr<const std::string> fetch(SimTime) override {
+    return payload_;
+  }
 
-  void set_payload(std::string payload) { payload_ = std::move(payload); }
+  void set_payload(std::string payload) {
+    payload_ = std::make_shared<const std::string>(std::move(payload));
+  }
 
  private:
   std::string url_;
-  std::optional<std::string> payload_;
+  std::shared_ptr<const std::string> payload_;
 };
 
 namespace {

@@ -1,9 +1,10 @@
 #include "util/value.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 namespace osprey::util {
 
@@ -112,69 +113,79 @@ std::string Value::get_or(const std::string& key,
 
 namespace {
 
-void escape_string(const std::string& s, std::ostringstream& out) {
-  out << '"';
-  for (char c : s) {
+/// Appends `s` as a JSON string literal: runs that need no escaping
+/// are copied whole.
+void append_escaped(const std::string& s, std::string& out) {
+  out += '"';
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      char buf[8];
+      int n = std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out.append(buf, static_cast<std::size_t>(n));
     }
   }
-  out << '"';
+  out.append(s, run, std::string::npos);
+  out += '"';
 }
 
-void write_json(const Value& v, std::ostringstream& out) {
+void write_json(const Value& v, std::string& out) {
   if (v.is_null()) {
-    out << "null";
+    out += "null";
   } else if (v.is_bool()) {
-    out << (v.as_bool() ? "true" : "false");
+    out += v.as_bool() ? "true" : "false";
   } else if (v.is_int()) {
-    out << v.as_int();
+    char buf[24];  // holds any int64
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v.as_int()).ptr);
   } else if (v.is_double()) {
     double d = v.as_double();
     if (std::isnan(d)) {
-      out << "null";  // JSON has no NaN; match common serializers
+      out += "null";  // JSON has no NaN; match common serializers
     } else {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", d);
-      out << buf;
+      int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
+      std::string_view digits(buf, static_cast<std::size_t>(n));
+      out += digits;
       // Keep a trailing ".0" marker so doubles round-trip as doubles.
-      std::string s(buf);
-      if (s.find_first_of(".eE") == std::string::npos) out << ".0";
+      if (digits.find_first_of(".eE") == std::string_view::npos) out += ".0";
     }
   } else if (v.is_string()) {
-    escape_string(v.as_string(), out);
+    append_escaped(v.as_string(), out);
   } else if (v.is_array()) {
-    out << '[';
+    out += '[';
     bool first = true;
     for (const Value& e : v.as_array()) {
-      if (!first) out << ',';
+      if (!first) out += ',';
       first = false;
       write_json(e, out);
     }
-    out << ']';
+    out += ']';
   } else {
-    out << '{';
+    out += '{';
     bool first = true;
     for (const auto& [k, e] : v.as_object()) {
-      if (!first) out << ',';
+      if (!first) out += ',';
       first = false;
-      escape_string(k, out);
-      out << ':';
+      append_escaped(k, out);
+      out += ':';
       write_json(e, out);
     }
-    out << '}';
+    out += '}';
   }
 }
 
@@ -367,9 +378,9 @@ class JsonParser {
 }  // namespace
 
 std::string Value::to_json() const {
-  std::ostringstream out;
+  std::string out;
   write_json(*this, out);
-  return out.str();
+  return out;
 }
 
 Value Value::parse_json(const std::string& text) {

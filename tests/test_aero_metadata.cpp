@@ -103,10 +103,10 @@ TEST(MetadataDb, ProvenanceDotContainsNodesAndEdges) {
 TEST(ScriptedSource, RevealsByTime) {
   oa::ScriptedSource src("https://example/feed",
                          {{10, "v1"}, {20, "v2"}});
-  EXPECT_FALSE(src.fetch(5).has_value());
-  EXPECT_EQ(src.fetch(10).value(), "v1");
-  EXPECT_EQ(src.fetch(15).value(), "v1");
-  EXPECT_EQ(src.fetch(25).value(), "v2");
+  EXPECT_FALSE(src.fetch(5) != nullptr);
+  EXPECT_EQ(*src.fetch(10), "v1");
+  EXPECT_EQ(*src.fetch(15), "v1");
+  EXPECT_EQ(*src.fetch(25), "v2");
   EXPECT_EQ(src.fetch_count(), 4u);
   EXPECT_EQ(src.url(), "https://example/feed");
 }

@@ -6,6 +6,7 @@
 #include <cctype>
 
 #include "crypto/sha256.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
@@ -525,4 +526,110 @@ TEST_F(AeroServerTest, NonStringAnalysisOutputFailsTheRunNotTheLoop) {
   EXPECT_EQ(step.detail, "analysis output 'combined.txt' is not a string");
   EXPECT_NO_THROW(loop.run_until(2 * kDay));
   EXPECT_EQ(server.polls(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Unchanged polls with shared payload buffers: the same buffer or equal
+// bytes never re-run a flow, changed bytes run it exactly once, and a
+// queued payload runs with the bytes it was polled with.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Upstream the test publishes to. With `fresh_copies`, every fetch
+/// returns a new buffer holding the current bytes.
+class PublishedSource final : public oa::DataSource {
+ public:
+  std::string url() const override { return "https://feed/published"; }
+  std::shared_ptr<const std::string> fetch(of::SimTime) override {
+    if (current == nullptr || !fresh_copies) return current;
+    return std::make_shared<const std::string>(*current);
+  }
+  void publish(const std::string& bytes) {
+    current = std::make_shared<const std::string>(bytes);
+  }
+
+  std::shared_ptr<const std::string> current;
+  bool fresh_copies = false;
+};
+
+std::vector<std::string> runs_of(const oa::AeroServer& server,
+                                 const std::string& flow) {
+  std::vector<std::string> runs;
+  for (const oa::RunRecord& run : server.db().runs()) {
+    if (run.flow_name != flow) continue;
+    runs.push_back(run.trigger + " | " +
+                   (run.status == oa::RunStatus::kSucceeded ? "ok" : "failed"));
+  }
+  return runs;
+}
+
+}  // namespace
+
+TEST_F(AeroServerTest, UnchangedPollSkipsWorkForSameBufferOrEqualBytes) {
+  const obs::Counter* updates =
+      loop.metrics().find_counter("aero_updates_detected_total");
+  ASSERT_NE(updates, nullptr);
+  auto source = std::make_shared<PublishedSource>();
+  source->publish("week1");
+  oa::IngestionFlowSpec spec = ingestion_spec("flow", source);
+  spec.poll_period = kHour;
+  oa::IngestionHandles handles = server.register_ingestion(std::move(spec));
+
+  // The same buffer on every poll (0h..5h): one update, one run.
+  loop.run_until(5 * kHour + kMinute);
+  EXPECT_EQ(server.polls(), 6u);
+  EXPECT_EQ(updates->value(), 1u);
+  EXPECT_EQ(server.ingestion_runs(), 1u);
+
+  // A fresh buffer with equal bytes on every poll (6h..10h): unchanged.
+  source->fresh_copies = true;
+  loop.run_until(10 * kHour + kMinute);
+  EXPECT_EQ(server.polls(), 11u);
+  EXPECT_EQ(updates->value(), 1u);
+  EXPECT_EQ(server.ingestion_runs(), 1u);
+
+  // Changed bytes (11h): exactly one more update and one more run.
+  source->fresh_copies = false;
+  source->publish("week2");
+  loop.run_until(15 * kHour + kMinute);
+  EXPECT_EQ(updates->value(), 2u);
+  EXPECT_EQ(server.ingestion_runs(), 2u);
+  EXPECT_EQ(server.db().latest_version_number(handles.output_uuid), 2);
+  EXPECT_EQ(eagle.get("data", "flow/transformed", server.token()).bytes,
+            "WEEK2");
+
+  // A payload queued behind an open breaker runs, as the probe, with
+  // the bytes it was polled with, even after upstream moved on.
+  int calls = 0;
+  std::string flaky_fn = login.register_function(
+      "flaky",
+      [&calls](const Value& args) {
+        if (++calls == 1) throw std::runtime_error("transient");
+        return upper_transform(args);
+      },
+      30 * kSecond);
+  auto queued_source = std::make_shared<PublishedSource>();
+  queued_source->publish("first");
+  oa::IngestionFlowSpec queued = ingestion_spec("queued", queued_source);
+  queued.function_id = flaky_fn;
+  queued.poll_period = 4 * kHour;
+  queued.first_poll = 16 * kHour;
+  queued.breaker.failure_threshold = 1;
+  queued.breaker.open_timeout = 6 * kHour;
+  server.register_ingestion(std::move(queued));
+
+  loop.run_until(17 * kHour);  // the 16h poll's run failed: breaker open
+  queued_source->publish("second");
+  loop.run_until(21 * kHour);  // the 20h poll queued "second"
+  EXPECT_EQ(server.deferred_triggers(), 1u);
+  queued_source->publish("third");
+  loop.run_until(23 * kHour);  // the probe (~22h) ran
+  EXPECT_EQ(runs_of(server, "queued"),
+            (std::vector<std::string>{"poll:https://feed/published | failed",
+                                      "probe:https://feed/published | ok"}));
+  EXPECT_EQ(eagle.get("data", "queued/raw", server.token()).bytes, "second");
+  EXPECT_EQ(eagle.get("data", "queued/transformed", server.token()).bytes,
+            "SECOND");
+  EXPECT_EQ(updates->value(), 4u);  // week1, week2, first, second
 }

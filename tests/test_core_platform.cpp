@@ -285,7 +285,7 @@ TEST(WastewaterSource, AdaptsGeneratorAsDataSource) {
   auto day10 = source.fetch(10 * ou::kDay);
   auto day13 = source.fetch(13 * ou::kDay);
   auto day14 = source.fetch(14 * ou::kDay);
-  ASSERT_TRUE(day10.has_value());
+  ASSERT_TRUE(day10 != nullptr);
   EXPECT_EQ(*day10, *day13);   // same weekly publication
   EXPECT_NE(*day13, *day14);   // new publication on day 14
 }

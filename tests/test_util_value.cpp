@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace ou = osprey::util;
@@ -128,4 +133,131 @@ TEST(Value, DeterministicSerialization) {
   b["a"] = ou::Value(2);
   b["z"] = ou::Value(1);
   EXPECT_EQ(a.to_json(), b.to_json());  // ordered keys
+}
+
+// The writer's exact bytes are a contract: checksums, WAL records and
+// traces are computed over them.
+TEST(Value, ToJsonGoldenBytes) {
+  ou::Value text(std::string("\x01\x1f\"\\\n\r\t\x7f\xc3\xa9z"));
+  EXPECT_EQ(text.to_json(), "\"\\u0001\\u001f\\\"\\\\\\n\\r\\t\x7f\xc3\xa9z\"");
+
+  ou::ValueArray numbers;
+  numbers.emplace_back(std::numeric_limits<std::int64_t>::min());
+  numbers.emplace_back(std::numeric_limits<std::int64_t>::max());
+  numbers.emplace_back(std::int64_t{0});
+  numbers.emplace_back(1.0);
+  numbers.emplace_back(0.1);
+  numbers.emplace_back(1e300);
+  numbers.emplace_back(-0.0);
+  numbers.emplace_back(std::nan(""));
+  EXPECT_EQ(ou::Value(numbers).to_json(),
+            "[-9223372036854775808,9223372036854775807,0,1.0,"
+            "0.10000000000000001,1.0000000000000001e+300,-0.0,null]");
+
+  ou::Value nested;
+  nested["a"] = ou::Value(ou::ValueArray{});
+  nested["b"] = ou::Value(ou::ValueObject{});
+  nested["c"] = ou::Value(ou::ValueArray{ou::Value(ou::ValueArray{}),
+                                         ou::Value(ou::ValueObject{})});
+  nested["d\n"] = ou::Value(nullptr);
+  nested["e"] = ou::Value(false);
+  nested["f"] = ou::Value(true);
+  EXPECT_EQ(nested.to_json(),
+            "{\"a\":[],\"b\":{},\"c\":[[],{}],\"d\\n\":null,\"e\":false,"
+            "\"f\":true}");
+}
+
+namespace {
+
+/// splitmix64 stream for the seeded round-trip property.
+struct Mix {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+};
+
+std::string random_text(Mix& mix) {
+  std::string s(mix.below(12), '\0');
+  for (char& c : s) {
+    // Mostly printable ASCII, with control characters, the escaped
+    // characters and raw high bytes mixed in.
+    std::uint64_t pick = mix.below(8);
+    if (pick == 0) {
+      c = static_cast<char>(mix.below(0x20));
+    } else if (pick == 1) {
+      c = static_cast<char>(0x80 + mix.below(0x80));
+    } else if (pick == 2) {
+      c = "\"\\/\x7f"[mix.below(4)];
+    } else {
+      c = static_cast<char>(0x20 + mix.below(0x5f));
+    }
+  }
+  return s;
+}
+
+double random_double(Mix& mix) {
+  switch (mix.below(4)) {
+    case 0:
+      return static_cast<double>(static_cast<std::int64_t>(mix.below(2001)) -
+                                 1000);
+    case 1:
+      return (static_cast<double>(mix.next() >> 11) / 9007199254740992.0 -
+              0.5) * 2e6;
+    case 2: {
+      // Normal magnitudes across the exponent range (the parser rejects
+      // subnormals as out of range).
+      double m = 1.0 + static_cast<double>(mix.next() >> 11) /
+                           9007199254740992.0;
+      int e = static_cast<int>(mix.below(2000)) - 1000;
+      return (mix.below(2) == 0 ? 1 : -1) * std::ldexp(m, e);
+    }
+    default:
+      return mix.below(2) == 0 ? -0.0 : std::nan("");
+  }
+}
+
+ou::Value random_value(Mix& mix, int depth) {
+  std::uint64_t kind = mix.below(depth > 0 ? 7 : 5);
+  switch (kind) {
+    case 0:
+      return ou::Value(nullptr);
+    case 1:
+      return ou::Value(mix.below(2) == 0);
+    case 2:
+      return ou::Value(static_cast<std::int64_t>(mix.next()));
+    case 3:
+      return ou::Value(random_double(mix));
+    case 4:
+      return ou::Value(random_text(mix));
+    case 5: {
+      ou::ValueArray arr;
+      for (std::uint64_t n = mix.below(5); n > 0; --n) {
+        arr.push_back(random_value(mix, depth - 1));
+      }
+      return ou::Value(std::move(arr));
+    }
+    default: {
+      ou::ValueObject obj;
+      for (std::uint64_t n = mix.below(5); n > 0; --n) {
+        obj[random_text(mix)] = random_value(mix, depth - 1);
+      }
+      return ou::Value(std::move(obj));
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Value, ToJsonParseRoundTripIsStable) {
+  Mix mix{20250521};
+  for (int i = 0; i < 20000; ++i) {
+    const ou::Value v = random_value(mix, 3);
+    const std::string json = v.to_json();
+    ASSERT_EQ(ou::Value::parse_json(json).to_json(), json) << "value " << i;
+  }
 }
