@@ -2,7 +2,9 @@
 /// numbers that bound how far the simulated platform scales — storage
 /// puts, EMEWS task round-trips, MetaRVM steps/s, GP fit/predict
 /// scaling, Saltelli throughput, the Goldstein MCMC iteration cost, and
-/// the SHA-256 kernels and JSON codec every AERO payload goes through.
+/// the SHA-256 kernels and JSON codec every AERO payload goes through,
+/// one AERO publication's metadata ops, and the shard coordinator's
+/// handling of a week of version reports.
 /// End-to-end SHA-256 throughput and event-loop dispatch are also
 /// osprey_bench probes (crypto.sha256_mb_per_s,
 /// fabric.dispatch_ns_per_event), with a committed baseline in
@@ -12,7 +14,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "aero/metadata_db.hpp"
 #include "crypto/sha256.hpp"
 #include "emews/task_api.hpp"
 #include "emews/worker_pool.hpp"
@@ -25,6 +31,7 @@
 #include "num/sampling.hpp"
 #include "rt/ensemble.hpp"
 #include "rt/goldstein.hpp"
+#include "shard/coordinator.hpp"
 #include "util/thread_pool.hpp"
 #include "util/value.hpp"
 
@@ -326,5 +333,101 @@ static void BM_ValueParseJson(benchmark::State& state) {
                           static_cast<std::int64_t>(json.size()));
 }
 BENCHMARK(BM_ValueParseJson)->Unit(benchmark::kMicrosecond);
+
+// One AERO publication's metadata: start_run + add_version +
+// finish_run. Arg 0 = no WAL hook attached, 1 = a hook that keeps the
+// last operation record (the record-building cost a WAL pays, without
+// the encode and append).
+static void BM_MetadataDbPublishCycle(benchmark::State& state) {
+  const bool hooked = state.range(0) != 0;
+  util::Value last_record;
+  std::unique_ptr<aero::MetadataDb> db;
+  std::string in, out;
+  const std::string checksum = crypto::Sha256::hash_hex("payload");
+  std::int64_t cycle = 0;
+  for (auto _ : state) {
+    // A fresh db every 4096 cycles keeps run history (and memory)
+    // bounded however many iterations the library picks.
+    if (cycle % 4096 == 0) {
+      state.PauseTiming();
+      db = std::make_unique<aero::MetadataDb>();
+      if (hooked) {
+        db->set_wal_hook([&last_record](util::Value record) {
+          last_record = std::move(record);
+        });
+      }
+      in = db->register_object("feed-0/raw", "ingest-feed-0");
+      out = db->register_object("feed-0/estimate", "analysis-feed-0");
+      db->add_version(in, checksum, 4096, 0, "eagle", "raw", "feed-0/v1");
+      state.ResumeTiming();
+    }
+    const util::SimTime t = cycle * 3'600'000;
+    const std::uint64_t run = db->start_run(
+        "analysis-feed-0", aero::FlowKind::kAnalysis, "update of " + in,
+        {{in, 1}}, "bebop", t);
+    const aero::DataVersion& v = db->add_version(
+        out, checksum, 1024, t + 500, "eagle", "estimates", "feed-0/out");
+    db->finish_run(run, aero::RunStatus::kSucceeded, {{out, v.version}},
+                   t + 1000);
+    benchmark::DoNotOptimize(run);
+    benchmark::DoNotOptimize(last_record);
+    ++cycle;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MetadataDbPublishCycle)->Arg(0)->Arg(1);
+
+// The coordinator's side of one feeds_hourly week: a 1500-member
+// aggregating campaign, every member reporting one new analysis
+// version, the last report completing the round that is posted to the
+// hub. Items are version reports.
+static void BM_CoordinatorVersionReports(benchmark::State& state) {
+  constexpr int kMembers = 1500;
+  shard::Coordinator coord(1);
+  shard::CampaignSpec spec;
+  spec.name = "bench";
+  std::vector<shard::Envelope> week;
+  for (int m = 0; m < kMembers; ++m) {
+    shard::FeedSpec feed;
+    feed.name = "bench-feed" + std::to_string(m);
+    spec.feeds.push_back(feed);
+    util::ValueObject payload;
+    payload["partition"] = util::Value(feed.name);
+    payload["feed"] = util::Value(feed.name);
+    payload["kind"] = util::Value("analysis");
+    payload["uuid"] = util::Value("uuid-" + std::to_string(m));
+    payload["checksum"] =
+        util::Value(crypto::Sha256::hash_hex(std::to_string(m)));
+    payload["timestamp"] = util::Value(std::int64_t{0});
+    shard::Envelope env;
+    env.origin = static_cast<std::uint32_t>(m + 1);
+    env.topic = "version";
+    env.payload = util::Value(std::move(payload));
+    week.push_back(std::move(env));
+  }
+  coord.register_campaign(spec);
+  coord.collect();
+  std::int64_t version = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ++version;
+    for (shard::Envelope& env : week) {
+      env.tick = static_cast<std::uint64_t>(version);
+      env.payload.as_object()["version"] = util::Value(version);
+    }
+    state.ResumeTiming();
+    coord.begin_tick(static_cast<std::uint64_t>(version),
+                     static_cast<std::uint64_t>(version) * 1000);
+    coord.deliver(week);
+    benchmark::DoNotOptimize(coord.collect());
+  }
+  if (coord.rounds_dispatched("bench") !=
+      static_cast<std::uint64_t>(version)) {
+    state.SkipWithError("expected one round per week");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kMembers);
+}
+BENCHMARK(BM_CoordinatorVersionReports)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

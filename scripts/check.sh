@@ -19,7 +19,10 @@
 #   bench   Bench smoke: the Figure-2 R(t) scenario at reduced
 #           iterations (OSPREY_BENCH_SMOKE=1), checking that
 #           results/BENCH_fig2_rt.json is emitted and the warm-start
-#           online refit beats the cold full refit; then the repository
+#           online refit beats the cold full refit; one short pass of
+#           the metadata, coordinator, SHA-256 and JSON-writer
+#           micro-benchmarks (bench_micro), so they keep compiling and
+#           running; then the repository
 #           benchmark's smoke run (bench/osprey_bench/run.py --smoke),
 #           so a src/ API change that breaks the benchmark's build or
 #           its output checks fails the gate.
@@ -143,10 +146,12 @@ stage_obs() {
 
 stage_bench() {
   cmake -B build -S . >/dev/null &&
-  cmake --build build -j "$JOBS" --target bench_fig2_rt &&
+  cmake --build build -j "$JOBS" --target bench_fig2_rt bench_micro &&
   OSPREY_BENCH_SMOKE=1 ./build/bench/bench_fig2_rt &&
   test -s results/BENCH_fig2_rt.json &&
   echo "bench artifact: results/BENCH_fig2_rt.json" &&
+  ./build/bench/bench_micro --benchmark_min_time=0.01 \
+      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson' &&
   python3 bench/osprey_bench/run.py --smoke
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -82,65 +83,131 @@ FlowKind flow_kind_from_name(const std::string& s) {
   return s == "ingestion" ? FlowKind::kIngestion : FlowKind::kAnalysis;
 }
 
+/// The WAL's operation record for `op`. Keys and values are the on-disk
+/// format: changing them breaks recovery of existing logs.
+Value op_to_record(const MetadataOp& op) {
+  ValueObject record;
+  if (const auto* reg = std::get_if<RegisterObjectOp>(&op)) {
+    record["op"] = Value("register_object");
+    record["uuid"] = Value(reg->uuid);
+    record["name"] = Value(reg->name);
+    record["producer_flow"] = Value(reg->producer_flow);
+  } else if (const auto* add = std::get_if<AddVersionOp>(&op)) {
+    record = std::move(version_to_json(add->version).as_object());
+    record["op"] = Value("add_version");
+    record["uuid"] = Value(add->uuid);
+  } else if (const auto* start = std::get_if<StartRunOp>(&op)) {
+    const RunRecord& run = start->run;
+    record["op"] = Value("start_run");
+    record["run_id"] = Value(static_cast<std::int64_t>(run.run_id));
+    record["flow_name"] = Value(run.flow_name);
+    record["kind"] = Value(flow_kind_name(run.kind));
+    record["trigger"] = Value(run.trigger);
+    record["inputs"] = refs_to_json(run.inputs);
+    record["compute_endpoint"] = Value(run.compute_endpoint);
+    record["started"] = Value(run.started);
+  } else {
+    const auto& finish = std::get<FinishRunOp>(op);
+    record["op"] = Value("finish_run");
+    record["run_id"] = Value(static_cast<std::int64_t>(finish.run_id));
+    record["status"] = Value(run_status_name(finish.status));
+    record["outputs"] = refs_to_json(finish.outputs);
+    record["ended"] = Value(finish.ended);
+  }
+  return Value(std::move(record));
+}
+
+/// Inverse of op_to_record (the replay path). Throws on an unknown op
+/// or a missing field.
+MetadataOp op_from_record(const Value& record) {
+  const std::string& op = record.at("op").as_string();
+  if (op == "register_object") {
+    return RegisterObjectOp{record.at("uuid").as_string(),
+                            record.at("name").as_string(),
+                            record.at("producer_flow").as_string()};
+  }
+  if (op == "add_version") {
+    return AddVersionOp{record.at("uuid").as_string(),
+                        version_from_json(record)};
+  }
+  if (op == "start_run") {
+    StartRunOp start;
+    RunRecord& run = start.run;
+    run.run_id = static_cast<std::uint64_t>(record.at("run_id").as_int());
+    run.flow_name = record.at("flow_name").as_string();
+    run.kind = flow_kind_from_name(record.at("kind").as_string());
+    run.trigger = record.at("trigger").as_string();
+    run.inputs = refs_from_json(record.at("inputs"));
+    run.compute_endpoint = record.at("compute_endpoint").as_string();
+    run.started = record.at("started").as_int();
+    return start;
+  }
+  if (op == "finish_run") {
+    return FinishRunOp{
+        static_cast<std::uint64_t>(record.at("run_id").as_int()),
+        run_status_from_name(record.at("status").as_string()),
+        refs_from_json(record.at("outputs")), record.at("ended").as_int()};
+  }
+  throw osprey::util::InvalidArgument("unknown metadata op: " + op);
+}
+
 }  // namespace
 
 MetadataDb::MetadataDb(std::uint64_t uuid_seed) : uuids_(uuid_seed) {}
 
 // ---------------------------------------------------------------------
-// The apply path: the only place state mutates. Live mutators build an
-// operation record, push it through the WAL hook (append-before-mutate)
-// and then apply it; recovery replays persisted records through the
-// same function, so both paths take identical state transitions.
+// The apply path: the only place state mutates. Live mutators build a
+// typed op, push its record through the WAL hook (append-before-mutate)
+// and then apply it; recovery decodes persisted records into the same
+// ops and applies them through the same function, so both paths take
+// identical state transitions.
 // ---------------------------------------------------------------------
 
-void MetadataDb::apply(const osprey::util::Value& record) {
-  const std::string& op = record.at("op").as_string();
-  if (op == "register_object") {
-    // Drawing here (instead of trusting the record) keeps the generator
-    // in lockstep on both paths and turns any WAL/state divergence into
-    // a loud failure instead of silent uuid reuse.
+void MetadataDb::apply(MetadataOp&& op) {
+  if (auto* reg = std::get_if<RegisterObjectOp>(&op)) {
+    // Drawing here (instead of trusting the op) keeps the generator in
+    // lockstep on both paths and turns any WAL/state divergence into a
+    // loud failure instead of silent uuid reuse.
     std::string uuid = uuids_.next();
-    OSPREY_REQUIRE(uuid == record.at("uuid").as_string(),
+    OSPREY_REQUIRE(uuid == reg->uuid,
                    "uuid sequence diverged from the WAL record");
     DataObjectRecord rec;
-    rec.uuid = uuid;
-    rec.name = record.at("name").as_string();
-    rec.producer_flow = record.at("producer_flow").as_string();
+    rec.uuid = std::move(reg->uuid);
+    rec.name = std::move(reg->name);
+    rec.producer_flow = std::move(reg->producer_flow);
     // osprey-lint: allow(wal-bypass) — the sanctioned apply() site
-    OSPREY_REQUIRE(objects_.emplace(uuid, std::move(rec)).second,
+    OSPREY_REQUIRE(objects_.emplace(std::move(uuid), std::move(rec)).second,
                    "duplicate object uuid");
-  } else if (op == "add_version") {
-    auto it = objects_.find(record.at("uuid").as_string());
+  } else if (auto* add = std::get_if<AddVersionOp>(&op)) {
+    auto it = objects_.find(add->uuid);
     OSPREY_REQUIRE(it != objects_.end(), "add_version for unknown object");
-    DataVersion v = version_from_json(record);
-    OSPREY_REQUIRE(v.version ==
+    OSPREY_REQUIRE(add->version.version ==
                        static_cast<int>(it->second.versions.size()) + 1,
                    "version numbers must be dense");
     // osprey-lint: allow(wal-bypass) — the sanctioned apply() site
-    it->second.versions.push_back(std::move(v));
-  } else if (op == "start_run") {
-    RunRecord rec;
-    rec.run_id = static_cast<std::uint64_t>(record.at("run_id").as_int());
-    OSPREY_REQUIRE(rec.run_id == runs_.size(), "run ids must be dense");
-    rec.flow_name = record.at("flow_name").as_string();
-    rec.kind = flow_kind_from_name(record.at("kind").as_string());
-    rec.trigger = record.at("trigger").as_string();
-    rec.inputs = refs_from_json(record.at("inputs"));
-    rec.compute_endpoint = record.at("compute_endpoint").as_string();
-    rec.started = record.at("started").as_int();
+    it->second.versions.push_back(std::move(add->version));
+  } else if (auto* start = std::get_if<StartRunOp>(&op)) {
+    OSPREY_REQUIRE(start->run.run_id == runs_.size(),
+                   "run ids must be dense");
     // osprey-lint: allow(wal-bypass) — the sanctioned apply() site
-    runs_.push_back(std::move(rec));
-  } else if (op == "finish_run") {
-    std::uint64_t run_id =
-        static_cast<std::uint64_t>(record.at("run_id").as_int());
-    OSPREY_REQUIRE(run_id < runs_.size(), "unknown run id");
-    RunRecord& rec = runs_[run_id];
-    rec.status = run_status_from_name(record.at("status").as_string());
-    rec.outputs = refs_from_json(record.at("outputs"));
-    rec.ended = record.at("ended").as_int();
+    runs_.push_back(std::move(start->run));
   } else {
-    throw osprey::util::InvalidArgument("unknown metadata op: " + op);
+    auto& finish = std::get<FinishRunOp>(op);
+    OSPREY_REQUIRE(finish.run_id < runs_.size(), "unknown run id");
+    RunRecord& rec = runs_[finish.run_id];
+    rec.status = finish.status;
+    rec.outputs = std::move(finish.outputs);
+    rec.ended = finish.ended;
   }
+}
+
+void MetadataDb::log_and_apply(MetadataOp&& op) {
+  if (wal_hook_) wal_hook_(op_to_record(op));
+  apply(std::move(op));
+}
+
+void MetadataDb::apply_replay(const osprey::util::Value& record) {
+  apply(op_from_record(record));
 }
 
 std::string MetadataDb::register_object(const std::string& name,
@@ -149,14 +216,7 @@ std::string MetadataDb::register_object(const std::string& name,
   // before any state changes — already carries it.
   osprey::util::UuidFactory peek = uuids_;
   std::string uuid = peek.next();
-  ValueObject record;
-  record["op"] = Value("register_object");
-  record["uuid"] = Value(uuid);
-  record["name"] = Value(name);
-  record["producer_flow"] = Value(producer_flow);
-  Value rec(std::move(record));
-  if (wal_hook_) wal_hook_(rec);
-  apply(rec);
+  log_and_apply(RegisterObjectOp{uuid, name, producer_flow});
   ++updates_;
   return uuid;
 }
@@ -183,7 +243,9 @@ const DataVersion& MetadataDb::add_version(
   if (it == objects_.end()) {
     throw osprey::util::NotFound("no such data object: " + uuid);
   }
-  DataVersion v;
+  AddVersionOp op;
+  op.uuid = uuid;
+  DataVersion& v = op.version;
   v.version = static_cast<int>(it->second.versions.size()) + 1;
   v.checksum = checksum;
   v.size_bytes = size_bytes;
@@ -191,11 +253,7 @@ const DataVersion& MetadataDb::add_version(
   v.endpoint = endpoint;
   v.collection = collection;
   v.path = path;
-  Value rec = version_to_json(v);
-  rec.as_object()["op"] = Value("add_version");
-  rec.as_object()["uuid"] = Value(uuid);
-  if (wal_hook_) wal_hook_(rec);
-  apply(rec);
+  log_and_apply(std::move(op));
   ++updates_;
   const DataVersion& added = it->second.versions.back();
   if (version_listener_) version_listener_(uuid, added.version);
@@ -252,19 +310,17 @@ std::uint64_t MetadataDb::start_run(const std::string& flow_name,
                                     std::vector<VersionRef> inputs,
                                     const std::string& compute_endpoint,
                                     SimTime started) {
-  std::uint64_t run_id = runs_.size();
-  ValueObject record;
-  record["op"] = Value("start_run");
-  record["run_id"] = Value(static_cast<std::int64_t>(run_id));
-  record["flow_name"] = Value(flow_name);
-  record["kind"] = Value(flow_kind_name(kind));
-  record["trigger"] = Value(trigger);
-  record["inputs"] = refs_to_json(inputs);
-  record["compute_endpoint"] = Value(compute_endpoint);
-  record["started"] = Value(started);
-  Value rec(std::move(record));
-  if (wal_hook_) wal_hook_(rec);
-  apply(rec);
+  const std::uint64_t run_id = runs_.size();
+  StartRunOp op;
+  RunRecord& run = op.run;
+  run.run_id = run_id;
+  run.flow_name = flow_name;
+  run.kind = kind;
+  run.trigger = trigger;
+  run.inputs = std::move(inputs);
+  run.compute_endpoint = compute_endpoint;
+  run.started = started;
+  log_and_apply(std::move(op));
   ++updates_;
   return run_id;
 }
@@ -272,15 +328,7 @@ std::uint64_t MetadataDb::start_run(const std::string& flow_name,
 void MetadataDb::finish_run(std::uint64_t run_id, RunStatus status,
                             std::vector<VersionRef> outputs, SimTime ended) {
   OSPREY_REQUIRE(run_id < runs_.size(), "unknown run id");
-  ValueObject record;
-  record["op"] = Value("finish_run");
-  record["run_id"] = Value(static_cast<std::int64_t>(run_id));
-  record["status"] = Value(run_status_name(status));
-  record["outputs"] = refs_to_json(outputs);
-  record["ended"] = Value(ended);
-  Value rec(std::move(record));
-  if (wal_hook_) wal_hook_(rec);
-  apply(rec);
+  log_and_apply(FinishRunOp{run_id, status, std::move(outputs), ended});
   ++updates_;
 }
 

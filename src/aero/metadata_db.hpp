@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "util/sim_time.hpp"
@@ -65,17 +66,43 @@ struct RunRecord {
   SimTime ended = -1;
 };
 
+/// One metadata mutation as typed data. The public mutators build these,
+/// MetadataDb::apply() is the only code that turns them into state, and
+/// the JSON operation record (the WAL's on-disk form) is built from one
+/// only when a WAL hook is attached, and parsed back into one on replay.
+struct RegisterObjectOp {
+  std::string uuid;  // the uuid the generator draws next (checked on apply)
+  std::string name;
+  std::string producer_flow;
+};
+struct AddVersionOp {
+  std::string uuid;
+  DataVersion version;  // version number must be the next dense one
+};
+struct StartRunOp {
+  RunRecord run;  // run_id must be the next dense id; not yet finished
+};
+struct FinishRunOp {
+  std::uint64_t run_id = 0;
+  RunStatus status = RunStatus::kSucceeded;
+  std::vector<VersionRef> outputs;
+  SimTime ended = 0;
+};
+using MetadataOp =
+    std::variant<RegisterObjectOp, AddVersionOp, StartRunOp, FinishRunOp>;
+
 /// The metadata store, with operation counters so the workflow benches
 /// can report metadata-query/update traffic (the solid arrows of the
 /// paper's Figure 1).
 ///
 /// Durability discipline (DESIGN.md §4f): every mutation is expressed
-/// as a serializable operation record. The public mutators build the
-/// record, hand it to the write-ahead hook (aero::Wal appends + syncs
-/// it) BEFORE any state changes, then route it through the single
-/// private apply() — the only code allowed to touch objects_/runs_.
-/// Recovery replays the same records through the same apply(), so a
-/// recovered database is byte-identical to one that never crashed.
+/// as a typed MetadataOp. The public mutators build the op, hand its
+/// serialized operation record to the write-ahead hook (aero::Wal
+/// appends + syncs it) BEFORE any state changes, then route the op
+/// through the single private apply() — the only code allowed to touch
+/// objects_/runs_. Recovery decodes the same records back into ops and
+/// applies them through the same apply(), so a recovered database is
+/// byte-identical to one that never crashed.
 class MetadataDb {
  public:
   explicit MetadataDb(std::uint64_t uuid_seed = 0xAE70);
@@ -173,9 +200,10 @@ class MetadataDb {
 
   // --- write-ahead logging -------------------------------------------
   /// Hook invoked with every mutation's operation record BEFORE the
-  /// mutation is applied. aero::Wal installs itself here; an empty
-  /// function detaches (mutations then apply directly, undurably).
-  using WalHook = std::function<void(const osprey::util::Value& record)>;
+  /// mutation is applied; the hook owns the record it is handed.
+  /// aero::Wal installs itself here; an empty function detaches
+  /// (mutations then apply directly, undurably, and no record is built).
+  using WalHook = std::function<void(osprey::util::Value record)>;
   void set_wal_hook(WalHook hook) { wal_hook_ = std::move(hook); }
 
   /// Replay one WAL operation record (recovery path). Applies the same
@@ -184,7 +212,7 @@ class MetadataDb {
   /// the WAL hook, listeners, or traffic counters. Throws on records
   /// inconsistent with the current state (non-dense run ids, version
   /// gaps, uuid-sequence divergence).
-  void apply_replay(const osprey::util::Value& record) { apply(record); }
+  void apply_replay(const osprey::util::Value& record);
 
   /// Current uuid-generator state (persisted in snapshots).
   std::uint64_t uuid_state() const { return uuids_.state(); }
@@ -193,7 +221,10 @@ class MetadataDb {
   /// The single state-transition function: every mutation — live or
   /// replayed — goes through here, and ONLY here may the backing
   /// containers be touched (enforced by osprey_lint's wal-bypass rule).
-  void apply(const osprey::util::Value& record);
+  void apply(MetadataOp&& op);
+  /// Write-ahead step of a live mutation: hand the op's record to the
+  /// WAL hook (when one is attached), then apply the op.
+  void log_and_apply(MetadataOp&& op);
 
   osprey::util::UuidFactory uuids_;
   std::map<std::string, DataObjectRecord> objects_;

@@ -218,7 +218,7 @@ RecoveryStats Wal::recover(MetadataDb& db) {
   stats.next_lsn = next_lsn_;
 
   db_ = &db;
-  db.set_wal_hook([this](const Value& record) { on_record(record); });
+  db.set_wal_hook([this](Value&& record) { on_record(std::move(record)); });
 
   if (tracer_ != nullptr) {
     tracer_->instant(obs::Category::kAero, "wal:recover", t0, obs::kNoSpan,
@@ -230,7 +230,7 @@ RecoveryStats Wal::recover(MetadataDb& db) {
   return stats;
 }
 
-void Wal::on_record(const osprey::util::Value& record) {
+void Wal::on_record(osprey::util::Value&& record) {
   const std::uint64_t lsn = next_lsn_;
   if (options_.checkpoint_every > 0 &&
       appends_since_checkpoint_ >= options_.checkpoint_every) {
@@ -238,9 +238,8 @@ void Wal::on_record(const osprey::util::Value& record) {
     // is what makes "snapshot == applied records" an invariant.
     write_checkpoint(lsn - 1);
   }
-  ValueObject framed = record.as_object();
-  framed["lsn"] = Value(static_cast<std::int64_t>(lsn));
-  fs_.append(current_segment_, encode_record(Value(std::move(framed)).to_json()));
+  record["lsn"] = Value(static_cast<std::int64_t>(lsn));
+  fs_.append(current_segment_, encode_record(record.to_json()));
   if (options_.sync_each_append) {
     fs_.sync();
     fsyncs_.inc();

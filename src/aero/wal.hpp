@@ -101,7 +101,7 @@ class Wal {
   const WalOptions& options() const { return options_; }
 
  private:
-  void on_record(const osprey::util::Value& record);
+  void on_record(osprey::util::Value&& record);
   void write_checkpoint(std::uint64_t lsn);
   void prune(std::uint64_t keep_from_lsn);
   std::string segment_path(std::uint64_t start_lsn) const;

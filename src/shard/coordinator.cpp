@@ -1,5 +1,7 @@
 #include "shard/coordinator.hpp"
 
+#include <set>
+
 #include "util/error.hpp"
 
 namespace osprey::shard {
@@ -31,22 +33,26 @@ void Coordinator::register_campaign(const CampaignSpec& spec) {
   OSPREY_REQUIRE(campaigns_.count(spec.name) == 0,
                  "campaign already registered: " + spec.name);
 
-  Campaign campaign;
+  std::set<std::string> names;
+  for (const FeedSpec& feed : spec.feeds) {
+    OSPREY_REQUIRE(names.insert(feed.name).second,
+                   "duplicate feed in campaign: " + feed.name);
+    OSPREY_REQUIRE(feed_index_.count(feed.name) == 0,
+                   "feed already registered on the fabric: " + feed.name);
+  }
+
+  Campaign& campaign = campaigns_[spec.name];
   campaign.name = spec.name;
   campaign.aggregate = spec.aggregate;
   for (const FeedSpec& feed : spec.feeds) {
-    OSPREY_REQUIRE(campaign.by_feed.count(feed.name) == 0,
-                   "duplicate feed in campaign: " + feed.name);
-    OSPREY_REQUIRE(feed_campaign_.count(feed.name) == 0,
-                   "feed already registered on the fabric: " + feed.name);
-    campaign.by_feed[feed.name] = campaign.members.size();
+    feed_index_[feed.name] = MemberRef{&campaign, campaign.members.size()};
     campaign.members.push_back(Member{feed.name, 0, 0, {}, {}});
-    feed_campaign_[feed.name] = spec.name;
     ValueObject payload;
     payload["campaign"] = Value(spec.name);
     payload["feed"] = feed.to_value();
     outbox_.post(tick_, feed.name, "register-feed", Value(std::move(payload)));
   }
+  campaign.behind = campaign.members.size();
   if (spec.aggregate) {
     ValueObject payload;
     payload["campaign"] = Value(spec.name);
@@ -56,7 +62,6 @@ void Coordinator::register_campaign(const CampaignSpec& spec) {
     outbox_.post(tick_, hub_key(spec.name), "register-aggregate",
                  Value(std::move(payload)));
   }
-  campaigns_[spec.name] = std::move(campaign);
   campaigns_registered_->inc();
   tracer_.instant(obs::Category::kOther, "coord:register:" + spec.name,
                   now_ns_, obs::kNoSpan,
@@ -81,42 +86,38 @@ void Coordinator::deliver(const std::vector<Envelope>& merged) {
 
 void Coordinator::on_version(const Envelope& env) {
   version_reports_->inc();
-  VersionInfo info;
-  info.partition = env.payload.at("partition").as_string();
-  info.feed = env.payload.get_or("feed", std::string());
-  info.kind = env.payload.at("kind").as_string();
-  info.uuid = env.payload.at("uuid").as_string();
-  info.version = static_cast<int>(env.payload.at("version").as_int());
-  info.checksum = env.payload.at("checksum").as_string();
-  info.timestamp = env.payload.at("timestamp").as_int();
-  versions_[info.partition + "/" + info.uuid] = info;
-
-  if (info.kind == "aggregate") {
+  const ValueObject& report = env.payload.as_object();
+  const std::string& kind = env.payload.at("kind").as_string();
+  if (kind == "aggregate") {
     // Hub partitions are keyed "<campaign>-hub"; recover the campaign
     // from the partition key.
+    const std::string& partition = env.payload.at("partition").as_string();
     for (auto& [name, campaign] : campaigns_) {
-      if (hub_key(name) == info.partition) {
+      if (hub_key(name) == partition) {
         ++campaign.aggregates;
         break;
       }
     }
     return;
   }
-  if (info.kind != "analysis") return;
-  auto cit = feed_campaign_.find(info.feed);
-  if (cit == feed_campaign_.end()) return;
-  Campaign& campaign = campaigns_.at(cit->second);
-  Member& member = campaign.members[campaign.by_feed.at(info.feed)];
-  member.latest = info.version;
-  member.uuid = info.uuid;
-  member.checksum = info.checksum;
-  if (campaign.aggregate) maybe_dispatch_round(campaign);
+  if (kind != "analysis") return;
+  auto feed = report.find("feed");
+  if (feed == report.end()) return;
+  auto it = feed_index_.find(feed->second.as_string());
+  if (it == feed_index_.end()) return;
+  Campaign& campaign = *it->second.campaign;
+  Member& member = campaign.members[it->second.member];
+  const bool was_behind = member.latest <= member.consumed;
+  member.latest = static_cast<int>(env.payload.at("version").as_int());
+  member.uuid = env.payload.at("uuid").as_string();
+  member.checksum = env.payload.at("checksum").as_string();
+  const bool is_behind = member.latest <= member.consumed;
+  if (was_behind && !is_behind) --campaign.behind;
+  if (!was_behind && is_behind) ++campaign.behind;
+  if (campaign.aggregate && campaign.behind == 0) dispatch_round(campaign);
 }
 
-void Coordinator::maybe_dispatch_round(Campaign& campaign) {
-  for (const Member& member : campaign.members) {
-    if (member.latest <= member.consumed) return;
-  }
+void Coordinator::dispatch_round(Campaign& campaign) {
   ++campaign.rounds;
   rounds_->inc();
   ValueArray inputs;
@@ -130,6 +131,7 @@ void Coordinator::maybe_dispatch_round(Campaign& campaign) {
     input["checksum"] = Value(member.checksum);
     inputs.push_back(Value(std::move(input)));
   }
+  campaign.behind = campaign.members.size();
   ValueObject payload;
   payload["campaign"] = Value(campaign.name);
   payload["round"] = Value(static_cast<std::int64_t>(campaign.rounds));

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -52,21 +53,6 @@ class Coordinator {
   /// Drain the coordinator's outbox for routing to partitions.
   std::vector<Envelope> collect();
 
-  /// Latest data version reported for one partition-qualified uuid.
-  struct VersionInfo {
-    std::string partition;
-    std::string feed;
-    std::string kind;  // "analysis" | "aggregate"
-    std::string uuid;
-    int version = 0;
-    std::string checksum;
-    std::int64_t timestamp = 0;
-  };
-  /// Keyed by "<partition>/<uuid>" (the fabric's serve addressing).
-  const std::map<std::string, VersionInfo>& versions() const {
-    return versions_;
-  }
-
   /// Aggregation rounds dispatched for `campaign` (0 for unknown).
   std::uint64_t rounds_dispatched(const std::string& campaign) const;
   /// Aggregate versions the hub reported back for `campaign`.
@@ -90,15 +76,21 @@ class Coordinator {
   struct Campaign {
     std::string name;
     bool aggregate = false;
-    std::vector<Member> members;             // registration order
-    std::map<std::string, std::size_t> by_feed;
+    std::vector<Member> members;  // registration order
+    /// Members with latest <= consumed. A round is due when it is 0.
+    std::size_t behind = 0;
     std::uint64_t rounds = 0;
     std::uint64_t aggregates = 0;
   };
+  /// Where a feed's version reports land.
+  struct MemberRef {
+    Campaign* campaign = nullptr;
+    std::size_t member = 0;
+  };
 
   void on_version(const Envelope& env);
-  /// Dispatch an aggregation round if every member advanced.
-  void maybe_dispatch_round(Campaign& campaign);
+  /// Post the aggregation round every member has advanced for.
+  void dispatch_round(Campaign& campaign);
 
   obs::TraceRecorder tracer_;
   obs::MetricsRegistry metrics_;
@@ -106,10 +98,9 @@ class Coordinator {
   std::uint64_t tick_ = 0;
   std::uint64_t now_ns_ = 0;
 
-  std::map<std::string, Campaign> campaigns_;
-  /// feed partition key -> campaign name (for routing version reports).
-  std::map<std::string, std::string> feed_campaign_;
-  std::map<std::string, VersionInfo> versions_;
+  std::map<std::string, Campaign> campaigns_;  // node-stable: MemberRef
+  /// feed partition key -> its campaign member (routes version reports).
+  std::unordered_map<std::string, MemberRef> feed_index_;
 
   obs::Counter* messages_ = nullptr;
   obs::Counter* version_reports_ = nullptr;

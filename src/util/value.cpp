@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string_view>
 
 namespace osprey::util {
@@ -156,6 +157,10 @@ void write_json(const Value& v, std::string& out) {
     double d = v.as_double();
     if (std::isnan(d)) {
       out += "null";  // JSON has no NaN; match common serializers
+    } else if (std::isinf(d)) {
+      // JSON has no infinity either; an overflowing literal parses back
+      // to it (parse_number uses strtod semantics).
+      out += d > 0 ? "1e999" : "-1e999";
     } else {
       char buf[32];
       int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
@@ -314,13 +319,18 @@ class JsonParser {
     }
     OSPREY_REQUIRE(pos_ > start, "expected a number");
     std::string tok = text_.substr(start, pos_ - start);
+    if (is_double) {
+      // strtod, not stod: underflow yields the subnormal (or zero) and
+      // overflow yields +-infinity instead of throwing, so every double
+      // to_json writes reads back bit-exactly.
+      char* end = nullptr;
+      double d = std::strtod(tok.c_str(), &end);
+      OSPREY_REQUIRE(end == tok.c_str() + tok.size(),
+                     "malformed number: " + tok);
+      return Value(d);
+    }
     try {
       std::size_t used = 0;
-      if (is_double) {
-        double d = std::stod(tok, &used);
-        OSPREY_REQUIRE(used == tok.size(), "malformed number: " + tok);
-        return Value(d);
-      }
       std::int64_t i = std::stoll(tok, &used);
       OSPREY_REQUIRE(used == tok.size(), "malformed number: " + tok);
       return Value(i);

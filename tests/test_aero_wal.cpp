@@ -392,3 +392,100 @@ TEST(MetadataSnapshot, UnknownFormatThrows) {
   snapshot.as_object()["snapshot_format"] = ou::Value(std::int64_t{99});
   EXPECT_THROW(oa::MetadataDb::from_json(snapshot), ou::InvalidArgument);
 }
+
+// --- operation-record bytes -------------------------------------------
+
+// Pins the exact bytes of every operation record a mutation hands the
+// WAL hook. The WAL appends these records (plus "lsn") verbatim, so any
+// change here changes on-disk logs and breaks recovery of old ones.
+TEST(MetadataDb, WalRecordsGoldenBytes) {
+  oa::MetadataDb db;
+  std::vector<ou::Value> records;
+  db.set_wal_hook(
+      [&records](ou::Value record) { records.push_back(std::move(record)); });
+
+  const std::string a = db.register_object("feed/a", "ingest-a");
+  const std::string b = db.register_object("feed \"b\"\n", "");
+  const std::string c = db.register_object("estimate", "analysis");
+  db.add_version(a, "ab12", 4096, 3'600'000, "eagle", "ww-rt", "a/v1.csv");
+  db.add_version(b, "cd34", 0, 7'200'000, "eagle", "ww-rt", "b/v1.csv");
+  db.add_version(c, "ef56", 1ULL << 40, 0, "bebop", "out", "c/v1.json");
+  const std::uint64_t r0 = db.start_run(
+      "ingest-a", oa::FlowKind::kIngestion, "poll", {}, "bebop", 3'600'000);
+  const std::uint64_t r1 =
+      db.start_run("analysis", oa::FlowKind::kAnalysis, "update of " + a,
+                   {{a, 1}}, "bebop", 3'600'500);
+  const std::uint64_t r2 =
+      db.start_run("aggregate", oa::FlowKind::kAnalysis, "round 1",
+                   {{a, 1}, {b, 1}, {c, 1}}, "hub", 7'200'000);
+  const std::uint64_t r3 = db.start_run(
+      "ingest-b", oa::FlowKind::kIngestion, "poll\t2", {{b, 1}}, "", -1);
+  db.finish_run(r0, oa::RunStatus::kSucceeded, {}, 3'600'100);
+  db.finish_run(r1, oa::RunStatus::kSucceeded, {{c, 1}, {a, 1}}, 3'601'000);
+  db.finish_run(r2, oa::RunStatus::kFailed, {}, 7'200'001);
+  db.finish_run(r3, oa::RunStatus::kFailed, {{b, 1}, {c, 1}}, 9'000'000);
+
+  const std::vector<std::string> golden = {
+      R"({"name":"feed/a","op":"register_object",)"
+      R"("producer_flow":"ingest-a",)"
+      R"("uuid":"3b09f4c4-6fb2-449c-a39f-3cf74d3abf72"})",
+      R"({"name":"feed \"b\"\n","op":"register_object",)"
+      R"("producer_flow":"",)"
+      R"("uuid":"b4cf5548-4fcf-4c3a-bb59-e1bc96310fd4"})",
+      R"({"name":"estimate","op":"register_object",)"
+      R"("producer_flow":"analysis",)"
+      R"("uuid":"3f0a7142-2e7c-4060-82d2-0940a755e534"})",
+      R"({"checksum":"ab12","collection":"ww-rt","endpoint":"eagle",)"
+      R"("op":"add_version","path":"a/v1.csv","size_bytes":4096,)"
+      R"("timestamp":3600000,)"
+      R"("uuid":"3b09f4c4-6fb2-449c-a39f-3cf74d3abf72","version":1})",
+      R"({"checksum":"cd34","collection":"ww-rt","endpoint":"eagle",)"
+      R"("op":"add_version","path":"b/v1.csv","size_bytes":0,)"
+      R"("timestamp":7200000,)"
+      R"("uuid":"b4cf5548-4fcf-4c3a-bb59-e1bc96310fd4","version":1})",
+      R"({"checksum":"ef56","collection":"out","endpoint":"bebop",)"
+      R"("op":"add_version","path":"c/v1.json",)"
+      R"("size_bytes":1099511627776,"timestamp":0,)"
+      R"("uuid":"3f0a7142-2e7c-4060-82d2-0940a755e534","version":1})",
+      R"({"compute_endpoint":"bebop","flow_name":"ingest-a",)"
+      R"("inputs":[],"kind":"ingestion","op":"start_run","run_id":0,)"
+      R"("started":3600000,"trigger":"poll"})",
+      R"({"compute_endpoint":"bebop","flow_name":"analysis",)"
+      R"("inputs":[{"uuid":"3b09f4c4-6fb2-449c-a39f-3cf74d3abf72",)"
+      R"("version":1}],"kind":"analysis","op":"start_run","run_id":1,)"
+      R"("started":3600500,)"
+      R"("trigger":"update of 3b09f4c4-6fb2-449c-a39f-3cf74d3abf72"})",
+      R"({"compute_endpoint":"hub","flow_name":"aggregate",)"
+      R"("inputs":[{"uuid":"3b09f4c4-6fb2-449c-a39f-3cf74d3abf72",)"
+      R"("version":1},{"uuid":"b4cf5548-4fcf-4c3a-bb59-e1bc96310fd4",)"
+      R"("version":1},{"uuid":"3f0a7142-2e7c-4060-82d2-0940a755e534",)"
+      R"("version":1}],"kind":"analysis","op":"start_run","run_id":2,)"
+      R"("started":7200000,"trigger":"round 1"})",
+      R"({"compute_endpoint":"","flow_name":"ingest-b",)"
+      R"("inputs":[{"uuid":"b4cf5548-4fcf-4c3a-bb59-e1bc96310fd4",)"
+      R"("version":1}],"kind":"ingestion","op":"start_run","run_id":3,)"
+      R"("started":-1,"trigger":"poll\t2"})",
+      R"({"ended":3600100,"op":"finish_run","outputs":[],"run_id":0,)"
+      R"("status":"succeeded"})",
+      R"({"ended":3601000,"op":"finish_run",)"
+      R"("outputs":[{"uuid":"3f0a7142-2e7c-4060-82d2-0940a755e534",)"
+      R"("version":1},{"uuid":"3b09f4c4-6fb2-449c-a39f-3cf74d3abf72",)"
+      R"("version":1}],"run_id":1,"status":"succeeded"})",
+      R"({"ended":7200001,"op":"finish_run","outputs":[],"run_id":2,)"
+      R"("status":"failed"})",
+      R"({"ended":9000000,"op":"finish_run",)"
+      R"("outputs":[{"uuid":"b4cf5548-4fcf-4c3a-bb59-e1bc96310fd4",)"
+      R"("version":1},{"uuid":"3f0a7142-2e7c-4060-82d2-0940a755e534",)"
+      R"("version":1}],"run_id":3,"status":"failed"})",
+  };
+  ASSERT_EQ(records.size(), golden.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].to_json(), golden[i]) << "record " << i;
+  }
+
+  // Replaying the recorded records rebuilds the live database exactly.
+  oa::MetadataDb replayed;
+  for (const ou::Value& record : records) replayed.apply_replay(record);
+  EXPECT_EQ(replayed.to_json().to_json(), db.to_json().to_json());
+  EXPECT_EQ(replayed.provenance_dot(), db.provenance_dot());
+}

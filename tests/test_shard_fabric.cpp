@@ -16,6 +16,7 @@
 
 #include "core/usecase_shard.hpp"
 #include "obs/export.hpp"
+#include "shard/coordinator.hpp"
 #include "shard/mailbox.hpp"
 #include "util/durable_fs.hpp"
 #include "util/sim_time.hpp"
@@ -110,6 +111,188 @@ TEST(ShardFault, ForkIsDeterministicAndPerSaltIndependent) {
   // Config is carried over; counters and log are fresh.
   EXPECT_EQ(f1.injected_total(), 0u);
   EXPECT_EQ(f1.log().size(), 0u);
+}
+
+// --- coordinator rounds ----------------------------------------------------
+
+namespace {
+
+/// Full-scan model of the coordinator's round logic: after every
+/// analysis report of an aggregating campaign, scan all members; when
+/// each has advanced past the version the last round consumed, emit the
+/// round payload the hub must receive.
+struct RoundOracle {
+  struct Member {
+    std::string feed;
+    int latest = 0;
+    int consumed = 0;
+    std::string uuid;
+    std::string checksum;
+  };
+  struct Campaign {
+    std::string name;
+    bool aggregate = false;
+    std::vector<Member> members;
+    std::uint64_t rounds = 0;
+    std::uint64_t aggregates = 0;
+  };
+  std::vector<Campaign> campaigns;
+  std::vector<std::pair<std::string, std::string>> posted;  // dest, payload
+
+  void report(const ou::Value& payload) {
+    const std::string kind = payload.at("kind").as_string();
+    if (kind == "aggregate") {
+      for (Campaign& c : campaigns) {
+        if (sh::Coordinator::hub_key(c.name) ==
+            payload.at("partition").as_string()) {
+          ++c.aggregates;
+        }
+      }
+      return;
+    }
+    if (kind != "analysis") return;
+    for (Campaign& c : campaigns) {
+      for (Member& m : c.members) {
+        if (m.feed != payload.at("feed").as_string()) continue;
+        m.latest = static_cast<int>(payload.at("version").as_int());
+        m.uuid = payload.at("uuid").as_string();
+        m.checksum = payload.at("checksum").as_string();
+        if (c.aggregate) scan(c);
+        return;
+      }
+    }
+  }
+
+  void scan(Campaign& c) {
+    for (const Member& m : c.members) {
+      if (m.latest <= m.consumed) return;
+    }
+    ++c.rounds;
+    ou::ValueArray inputs;
+    for (Member& m : c.members) {
+      m.consumed = m.latest;
+      ou::ValueObject input;
+      input["feed"] = ou::Value(m.feed);
+      input["uuid"] = ou::Value(m.uuid);
+      input["version"] = ou::Value(static_cast<std::int64_t>(m.latest));
+      input["checksum"] = ou::Value(m.checksum);
+      inputs.emplace_back(std::move(input));
+    }
+    ou::ValueObject payload;
+    payload["campaign"] = ou::Value(c.name);
+    payload["round"] = ou::Value(static_cast<std::int64_t>(c.rounds));
+    payload["inputs"] = ou::Value(std::move(inputs));
+    posted.emplace_back(sh::Coordinator::hub_key(c.name),
+                        ou::Value(std::move(payload)).to_json());
+  }
+};
+
+std::uint64_t splitmix(std::uint64_t& state) {
+  std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+TEST(ShardCoordinator, RoundDispatchMatchesFullScanOracle) {
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    std::uint64_t rng = 0xC00D + seed;
+    sh::Coordinator coord(seed);
+    RoundOracle oracle;
+    // Two campaigns: "agg" aggregates across its members, "solo" does
+    // not, so its reports must never dispatch a round.
+    const int agg_members = 2 + static_cast<int>(seed % 5);
+    for (int c = 0; c < 2; ++c) {
+      sh::CampaignSpec spec;
+      spec.name = c == 0 ? "agg" : "solo";
+      spec.aggregate = c == 0;
+      RoundOracle::Campaign model{spec.name, spec.aggregate, {}, 0, 0};
+      for (int m = 0; m < (c == 0 ? agg_members : 3); ++m) {
+        sh::FeedSpec feed;
+        feed.name = spec.name + "-f" + std::to_string(m);
+        spec.feeds.push_back(feed);
+        model.members.push_back({feed.name, 0, 0, {}, {}});
+      }
+      coord.register_campaign(spec);
+      oracle.campaigns.push_back(std::move(model));
+    }
+    coord.collect();  // registration fan-out is not under test here
+
+    std::vector<int> next_version(agg_members + 3, 0);
+    std::uint64_t rounds_seen = 0;
+    for (std::uint64_t tick = 1; tick <= 60; ++tick) {
+      coord.begin_tick(tick, tick * 1000);
+      std::vector<sh::Envelope> batch;
+      for (std::uint64_t n = splitmix(rng) % 6; n > 0; --n) {
+        const std::uint64_t pick = splitmix(rng) % 100;
+        ou::ValueObject payload;
+        if (pick < 8) {
+          payload["partition"] = ou::Value(sh::Coordinator::hub_key(
+              (splitmix(rng) % 2 == 0) ? "agg" : "solo"));
+          payload["kind"] = ou::Value("aggregate");
+          payload["uuid"] = ou::Value("hub-uuid");
+          payload["version"] = ou::Value(static_cast<std::int64_t>(tick));
+        } else {
+          // Members advance in a random order; some report the same
+          // version again or skip ahead, and a few step back.
+          const int slot =
+              static_cast<int>(splitmix(rng) % next_version.size());
+          const bool agg = slot < agg_members;
+          const std::string feed =
+              agg ? "agg-f" + std::to_string(slot)
+                  : "solo-f" + std::to_string(slot - agg_members);
+          const std::uint64_t step = splitmix(rng) % 10;
+          int& v = next_version[static_cast<std::size_t>(slot)];
+          if (step < 5) {
+            v += 1;
+          } else if (step < 7) {
+            v += 3;
+          } else if (step == 9 && v > 1) {
+            v -= 1;
+          }
+          payload["partition"] = ou::Value(feed);
+          payload["feed"] = ou::Value(feed);
+          payload["kind"] = ou::Value("analysis");
+          payload["uuid"] = ou::Value(feed + "-u" + std::to_string(v));
+          payload["version"] = ou::Value(static_cast<std::int64_t>(v));
+        }
+        payload["checksum"] = ou::Value("sum-" + std::to_string(pick));
+        payload["timestamp"] = ou::Value(static_cast<std::int64_t>(tick));
+        sh::Envelope env;
+        env.tick = tick;
+        env.origin = 1;
+        env.topic = "version";
+        env.payload = ou::Value(std::move(payload));
+        oracle.report(env.payload);
+        batch.push_back(std::move(env));
+      }
+      coord.deliver(batch);
+
+      std::vector<sh::Envelope> out = coord.collect();
+      ASSERT_EQ(out.size(), oracle.posted.size())
+          << "seed " << seed << " tick " << tick;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i].tick, tick);
+        EXPECT_EQ(out[i].topic, "aggregate-input");
+        EXPECT_EQ(out[i].dest, oracle.posted[i].first);
+        EXPECT_EQ(out[i].payload.to_json(), oracle.posted[i].second)
+            << "seed " << seed << " tick " << tick;
+      }
+      rounds_seen += out.size();
+      oracle.posted.clear();
+    }
+    EXPECT_EQ(coord.rounds_dispatched("agg"), oracle.campaigns[0].rounds)
+        << "seed " << seed;
+    EXPECT_EQ(coord.rounds_dispatched("agg"), rounds_seen);
+    EXPECT_GT(rounds_seen, 0u) << "seed " << seed;
+    EXPECT_EQ(coord.rounds_dispatched("solo"), 0u);
+    EXPECT_EQ(coord.aggregates_published("agg"),
+              oracle.campaigns[0].aggregates);
+    EXPECT_EQ(coord.aggregates_published("solo"),
+              oracle.campaigns[1].aggregates);
+  }
 }
 
 // --- end-to-end campaign ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -201,7 +202,7 @@ std::string random_text(Mix& mix) {
 }
 
 double random_double(Mix& mix) {
-  switch (mix.below(4)) {
+  switch (mix.below(6)) {
     case 0:
       return static_cast<double>(static_cast<std::int64_t>(mix.below(2001)) -
                                  1000);
@@ -209,13 +210,22 @@ double random_double(Mix& mix) {
       return (static_cast<double>(mix.next() >> 11) / 9007199254740992.0 -
               0.5) * 2e6;
     case 2: {
-      // Normal magnitudes across the exponent range (the parser rejects
-      // subnormals as out of range).
+      // Normal magnitudes across the exponent range.
       double m = 1.0 + static_cast<double>(mix.next() >> 11) /
                            9007199254740992.0;
       int e = static_cast<int>(mix.below(2000)) - 1000;
       return (mix.below(2) == 0 ? 1 : -1) * std::ldexp(m, e);
     }
+    case 3: {
+      // Subnormals, down to the smallest one (one raw mantissa bit).
+      const std::uint64_t mantissa =
+          (mix.next() >> (12 + mix.below(52))) | 1;
+      const double d = std::bit_cast<double>(mantissa);
+      return mix.below(2) == 0 ? d : -d;
+    }
+    case 4:
+      return mix.below(2) == 0 ? std::numeric_limits<double>::infinity()
+                               : -std::numeric_limits<double>::infinity();
     default:
       return mix.below(2) == 0 ? -0.0 : std::nan("");
   }
@@ -260,4 +270,22 @@ TEST(Value, ToJsonParseRoundTripIsStable) {
     const std::string json = v.to_json();
     ASSERT_EQ(ou::Value::parse_json(json).to_json(), json) << "value " << i;
   }
+  // Every non-NaN double reads back bit-exactly, subnormals and
+  // infinities included (NaN is written as null).
+  for (int i = 0; i < 20000; ++i) {
+    const double d = random_double(mix);
+    if (std::isnan(d)) continue;
+    const std::string json = ou::Value(d).to_json();
+    const ou::Value back = ou::Value::parse_json(json);
+    ASSERT_TRUE(back.is_double()) << json;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back.as_double()),
+              std::bit_cast<std::uint64_t>(d))
+        << json;
+  }
+  EXPECT_EQ(ou::Value(std::numeric_limits<double>::infinity()).to_json(),
+            "1e999");
+  EXPECT_EQ(ou::Value(-std::numeric_limits<double>::infinity()).to_json(),
+            "-1e999");
+  EXPECT_EQ(ou::Value::parse_json("1e-310").as_double(), 1e-310);
+  EXPECT_EQ(ou::Value::parse_json("1e-400").as_double(), 0.0);
 }
