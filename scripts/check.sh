@@ -29,7 +29,11 @@
 #   asan    address+undefined sanitizer build, full ctest suite.
 #   ubsan   standalone undefined-behavior sanitizer build, full ctest
 #           suite (catches UB that ASan's instrumentation masks).
-#   tsan    thread sanitizer build, concurrency-heavy suites only.
+#   tsan    thread sanitizer build, concurrency-heavy suites only:
+#           util/emews pools and task DB, offloaded compute tasks
+#           (test_fabric_compute), the trace recorder (test_obs_trace)
+#           and both use cases end to end, including the wastewater
+#           refits running side by side (test_integration_usecases).
 #   chaos   thread sanitizer build of the chaos suite: the 16-seed
 #           fault-injection sweep (ctest -L chaos) plus the
 #           retry/backoff property tests. See DESIGN.md §"Fault model".
@@ -175,9 +179,10 @@ stage_tsan() {
   cmake -B build-tsan -S . -DOSPREY_SANITIZE=thread >/dev/null &&
   cmake --build build-tsan -j "$JOBS" \
       --target test_util_concurrency test_emews_pool \
-               test_emews_taskdb_stress &&
+               test_emews_taskdb_stress test_fabric_compute \
+               test_obs_trace test_integration_usecases &&
   (cd build-tsan && ctest --output-on-failure \
-      -R 'test_util_concurrency|test_emews_pool|test_emews_taskdb_stress')
+      -R '^(test_util_concurrency|test_emews_pool|test_emews_taskdb_stress|test_fabric_compute|test_obs_trace|test_integration_usecases)$')
 }
 
 stage_chaos() {

@@ -19,12 +19,11 @@ void HarnessRegistry::add(const std::string& name, Language language,
   OSPREY_REQUIRE(static_cast<bool>(fn), "null harness function");
   OSPREY_REQUIRE(entries_.count(name) == 0,
                  "harness already registered: " + name);
-  Entry entry;
+  Entry& entry = entries_[name];
   entry.info.name = name;
   entry.info.language = language;
   entry.info.description = description;
   entry.fn = std::move(fn);
-  entries_.emplace(name, std::move(entry));
 }
 
 bool HarnessRegistry::has(const std::string& name) const {
@@ -37,7 +36,7 @@ osprey::util::Value HarnessRegistry::invoke(const std::string& name,
   if (it == entries_.end()) {
     throw osprey::util::NotFound("no such harness: " + name);
   }
-  ++it->second.info.invocations;
+  it->second.invocations.fetch_add(1, std::memory_order_relaxed);
   return it->second.fn(args);
 }
 
@@ -48,12 +47,18 @@ HarnessFn HarnessRegistry::as_compute_fn(const std::string& name) {
   };
 }
 
-const HarnessInfo& HarnessRegistry::info(const std::string& name) const {
+HarnessInfo HarnessRegistry::snapshot(const Entry& entry) {
+  HarnessInfo info = entry.info;
+  info.invocations = entry.invocations.load(std::memory_order_relaxed);
+  return info;
+}
+
+HarnessInfo HarnessRegistry::info(const std::string& name) const {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     throw osprey::util::NotFound("no such harness: " + name);
   }
-  return it->second.info;
+  return snapshot(it->second);
 }
 
 std::vector<HarnessInfo> HarnessRegistry::list() const {
@@ -61,7 +66,7 @@ std::vector<HarnessInfo> HarnessRegistry::list() const {
   out.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) {
     (void)name;
-    out.push_back(entry.info);
+    out.push_back(snapshot(entry));
   }
   return out;
 }
@@ -70,7 +75,9 @@ std::uint64_t HarnessRegistry::invocations_by(Language language) const {
   std::uint64_t n = 0;
   for (const auto& [name, entry] : entries_) {
     (void)name;
-    if (entry.info.language == language) n += entry.info.invocations;
+    if (entry.info.language == language) {
+      n += entry.invocations.load(std::memory_order_relaxed);
+    }
   }
   return n;
 }

@@ -13,6 +13,7 @@
 /// semantics (which-language-ran-what) that the SDE use case
 /// demonstrates. See DESIGN.md "Substitutions".
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -39,6 +40,9 @@ struct HarnessInfo {
 
 /// Registry of named harnesses. A harness may invoke other harnesses
 /// (composition), as the paper's Python->Julia->R chain does.
+/// Registration happens before any invocation; after it, invoke() and
+/// the readers are safe from any thread (offloaded compute work invokes
+/// harnesses on pool threads).
 class HarnessRegistry {
  public:
   void add(const std::string& name, Language language,
@@ -55,15 +59,18 @@ class HarnessRegistry {
   /// must outlive the returned callable.
   HarnessFn as_compute_fn(const std::string& name);
 
-  const HarnessInfo& info(const std::string& name) const;
+  /// The harness's description and its invocation count so far.
+  HarnessInfo info(const std::string& name) const;
   std::vector<HarnessInfo> list() const;
   std::uint64_t invocations_by(Language language) const;
 
  private:
   struct Entry {
-    HarnessInfo info;
+    HarnessInfo info;  // `invocations` is filled from the counter below
     HarnessFn fn;
+    std::atomic<std::uint64_t> invocations{0};
   };
+  static HarnessInfo snapshot(const Entry& entry);
   std::map<std::string, Entry> entries_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -34,17 +35,6 @@ std::vector<epi::WwSample> parse_samples(const std::string& csv) {
   return out;
 }
 
-std::string series_to_csv(const rt::RtSeries& series) {
-  CsvTable table({"day", "median", "lo95", "hi95"});
-  for (std::size_t t = 0; t < series.days(); ++t) {
-    table.add_row({std::to_string(t),
-                   osprey::util::format("%.6f", series.median[t]),
-                   osprey::util::format("%.6f", series.lo95[t]),
-                   osprey::util::format("%.6f", series.hi95[t])});
-  }
-  return table.to_string();
-}
-
 rt::RtSeries csv_to_series(const std::string& csv) {
   CsvTable table = CsvTable::parse(csv);
   rt::RtSeries s;
@@ -52,27 +42,6 @@ rt::RtSeries csv_to_series(const std::string& csv) {
   s.lo95 = table.column_doubles("lo95");
   s.hi95 = table.column_doubles("hi95");
   return s;
-}
-
-std::string draws_to_csv(const rt::RtPosterior& posterior, int max_draws) {
-  std::vector<std::string> header;
-  header.reserve(posterior.days());
-  for (std::size_t t = 0; t < posterior.days(); ++t) {
-    header.push_back("d" + std::to_string(t));
-  }
-  CsvTable table(header);
-  std::size_t n =
-      std::min<std::size_t>(posterior.n_draws(),
-                            static_cast<std::size_t>(max_draws));
-  for (std::size_t d = 0; d < n; ++d) {
-    std::vector<std::string> row;
-    row.reserve(posterior.days());
-    for (std::size_t t = 0; t < posterior.days(); ++t) {
-      row.push_back(osprey::util::format("%.5f", posterior.draws(d, t)));
-    }
-    table.add_row(std::move(row));
-  }
-  return table.to_string();
 }
 
 rt::RtPosterior csv_to_posterior(const std::string& csv) {
@@ -108,11 +77,96 @@ std::string ascii_plot(const rt::RtSeries& series, const std::string& title) {
   return out;
 }
 
+/// Appends `v` printed as "%.<precision>f".
+void append_fixed(std::string& out, double v, int precision) {
+  char buf[48];
+  const int len = std::snprintf(buf, sizeof buf, "%.*f", precision, v);
+  if (len >= 0 && static_cast<std::size_t>(len) < sizeof buf) {
+    out.append(buf, static_cast<std::size_t>(len));
+  } else {
+    out += osprey::util::format("%.*f", precision, v);  // huge magnitudes
+  }
+}
+
+/// The horizon a refit over `samples` estimates: through the last
+/// sampled day.
+int refit_days(const std::vector<epi::WwSample>& samples) {
+  OSPREY_REQUIRE(samples.size() >= 4, "not enough samples yet");
+  return samples.back().day + 1;
+}
+
+/// Whether a refit over `days` resumes the plant's chain (a warm
+/// update) rather than refitting cold: only online, from a valid state,
+/// and never when the horizon moved backwards.
+bool warm_refit(const rt::GoldsteinChainState& state, int days,
+                bool online) {
+  return online && state.valid() && days >= state.days;
+}
+
 }  // namespace
+
+std::string series_to_csv(const rt::RtSeries& series) {
+  std::string out = "day,median,lo95,hi95\n";
+  out.reserve(out.size() + series.days() * 36);
+  for (std::size_t t = 0; t < series.days(); ++t) {
+    out += std::to_string(t);
+    for (double v : {series.median[t], series.lo95[t], series.hi95[t]}) {
+      out += ',';
+      append_fixed(out, v, 6);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::string draws_to_csv(const rt::RtPosterior& posterior, int max_draws) {
+  const std::size_t days = posterior.days();
+  const std::size_t n = std::min<std::size_t>(
+      posterior.n_draws(), static_cast<std::size_t>(max_draws));
+  std::string out;
+  out.reserve((n + 1) * (days * 9 + 1));  // "x.xxxxx," per cell
+  for (std::size_t t = 0; t < days; ++t) {
+    if (t > 0) out += ',';
+    out += 'd';
+    out += std::to_string(t);
+  }
+  out += '\n';
+  for (std::size_t d = 0; d < n; ++d) {
+    for (std::size_t t = 0; t < days; ++t) {
+      if (t > 0) out += ',';
+      append_fixed(out, posterior.draws(d, t), 5);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// Per-plant Goldstein chain states, keyed by the plant's chain seed.
+/// The registry lock covers only finding or inserting a plant; each
+/// plant's state has its own lock, held for a whole refit, so refits of
+/// different plants run side by side. std::map nodes never move, so a
+/// plant's entry stays valid after the registry lock is released.
+struct WastewaterUseCase::ChainRegistry {
+  struct Plant {
+    osprey::util::Mutex mutex;
+    rt::GoldsteinChainState state OSPREY_GUARDED_BY(mutex);
+  };
+
+  Plant& plant(std::uint64_t seed) {
+    osprey::util::MutexLock lock(mutex);
+    return plants[seed];
+  }
+
+  osprey::util::Mutex mutex;
+  std::map<std::uint64_t, Plant> plants OSPREY_GUARDED_BY(mutex);
+};
 
 WastewaterUseCase::WastewaterUseCase(OspreyPlatform& platform,
                                      WwUseCaseConfig config)
-    : platform_(platform), config_(std::move(config)) {
+    : platform_(platform),
+      config_(std::move(config)),
+      harnesses_(std::make_shared<HarnessRegistry>()),
+      chains_(std::make_shared<ChainRegistry>()) {
   OSPREY_REQUIRE(config_.horizon_days > config_.first_poll_day,
                  "horizon must extend past the first poll");
 }
@@ -122,36 +176,35 @@ void WastewaterUseCase::register_harnesses() {
   // the per-plant chain seed and shared across invocations — the first
   // fit for a plant is a cold full refit that seeds the state, and
   // every later per-sample trigger resumes from it with a capped
-  // iteration budget (bounded time-to-fresh-R(t)).
+  // iteration budget (bounded time-to-fresh-R(t)). It runs on a pool
+  // thread: the chain mode, the span and its sim time come from
+  // prepare_refit in args["refit"].
   rt::GoldsteinConfig gconf = config_.goldstein;
   int aggregate_draws = config_.aggregate_draws;
   const bool online = config_.online_updates;
-  struct ChainRegistry {
-    osprey::util::Mutex mutex;
-    std::map<std::uint64_t, rt::GoldsteinChainState> states;
-  };
-  auto registry = std::make_shared<ChainRegistry>();
-  harnesses_.add(
+  HarnessRegistry& harnesses = *harnesses_;
+  harnesses.add(
       "rt-estimate", Language::kJulia,
       "semiparametric Bayesian R(t) estimation from wastewater (Goldstein)",
-      [this, gconf, aggregate_draws, online,
-       registry](const Value& args) -> Value {
+      [gconf, aggregate_draws, online, chains = chains_,
+       tracer = &platform_.tracer()](const Value& args) -> Value {
         std::vector<epi::WwSample> samples =
             parse_samples(args.at("csv").as_string());
-        OSPREY_REQUIRE(samples.size() >= 4, "not enough samples yet");
-        int days = samples.back().day + 1;
+        const int days = refit_days(samples);
         rt::GoldsteinConfig conf = gconf;
         conf.flow_liters_per_day = args.at("flow_liters").as_double();
         conf.seed = static_cast<std::uint64_t>(args.at("seed").as_int());
         rt::GoldsteinEstimator estimator(conf);
+        const Value& refit = args.at("refit");
+        const bool warm = refit.at("warm").as_bool();
 
-        osprey::util::MutexLock lock(registry->mutex);
-        rt::GoldsteinChainState& state = registry->states[conf.seed];
-        const bool warm = online && state.valid() && days >= state.days;
-        obs::SpanId span = platform_.tracer().begin_span(
-            obs::Category::kCompute,
-            warm ? "rt:refit-warm" : "rt:refit-full",
-            obs::sim_ns(platform_.loop().now()));
+        ChainRegistry::Plant& plant = chains->plant(conf.seed);
+        osprey::util::MutexLock lock(plant.mutex);
+        rt::GoldsteinChainState& state = plant.state;
+        // AERO runs one analysis per flow at a time, so the state is the
+        // one prepare_refit saw.
+        OSPREY_CHECK(warm == warm_refit(state, days, online),
+                     "refits of one plant overlapped");
         rt::RtPosterior posterior;
         if (warm) {
           // Each warm update draws its chain seed from the plant's
@@ -165,21 +218,10 @@ void WastewaterUseCase::register_harnesses() {
         } else {
           posterior = estimator.estimate(samples, days, conf.seed, &state);
         }
-        platform_.tracer().end_span(span,
-                                    obs::sim_ns(platform_.loop().now()),
-                                    true, std::to_string(days) + " days");
-        platform_.metrics()
-            .counter(warm ? "rt_refit_warm_total" : "rt_refit_full_total",
-                     "R(t) refits by chain mode")
-            .inc();
-        platform_.metrics()
-            .gauge("rt_acceptance_rate_burnin",
-                   "last refit's burn-in phase acceptance rate")
-            .set(posterior.acceptance_rate_burnin);
-        platform_.metrics()
-            .gauge("rt_acceptance_rate_sampling",
-                   "last refit's sampling phase acceptance rate")
-            .set(posterior.acceptance_rate_sampling);
+        tracer->end_span(
+            static_cast<obs::SpanId>(refit.at("span").as_int()),
+            static_cast<std::uint64_t>(refit.at("at_ns").as_int()), true,
+            std::to_string(days) + " days");
 
         CsvTable meta({"mode", "lineage_updates", "state_days",
                        "acceptance", "acceptance_burnin",
@@ -196,28 +238,31 @@ void WastewaterUseCase::register_harnesses() {
         out["summary_csv"] = Value(series_to_csv(posterior.summarize()));
         out["draws_csv"] = Value(draws_to_csv(posterior, aggregate_draws));
         out["acceptance"] = Value(posterior.acceptance_rate);
+        out["acceptance_burnin"] = Value(posterior.acceptance_rate_burnin);
+        out["acceptance_sampling"] =
+            Value(posterior.acceptance_rate_sampling);
         out["meta_csv"] = Value(meta.to_string());
         return Value(std::move(out));
       });
 
   // R: plotting of a summary series.
-  harnesses_.add("rt-plot", Language::kR,
-                 "R(t) plot generation from the estimation summary",
-                 [](const Value& args) -> Value {
-                   rt::RtSeries s =
-                       csv_to_series(args.at("summary_csv").as_string());
-                   ValueObject out;
-                   out["plot"] =
-                       Value(ascii_plot(s, args.at("title").as_string()));
-                   return Value(std::move(out));
-                 });
+  harnesses.add("rt-plot", Language::kR,
+                "R(t) plot generation from the estimation summary",
+                [](const Value& args) -> Value {
+                  rt::RtSeries s =
+                      csv_to_series(args.at("summary_csv").as_string());
+                  ValueObject out;
+                  out["plot"] =
+                      Value(ascii_plot(s, args.at("title").as_string()));
+                  return Value(std::move(out));
+                });
 
   // Python: the data validation/transformation of the ingestion flows.
   // Data-quality curation (§1 goal 2, "ensuring data quality"): drop
   // non-positive/non-finite readings, and flag gross outliers (>5 robust
   // MADs from the running median on the log scale — lab errors, not
   // epidemiology).
-  harnesses_.add(
+  harnesses.add(
       "ww-transform", Language::kPython,
       "validate and transform raw IWSS concentrations",
       [](const Value& args) -> Value {
@@ -261,10 +306,10 @@ void WastewaterUseCase::register_harnesses() {
   // Python harness composing the Julia estimation with the R plot — the
   // paper's "Python code harness function ... executes a Julia code R(t)
   // estimation and then executes R code to create the R(t) plots".
-  harnesses_.add(
+  harnesses.add(
       "rt-analysis-harness", Language::kPython,
       "analysis-flow harness: Julia estimation + R plots",
-      [this](const Value& args) -> Value {
+      [&harnesses](const Value& args) -> Value {
         const ValueObject& inputs = args.at("inputs").as_object();
         OSPREY_REQUIRE(inputs.size() == 1, "expected one transformed input");
         const Value& user_args = args.at("args");
@@ -272,24 +317,29 @@ void WastewaterUseCase::register_harnesses() {
         estimate_args["csv"] = inputs.begin()->second;
         estimate_args["flow_liters"] = user_args.at("flow_liters");
         estimate_args["seed"] = user_args.at("seed");
-        Value est = harnesses_.invoke("rt-estimate",
-                                      Value(std::move(estimate_args)));
+        estimate_args["refit"] = args.at("refit");
+        Value est = harnesses.invoke("rt-estimate",
+                                     Value(std::move(estimate_args)));
         ValueObject plot_args;
         plot_args["summary_csv"] = est.at("summary_csv");
         plot_args["title"] = user_args.at("plant");
-        Value plot = harnesses_.invoke("rt-plot", Value(std::move(plot_args)));
+        Value plot = harnesses.invoke("rt-plot", Value(std::move(plot_args)));
+        // Move, not copy: several plants' chains hold their draws at once.
+        ValueObject& fields = est.as_object();
         ValueObject outputs;
-        outputs["rt_summary.csv"] = est.at("summary_csv");
-        outputs["rt_draws.csv"] = est.at("draws_csv");
-        outputs["rt_plot.txt"] = plot.at("plot");
-        outputs["rt_meta.csv"] = est.at("meta_csv");
+        outputs["rt_summary.csv"] = std::move(fields.at("summary_csv"));
+        outputs["rt_draws.csv"] = std::move(fields.at("draws_csv"));
+        outputs["rt_plot.txt"] = std::move(plot.as_object().at("plot"));
+        outputs["rt_meta.csv"] = std::move(fields.at("meta_csv"));
         ValueObject result;
         result["outputs"] = Value(std::move(outputs));
+        result["acceptance_burnin"] = fields.at("acceptance_burnin");
+        result["acceptance_sampling"] = fields.at("acceptance_sampling");
         return Value(std::move(result));
       });
 
   // R: the population-weighted ensemble aggregation.
-  harnesses_.add(
+  harnesses.add(
       "rt-aggregate", Language::kR,
       "population-weighted ensemble R(t) across plants",
       [](const Value& args) -> Value {
@@ -324,19 +374,19 @@ void WastewaterUseCase::register_harnesses() {
       });
 
   // Python harness for the aggregation flow.
-  harnesses_.add(
+  harnesses.add(
       "aggregate-harness", Language::kPython,
       "aggregation-flow harness: R ensemble + R plot",
-      [this](const Value& args) -> Value {
+      [&harnesses](const Value& args) -> Value {
         ValueObject agg_args;
         agg_args["draws"] = args.at("inputs");
         agg_args["weights"] = args.at("args").at("weights");
         Value agg =
-            harnesses_.invoke("rt-aggregate", Value(std::move(agg_args)));
+            harnesses.invoke("rt-aggregate", Value(std::move(agg_args)));
         ValueObject plot_args;
         plot_args["summary_csv"] = agg.at("aggregate_csv");
         plot_args["title"] = Value("population-weighted ensemble");
-        Value plot = harnesses_.invoke("rt-plot", Value(std::move(plot_args)));
+        Value plot = harnesses.invoke("rt-plot", Value(std::move(plot_args)));
         ValueObject outputs;
         outputs["aggregate_rt.csv"] = agg.at("aggregate_csv");
         outputs["aggregate_plot.txt"] = plot.at("plot");
@@ -344,6 +394,60 @@ void WastewaterUseCase::register_harnesses() {
         result["outputs"] = Value(std::move(outputs));
         return Value(std::move(result));
       });
+}
+
+fabric::OffloadedBody WastewaterUseCase::prepare_refit(const Value& args) {
+  // Loop thread, at the analysis task's virtual start: everything that
+  // reads sim time, the current span or the metrics registry happens
+  // here or in the commit, never in the work.
+  const ValueObject& inputs = args.at("inputs").as_object();
+  OSPREY_REQUIRE(inputs.size() == 1, "expected one transformed input");
+  const int days =
+      refit_days(parse_samples(inputs.begin()->second.as_string()));
+  const auto seed =
+      static_cast<std::uint64_t>(args.at("args").at("seed").as_int());
+  ChainRegistry::Plant& plant = chains_->plant(seed);
+  bool warm = false;
+  {
+    osprey::util::MutexLock lock(plant.mutex);
+    warm = warm_refit(plant.state, days, config_.online_updates);
+  }
+  platform_.metrics()
+      .counter(warm ? "rt_refit_warm_total" : "rt_refit_full_total",
+               "R(t) refits by chain mode")
+      .inc();
+  // The span opens here so its id follows the loop's recording order;
+  // rt-estimate closes it at the same sim time once the chain is done.
+  const std::uint64_t at_ns = obs::sim_ns(platform_.loop().now());
+  const obs::SpanId span = platform_.tracer().begin_span(
+      obs::Category::kCompute, warm ? "rt:refit-warm" : "rt:refit-full",
+      at_ns);
+  ValueObject refit;
+  refit["warm"] = Value(warm);
+  refit["at_ns"] = Value(static_cast<std::int64_t>(at_ns));
+  refit["span"] = Value(static_cast<std::int64_t>(span));
+  Value call = args;
+  call["refit"] = Value(std::move(refit));
+
+  fabric::OffloadedBody body;
+  body.work = [harnesses = harnesses_, call = std::move(call)] {
+    return harnesses->invoke("rt-analysis-harness", call);
+  };
+  body.commit = [&metrics = platform_.metrics()](Value result) {
+    ValueObject& fields = result.as_object();
+    metrics
+        .gauge("rt_acceptance_rate_burnin",
+               "last refit's burn-in phase acceptance rate")
+        .set(fields.at("acceptance_burnin").as_double());
+    metrics
+        .gauge("rt_acceptance_rate_sampling",
+               "last refit's sampling phase acceptance rate")
+        .set(fields.at("acceptance_sampling").as_double());
+    fields.erase("acceptance_burnin");
+    fields.erase("acceptance_sampling");
+    return result;
+  };
+  return body;
 }
 
 void WastewaterUseCase::build() {
@@ -369,14 +473,17 @@ void WastewaterUseCase::build() {
   // --- compute-function registration (with the paper's cost profile:
   // transformation and aggregation under a minute on the login node, the
   // R(t) analysis ~20 minutes on a PBS-scheduled compute node) ---
+  // The four plants' analyses run side by side on real cores, as they
+  // do on separate Bebop nodes: see prepare_refit.
   std::string transform_fn = login.register_function(
-      "ww-transform", harnesses_.as_compute_fn("ww-transform"),
+      "ww-transform", harnesses_->as_compute_fn("ww-transform"),
       30 * osprey::util::kSecond);
-  std::string analysis_fn = compute.register_function(
-      "rt-analysis", harnesses_.as_compute_fn("rt-analysis-harness"),
+  std::string analysis_fn = compute.register_offloaded(
+      "rt-analysis",
+      [this](const Value& args) { return prepare_refit(args); },
       20 * osprey::util::kMinute);
   std::string aggregate_fn = login.register_function(
-      "rt-aggregate", harnesses_.as_compute_fn("aggregate-harness"),
+      "rt-aggregate", harnesses_->as_compute_fn("aggregate-harness"),
       45 * osprey::util::kSecond);
 
   // --- data sources: 4 plants with distinct epidemic waves ---

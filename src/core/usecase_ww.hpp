@@ -23,6 +23,7 @@
 #include "core/platform.hpp"
 #include "core/wastewater_source.hpp"
 #include "epi/wastewater.hpp"
+#include "fabric/compute.hpp"
 #include "rt/goldstein.hpp"
 #include "rt/posterior.hpp"
 
@@ -61,6 +62,12 @@ struct WwUseCaseConfig {
   }
 };
 
+/// The published R(t) summary CSV: `day,median,lo95,hi95`, "%.6f".
+std::string series_to_csv(const rt::RtSeries& series);
+/// The first `max_draws` posterior draws as CSV: header `d0,d1,...`,
+/// one row per draw, "%.5f". Written straight into one string.
+std::string draws_to_csv(const rt::RtPosterior& posterior, int max_draws);
+
 /// Builder + result reader for the workflow.
 class WastewaterUseCase {
  public:
@@ -92,7 +99,7 @@ class WastewaterUseCase {
   std::vector<double> aggregate_truth(std::size_t days) const;
 
   // --- introspection ---
-  HarnessRegistry& harnesses() { return harnesses_; }
+  HarnessRegistry& harnesses() { return *harnesses_; }
   const std::vector<std::shared_ptr<epi::WastewaterGenerator>>& generators()
       const {
     return generators_;
@@ -117,12 +124,22 @@ class WastewaterUseCase {
   static constexpr const char* kStagingCollection = "staging";
 
  private:
+  struct ChainRegistry;
+
   void register_harnesses();
+  /// Prepare step of the offloaded "rt-analysis" function: picks the
+  /// chain mode, counts the refit and opens its span at the virtual
+  /// start; the work runs the harness chain, and the commit sets the
+  /// acceptance gauges at completion.
+  fabric::OffloadedBody prepare_refit(const osprey::util::Value& args);
   rt::RtSeries read_series(const std::string& uuid) const;
 
   OspreyPlatform& platform_;
   WwUseCaseConfig config_;
-  HarnessRegistry harnesses_;
+  /// Shared with in-flight analysis work, which may outlive the use
+  /// case until the compute endpoint joins it.
+  std::shared_ptr<HarnessRegistry> harnesses_;
+  std::shared_ptr<ChainRegistry> chains_;
   std::vector<std::shared_ptr<epi::WastewaterGenerator>> generators_;
   std::vector<aero::IngestionHandles> ingestion_handles_;
   std::vector<std::vector<std::string>> analysis_outputs_;

@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace osprey::fabric {
 
@@ -41,6 +42,13 @@ ComputeEndpoint::ComputeEndpoint(std::string name, EventLoop& loop,
           "submission-to-completion virtual latency per compute task "
           "(ms)")) {}
 
+ComputeEndpoint::~ComputeEndpoint() {
+  for (const auto& [id, run] : offloaded_) {
+    (void)id;
+    osprey::util::global_pool().join(run.work);
+  }
+}
+
 std::string ComputeEndpoint::register_function(const std::string& name,
                                                ComputeFn fn, SimTime cost) {
   return register_function(name, std::move(fn),
@@ -52,7 +60,19 @@ std::string ComputeEndpoint::register_function(const std::string& name,
   OSPREY_REQUIRE(static_cast<bool>(fn), "null compute function");
   OSPREY_REQUIRE(static_cast<bool>(cost), "null cost function");
   std::string id = "fn-" + uuids_.next();
-  functions_.emplace(id, Registered{name, std::move(fn), std::move(cost)});
+  functions_.emplace(id,
+                     Registered{name, std::move(fn), {}, std::move(cost)});
+  return id;
+}
+
+std::string ComputeEndpoint::register_offloaded(const std::string& name,
+                                                PrepareFn prepare,
+                                                SimTime cost) {
+  OSPREY_REQUIRE(static_cast<bool>(prepare), "null prepare step");
+  std::string id = "fn-" + uuids_.next();
+  functions_.emplace(
+      id, Registered{name, {}, std::move(prepare),
+                     CostFn([cost](const Value&) { return cost; })});
   return id;
 }
 
@@ -143,6 +163,7 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
   SimTime duration = 0;   // raw declared cost (returned to the scheduler)
   SimTime occupy = 0;     // virtual time until the task record completes
   Value result;
+  bool offloaded = false;
   try {
     duration = task.fn->cost(task.args);
     OSPREY_CHECK(duration >= 0, "negative declared cost");
@@ -175,6 +196,14 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
                   osprey::util::format_duration(occupy);
       result = Value(nullptr);
       OSPREY_LOG_WARN("compute", rec.function_name << " " << rec.error);
+    } else if (task.fn->prepare) {
+      OffloadedBody body = task.fn->prepare(task.args);
+      OSPREY_CHECK(static_cast<bool>(body.work), "prepare returned no work");
+      offloaded_.emplace(
+          task.id,
+          Offloaded{osprey::util::global_pool().submit(std::move(body.work)),
+                    std::move(body.commit)});
+      offloaded = true;
     } else {
       result = task.fn->fn(task.args);
       rec.status = ComputeTaskStatus::kSucceeded;
@@ -186,11 +215,20 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
     OSPREY_LOG_WARN("compute", rec.function_name << " failed: " << e.what());
   }
   // Completion (and the caller's callback) land `duration` later in
-  // virtual time, even though the C++ body already ran. The execute_body
-  // result above already respects the limit, so rec and the scheduler's
-  // job state agree on kills.
+  // virtual time, even though an inline body already ran; an offloaded
+  // body's work is joined there. The execute_body result above already
+  // respects the limit, so rec and the scheduler's job state agree on
+  // kills.
   Callback cb = std::move(task.on_done);
   ComputeTaskId id = task.id;
+  if (offloaded) {
+    loop_.schedule_after(occupy, [this, id, cb = std::move(cb)] {
+      Value result = finish_offloaded(id);
+      ComputeTaskRecord r = retire(id);
+      if (cb) cb(result, r);
+    });
+    return duration;
+  }
   loop_.schedule_after(occupy,
                        [this, id, cb = std::move(cb),
                         result = std::move(result)] {
@@ -198,6 +236,25 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
                          if (cb) cb(result, r);
                        });
   return duration;
+}
+
+Value ComputeEndpoint::finish_offloaded(ComputeTaskId id) {
+  auto node = offloaded_.extract(id);
+  OSPREY_CHECK(!node.empty(), "offloaded task completed twice");
+  Offloaded& run = node.mapped();
+  osprey::util::global_pool().join(run.work);
+  ComputeTaskRecord& rec = in_flight_.at(id);
+  try {
+    Value result = run.work.get();
+    if (run.commit) result = run.commit(std::move(result));
+    rec.status = ComputeTaskStatus::kSucceeded;
+    return result;
+  } catch (const std::exception& e) {
+    rec.status = ComputeTaskStatus::kFailed;
+    rec.error = e.what();
+    OSPREY_LOG_WARN("compute", rec.function_name << " failed: " << e.what());
+    return Value(nullptr);
+  }
 }
 
 void ComputeEndpoint::run_on_login_node(PendingTask task) {

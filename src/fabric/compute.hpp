@@ -12,12 +12,29 @@
 ///    BatchScheduler (the paper's GlobusComputeEngine on Bebop), so
 ///    expensive tasks pay queue wait before running.
 ///
-/// Functions execute real C++ inline; their *virtual* duration is the
-/// registered cost (possibly input-dependent).
+/// A task's *virtual* duration is the registered cost (possibly
+/// input-dependent): it starts, runs its real C++ body, and completes
+/// `cost` later in virtual time. A function registered with
+/// register_function runs its body inline on the loop thread at the
+/// virtual start. One registered with register_offloaded runs in three
+/// phases that fill the gap between virtual start and completion:
+///
+///  - prepare, on the loop thread at the virtual start: reads sim time,
+///    the current span and other loop-owned state, and returns the
+///    task's work and commit;
+///  - work, on util::global_pool(): pure, touching no loop-owned state,
+///    so several tasks' bodies run side by side in real time;
+///  - commit, on the loop thread at the completion event, which joins
+///    the work first: applies the effects that depend on the result and
+///    returns the task's result.
+///
+/// Completion times, callback order and results are those of the same
+/// function run inline: only where the real C++ runs changes.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -39,6 +56,21 @@ using osprey::util::Value;
 using ComputeFn = std::function<Value(const Value&)>;
 /// Virtual cost model for a function, possibly input-dependent.
 using CostFn = std::function<SimTime(const Value&)>;
+
+/// What an offloaded function's prepare step hands back: `work` runs on
+/// util::global_pool() and must not touch loop-owned state; `commit`
+/// runs on the loop thread at the task's completion with the work's
+/// result and returns the task's result (a null commit passes the
+/// work's result through). An exception from either fails the task at
+/// completion with its message.
+struct OffloadedBody {
+  std::function<Value()> work;
+  std::function<Value(Value)> commit;
+};
+/// Prepare step of an offloaded function: runs on the loop thread at
+/// the task's virtual start; an exception fails the task like an inline
+/// body's would.
+using PrepareFn = std::function<OffloadedBody(const Value& args)>;
 
 using ComputeTaskId = std::uint64_t;
 
@@ -68,6 +100,12 @@ class ComputeEndpoint {
   /// Batch endpoint: executions become one-node jobs on `scheduler`.
   ComputeEndpoint(std::string name, EventLoop& loop, AuthService& auth,
                   BatchScheduler& scheduler);
+  /// Waits for the work of offloaded tasks still in flight; their
+  /// commits and callbacks never run.
+  ~ComputeEndpoint();
+
+  ComputeEndpoint(const ComputeEndpoint&) = delete;
+  ComputeEndpoint& operator=(const ComputeEndpoint&) = delete;
 
   const std::string& name() const { return name_; }
   EndpointKind kind() const { return kind_; }
@@ -89,6 +127,12 @@ class ComputeEndpoint {
   /// Register a function with an input-dependent virtual cost.
   std::string register_function(const std::string& name, ComputeFn fn,
                                 CostFn cost);
+  /// Register a function whose body runs off the loop thread (see the
+  /// file comment): `prepare` at the virtual start, its work on the
+  /// shared pool, its commit at the completion `cost` later. Kills,
+  /// walltime overruns and outages fail the task before prepare runs.
+  std::string register_offloaded(const std::string& name, PrepareFn prepare,
+                                 SimTime cost);
   bool has_function(const std::string& function_id) const;
 
   using Callback =
@@ -111,10 +155,18 @@ class ComputeEndpoint {
   }
 
  private:
+  /// Exactly one of `fn` (inline) and `prepare` (offloaded) is set.
   struct Registered {
     std::string name;
     ComputeFn fn;
+    PrepareFn prepare;
     CostFn cost;
+  };
+
+  /// An offloaded task between its virtual start and completion.
+  struct Offloaded {
+    std::future<Value> work;
+    std::function<Value(Value)> commit;
   };
 
   struct PendingTask {
@@ -130,7 +182,8 @@ class ComputeEndpoint {
   void run_on_login_node(PendingTask task);
   void run_via_scheduler(PendingTask task);
   void drain_login_queue();
-  /// Executes the function body, fills the record, schedules the callback
+  /// Executes the function body (or an offloaded function's prepare
+  /// step, starting its work), fills the record, schedules the callback
   /// `duration` later. When `limit >= 0` and the declared cost exceeds
   /// it, the body is NOT run: the task fails at the limit (walltime
   /// kill). Returns the virtual duration the resources are occupied.
@@ -151,6 +204,8 @@ class ComputeEndpoint {
   std::unordered_map<ComputeTaskId, ComputeTaskRecord> in_flight_;
   ComputeTaskId next_id_ = 0;
   std::deque<PendingTask> login_queue_;
+  /// Offloaded tasks whose work has started, by id.
+  std::map<ComputeTaskId, Offloaded> offloaded_;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::Counter& m_succeeded_;
   obs::Counter& m_failed_;
@@ -159,6 +214,9 @@ class ComputeEndpoint {
   /// Retires a record as its completion lands: stamps `completed`, ends
   /// the span and bumps metrics.
   ComputeTaskRecord retire(ComputeTaskId id);
+  /// At an offloaded task's completion: joins its work, runs the commit
+  /// and settles the record's status. Returns the task's result.
+  Value finish_offloaded(ComputeTaskId id);
 };
 
 }  // namespace osprey::fabric

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "num/special.hpp"
 #include "util/error.hpp"
 
 namespace osprey::num {
@@ -166,7 +167,7 @@ std::int64_t RngStream::poisson_ptrs(double mean) {
     if (us >= 0.07 && v <= v_r) return static_cast<std::int64_t>(k);
     if (k < 0.0 || (us < 0.013 && v > us)) continue;
     if (std::log(v * inv_alpha / (a / (us * us) + b)) <=
-        k * std::log(mean) - mean - std::lgamma(k + 1.0)) {
+        k * std::log(mean) - mean - log_gamma(k + 1.0)) {
       return static_cast<std::int64_t>(k);
     }
   }
@@ -216,7 +217,7 @@ std::int64_t RngStream::binomial_btrs(std::int64_t n, double p) {
   double alpha = (2.83 + 5.1 / b) * spq;
   double lpq = std::log(p / q);
   double m = std::floor((nd + 1.0) * p);
-  double h = std::lgamma(m + 1.0) + std::lgamma(nd - m + 1.0);
+  double h = log_gamma(m + 1.0) + log_gamma(nd - m + 1.0);
   while (true) {
     double u = uniform() - 0.5;
     double v = uniform();
@@ -225,7 +226,7 @@ std::int64_t RngStream::binomial_btrs(std::int64_t n, double p) {
     if (kd < 0.0 || kd > nd) continue;
     if (us >= 0.07 && v <= v_r) return static_cast<std::int64_t>(kd);
     v = std::log(v * alpha / (a / (us * us) + b));
-    if (v <= h - std::lgamma(kd + 1.0) - std::lgamma(nd - kd + 1.0) +
+    if (v <= h - log_gamma(kd + 1.0) - log_gamma(nd - kd + 1.0) +
                  (kd - m) * lpq) {
       return static_cast<std::int64_t>(kd);
     }

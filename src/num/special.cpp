@@ -6,6 +6,11 @@
 
 namespace osprey::num {
 
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 double gamma_p(double a, double x) {
   OSPREY_REQUIRE(a > 0.0, "gamma_p needs a > 0");
   if (x <= 0.0) return 0.0;
@@ -20,7 +25,7 @@ double gamma_p(double a, double x) {
       sum += del;
       if (std::fabs(del) < std::fabs(sum) * 1e-14) break;
     }
-    return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+    return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
   }
   // Lentz continued fraction for Q(a, x); P = 1 - Q.
   double b = x + 1.0 - a;
@@ -39,7 +44,7 @@ double gamma_p(double a, double x) {
     h *= del;
     if (std::fabs(del - 1.0) < 1e-14) break;
   }
-  double q = std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+  double q = std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
   return 1.0 - q;
 }
 

@@ -6,6 +6,11 @@
 
 namespace osprey::num {
 
+/// ln|Γ(x)|, the value std::lgamma returns, computed without writing
+/// the process-global `signgam` that std::lgamma sets, so concurrent
+/// callers (R(t) refits on the thread pool) do not race.
+double log_gamma(double x);
+
 /// Regularized lower incomplete gamma P(a, x) (series + continued
 /// fraction), accurate to ~1e-12.
 double gamma_p(double a, double x);

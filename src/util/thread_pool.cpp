@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 
 #include "util/log.hpp"
@@ -63,13 +62,7 @@ void ThreadPool::parallel_for(std::size_t n,
   // While chunk tasks are still running on workers, keep draining the
   // queue (they may be queued behind unrelated submissions).
   for (auto& f : futs) {
-    while (f.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!try_run_one()) {
-        f.wait();
-        break;
-      }
-    }
+    join(f);
     f.get();
   }
 }

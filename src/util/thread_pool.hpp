@@ -2,9 +2,15 @@
 
 /// \file thread_pool.hpp
 /// A plain fixed-size thread pool with future-returning submission.
-/// Used for genuinely parallel work (GP Monte-Carlo prediction, model
-/// replicate evaluation); the simulated fabric does NOT run on this pool.
+/// Used for genuinely parallel work: GP Monte-Carlo prediction, model
+/// replicate evaluation, and the *work* phase of offloaded compute
+/// functions (fabric::ComputeEndpoint::register_offloaded). The
+/// simulated fabric itself never runs here: an offloaded task's prepare
+/// and commit phases run on the event-loop thread, and only its pure
+/// work runs on this pool, joined by the loop at the task's virtual
+/// completion (ThreadPool::join).
 
+#include <chrono>
 #include <functional>
 #include <future>
 #include <memory>
@@ -46,6 +52,21 @@ class ThreadPool {
   /// the pool is shutting down (distinguished via the channel's status
   /// API). Lets blocked submitters help drain the queue.
   bool try_run_one();
+
+  /// Wait until `done` is ready. While it is not, the calling thread
+  /// runs queued tasks (as parallel_for's caller does), so a join from
+  /// outside the pool puts its core to use and never waits behind a
+  /// queued task it could run itself. Does not call get().
+  template <typename T>
+  void join(const std::future<T>& done) {
+    while (done.wait_for(std::chrono::seconds(0)) !=
+           std::future_status::ready) {
+      if (!try_run_one()) {
+        done.wait();
+        return;
+      }
+    }
+  }
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
   /// The calling thread participates as an extra worker while it waits,

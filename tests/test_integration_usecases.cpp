@@ -3,12 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/usecase_gsa.hpp"
 #include "core/usecase_ww.hpp"
+#include "num/rng.hpp"
 #include "num/stats.hpp"
+#include "obs/export.hpp"
+#include "util/clock.hpp"
+#include "util/csv.hpp"
+#include "util/string_util.hpp"
 
 namespace oc = osprey::core;
 namespace on = osprey::num;
+namespace oo = osprey::obs;
 namespace ou = osprey::util;
 
 namespace {
@@ -25,7 +36,153 @@ oc::WwUseCaseConfig small_ww_config() {
   return cfg;
 }
 
+/// Everything one seeded run publishes and records, as bytes.
+struct WwRunBytes {
+  std::string versions;  // every version of every object, with its bytes
+  std::string metrics_json;
+  std::string metrics_prom;
+  std::string trace;  // Chrome trace, wall annotations cleared
+  std::uint64_t python = 0, julia = 0, r = 0;
+  std::size_t refits = 0;
+  /// Most rt:refit spans in flight at one real instant (wall time from
+  /// a refit's start on the loop to the end of its chain on the pool).
+  int max_refits_in_flight = 0;
+};
+
+WwRunBytes run_ww_capture() {
+  oc::OspreyPlatform platform;
+  platform.tracer().set_wall_clock(&ou::real_clock());
+  oc::WastewaterUseCase usecase(platform, small_ww_config());
+  usecase.build();
+  usecase.run_to_end();
+
+  WwRunBytes out;
+  const auto& db = platform.aero().db();
+  const oc::OspreyPlatform& ro = platform;
+  std::vector<std::string> uuids = db.object_uuids();
+  std::sort(uuids.begin(), uuids.end());
+  for (const std::string& uuid : uuids) {
+    for (const auto& v : db.object(uuid).versions) {
+      out.versions += uuid + " v" + std::to_string(v.version) + " " +
+                      v.checksum + " " + std::to_string(v.timestamp) + " " +
+                      v.path + "\n";
+      const auto& ep = ro.storage_endpoint(v.endpoint);
+      if (ep.exists(v.collection, v.path)) {
+        out.versions +=
+            ep.get(v.collection, v.path, platform.aero().token()).bytes;
+      }
+    }
+  }
+  out.metrics_json = platform.metrics().snapshot().to_json();
+  out.metrics_prom = oo::prometheus_text(platform.metrics());
+
+  std::vector<oo::SpanRecord> spans = platform.tracer().snapshot();
+  std::vector<std::pair<std::uint64_t, int>> edges;  // (wall ns, +1/-1)
+  for (oo::SpanRecord& span : spans) {
+    if (span.name.rfind("rt:refit-", 0) == 0) {
+      ++out.refits;
+      edges.emplace_back(span.wall_begin_ns, +1);
+      edges.emplace_back(span.wall_end_ns, -1);
+    }
+    span.wall_begin_ns = 0;
+    span.wall_end_ns = 0;
+  }
+  std::sort(edges.begin(), edges.end());  // an end before a same-ns begin
+  int in_flight = 0;
+  for (const auto& [ns, delta] : edges) {
+    in_flight += delta;
+    out.max_refits_in_flight = std::max(out.max_refits_in_flight, in_flight);
+  }
+  out.trace = oo::chrome_trace_json(spans);
+
+  const oc::HarnessRegistry& registry = usecase.harnesses();
+  out.python = registry.invocations_by(oc::Language::kPython);
+  out.julia = registry.invocations_by(oc::Language::kJulia);
+  out.r = registry.invocations_by(oc::Language::kR);
+  return out;
+}
+
+/// The CsvTable-based writers the direct writers replaced.
+std::string series_to_csv_via_table(const osprey::rt::RtSeries& series) {
+  ou::CsvTable table({"day", "median", "lo95", "hi95"});
+  for (std::size_t t = 0; t < series.days(); ++t) {
+    table.add_row({std::to_string(t), ou::format("%.6f", series.median[t]),
+                   ou::format("%.6f", series.lo95[t]),
+                   ou::format("%.6f", series.hi95[t])});
+  }
+  return table.to_string();
+}
+
+std::string draws_to_csv_via_table(const osprey::rt::RtPosterior& posterior,
+                                   int max_draws) {
+  std::vector<std::string> header;
+  for (std::size_t t = 0; t < posterior.days(); ++t) {
+    header.push_back("d" + std::to_string(t));
+  }
+  ou::CsvTable table(header);
+  const std::size_t n = std::min<std::size_t>(
+      posterior.n_draws(), static_cast<std::size_t>(max_draws));
+  for (std::size_t d = 0; d < n; ++d) {
+    std::vector<std::string> row;
+    for (std::size_t t = 0; t < posterior.days(); ++t) {
+      row.push_back(ou::format("%.5f", posterior.draws(d, t)));
+    }
+    table.add_row(std::move(row));
+  }
+  return table.to_string();
+}
+
 }  // namespace
+
+TEST(WastewaterCsv, DirectWritersMatchTableWritersByteForByte) {
+  on::RngStream rng(20251018);
+  osprey::rt::RtPosterior posterior;
+  posterior.draws = on::Matrix(300, 120);
+  for (std::size_t d = 0; d < posterior.n_draws(); ++d) {
+    for (std::size_t t = 0; t < posterior.days(); ++t) {
+      // R(t)-like values plus the edges a printf writer must survive.
+      posterior.draws(d, t) = 0.2 + 2.5 * rng.uniform();
+    }
+  }
+  posterior.draws(0, 0) = -0.0;
+  posterior.draws(0, 1) = 1e12;
+  posterior.draws(0, 2) = 5e-6;  // rounds at the fifth decimal
+  posterior.draws(1, 0) = 1e300;  // wider than any fixed buffer
+  for (int max_draws : {-1, 0, 1, 200, 1000}) {
+    EXPECT_EQ(oc::draws_to_csv(posterior, max_draws),
+              draws_to_csv_via_table(posterior, max_draws))
+        << max_draws;
+  }
+  const osprey::rt::RtSeries series = posterior.summarize();
+  EXPECT_EQ(oc::series_to_csv(series), series_to_csv_via_table(series));
+  EXPECT_EQ(oc::series_to_csv(osprey::rt::RtSeries{}),
+            series_to_csv_via_table(osprey::rt::RtSeries{}));
+}
+
+TEST(WastewaterUseCase, ConcurrentRefitsReplayByteIdentically) {
+  const WwRunBytes a = run_ww_capture();
+  const WwRunBytes b = run_ww_capture();
+  // Refits of different plants were in flight at the same real time.
+  EXPECT_GE(a.max_refits_in_flight, 2);
+  EXPECT_GE(b.max_refits_in_flight, 2);
+  EXPECT_EQ(a.versions, b.versions);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+  EXPECT_EQ(a.metrics_prom, b.metrics_prom);
+  EXPECT_EQ(a.trace, b.trace);
+  // The counts the inline Python -> Julia + R composition makes: 6
+  // publications x 4 plants, each one ww-transform (Python) and one
+  // rt-analysis-harness (Python) running rt-estimate (Julia) and rt-plot
+  // (R); 6 aggregations, each one aggregate-harness (Python) running
+  // rt-aggregate and rt-plot (R).
+  const std::uint64_t analyses = 4 * 6, aggregations = 6;
+  EXPECT_EQ(a.refits, analyses);
+  EXPECT_EQ(a.julia, analyses);
+  EXPECT_EQ(a.python, analyses + analyses + aggregations);
+  EXPECT_EQ(a.r, analyses + 2 * aggregations);
+  EXPECT_EQ(b.python, a.python);
+  EXPECT_EQ(b.julia, a.julia);
+  EXPECT_EQ(b.r, a.r);
+}
 
 TEST(WastewaterUseCase, EndToEndPipelineProducesAllOutputs) {
   oc::OspreyPlatform platform;
