@@ -1,7 +1,8 @@
 /// Micro-benchmarks (google-benchmark) of the substrates: throughput
 /// numbers that bound how far the simulated platform scales — storage
 /// puts, EMEWS task round-trips, MetaRVM steps/s, GP fit/predict
-/// scaling, Saltelli throughput, the Goldstein MCMC iteration cost, and
+/// scaling, Saltelli throughput, the Goldstein MCMC iteration cost and
+/// one warm weekly refit, the aggregation's draws-CSV parse, and
 /// the SHA-256 kernels and JSON codec every AERO payload goes through,
 /// one AERO publication's metadata ops, and the shard coordinator's
 /// handling of a week of version reports.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "aero/metadata_db.hpp"
+#include "core/usecase_ww.hpp"
 #include "crypto/sha256.hpp"
 #include "emews/task_api.hpp"
 #include "emews/worker_pool.hpp"
@@ -28,6 +30,7 @@
 #include "fabric/storage.hpp"
 #include "gp/gp.hpp"
 #include "gsa/sobol.hpp"
+#include "num/rng.hpp"
 #include "num/sampling.hpp"
 #include "rt/ensemble.hpp"
 #include "rt/goldstein.hpp"
@@ -227,6 +230,58 @@ static void BM_GoldsteinMcmc(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GoldsteinMcmc)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+/// One weekly warm refit as the wastewater use case runs it: resume a
+/// chain captured at day 211 and extend it to 218 days with the use
+/// case's 400-sweep / 160-burn-in update settings.
+static void BM_GoldsteinWarmUpdate(benchmark::State& state) {
+  const int days = 218;
+  epi::Plant plant = epi::chicago_plants()[0];
+  epi::WastewaterConfig ww;
+  ww.days = days;
+  epi::WastewaterGenerator gen(plant, epi::chicago_truths()[0], ww, 3);
+  std::vector<epi::WwSample> week_before;
+  for (const epi::WwSample& s : gen.samples()) {
+    if (s.day < days - 7) week_before.push_back(s);
+  }
+  const core::WwUseCaseConfig usecase;
+  rt::GoldsteinConfig cfg = usecase.goldstein;
+  cfg.flow_liters_per_day = plant.avg_flow_mgd * 3.785e6;
+  rt::GoldsteinEstimator estimator(cfg);
+  rt::GoldsteinChainState captured;
+  estimator.estimate(week_before, week_before.back().day + 1, 11, &captured);
+  for (auto _ : state) {
+    rt::GoldsteinChainState chain = captured;
+    benchmark::DoNotOptimize(
+        estimator.estimate_update(gen.samples(), days, 12, chain));
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.update_iterations);
+}
+BENCHMARK(BM_GoldsteinWarmUpdate)->Unit(benchmark::kMillisecond);
+
+/// rt-aggregate's input parse: 4 plants' published draws CSVs
+/// (60 draws x 218 days each) read back into posterior matrices.
+static void BM_DrawsFromCsv(benchmark::State& state) {
+  std::vector<std::string> members;
+  num::RngStream rng(5);
+  for (int m = 0; m < 4; ++m) {
+    rt::RtPosterior posterior;
+    posterior.draws = num::Matrix(60, 218);
+    for (double& v : posterior.draws.data()) v = 0.4 + 1.4 * rng.uniform();
+    members.push_back(core::draws_to_csv(posterior, 60));
+  }
+  std::int64_t bytes = 0;
+  for (const std::string& csv : members) {
+    bytes += static_cast<std::int64_t>(csv.size());
+  }
+  for (auto _ : state) {
+    for (const std::string& csv : members) {
+      benchmark::DoNotOptimize(core::draws_from_csv(csv).draws.data().data());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_DrawsFromCsv)->Unit(benchmark::kMicrosecond);
 
 /// The Figure-2 per-plant fan-out: 4 Goldstein chains, serially (arg 0)
 /// vs fanned out on a 4-thread pool (arg 1). Posteriors are

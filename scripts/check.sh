@@ -20,9 +20,10 @@
 #           iterations (OSPREY_BENCH_SMOKE=1), checking that
 #           results/BENCH_fig2_rt.json is emitted and the warm-start
 #           online refit beats the cold full refit; one short pass of
-#           the metadata, coordinator, SHA-256 and JSON-writer
-#           micro-benchmarks (bench_micro), so they keep compiling and
-#           running; then the repository
+#           the metadata, coordinator, SHA-256, JSON-writer, warm
+#           Goldstein refit and draws-parse micro-benchmarks
+#           (bench_micro), so they keep compiling and running; then the
+#           repository
 #           benchmark's smoke run (bench/osprey_bench/run.py --smoke),
 #           so a src/ API change that breaks the benchmark's build or
 #           its output checks fails the gate.
@@ -155,7 +156,7 @@ stage_bench() {
   test -s results/BENCH_fig2_rt.json &&
   echo "bench artifact: results/BENCH_fig2_rt.json" &&
   ./build/bench/bench_micro --benchmark_min_time=0.01 \
-      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson' &&
+      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson|GoldsteinWarmUpdate|DrawsFromCsv' &&
   python3 bench/osprey_bench/run.py --smoke
 }
 

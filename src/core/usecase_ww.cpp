@@ -1,8 +1,10 @@
 #include "core/usecase_ww.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 
@@ -42,19 +44,6 @@ rt::RtSeries csv_to_series(const std::string& csv) {
   s.lo95 = table.column_doubles("lo95");
   s.hi95 = table.column_doubles("hi95");
   return s;
-}
-
-rt::RtPosterior csv_to_posterior(const std::string& csv) {
-  CsvTable table = CsvTable::parse(csv);
-  rt::RtPosterior out;
-  out.draws = osprey::num::Matrix(table.num_rows(), table.num_cols());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    const auto& row = table.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out.draws(r, c) = std::strtod(row[c].c_str(), nullptr);
-    }
-  }
-  return out;
 }
 
 /// Tiny ASCII rendition of a series — the stand-in for the R-generated
@@ -137,6 +126,47 @@ std::string draws_to_csv(const rt::RtPosterior& posterior, int max_draws) {
       append_fixed(out, posterior.draws(d, t), 5);
     }
     out += '\n';
+  }
+  return out;
+}
+
+rt::RtPosterior draws_from_csv(std::string_view csv) {
+  const char* p = csv.data();
+  const char* const end = p + csv.size();
+  // Header: exactly d0,d1,...,d<days-1>, which also gives the width.
+  std::size_t days = 0;
+  for (;;) {
+    char name[24] = {'d'};
+    const char* name_end =
+        std::to_chars(name + 1, name + sizeof name, days).ptr;
+    const std::size_t len = static_cast<std::size_t>(name_end - name);
+    OSPREY_REQUIRE(static_cast<std::size_t>(end - p) > len &&
+                       std::memcmp(p, name, len) == 0,
+                   "draws CSV has no d0,d1,... header");
+    p += len;
+    ++days;
+    if (*p++ == '\n') break;
+    OSPREY_REQUIRE(p[-1] == ',', "draws CSV has no d0,d1,... header");
+  }
+  // One row per line; the last may lack its newline.
+  std::size_t rows = static_cast<std::size_t>(std::count(p, end, '\n'));
+  if (p != end && end[-1] != '\n') ++rows;
+  rt::RtPosterior out;
+  out.draws = osprey::num::Matrix(rows, days);
+  double* cell = out.draws.data().data();
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t t = 0; t < days; ++t) {
+      const auto [next, ec] = std::from_chars(p, end, *cell++);
+      OSPREY_REQUIRE(ec == std::errc(),
+                     "draws CSV row " + std::to_string(r) +
+                         " has a cell that is not a number");
+      const bool last = t + 1 == days;
+      OSPREY_REQUIRE(next != end ? *next == (last ? '\n' : ',')
+                                 : last && r + 1 == rows,
+                     "draws CSV row " + std::to_string(r) + " is not " +
+                         std::to_string(days) + " comma-separated numbers");
+      p = next + (next != end);
+    }
   }
   return out;
 }
@@ -351,7 +381,7 @@ void WastewaterUseCase::register_harnesses() {
           rt::EnsembleMember m;
           m.name = uuid;
           m.population_weight = weights.at(uuid).as_double();
-          m.posterior = csv_to_posterior(csv.as_string());
+          m.posterior = draws_from_csv(csv.as_string());
           min_days = std::min(min_days, m.posterior.days());
           members.push_back(std::move(m));
         }

@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/harness.hpp"
@@ -67,6 +68,12 @@ std::string series_to_csv(const rt::RtSeries& series);
 /// The first `max_draws` posterior draws as CSV: header `d0,d1,...`,
 /// one row per draw, "%.5f". Written straight into one string.
 std::string draws_to_csv(const rt::RtPosterior& posterior, int max_draws);
+/// Reads draws_to_csv output back: the header must be d0,d1,...; the
+/// numbers go straight from the bytes into the draws matrix
+/// (std::from_chars, correctly rounded like strtod). Throws
+/// InvalidArgument on a missing header, a short or long row, or a cell
+/// that is not a number.
+rt::RtPosterior draws_from_csv(std::string_view csv);
 
 /// Builder + result reader for the workflow.
 class WastewaterUseCase {

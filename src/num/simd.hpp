@@ -15,7 +15,8 @@
 ///     decisions built on top of it replay identically.
 ///  2. **No hidden state.** Kernels read and write caller-owned SoA
 ///     buffers with explicit [from, to) ranges, which is what lets the
-///     incremental likelihood workspace recompute only a suffix.
+///     incremental likelihood workspace recompute only the window or
+///     suffix a proposal can change.
 ///
 /// The 4-wide type uses GCC/Clang vector extensions when available
 /// (SSE2/AVX codegen, per-lane IEEE semantics) and falls back to a
@@ -41,15 +42,19 @@ struct Vec4d {
 #endif
 
 /// Piecewise-linear interpolation of log-knots onto daily R values,
-/// rt[t] = exp(lerp(log_knots, t)), for t in [from_day, days).
+/// rt[t] = exp(lerp(log_knots, t)), for t in [from_day, to_day) with
+/// to_day <= days. Each day is a function of its two bracketing knots
+/// only, so a window reproduces exactly the values a whole-horizon call
+/// writes there.
 ///
 /// Knot j sits at day j*spacing, except that when spacing does not
 /// divide days-1 the FINAL knot sits at day days-1, so the last partial
 /// segment interpolates over its true (shorter) length and reaches the
 /// final knot exactly at the horizon boundary. (The pre-fix behaviour
 /// divided by the full spacing there, under-weighting the final knot.)
+/// `days` places that final knot whatever window is written.
 void interp_log_knots_exp(const double* log_knots, int n_knots, int spacing,
-                          int days, int from_day, double* rt);
+                          int days, int from_day, int to_day, double* rt);
 
 /// Renewal-equation incidence recursion:
 ///   inc[burnin + t] = rt[t] * sum_{s=1..wlen} w[s-1] * inc[burnin+t-s]
@@ -60,24 +65,27 @@ void interp_log_knots_exp(const double* log_knots, int n_knots, int spacing,
 void renewal_incidence(const double* rt, const double* w, int wlen,
                        int burnin, int from_day, int days, double* inc);
 
-/// Shedding-load convolution normalized by plant flow:
-///   mu[t] = scale * (sum_{s>=0} shed[s] * inc[burnin + t - s]) / flow
-/// for t in [from_day, days), truncating the sum where burnin+t-s < 0.
-/// Batched 4 days per block: the s-accumulation of each lane runs in
-/// the same order as the scalar loop, so each mu[t] is bitwise equal to
-/// the reference implementation.
+/// Shedding-load convolution normalized by plant flow, at sample days:
+///   mu[i] = scale * (sum_{s>=0} shed[s] * inc[burnin + day[i] - s]) / flow
+/// for samples i in [from, n), truncating the sum where
+/// burnin + day[i] - s < 0. Days may come in any order. Batched 4
+/// samples per block, gathered from their own days: each lane
+/// accumulates its day's sum in the same s-ascending order as the
+/// scalar loop, so each mu[i] is bitwise equal to the reference
+/// per-day value; a block with any truncated lane runs scalar.
 void shedding_convolve(const double* inc, const double* shed, int slen,
-                       int burnin, double scale, double flow, int from_day,
-                       int days, double* mu);
+                       int burnin, double scale, double flow, const int* day,
+                       std::size_t from, std::size_t n, double* mu);
 
-/// Lognormal observation terms for samples [from, n):
-///   log_mu[i]  = log(mu[day[i]])
+/// Lognormal observation terms for samples [from, n), from the
+/// per-sample expected concentrations of shedding_convolve:
+///   log_mu[i]  = log(mu[i])
 ///   contrib[i] = 0.5 * z*z + log_sigma,  z = (log_c[i] - log_mu[i]) / sigma
 /// Returns false (stopping at the offending sample, matching the
-/// reference early-return) when mu[day[i]] is not > 0; `log_c` holds
+/// reference early-return) when mu[i] is not > 0; `log_c` holds
 /// precomputed log-concentrations and `positive_c[i]` whether the raw
 /// concentration was > 0.
-bool lognormal_terms(const double* mu, const int* day, const double* log_c,
+bool lognormal_terms(const double* mu, const double* log_c,
                      const unsigned char* positive_c, std::size_t from,
                      std::size_t n, double sigma, double log_sigma,
                      double* log_mu, double* contrib);

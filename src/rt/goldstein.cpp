@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "epi/kernels.hpp"
 #include "num/rng.hpp"
@@ -13,6 +14,21 @@
 namespace osprey::rt {
 
 using osprey::num::RngStream;
+
+namespace {
+
+/// The observation model is lognormal: a zero, negative or non-finite
+/// concentration has no likelihood, and would pin every state to the
+/// guard value, where every proposal is accepted.
+void require_observable(const std::vector<epi::WwSample>& samples) {
+  for (const epi::WwSample& s : samples) {
+    OSPREY_REQUIRE(std::isfinite(s.concentration) && s.concentration > 0.0,
+                   "sample concentration on day " + std::to_string(s.day) +
+                       " must be positive and finite");
+  }
+}
+
+}  // namespace
 
 GoldsteinEstimator::GoldsteinEstimator(GoldsteinConfig config)
     : config_(std::move(config)),
@@ -41,7 +57,7 @@ std::vector<double> GoldsteinEstimator::knots_to_daily(
   std::vector<double> rt(static_cast<std::size_t>(days));
   num::simd::interp_log_knots_exp(log_knots.data(),
                                   static_cast<int>(log_knots.size()),
-                                  config_.knot_spacing_days, days, 0,
+                                  config_.knot_spacing_days, days, 0, days,
                                   rt.data());
   return rt;
 }
@@ -138,7 +154,7 @@ void GoldsteinEstimator::run_chain(LikelihoodWorkspace& ws,
       // workspace R cache is stale whenever the committed state is
       // degenerate, but theta itself is always well-defined.
       num::simd::interp_log_knots_exp(theta.data(), k,
-                                      config_.knot_spacing_days, days, 0,
+                                      config_.knot_spacing_days, days, 0, days,
                                       rt_buf.data());
       for (int t = 0; t < days; ++t) {
         posterior.draws(stored, static_cast<std::size_t>(t)) =
@@ -170,6 +186,7 @@ RtPosterior GoldsteinEstimator::estimate(
     const std::vector<epi::WwSample>& samples, int days, std::uint64_t seed,
     GoldsteinChainState* out_state) const {
   OSPREY_REQUIRE(samples.size() >= 4, "need at least 4 samples");
+  require_observable(samples);
   const int k = num_knots(days);
   const std::size_t dim = static_cast<std::size_t>(k) + 2;
 
@@ -208,6 +225,7 @@ RtPosterior GoldsteinEstimator::estimate_update(
   OSPREY_REQUIRE(state.valid(), "invalid chain state");
   OSPREY_REQUIRE(days >= state.days, "online horizon cannot shrink");
   OSPREY_REQUIRE(samples.size() >= 4, "need at least 4 samples");
+  require_observable(samples);
   const int k = num_knots(days);
   const int k_old = static_cast<int>(state.theta.size()) - 2;
   OSPREY_REQUIRE(k >= k_old, "chain state has more knots than horizon");

@@ -84,7 +84,10 @@ class GoldsteinEstimator {
   const GoldsteinConfig& config() const { return config_; }
 
   /// Estimate R(t) for days [0, days) from the samples. Throws
-  /// InvalidArgument when there are fewer than 4 samples.
+  /// InvalidArgument when there are fewer than 4 samples, or when a
+  /// concentration is zero, negative or not finite: the lognormal
+  /// observation model has no likelihood there (callers drop such rows
+  /// first, as the wastewater use case's ww-transform does).
   RtPosterior estimate(const std::vector<epi::WwSample>& samples,
                        int days) const;
 
@@ -102,7 +105,9 @@ class GoldsteinEstimator {
   /// extending the knot vector to cover days [state.days, days) by
   /// replicating the last knot — the random-walk prior's mean-zero
   /// increment — and run a capped update_iterations-sweep chain.
-  /// Requires state.valid(), days >= state.days and >= 4 samples.
+  /// Requires state.valid(), days >= state.days and >= 4 samples, each
+  /// with a positive, finite concentration (InvalidArgument otherwise;
+  /// `state` is then left unchanged).
   RtPosterior estimate_update(const std::vector<epi::WwSample>& samples,
                               int days, std::uint64_t seed,
                               GoldsteinChainState& state) const;

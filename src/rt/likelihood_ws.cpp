@@ -44,15 +44,20 @@ LikelihoodWorkspace::LikelihoodWorkspace(
   theta_.assign(dim(), 0.0);
   rt_.assign(nd, 0.0);
   inc_.assign(ni, 0.0);
-  mu_.assign(nd, 0.0);
   log_mu_.assign(ns, 0.0);
   contrib_.assign(ns, 0.0);
   cand_theta_.assign(dim(), 0.0);
   cand_rt_.assign(nd, 0.0);
   cand_inc_.assign(ni, 0.0);
-  cand_mu_.assign(nd, 0.0);
+  cand_mu_.assign(ns, 0.0);
   cand_log_mu_.assign(ns, 0.0);
   cand_contrib_.assign(ns, 0.0);
+}
+
+LikelihoodWorkspace::Plan LikelihoodWorkspace::full_plan() const {
+  Plan p;
+  p.rt_to = days_;
+  return p;
 }
 
 std::size_t LikelihoodWorkspace::first_sample_at(int day) const {
@@ -62,29 +67,32 @@ std::size_t LikelihoodWorkspace::first_sample_at(int day) const {
 }
 
 LikelihoodWorkspace::Plan LikelihoodWorkspace::plan_for(std::size_t j) const {
-  Plan p;
   if (degenerate_) {
     // Caches are stale (or nothing was committed yet): full evaluation.
-    return p;
+    return full_plan();
   }
+  Plan p;
   const std::size_t kidx = static_cast<std::size_t>(k_);
   if (j < kidx) {
-    // Knot j first influences daily R at day (j-1)*spacing + 1 (day 0
-    // for the first knot); everything before that is untouched.
-    int tf = j == 0 ? 0
-                    : (static_cast<int>(j) - 1) * config_.knot_spacing_days + 1;
+    // Knot j moves daily R only strictly between its neighbours, on
+    // [(j-1)*spacing + 1, (j+1)*spacing) (from day 0 for the first
+    // knot, through the horizon for the last two knots when the final
+    // one is pinned to day days-1); the neighbours' own days weigh it
+    // by exactly 0. Incidence and samples change from the window on.
+    const int spacing = config_.knot_spacing_days;
+    const int jj = static_cast<int>(j);
+    int tf = j == 0 ? 0 : (jj - 1) * spacing + 1;
     tf = std::min(tf, days_);
     p.rt_from = tf;
+    p.rt_to = std::min((jj + 1) * spacing, days_);
     p.inc_from = tf;
     p.sample_from = first_sample_at(tf);
   } else if (j == kidx) {
     // log I0 re-seeds the incidence recursion; daily R is reusable.
-    p.rt_from = days_;
     p.inc_from = 0;
     p.sample_from = 0;
   } else {
     // log sigma rescales the observation terms only.
-    p.rt_from = days_;
     p.inc_from = days_;
     p.sample_from = 0;
     p.sigma_only = true;
@@ -124,16 +132,23 @@ double LikelihoodWorkspace::eval(const std::vector<double>& theta,
   const double shn = config_.sigma_halfnormal_sd;
   nlp += 0.5 * sigma * sigma / (shn * shn) - log_sigma;
 
-  // Series suffixes through the shared SoA kernels.
+  // Changed series through the shared SoA kernels.
   const double* rt = rt_.data();
-  if (plan.rt_from < days_) {
-    // The interpolation is element-local; the prefix is never read.
+  if (plan.rt_from < plan.rt_to) {
+    // The interpolation is element-local: only the window moves. Undo
+    // the previous candidate's window first, so that cand_rt_ is the
+    // committed R everywhere else and the recursion can read it whole.
+    std::copy(rt_.begin() + cand_rt_from_, rt_.begin() + cand_rt_to_,
+              cand_rt_.begin() + cand_rt_from_);
     num::simd::interp_log_knots_exp(theta.data(), k_,
                                     config_.knot_spacing_days, days_,
-                                    plan.rt_from, cand_rt_.data());
+                                    plan.rt_from, plan.rt_to,
+                                    cand_rt_.data());
+    cand_rt_from_ = plan.rt_from;
+    cand_rt_to_ = plan.rt_to;
     rt = cand_rt_.data();
   }
-  const double* mu = mu_.data();
+  const std::size_t n = sample_day_.size();
   if (plan.inc_from < days_) {
     if (plan.inc_from == 0) {
       // Reference semantics: the burn-in prefix of the incidence array
@@ -149,17 +164,16 @@ double LikelihoodWorkspace::eval(const std::vector<double>& theta,
     num::simd::renewal_incidence(rt, w_.data(), static_cast<int>(w_.size()),
                                  burnin_, plan.inc_from, days_,
                                  cand_inc_.data());
-    std::copy(mu_.begin(), mu_.begin() + plan.inc_from, cand_mu_.begin());
+    // Expected concentration only where a sample reads it.
     num::simd::shedding_convolve(cand_inc_.data(), shed_.data(),
                                  static_cast<int>(shed_.size()), burnin_,
                                  config_.shedding_scale,
-                                 config_.flow_liters_per_day, plan.inc_from,
-                                 days_, cand_mu_.data());
-    mu = cand_mu_.data();
+                                 config_.flow_liters_per_day,
+                                 sample_day_.data(), plan.sample_from, n,
+                                 cand_mu_.data());
   }
 
   // Observation terms.
-  const std::size_t n = sample_day_.size();
   if (plan.sigma_only) {
     // Cached log(mu) is exact; only the scale and the additive
     // log sigma change. The committed state passed every positivity
@@ -169,9 +183,9 @@ double LikelihoodWorkspace::eval(const std::vector<double>& theta,
       cand_contrib_[i] = 0.5 * z * z + log_sigma;
     }
   } else if (!num::simd::lognormal_terms(
-                 mu, sample_day_.data(), sample_log_c_.data(),
-                 sample_pos_c_.data(), plan.sample_from, n, sigma, log_sigma,
-                 cand_log_mu_.data(), cand_contrib_.data())) {
+                 cand_mu_.data(), sample_log_c_.data(), sample_pos_c_.data(),
+                 plan.sample_from, n, sigma, log_sigma, cand_log_mu_.data(),
+                 cand_contrib_.data())) {
     cand_degenerate_ = true;
     cand_value_ = kGuard;
     return kGuard;
@@ -185,7 +199,7 @@ double LikelihoodWorkspace::eval(const std::vector<double>& theta,
 
 double LikelihoodWorkspace::commit_full(const std::vector<double>& theta) {
   OSPREY_REQUIRE(theta.size() == dim(), "theta size mismatch");
-  eval(theta, Plan{});
+  eval(theta, full_plan());
   accept();
   return value_;
 }
@@ -205,16 +219,15 @@ void LikelihoodWorkspace::accept() {
     return;
   }
   const Plan& p = cand_plan_;
-  if (p.rt_from < days_) {
-    std::copy(cand_rt_.begin() + p.rt_from, cand_rt_.end(),
+  if (p.rt_from < p.rt_to) {
+    std::copy(cand_rt_.begin() + p.rt_from, cand_rt_.begin() + p.rt_to,
               rt_.begin() + p.rt_from);
+    cand_rt_from_ = cand_rt_to_ = 0;  // the mirror is exact again
   }
   if (p.inc_from < days_) {
     const std::ptrdiff_t from =
         p.inc_from == 0 ? 0 : burnin_ + p.inc_from;
     std::copy(cand_inc_.begin() + from, cand_inc_.end(), inc_.begin() + from);
-    std::copy(cand_mu_.begin() + p.inc_from, cand_mu_.end(),
-              mu_.begin() + p.inc_from);
   }
   if (p.sigma_only) {
     std::copy(cand_contrib_.begin(), cand_contrib_.end(), contrib_.begin());

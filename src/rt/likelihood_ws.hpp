@@ -7,18 +7,29 @@
 /// theta = [log R knots..., log I0, log sigma] per proposal. The chain
 /// of dependencies is strictly forward in time:
 ///
-///   knot j  -> daily R from day (j-1)*spacing+1   (piecewise-linear)
-///           -> incidence from that day            (renewal recursion)
-///           -> expected concentration from it     (shedding convolution)
-///           -> observation terms of samples at/after it,
+///   knot j  -> daily R on [(j-1)*spacing+1, (j+1)*spacing)  (the window;
+///                                              piecewise-linear, local)
+///           -> incidence from the window on    (renewal recursion)
+///           -> expected concentration at the sample days from it on
+///                                              (shedding convolution)
+///           -> observation terms of those samples,
 ///
 /// while log I0 re-seeds the incidence recursion (daily R untouched)
 /// and log sigma rescales only the observation terms (all series
 /// untouched). This workspace caches the committed state's
-/// structure-of-arrays — daily R, incidence, expected concentration,
-/// per-sample log(mu) and likelihood contributions — and recomputes
-/// exactly the affected suffix per proposal through the shared
-/// num::simd kernels.
+/// structure-of-arrays — daily R, incidence, per-sample log(mu) and
+/// likelihood contributions — and per proposal recomputes exactly what
+/// the component can change through the shared num::simd kernels:
+/// daily R only on the window, incidence on the suffix, and expected
+/// concentration only at the sample days of the suffix (the likelihood
+/// reads it nowhere else).
+///
+/// **Candidate R mirror.** The recursion reads the candidate's daily R
+/// over the whole suffix, but a proposal writes only its window. So
+/// the candidate array is kept equal to the committed one outside the
+/// last window written into it: the next proposal first restores that
+/// window from the committed R, and accept() copies just the window
+/// back the other way.
 ///
 /// **Bit-identity contract.** propose() returns the same IEEE double a
 /// from-scratch evaluation of the candidate theta would return: cached
@@ -46,6 +57,8 @@ class LikelihoodWorkspace {
  public:
   /// Buffers are sized once here; no allocation happens per proposal.
   /// Throws InvalidArgument when a sample day is outside [0, days).
+  /// Samples may come in any day order. A non-positive concentration
+  /// makes every state degenerate (the reference guard value).
   LikelihoodWorkspace(const GoldsteinConfig& config,
                       std::vector<double> gen_interval,
                       std::vector<double> shedding,
@@ -73,16 +86,19 @@ class LikelihoodWorkspace {
   bool committed_degenerate() const { return degenerate_; }
 
  private:
-  /// What a candidate evaluation must recompute. Indices at the end of
-  /// their range mean "nothing changed, reuse the committed array".
+  /// What a candidate evaluation must recompute: daily R on
+  /// [rt_from, rt_to) (empty: reuse the committed R), incidence from
+  /// inc_from (days_: reuse), samples from sample_from.
   struct Plan {
     int rt_from = 0;
+    int rt_to = 0;
     int inc_from = 0;
     std::size_t sample_from = 0;
     bool sigma_only = false;  // reuse cached log(mu), rescale terms
   };
 
   Plan plan_for(std::size_t j) const;
+  Plan full_plan() const;
   double eval(const std::vector<double>& theta, const Plan& plan);
   /// First sample index at/after `day` (all earlier indices are
   /// strictly before it, whatever the input order).
@@ -103,7 +119,6 @@ class LikelihoodWorkspace {
   std::vector<double> theta_;
   std::vector<double> rt_;       // days_
   std::vector<double> inc_;      // burnin_ + days_
-  std::vector<double> mu_;       // days_
   std::vector<double> log_mu_;   // per sample
   std::vector<double> contrib_;  // per sample
   double value_ = 0.0;
@@ -111,9 +126,11 @@ class LikelihoodWorkspace {
 
   // --- candidate state (filled by propose/commit_full) ---
   std::vector<double> cand_theta_;
-  std::vector<double> cand_rt_;
+  std::vector<double> cand_rt_;  // rt_ outside [cand_rt_from_, cand_rt_to_)
+  int cand_rt_from_ = 0;
+  int cand_rt_to_ = 0;
   std::vector<double> cand_inc_;
-  std::vector<double> cand_mu_;
+  std::vector<double> cand_mu_;  // per sample, valid from sample_from
   std::vector<double> cand_log_mu_;
   std::vector<double> cand_contrib_;
   Plan cand_plan_;

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "obs/export.hpp"
 #include "util/clock.hpp"
 #include "util/csv.hpp"
+#include "util/error.hpp"
 #include "util/string_util.hpp"
 
 namespace oc = osprey::core;
@@ -132,7 +136,88 @@ std::string draws_to_csv_via_table(const osprey::rt::RtPosterior& posterior,
   return table.to_string();
 }
 
+/// The CsvTable + strtod reader draws_from_csv replaced.
+on::Matrix draws_via_table(const std::string& csv) {
+  const ou::CsvTable table = ou::CsvTable::parse(csv);
+  on::Matrix out(table.num_rows(), table.num_cols());
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    const auto& row = table.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      out(r, c) = std::strtod(row[c].c_str(), nullptr);
+    }
+  }
+  return out;
+}
+
+osprey::rt::RtPosterior random_posterior(std::size_t draws, std::size_t days,
+                                         std::uint64_t seed) {
+  on::RngStream rng(seed);
+  osprey::rt::RtPosterior posterior;
+  posterior.draws = on::Matrix(draws, days);
+  for (double& v : posterior.draws.data()) v = 0.2 + 2.5 * rng.uniform();
+  return posterior;
+}
+
 }  // namespace
+
+TEST(WastewaterCsv, DrawsFromCsvMatchesTableParseBitForBit) {
+  struct Shape {
+    std::size_t draws, days;
+  };
+  for (Shape shape : {Shape{1, 218}, Shape{60, 1}, Shape{60, 218}}) {
+    osprey::rt::RtPosterior posterior =
+        random_posterior(shape.draws, shape.days, 20261018 + shape.days);
+    posterior.draws(0, 0) = -0.0;
+    posterior.draws(shape.draws - 1, shape.days - 1) = 1e300;
+    const std::string csv = oc::draws_to_csv(posterior, 1000);
+    const on::Matrix want = draws_via_table(csv);
+    const on::Matrix got = oc::draws_from_csv(csv).draws;
+    ASSERT_EQ(got.rows(), shape.draws);
+    ASSERT_EQ(got.cols(), shape.days);
+    for (std::size_t i = 0; i < want.data().size(); ++i) {
+      // Compare bit patterns: -0.0 must stay -0.0.
+      EXPECT_EQ(std::memcmp(&got.data()[i], &want.data()[i], sizeof(double)),
+                0)
+          << shape.draws << "x" << shape.days << " cell " << i;
+    }
+    // A last row without its newline reads the same.
+    const on::Matrix trimmed =
+        oc::draws_from_csv(std::string_view(csv).substr(0, csv.size() - 1))
+            .draws;
+    EXPECT_EQ(trimmed.data(), got.data());
+  }
+  // Header only: no draws, the header's width.
+  const on::Matrix empty = oc::draws_from_csv("d0,d1,d2\n").draws;
+  EXPECT_EQ(empty.rows(), 0u);
+  EXPECT_EQ(empty.cols(), 3u);
+}
+
+TEST(WastewaterCsv, DrawsFromCsvRejectsMalformedBytes) {
+  const std::string good = "d0,d1,d2\n1.00000,2.00000,3.00000\n";
+  ASSERT_EQ(oc::draws_from_csv(good).draws.rows(), 1u);
+  for (const char* bad : {
+           "",                                  // no header
+           "1.00000,2.00000,3.00000\n",         // no header
+           "d0,d1,d2",                          // header never ends
+           "d0,d2\n1.00000,2.00000\n",          // misnumbered header
+           "d0,d1,d2\n1.00000,2.00000\n",       // short row
+           "d0,d1,d2\n1.00000,2.00000,",         // short row at the end
+           "d0,d1,d2\n1.0,2.0,3.0,4.0\n",       // long row
+           "d0,d1,d2\n1.00000,x,3.00000\n",     // not a number
+           "d0,d1,d2\n1.00000,,3.00000\n",      // empty cell
+           "d0,d1,d2\n1.00000,2.5abc,3.00000\n",  // trailing garbage
+           "d0,d1,d2\n1.0,2.0,3.0\n\n",         // blank last line
+       }) {
+    EXPECT_THROW(oc::draws_from_csv(bad), ou::InvalidArgument) << bad;
+  }
+  // A view that ends before the last cell is not read past: the bytes
+  // after it would complete the row.
+  const std::string_view cut(good.data(), good.find("3.0"));
+  EXPECT_THROW(oc::draws_from_csv(cut), ou::InvalidArgument);
+  // Nor is one that ends inside the header.
+  EXPECT_THROW(oc::draws_from_csv(std::string_view(good.data(), 4)),
+               ou::InvalidArgument);
+}
 
 TEST(WastewaterCsv, DirectWritersMatchTableWritersByteForByte) {
   on::RngStream rng(20251018);

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "epi/kernels.hpp"
@@ -154,36 +156,105 @@ TEST(KnotsToDaily, ExactDivisionUnchanged) {
 // --- tentpole: incremental evaluation is exact algebra ------------------
 
 TEST(LikelihoodWorkspace, ProposeBitIdenticalToFullEvaluation) {
-  const int days = 60;
   oe::Plant plant = oe::chicago_plants()[0];
   ort::GoldsteinEstimator est(fast_config(plant));
-  std::vector<oe::WwSample> samples = make_samples(days);
 
-  ort::LikelihoodWorkspace ws = est.make_workspace(samples, days);
-  const std::size_t dim = ws.dim();
-  std::vector<double> theta(dim, 0.0);
-  theta[dim - 2] = std::log(50.0);
-  theta[dim - 1] = std::log(0.5);
-  ws.commit_full(theta);
+  struct Series {
+    const char* name;
+    int days;
+    std::vector<oe::WwSample> samples;
+  };
+  // 57: spacing divides days-1; 60: partial last segment; 218: the
+  // benchmark's horizon.
+  std::vector<Series> cases = {{"days 57", 57, make_samples(57)},
+                               {"days 60", 60, make_samples(60)},
+                               {"days 218", 218, make_samples(218)}};
+  // A sample on every day 0-6, where the shedding window runs off the
+  // start of the incidence array, ahead of the generated series.
+  std::vector<oe::WwSample> truncated;
+  for (int d = 0; d < 7; ++d) truncated.push_back({d, 2.0e4 + 1.0e3 * d});
+  for (const oe::WwSample& s : make_samples(60)) {
+    if (s.day >= 7) truncated.push_back(s);
+  }
+  cases.push_back({"truncated head", 60, truncated});
+  // The same samples out of day order: 4-sample blocks mix truncated
+  // and full windows, and early days sit after late ones.
+  std::vector<oe::WwSample> shuffled = truncated;
+  on::RngStream perm(77);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    const std::size_t r = static_cast<std::size_t>(
+        perm.uniform() * static_cast<double>(i));
+    std::swap(shuffled[i - 1], shuffled[std::min(r, i - 1)]);
+  }
+  ASSERT_FALSE(std::is_sorted(
+      shuffled.begin(), shuffled.end(),
+      [](const oe::WwSample& x, const oe::WwSample& y) {
+        return x.day < y.day;
+      }));
+  cases.push_back({"out of order", 60, shuffled});
 
-  // Seeded sweep of single-component perturbations, randomly accepted:
-  // every candidate value must equal a from-scratch evaluation of the
-  // same theta, bit for bit. EXPECT_EQ on doubles is exact equality.
-  on::RngStream rng(4242);
-  for (int round = 0; round < 40; ++round) {
-    for (std::size_t j = 0; j < dim; ++j) {
-      const double old = theta[j];
-      theta[j] = old + 0.15 * rng.normal();
+  for (const Series& c : cases) {
+    SCOPED_TRACE(c.name);
+    ort::LikelihoodWorkspace ws = est.make_workspace(c.samples, c.days);
+    const std::size_t dim = ws.dim();
+    const std::size_t k = static_cast<std::size_t>(ws.num_knots());
+    std::vector<double> theta(dim, 0.0);
+    theta[dim - 2] = std::log(50.0);
+    theta[dim - 1] = std::log(0.5);
+    ws.commit_full(theta);
+
+    // Every candidate value must equal a from-scratch evaluation of the
+    // same theta, bit for bit. EXPECT_EQ on doubles is exact equality.
+    auto check = [&](std::size_t j, const char* what) {
       const double incremental = ws.propose(theta, j);
-      const double full = est.neg_log_posterior(theta, samples, days);
-      const double ref = reference_nlp(est, theta, samples, days);
-      EXPECT_EQ(incremental, full) << "round " << round << " component " << j;
-      EXPECT_EQ(incremental, ref) << "round " << round << " component " << j;
-      if (rng.uniform() < 0.5) {
-        ws.accept();
-      } else {
-        theta[j] = old;
+      EXPECT_EQ(incremental, est.neg_log_posterior(theta, c.samples, c.days))
+          << what << " component " << j;
+      EXPECT_EQ(incremental, reference_nlp(est, theta, c.samples, c.days))
+          << what << " component " << j;
+    };
+    // Move component j to `value` and commit it, whatever it scores.
+    auto force = [&](std::size_t j, double value, const char* what) {
+      theta[j] = value;
+      check(j, what);
+      ws.accept();
+    };
+
+    // Seeded sweep of single-component perturbations, randomly accepted,
+    // with degenerate excursions interleaved: a committed guard state
+    // leaves the caches stale, and the way back must be exact.
+    on::RngStream rng(4242);
+    for (int round = 0; round < 40; ++round) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        const double old = theta[j];
+        theta[j] = old + 0.15 * rng.normal();
+        check(j, "sweep");
+        if (rng.uniform() < 0.5) {
+          ws.accept();
+        } else {
+          theta[j] = old;
+        }
       }
+      if (round % 4 != 3) continue;
+      const std::vector<double> saved = theta;
+      switch (round % 3) {
+        case 0:  // theta-bounds guard, before any series is computed
+          force(dim - 1, 6.0, "sigma guard");
+          break;
+        case 1:  // I0 underflows to 0: mu = 0 at every sample
+          force(dim - 2, -800.0, "I0 underflow");
+          break;
+        default: {  // R overflows on one window, then 0 * inf = NaN
+          const std::size_t j = static_cast<std::size_t>(round) % (k - 1);
+          force(j, 1e4, "R overflow");
+          force(j + 1, -1e4, "R overflow then underflow");
+          break;
+        }
+      }
+      EXPECT_TRUE(ws.committed_degenerate()) << "round " << round;
+      for (std::size_t j = 0; j < dim; ++j) {
+        if (theta[j] != saved[j]) force(j, saved[j], "recovery");
+      }
+      EXPECT_FALSE(ws.committed_degenerate()) << "round " << round;
     }
   }
 }
@@ -382,6 +453,34 @@ TEST(GoldsteinOnline, WarmUpdateAccuracyWithinToleranceOfCold) {
   EXPECT_LT(warm_rmse, cold_rmse + 0.05);
   EXPECT_LT(warm_rmse, 0.25);
   EXPECT_GT(warm_series.coverage(truth), 0.7);
+}
+
+TEST(Goldstein, RejectsUnobservableConcentrations) {
+  // A zero sample would pin every state to the 1e12 guard, where every
+  // proposal is accepted and R(t) draws run off unchecked.
+  oe::Plant plant = oe::chicago_plants()[0];
+  ort::GoldsteinEstimator est(fast_config(plant));
+  const int days = 40;
+  std::vector<oe::WwSample> samples = make_samples(days);
+  ort::GoldsteinChainState state;
+  est.estimate(samples, days, 7, &state);
+  ASSERT_TRUE(state.valid());
+
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<oe::WwSample> with_bad = samples;
+    with_bad[with_bad.size() / 2].concentration = bad;
+    EXPECT_THROW(est.estimate(with_bad, days),
+                 osprey::util::InvalidArgument)
+        << bad;
+    const ort::GoldsteinChainState before = state;
+    EXPECT_THROW(est.estimate_update(with_bad, days, 8, state),
+                 osprey::util::InvalidArgument)
+        << bad;
+    EXPECT_EQ(state.theta, before.theta);
+    EXPECT_EQ(state.step, before.step);
+    EXPECT_EQ(state.updates, before.updates);
+  }
 }
 
 TEST(Goldstein, PerPhaseAcceptanceRates) {
