@@ -4,8 +4,10 @@
 /// scaling, Saltelli throughput, the Goldstein MCMC iteration cost and
 /// one warm weekly refit, the aggregation's draws-CSV parse, and
 /// the SHA-256 kernels and JSON codec every AERO payload goes through,
-/// one AERO publication's metadata ops, and the shard coordinator's
-/// handling of a week of version reports.
+/// one AERO publication's metadata ops, the shard coordinator's
+/// handling of a week of version reports, and the serving tier's
+/// per-read costs: a cached read through the front end, one event-loop
+/// dispatch, and one Zipf draw.
 /// End-to-end SHA-256 throughput and event-loop dispatch are also
 /// osprey_bench probes (crypto.sha256_mb_per_s,
 /// fabric.dispatch_ns_per_event), with a committed baseline in
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "aero/metadata_db.hpp"
+#include "aero/server.hpp"
 #include "core/usecase_ww.hpp"
 #include "crypto/sha256.hpp"
 #include "emews/task_api.hpp"
@@ -34,6 +37,9 @@
 #include "num/sampling.hpp"
 #include "rt/ensemble.hpp"
 #include "rt/goldstein.hpp"
+#include "serve/cache.hpp"
+#include "serve/frontend.hpp"
+#include "serve/zipf.hpp"
 #include "shard/coordinator.hpp"
 #include "util/thread_pool.hpp"
 #include "util/value.hpp"
@@ -484,5 +490,88 @@ static void BM_CoordinatorVersionReports(benchmark::State& state) {
                           kMembers);
 }
 BENCHMARK(BM_CoordinatorVersionReports)->Unit(benchmark::kMicrosecond);
+
+/// One cached dashboard read: FrontEnd::submit on an idle server plus
+/// the completion event that answers it, on a warmed cache (both
+/// response buffers already hold the estimate). Requests are built in
+/// batches outside the timed region, so only the serving tier and the
+/// loop are measured. Items are reads.
+static void BM_FrontEndHit(benchmark::State& state) {
+  constexpr int kBatch = 256;
+  fabric::EventLoop loop;
+  fabric::AuthService auth;
+  fabric::TimerService timers(loop, auth);
+  fabric::TransferService transfers(loop, auth);
+  fabric::FlowsService flows(loop, auth);
+  aero::AeroServer server(loop, auth, timers, transfers, flows, "aero",
+                          nullptr);
+  const std::string uuid = server.db().register_object("qoi/rt", "qoi-0");
+  server.db().add_version(uuid, crypto::Sha256::hash_hex("payload"), 4096, 0,
+                          "eagle", "data", "qoi/0/rt-v1");
+  obs::MetricsRegistry metrics;
+  serve::ResultCache cache(server, metrics);
+  serve::FrontEnd frontend(loop, auth, cache, metrics);
+  const serve::ServeRequest request{
+      uuid, auth.issue_token("dashboards", {fabric::scopes::kServe}),
+      "dashboards"};
+  std::uint64_t answered = 0;
+  const serve::FrontEnd::Callback done =
+      [&answered](const serve::ServeResponse&) { ++answered; };
+  for (int i = 0; i < 3; ++i) {  // a miss, then a hit into each buffer
+    frontend.submit(request, done);
+    loop.run_all();
+  }
+  std::vector<serve::ServeRequest> batch;
+  for (auto _ : state) {
+    state.PauseTiming();
+    batch.assign(kBatch, request);
+    state.ResumeTiming();
+    for (serve::ServeRequest& r : batch) {
+      frontend.submit(std::move(r), done);
+      loop.run_all();
+    }
+  }
+  if (answered != 3 + static_cast<std::uint64_t>(state.iterations()) * kBatch ||
+      cache.misses() != 1) {
+    state.SkipWithError("expected every timed read to be answered by a hit");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kBatch);
+}
+BENCHMARK(BM_FrontEndHit);
+
+/// Event dispatch with 60 events pending: 60 self-re-arming events,
+/// one due each virtual ms, so every fired event schedules its
+/// successor. One iteration runs 60 ms of virtual time. Items are
+/// events (a fire plus a schedule).
+static void BM_EventLoopDispatch(benchmark::State& state) {
+  constexpr int kPending = 60;
+  struct Chain {
+    fabric::EventLoop loop;
+    std::int64_t fired = 0;
+    fabric::EventLoop::Callback tick;
+  } chain;
+  // Captures one pointer, so every copy stays in std::function's buffer.
+  chain.tick = [c = &chain] {
+    ++c->fired;
+    c->loop.schedule_after(kPending, c->tick);
+  };
+  for (int i = 0; i < kPending; ++i) chain.loop.schedule_at(i, chain.tick);
+  for (auto _ : state) chain.loop.run_until(chain.loop.now() + kPending);
+  if (chain.loop.pending() != kPending) {
+    state.SkipWithError("expected 60 events pending throughout");
+  }
+  state.SetItemsProcessed(chain.fired);
+}
+BENCHMARK(BM_EventLoopDispatch);
+
+/// One Zipf(1.0) draw over the 96 objects serve_flood reads.
+static void BM_ZipfItem(benchmark::State& state) {
+  const serve::ZipfTrace zipf(96, 1.0, 1);
+  std::uint64_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(zipf.item(i++));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ZipfItem);
 
 BENCHMARK_MAIN();

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -66,15 +66,19 @@ std::string ascii_plot(const rt::RtSeries& series, const std::string& title) {
   return out;
 }
 
-/// Appends `v` printed as "%.<precision>f".
+/// Appends `v` printed as "%.<precision>f" (the same exactly rounded
+/// digits, "-0.0…", "inf" and "nan" spellings, through std::to_chars).
 void append_fixed(std::string& out, double v, int precision) {
-  char buf[48];
-  const int len = std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-  if (len >= 0 && static_cast<std::size_t>(len) < sizeof buf) {
-    out.append(buf, static_cast<std::size_t>(len));
-  } else {
-    out += osprey::util::format("%.*f", precision, v);  // huge magnitudes
-  }
+  constexpr int kMaxPrecision = 17;
+  OSPREY_REQUIRE(precision >= 0 && precision <= kMaxPrecision,
+                 "fixed precision out of range");
+  // Sign, the integer digits of DBL_MAX, the point and the decimals.
+  char buf[1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 +
+           kMaxPrecision];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+  OSPREY_CHECK(r.ec == std::errc{}, "fixed buffer too small");
+  out.append(buf, r.ptr);
 }
 
 /// The horizon a refit over `samples` estimates: through the last

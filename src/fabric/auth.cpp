@@ -16,7 +16,6 @@ std::string AuthService::issue_token(
   info.identity = identity;
   info.scopes.insert(token_scopes.begin(), token_scopes.end());
   tokens_.emplace(token, std::move(info));
-  ++issued_;
   return token;
 }
 
@@ -39,7 +38,6 @@ void AuthService::set_fault_plan(FaultPlan* plan, const EventLoop* loop) {
 
 const TokenInfo& AuthService::validate(
     const std::string& token, const std::string& required_scope) const {
-  ++validations_;
   auto it = tokens_.find(token);
   if (it == tokens_.end()) {
     throw osprey::util::AuthError("unknown token");

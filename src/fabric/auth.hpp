@@ -64,14 +64,9 @@ class AuthService {
   /// Identity behind a token (throws AuthError if unknown/revoked).
   const std::string& identity_of(const std::string& token) const;
 
-  std::size_t tokens_issued() const { return issued_; }
-  std::size_t validations() const { return validations_; }
-
  private:
   osprey::util::UuidFactory uuids_;
   std::map<std::string, TokenInfo> tokens_;
-  std::size_t issued_ = 0;
-  mutable std::size_t validations_ = 0;
   FaultPlan* plan_ = nullptr;
   const EventLoop* loop_ = nullptr;
 };

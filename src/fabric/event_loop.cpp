@@ -7,8 +7,9 @@
 namespace osprey::fabric {
 
 EventLoop::EventLoop()
-    : processed_(metrics_.counter("fabric_events_processed_total",
-                                  "events fired by the virtual-time loop")) {}
+    : processed_total_(
+          metrics_.counter("fabric_events_processed_total",
+                           "events fired by the virtual-time loop")) {}
 
 EventId EventLoop::schedule_at(SimTime t, Callback cb) {
   OSPREY_REQUIRE(t >= now_, "cannot schedule an event in the past");
@@ -70,12 +71,18 @@ void EventLoop::fire_top() {
   // callback may schedule (reusing the slot) or cancel other events, and
   // cancelling its own id finds a bumped generation.
   Callback cb = take(entry.slot);
-  processed_.inc();
+  ++processed_;
   cb();
+}
+
+void EventLoop::fold_processed() {
+  processed_total_.inc(processed_ - folded_);
+  folded_ = processed_;
 }
 
 std::size_t EventLoop::run_until(SimTime t) {
   OSPREY_REQUIRE(t >= now_, "run_until into the past");
+  const FoldOnExit fold{*this};
   std::size_t fired = 0;
   while (has_live_top() && queue_.top().time <= t) {
     fire_top();
@@ -86,6 +93,7 @@ std::size_t EventLoop::run_until(SimTime t) {
 }
 
 std::size_t EventLoop::run_all(std::size_t max_events) {
+  const FoldOnExit fold{*this};
   std::size_t fired = 0;
   while (fired < max_events && has_live_top()) {
     fire_top();

@@ -35,7 +35,11 @@ using EventId = std::uint64_t;
 ///
 /// The loop owns the metrics registry of everything scheduled on it:
 /// every fabric service binds its counters and histograms from
-/// `metrics()` at construction, so one loop is one registry.
+/// `metrics()` at construction, so one loop is one registry. Fired
+/// events are counted in a plain member; `fabric_events_processed_total`
+/// receives a run's count when run_until()/run_all() returns (also by
+/// exception), so the counter is exact whenever no run is in progress,
+/// which is when every snapshot and export is taken.
 ///
 /// The loop also carries the chaos plan of everything scheduled on it:
 /// every fault-prone service reads `fault_plan()` at its injection
@@ -71,7 +75,7 @@ class EventLoop {
   bool empty() const { return live_ == 0; }
   std::size_t pending() const { return live_; }
   /// Events this loop has fired.
-  std::uint64_t events_processed() const { return processed_.value(); }
+  std::uint64_t events_processed() const { return processed_; }
 
   /// The registry shared by this loop and every service on it.
   obs::MetricsRegistry& metrics() { return metrics_; }
@@ -104,15 +108,26 @@ class EventLoop {
   bool has_live_top();
   /// Pop the (live) top entry and run its callback.
   void fire_top();
+  /// Add the events fired since the last fold to the registry counter.
+  void fold_processed();
+  /// Calls fold_processed() when a run leaves, by return or exception.
+  struct FoldOnExit {
+    EventLoop& loop;
+    ~FoldOnExit() { loop.fold_processed(); }
+  };
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  // Events fired; a run folds them into processed_total_ as it returns.
+  // osprey-lint: allow(adhoc-counter) reaches the registry at run end
+  std::uint64_t processed_ = 0;
+  std::uint64_t folded_ = 0;  // of processed_, already in processed_total_
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   obs::MetricsRegistry metrics_;
-  obs::Counter& processed_;
+  obs::Counter& processed_total_;
   FaultPlan* fault_plan_ = nullptr;
 };
 

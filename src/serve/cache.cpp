@@ -60,23 +60,34 @@ void ResultCache::rebind(aero::AeroServer& server, std::string shard) {
   rebind(server);
 }
 
-ResultCache::Result ResultCache::lookup(const std::string& uuid) {
+CacheOutcome ResultCache::lookup_into(const std::string& uuid,
+                                      aero::AeroServer::ServedEstimate& out) {
   auto it = entries_.find(uuid);
   // A hit requires the entry to carry the cache's CURRENT shard
   // qualifier; an entry fetched under a previous qualifier is as
   // untrustworthy as an invalidated one and must revalidate.
   if (it != entries_.end() && it->second.valid && it->second.shard == shard_) {
     hits_->inc();
-    return Result{CacheOutcome::kHit, it->second.estimate, shard_};
+    out = it->second.estimate;
+    return CacheOutcome::kHit;
   }
-  CacheOutcome outcome =
+  const CacheOutcome outcome =
       it == entries_.end() ? CacheOutcome::kMiss : CacheOutcome::kRevalidate;
   (outcome == CacheOutcome::kMiss ? misses_ : revalidates_)->inc();
-  Entry& entry = entries_[uuid];
+  if (it == entries_.end()) it = entries_.try_emplace(uuid).first;
+  Entry& entry = it->second;
   entry.estimate = fetch_origin(uuid);
   entry.valid = true;
   entry.shard = shard_;
-  return Result{outcome, entry.estimate, shard_};
+  out = entry.estimate;
+  return outcome;
+}
+
+ResultCache::Result ResultCache::lookup(const std::string& uuid) {
+  Result r;
+  r.outcome = lookup_into(uuid, r.estimate);
+  r.shard = shard_;
+  return r;
 }
 
 void ResultCache::invalidate(const std::string& uuid) {

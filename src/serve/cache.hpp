@@ -23,8 +23,8 @@
 /// laundered into a fresh-looking hit.
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 
 #include "aero/server.hpp"
 #include "obs/metrics.hpp"
@@ -64,8 +64,13 @@ class ResultCache {
   const std::string& shard() const { return shard_; }
 
   /// Serve `uuid` from cache, fetching from the origin on miss or
-  /// revalidate. The returned estimate carries AERO's staleness signal
-  /// verbatim (reason empty iff fresh).
+  /// revalidate, and copy-assign the estimate into `out` (a hit reuses
+  /// `out`'s string capacity, so a warm buffer allocates nothing). The
+  /// estimate carries AERO's staleness signal verbatim (reason empty iff
+  /// fresh).
+  CacheOutcome lookup_into(const std::string& uuid,
+                           aero::AeroServer::ServedEstimate& out);
+  /// lookup_into() a fresh Result, stamped with the current shard.
   Result lookup(const std::string& uuid);
 
   /// Mark `uuid`'s entry for revalidation (no-op when absent or already
@@ -106,7 +111,8 @@ class ResultCache {
   aero::AeroServer* server_ = nullptr;  // null while detached
   std::uint64_t listener_id_ = 0;
   std::string shard_;
-  std::map<std::string, Entry> entries_;
+  // Hashed: nothing reads it in key order (rebind's sweep only counts).
+  std::unordered_map<std::string, Entry> entries_;
 
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;

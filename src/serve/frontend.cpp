@@ -33,7 +33,11 @@ ServeOutcome to_serve_outcome(CacheOutcome outcome) {
 FrontEnd::FrontEnd(fabric::EventLoop& loop, fabric::AuthService& auth,
                    ResultCache& cache, obs::MetricsRegistry& metrics,
                    FrontEndConfig config)
-    : loop_(loop), auth_(auth), cache_(cache), config_(config) {
+    : loop_(loop),
+      auth_(auth),
+      cache_(cache),
+      config_(config),
+      ring_(config.max_queue_depth) {
   served_ = &metrics.counter("serve_requests_served_total",
                              "requests completed with a cache outcome");
   shed_ = &metrics.counter("serve_requests_shed_total",
@@ -61,7 +65,7 @@ void FrontEnd::submit(ServeRequest request, Callback done) {
     if (done) done(resp);
     return;
   }
-  if (queue_.size() >= config_.max_queue_depth) {
+  if (waiting_ >= config_.max_queue_depth) {
     // Overload: refuse honestly and immediately. The queue bound keeps
     // tail latency finite; shed traffic is the pressure signal.
     shed_->inc();
@@ -76,48 +80,64 @@ void FrontEnd::submit(ServeRequest request, Callback done) {
     if (done) done(resp);
     return;
   }
-  queue_.push_back(Queued{std::move(request), std::move(done), now});
-  queue_depth_gauge_->set(static_cast<double>(queue_.size()));
+  if (!busy_ && waiting_ == 0) {
+    // Idle: what entering the queue and leaving it at once would do.
+    start(request, std::move(done), now);
+    return;
+  }
+  std::size_t tail = head_ + waiting_;
+  if (tail >= ring_.size()) tail -= ring_.size();
+  Queued& slot = ring_[tail];
+  slot.request = std::move(request);
+  slot.done = std::move(done);
+  slot.enqueued_at = now;
+  ++waiting_;
+  queue_depth_gauge_->set(static_cast<double>(waiting_));
   pump();
 }
 
-void FrontEnd::pump() {
-  if (busy_ || queue_.empty()) return;
-  busy_ = true;
-  Queued& q = queue_.front();
+void FrontEnd::start(const ServeRequest& request, Callback&& done,
+                     SimTime enqueued_at) {
+  current_.response ^= 1;
+  ServeResponse& resp = responses_[current_.response];
 
   // The cache outcome is decided at dequeue time; the per-outcome
   // service time models the work that outcome costs.
-  ResultCache::Result r = cache_.lookup(q.request.uuid);
-  current_.outcome = to_serve_outcome(r.outcome);
-  current_.estimate = std::move(r.estimate);
-  current_.done = std::move(q.done);
-  current_.enqueued_at = q.enqueued_at;
+  const CacheOutcome outcome = cache_.lookup_into(request.uuid, resp.estimate);
+  busy_ = true;
+  resp.outcome = to_serve_outcome(outcome);
+  resp.enqueued_at = enqueued_at;
+  current_.done = std::move(done);
   SimTime service = config_.hit_service_time;
-  if (r.outcome == CacheOutcome::kMiss) {
+  if (outcome == CacheOutcome::kMiss) {
     service = config_.miss_service_time;
-  } else if (r.outcome == CacheOutcome::kRevalidate) {
+  } else if (outcome == CacheOutcome::kRevalidate) {
     service = config_.revalidate_service_time;
   }
 
   current_.span = obs::kNoSpan;
   if (tracer_ != nullptr) {
     current_.span = tracer_->begin_span(
-        obs::Category::kServe, "serve:" + q.request.uuid,
+        obs::Category::kServe, "serve:" + request.uuid,
         obs::sim_ns(loop_.now()), obs::kNoSpan,
-        q.request.tenant + " " + serve_outcome_name(current_.outcome));
+        request.tenant + " " + serve_outcome_name(resp.outcome));
   }
-  queue_.pop_front();
-  queue_depth_gauge_->set(static_cast<double>(queue_.size()));
+  queue_depth_gauge_->set(static_cast<double>(waiting_));
 
   loop_.schedule_after(service, [this] { finish(); });
 }
 
+void FrontEnd::pump() {
+  if (busy_ || waiting_ == 0) return;
+  Queued& q = ring_[head_];
+  if (++head_ == ring_.size()) head_ = 0;
+  --waiting_;
+  // Nothing start() calls submits, so the slot is not reused under it.
+  start(q.request, std::move(q.done), q.enqueued_at);
+}
+
 void FrontEnd::finish() {
-  ServeResponse resp;
-  resp.outcome = current_.outcome;
-  resp.estimate = std::move(current_.estimate);
-  resp.enqueued_at = current_.enqueued_at;
+  ServeResponse& resp = responses_[current_.response];
   resp.completed_at = loop_.now();
   served_->inc();
   latency_ms_->observe(static_cast<double>(resp.latency()));
@@ -125,7 +145,7 @@ void FrontEnd::finish() {
     tracer_->end_span(current_.span, obs::sim_ns(loop_.now()), true);
   }
   // `done` may submit, and so start the next service, which reuses
-  // current_.
+  // current_ and fills the other response buffer.
   Callback done = std::move(current_.done);
   busy_ = false;
   if (done) done(resp);

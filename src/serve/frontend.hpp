@@ -13,11 +13,18 @@
 /// the `serve` scope completes with `kDenied`. Everything else resolves
 /// to the cache outcome (hit / miss / revalidate) after its service
 /// time, with queueing delay included in the reported latency.
+///
+/// A served read allocates nothing in steady state: the queue is a ring
+/// of `max_queue_depth` slots allocated at construction, a read that
+/// finds the server idle and the queue empty starts service without
+/// entering it, and responses are written into two alternating buffers
+/// whose strings keep their capacity from read to read.
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "fabric/auth.hpp"
 #include "fabric/event_loop.hpp"
@@ -54,7 +61,8 @@ struct ServeResponse {
 
 struct FrontEndConfig {
   /// Requests allowed to wait (beyond the one in service); arrivals
-  /// past this complete immediately as kShed.
+  /// past this complete immediately as kShed. The front end allocates
+  /// this many queue slots at construction.
   std::size_t max_queue_depth = 64;
   /// Service time per cache outcome. Hits skip the origin entirely;
   /// revalidates pay a metadata query; misses pay the full origin path.
@@ -81,11 +89,13 @@ class FrontEnd {
 
   /// Submit a read. Denied/shed requests complete synchronously;
   /// admitted requests complete via the event loop after queueing plus
-  /// service time. `done` may be empty (fire-and-forget).
+  /// service time. `done` may be empty (fire-and-forget). The response
+  /// `done` receives stays intact until `done` returns, even when `done`
+  /// submits again.
   void submit(ServeRequest request, Callback done);
 
   const FrontEndConfig& config() const { return config_; }
-  std::size_t queue_depth() const { return queue_.size(); }
+  std::size_t queue_depth() const { return waiting_; }
   std::uint64_t served() const { return served_->value(); }
   std::uint64_t shed() const { return shed_->value(); }
   std::uint64_t denied() const { return denied_->value(); }
@@ -97,16 +107,19 @@ class FrontEnd {
     SimTime enqueued_at = 0;
   };
   /// The one request in service: everything its completion needs, kept
-  /// here so the completion event captures only `this`.
+  /// here so the completion event captures only `this`. Its response is
+  /// responses_[response].
   struct InService {
     Callback done;
-    SimTime enqueued_at = 0;
-    ServeOutcome outcome = ServeOutcome::kShed;
-    aero::AeroServer::ServedEstimate estimate;
+    std::size_t response = 0;
     obs::SpanId span = obs::kNoSpan;
   };
 
-  /// Start service on the queue head (no-op when idle or empty).
+  /// Put `request` in service: decide its cache outcome into the next
+  /// response buffer and schedule its completion.
+  void start(const ServeRequest& request, Callback&& done,
+             SimTime enqueued_at);
+  /// Start service on the queue head (no-op when busy or empty).
   void pump();
   /// Complete the request in service, then start the next one.
   void finish();
@@ -117,9 +130,14 @@ class FrontEnd {
   FrontEndConfig config_;
   obs::TraceRecorder* tracer_ = nullptr;
 
-  std::deque<Queued> queue_;
-  bool busy_ = false;  // a request is in service
-  InService current_;  // valid while busy_
+  std::vector<Queued> ring_;  // max_queue_depth slots
+  std::size_t head_ = 0;      // ring_ index of the oldest waiting request
+  std::size_t waiting_ = 0;   // requests in ring_
+  bool busy_ = false;         // a request is in service
+  InService current_;         // valid while busy_
+  /// The response in service and the one its predecessor's `done` may
+  /// still be reading: a `done` that submits fills the other buffer.
+  std::array<ServeResponse, 2> responses_;
 
   obs::Counter* served_ = nullptr;
   obs::Counter* shed_ = nullptr;

@@ -24,12 +24,20 @@ class ZipfTrace {
   std::size_t num_items() const { return cdf_.size(); }
 
   /// Item rank drawn for request `request_index` (counter-based, pure:
-  /// no internal state advances).
+  /// no internal state advances): rank() of the request's uniform draw.
   std::size_t item(std::uint64_t request_index) const;
+
+  /// The rank whose CDF interval holds `u` in [0, 1): the first k with
+  /// cdf[k] > u, the rank std::upper_bound over the CDF finds.
+  std::size_t rank(double u) const;
 
  private:
   std::uint64_t seed_;
   std::vector<double> cdf_;  // cumulative probabilities; back() == 1.0
+  /// Guide table over [0, 1) in 4 * num_items equal buckets: guide_[b]
+  /// is the rank upper_bound(cdf_, b / guide_.size()) picks, where the
+  /// scan for a draw in bucket b starts (about one step on average).
+  std::vector<std::size_t> guide_;
 };
 
 }  // namespace osprey::serve

@@ -4,8 +4,8 @@
 // a mutex for concurrent lookups, an access that bypasses it must be
 // rejected by the analysis, not silently accepted.
 
-#include <map>
 #include <string>
+#include <unordered_map>
 
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
@@ -19,7 +19,7 @@ struct ResultCacheShape {
   };
 
   mutable osprey::util::Mutex mutex;
-  std::map<std::string, Entry> entries OSPREY_GUARDED_BY(mutex);
+  std::unordered_map<std::string, Entry> entries OSPREY_GUARDED_BY(mutex);
 
   // error: reading 'entries' requires holding mutex 'mutex'
   std::size_t size_unguarded() const { return entries.size(); }

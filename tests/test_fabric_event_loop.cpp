@@ -97,11 +97,20 @@ TEST(EventLoop, SchedulingInPastThrows) {
                osprey::util::InvalidArgument);
 }
 
+/// The registry's view of the loop's fired events.
+std::uint64_t registry_events(const of::EventLoop& loop) {
+  const osprey::obs::Counter* c =
+      loop.metrics().find_counter("fabric_events_processed_total");
+  return c == nullptr ? 0 : c->value();
+}
+
 TEST(EventLoop, RunawayLoopIsCapped) {
   of::EventLoop loop;
   std::function<void()> rearm = [&] { loop.schedule_after(1, rearm); };
   loop.schedule_after(1, rearm);
   EXPECT_THROW(loop.run_all(1000), osprey::util::Error);
+  EXPECT_EQ(loop.events_processed(), 1000u);
+  EXPECT_EQ(registry_events(loop), loop.events_processed());
 }
 
 TEST(EventLoop, ProcessedCounter) {
@@ -109,6 +118,40 @@ TEST(EventLoop, ProcessedCounter) {
   for (int i = 0; i < 7; ++i) loop.schedule_at(i * kSecond, [] {});
   loop.run_all();
   EXPECT_EQ(loop.events_processed(), 7u);
+}
+
+// The loop counts fired events in a member and folds them into
+// fabric_events_processed_total as each run returns, however it returns.
+TEST(EventLoop, RegistryCounterMatchesEventsProcessedAfterEveryRun) {
+  of::EventLoop loop;
+  for (int i = 1; i <= 5; ++i) loop.schedule_at(i * kSecond, [] {});
+  EXPECT_EQ(loop.run_until(3 * kSecond), 3u);
+  EXPECT_EQ(loop.events_processed(), 3u);
+  EXPECT_EQ(registry_events(loop), 3u);
+
+  EXPECT_EQ(loop.run_all(), 2u);
+  EXPECT_EQ(loop.events_processed(), 5u);
+  EXPECT_EQ(registry_events(loop), 5u);
+
+  // A throwing callback leaves the run early; its event still counts.
+  loop.schedule_after(kSecond, [] {});
+  loop.schedule_after(2 * kSecond,
+                      [] { throw osprey::util::Error("callback failed"); });
+  loop.schedule_after(3 * kSecond, [] {});
+  EXPECT_THROW(loop.run_all(), osprey::util::Error);
+  EXPECT_EQ(loop.events_processed(), 7u);
+  EXPECT_EQ(registry_events(loop), 7u);
+  EXPECT_EQ(loop.run_until(loop.now() + kHour), 1u);
+  EXPECT_EQ(registry_events(loop), 8u);
+
+  // A run started from inside a callback is not counted twice.
+  loop.schedule_after(kSecond, [&] {
+    loop.schedule_after(kSecond, [] {});
+    loop.run_until(loop.now() + kSecond);
+  });
+  loop.run_all();
+  EXPECT_EQ(loop.events_processed(), 10u);
+  EXPECT_EQ(registry_events(loop), 10u);
 }
 
 // --- cancel/slot-reuse contract ------------------------------------------

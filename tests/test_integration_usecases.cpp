@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -242,6 +244,41 @@ TEST(WastewaterCsv, DirectWritersMatchTableWritersByteForByte) {
   EXPECT_EQ(oc::series_to_csv(series), series_to_csv_via_table(series));
   EXPECT_EQ(oc::series_to_csv(osprey::rt::RtSeries{}),
             series_to_csv_via_table(osprey::rt::RtSeries{}));
+
+  // Every spelling a fixed writer must share with printf: exact binary
+  // ties at the fifth (draws) and sixth (series) decimal, signed zeros,
+  // negatives, magnitudes from 1e17 up, infinities and NaNs of both signs.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edges = {
+      0.015625, 0.046875, -0.015625, 2.234375,      // 5th-decimal ties
+      0.0078125, 0.0234375, -0.0078125, 1.0078125,  // 6th-decimal ties
+      -0.0, 0.0, -1.25, -2.5e-6, -5e-6,
+      1e17, -1e17, 123456789012345678.0, 1.5e17,
+      std::numeric_limits<double>::max(), -1e300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      inf, -inf, nan, std::copysign(nan, -1.0)};
+  osprey::rt::RtPosterior edge_draws;
+  edge_draws.draws = on::Matrix(2, edges.size());
+  osprey::rt::RtSeries edge_series;
+  for (std::size_t t = 0; t < edges.size(); ++t) {
+    edge_draws.draws(0, t) = edges[t];
+    edge_draws.draws(1, t) = -edges[t];
+    edge_series.median.push_back(edges[t]);
+    edge_series.lo95.push_back(-edges[t]);
+    edge_series.hi95.push_back(edges[edges.size() - 1 - t]);
+  }
+  const std::string edge_csv = oc::draws_to_csv(edge_draws, 2);
+  EXPECT_EQ(edge_csv, draws_to_csv_via_table(edge_draws, 2));
+  // Ties round to even on the exact binary value.
+  EXPECT_NE(edge_csv.find("\n0.01562,0.04688,-0.01562,2.23438,0.00781,"),
+            std::string::npos)
+      << edge_csv;
+  const std::string edge_series_csv = oc::series_to_csv(edge_series);
+  EXPECT_EQ(edge_series_csv, series_to_csv_via_table(edge_series));
+  EXPECT_NE(edge_series_csv.find("\n4,0.007812,"), std::string::npos);
+  EXPECT_NE(edge_series_csv.find("\n5,0.023438,"), std::string::npos);
 }
 
 TEST(WastewaterUseCase, ConcurrentRefitsReplayByteIdentically) {
