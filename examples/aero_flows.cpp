@@ -2,9 +2,10 @@
 /// (one ANY-triggered, one ALL-triggered) against scripted upstream
 /// sources, and watch the event-driven automation do its thing.
 
+#include <algorithm>
 #include <cstdio>
 
-#include "aero/server.hpp"
+#include "aero/platform.hpp"
 #include "util/table.hpp"
 
 using namespace osprey;
@@ -15,16 +16,11 @@ using util::kMinute;
 using util::kSecond;
 
 int main() {
-  fabric::EventLoop loop;
-  fabric::AuthService auth;
-  fabric::TimerService timers(loop, auth);
-  fabric::TransferService transfers(loop, auth);
-  fabric::FlowsService flows(loop, auth);
-  aero::AeroServer server(loop, auth, timers, transfers, flows);
-
-  fabric::StorageEndpoint eagle("eagle", loop, auth);
-  fabric::StorageEndpoint scratch("scratch", loop, auth);
-  fabric::ComputeEndpoint login("login", loop, auth, 2);
+  aero::OspreyPlatform platform;
+  aero::AeroServer& server = platform.aero();
+  fabric::StorageEndpoint& eagle = platform.add_storage_endpoint("eagle");
+  fabric::StorageEndpoint& scratch = platform.add_storage_endpoint("scratch");
+  fabric::ComputeEndpoint& login = platform.add_login_endpoint("login", 2);
   eagle.create_collection("data", server.token());
   scratch.create_collection("staging", server.token());
 
@@ -108,7 +104,7 @@ int main() {
       "all-of-ab", {ha.output_uuid, hb.output_uuid},
       aero::TriggerPolicy::kAll));
 
-  loop.run_until(7 * kDay);
+  platform.run_days(7);
 
   std::printf("\nafter 7 virtual days: %llu polls, %llu updates, "
               "%llu analysis runs\n",

@@ -214,9 +214,6 @@ class AeroServer {
   std::uint64_t ingestion_permanent_failures() const {
     return ingestion_permanent_->value();
   }
-  std::uint64_t analysis_permanent_failures() const {
-    return analysis_permanent_->value();
-  }
   /// Ingestion triggers whose payload was replaced by fresher upstream
   /// data before it could publish.
   std::uint64_t superseded_triggers() const {

@@ -7,7 +7,9 @@
 namespace osprey::core {
 
 GsaUseCase::GsaUseCase(OspreyPlatform& platform, GsaUseCaseConfig config)
-    : platform_(platform), config_(std::move(config)) {}
+    : platform_(platform), config_(std::move(config)) {
+  task_db_.set_tracer(&platform_.tracer());
+}
 
 GsaUseCaseResult GsaUseCase::run() {
   auto model = std::make_shared<const epi::MetaRvm>(config_.model);
@@ -18,8 +20,7 @@ GsaUseCaseResult GsaUseCase::run() {
       };
 
   // --- initialization: queue + worker pool ---
-  emews::TaskDb& db = platform_.task_db();
-  emews::TaskQueue queue(db, kTaskType);
+  emews::TaskQueue queue(task_db_, kTaskType);
 
   std::unique_ptr<emews::LaunchedPool> launched;
   std::unique_ptr<emews::WorkerPool> direct_pool;
@@ -30,15 +31,15 @@ GsaUseCaseResult GsaUseCase::run() {
     spec.name = "metarvm-pool";
     spec.n_workers = config_.n_workers;
     launched = std::make_unique<emews::LaunchedPool>(
-        sched, db, kTaskType, task_model, spec);
+        sched, task_db_, kTaskType, task_model, spec);
     platform_.run_until(platform_.loop().now() + osprey::util::kMinute);
   } else {
     direct_pool = std::make_unique<emews::WorkerPool>(
-        db, kTaskType, task_model, config_.n_workers, "metarvm-pool");
+        task_db_, kTaskType, task_model, config_.n_workers, "metarvm-pool");
   }
 
   // --- the interleaved MUSIC instances, one per replicate ---
-  emews::InterleavedDriver driver(db);
+  emews::InterleavedDriver driver(task_db_);
   std::vector<std::shared_ptr<MusicCoop>> instances;
   for (std::size_t r = 0; r < config_.n_replicates; ++r) {
     gsa::MusicConfig mc = config_.music;
@@ -51,10 +52,10 @@ GsaUseCaseResult GsaUseCase::run() {
   // One span covers the interleaved ME drive; task spans (recorded by
   // the TaskDb on the same clock) fall inside it.
   obs::SpanId run_span = platform_.tracer().begin_span(
-      obs::Category::kGsa, "gsa:music-run", db.clock().now_ns(),
+      obs::Category::kGsa, "gsa:music-run", task_db_.clock().now_ns(),
       obs::kNoSpan, std::to_string(config_.n_replicates) + " replicate(s)");
   driver.run();
-  platform_.tracer().end_span(run_span, db.clock().now_ns());
+  platform_.tracer().end_span(run_span, task_db_.clock().now_ns());
 
   // --- finalization: close the queue, stop the worker pool ---
   GsaUseCaseResult result;

@@ -13,6 +13,7 @@
 #include "core/metarvm_gsa.hpp"
 #include "core/platform.hpp"
 #include "emews/pool_launcher.hpp"
+#include "emews/task_db.hpp"
 #include "gsa/music.hpp"
 #include "core/music_coop.hpp"
 
@@ -61,6 +62,8 @@ class GsaUseCase {
  private:
   OspreyPlatform& platform_;
   GsaUseCaseConfig config_;
+  /// The EMEWS task database, recording into the platform's tracer.
+  emews::TaskDb task_db_;
 };
 
 }  // namespace osprey::core

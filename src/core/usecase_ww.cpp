@@ -519,6 +519,19 @@ void WastewaterUseCase::build() {
   std::string aggregate_fn = login.register_function(
       "rt-aggregate", harnesses_->as_compute_fn("aggregate-harness"),
       45 * osprey::util::kSecond);
+  // Every flow stages through scratch, lands in Eagle and recovers the
+  // same way; only its compute endpoint and function differ.
+  auto place = [&](aero::FlowSpec& spec, fabric::ComputeEndpoint& on,
+                   const std::string& function_id) {
+    spec.compute = &on;
+    spec.function_id = function_id;
+    spec.staging = &scratch;
+    spec.staging_collection = kStagingCollection;
+    spec.storage = &eagle;
+    spec.collection = kCollection;
+    spec.retry = config_.retry;
+    spec.breaker = config_.breaker;
+  };
 
   // --- data sources: 4 plants with distinct epidemic waves ---
   std::vector<epi::Plant> plants = epi::chicago_plants();
@@ -541,15 +554,8 @@ void WastewaterUseCase::build() {
     ing.poll_period = osprey::util::kDay;
     ing.first_poll = config_.first_poll_day * osprey::util::kDay +
                      6 * osprey::util::kHour;
-    ing.compute = &login;
-    ing.function_id = transform_fn;
-    ing.staging = &scratch;
-    ing.staging_collection = kStagingCollection;
-    ing.storage = &eagle;
-    ing.collection = kCollection;
+    place(ing, login, transform_fn);
     ing.base_path = "plants/" + std::to_string(p);
-    ing.retry = config_.retry;
-    ing.breaker = config_.breaker;
     ingestion_handles_.push_back(
         platform_.aero().register_ingestion(std::move(ing)));
 
@@ -558,23 +564,16 @@ void WastewaterUseCase::build() {
     ana.name = "rt-" + plants[p].name;
     ana.input_uuids = {ingestion_handles_.back().output_uuid};
     ana.policy = aero::TriggerPolicy::kAny;
-    ana.compute = &compute;
-    ana.function_id = analysis_fn;
+    place(ana, compute, analysis_fn);
     ValueObject fn_args;
     fn_args["flow_liters"] = Value(plants[p].avg_flow_mgd * 3.785e6);
     fn_args["seed"] = Value(static_cast<std::int64_t>(
         config_.seed * 1000 + static_cast<std::int64_t>(p)));
     fn_args["plant"] = Value(plants[p].name);
     ana.function_args = Value(std::move(fn_args));
-    ana.staging = &scratch;
-    ana.staging_collection = kStagingCollection;
-    ana.storage = &eagle;
-    ana.collection = kCollection;
     ana.base_path = "rt/" + std::to_string(p);
     ana.output_names = {"rt_summary.csv", "rt_draws.csv", "rt_plot.txt",
                         "rt_meta.csv"};
-    ana.retry = config_.retry;
-    ana.breaker = config_.breaker;
     analysis_outputs_.push_back(
         platform_.aero().register_analysis(std::move(ana)));
 
@@ -588,19 +587,12 @@ void WastewaterUseCase::build() {
   agg.name = "rt-aggregate";
   agg.input_uuids = draws_uuids;
   agg.policy = aero::TriggerPolicy::kAll;
-  agg.compute = &login;
-  agg.function_id = aggregate_fn;
+  place(agg, login, aggregate_fn);
   ValueObject agg_args;
   agg_args["weights"] = Value(std::move(weight_map));
   agg.function_args = Value(std::move(agg_args));
-  agg.staging = &scratch;
-  agg.staging_collection = kStagingCollection;
-  agg.storage = &eagle;
-  agg.collection = kCollection;
   agg.base_path = "aggregate";
   agg.output_names = {"aggregate_rt.csv", "aggregate_plot.txt"};
-  agg.retry = config_.retry;
-  agg.breaker = config_.breaker;
   aggregate_outputs_ = platform_.aero().register_analysis(std::move(agg));
 
   platform_.tracer().instant(

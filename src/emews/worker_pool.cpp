@@ -59,7 +59,6 @@ void WorkerPool::worker_loop(std::size_t worker_index) {
       if (retry_.enabled() &&
           rec.requeues < static_cast<std::uint32_t>(retry_.max_attempts) &&
           db_.requeue(id)) {
-        requeued_.fetch_add(1, std::memory_order_relaxed);
         OSPREY_LOG_WARN("emews", worker_name << " requeued task " << id
                                  << " (attempt " << rec.requeues + 1
                                  << "): " << e.what());

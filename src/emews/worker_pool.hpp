@@ -53,7 +53,6 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   const std::string& name() const { return name_; }
-  std::size_t num_workers() const { return threads_.size(); }
 
   /// Drain remaining queued tasks, then stop and join all workers.
   /// Implemented with a stop flag + timed claims (not in-band poison
@@ -67,8 +66,6 @@ class WorkerPool {
   double utilization() const;
 
   std::uint64_t tasks_evaluated() const { return evaluated_.load(); }
-  /// Evaluations that threw and were returned to the queue for retry.
-  std::uint64_t tasks_requeued() const { return requeued_.load(); }
   std::vector<WorkerStats> worker_stats() const;
 
  private:
@@ -87,7 +84,6 @@ class WorkerPool {
   std::vector<std::thread> threads_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> evaluated_{0};
-  std::atomic<std::uint64_t> requeued_{0};
   std::uint64_t start_ns_ = 0;
   std::atomic<std::uint64_t> end_ns_{0};  // set at shutdown
   osprey::util::Mutex join_mutex_;

@@ -119,7 +119,6 @@ class ComputeEndpoint {
   /// Tasks whose declared cost exceeds it are killed by the scheduler
   /// and reported failed ("walltime exceeded").
   void set_batch_walltime(SimTime walltime);
-  SimTime batch_walltime() const { return batch_walltime_; }
 
   /// Register a function with a fixed virtual cost.
   std::string register_function(const std::string& name, ComputeFn fn,

@@ -71,8 +71,6 @@ class BatchScheduler {
   const JobRecord& job(JobId id) const;
   const std::vector<JobRecord>& jobs() const { return records_; }
 
-  std::size_t queue_length() const { return queue_.size(); }
-
   /// Fraction of node-time busy between the first submit and the last
   /// completion observed so far (0 when nothing has run).
   double utilization() const;

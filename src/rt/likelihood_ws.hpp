@@ -79,10 +79,6 @@ class LikelihoodWorkspace {
   /// Adopt the most recent propose()/commit_full() candidate.
   void accept();
 
-  double committed_value() const { return value_; }
-  const std::vector<double>& committed_theta() const { return theta_; }
-  /// Committed daily R(t); only meaningful for a non-degenerate state.
-  const std::vector<double>& committed_rt() const { return rt_; }
   bool committed_degenerate() const { return degenerate_; }
 
  private:

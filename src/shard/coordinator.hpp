@@ -58,8 +58,6 @@ class Coordinator {
   /// Aggregate versions the hub reported back for `campaign`.
   std::uint64_t aggregates_published(const std::string& campaign) const;
 
-  std::uint64_t messages_received() const { return messages_->value(); }
-
   obs::TraceRecorder& tracer() { return tracer_; }
   const obs::TraceRecorder& tracer() const { return tracer_; }
   obs::MetricsRegistry& metrics() { return metrics_; }

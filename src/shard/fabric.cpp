@@ -26,12 +26,6 @@ void ShardedFabric::set_chaos(const fabric::FaultPlan& master) {
 }
 
 void ShardedFabric::create_partition(const std::string& key) {
-  OSPREY_REQUIRE(!key.empty(), "partition key must not be empty");
-  OSPREY_REQUIRE(key.find('/') == std::string::npos,
-                 "partition key must not contain '/': " + key);
-  OSPREY_REQUIRE(key != "coordinator",
-                 "partition key 'coordinator' is reserved");
-  OSPREY_REQUIRE(by_key_.count(key) == 0, "duplicate partition key: " + key);
   PartitionConfig config;
   config.key = key;
   config.ordinal = static_cast<std::uint32_t>(partitions_.size() + 1);
@@ -47,9 +41,23 @@ void ShardedFabric::create_partition(const std::string& key) {
 }
 
 void ShardedFabric::register_campaign(const CampaignSpec& spec) {
-  for (const FeedSpec& feed : spec.feeds) create_partition(feed.name);
-  if (spec.aggregate) create_partition(Coordinator::hub_key(spec.name));
+  // A rejected campaign must leave no partition behind. The coordinator
+  // rejects a feed named twice; the hub key must differ from every feed.
+  std::vector<std::string> keys;
+  for (const FeedSpec& feed : spec.feeds) keys.push_back(feed.name);
+  if (spec.aggregate) keys.push_back(Coordinator::hub_key(spec.name));
+  for (const std::string& key : keys) {
+    require_partition_key(key);
+    OSPREY_REQUIRE(key != "coordinator",
+                   "partition key 'coordinator' is reserved");
+    OSPREY_REQUIRE(by_key_.count(key) == 0,
+                   "duplicate partition key: " + key);
+  }
+  OSPREY_REQUIRE(!spec.aggregate || std::find(keys.begin(), keys.end() - 1,
+                                              keys.back()) == keys.end() - 1,
+                 "duplicate partition key: " + keys.back());
   coordinator_.register_campaign(spec);
+  for (const std::string& key : keys) create_partition(key);
 }
 
 ShardedFabric::RecoverySummary ShardedFabric::enable_durability(

@@ -87,47 +87,39 @@ Value aggregate_fn_impl(const Value& args) {
 
 }  // namespace
 
+void require_partition_key(const std::string& key) {
+  OSPREY_REQUIRE(!key.empty(), "partition key must not be empty");
+  OSPREY_REQUIRE(key.find('/') == std::string::npos,
+                 "partition key must not contain '/': " + key);
+}
+
 ShardPartition::ShardPartition(PartitionConfig config)
     : config_(std::move(config)),
-      timers_(loop_, auth_),
-      transfers_(loop_, auth_),
-      flows_(loop_, auth_),
-      server_(loop_, auth_, timers_, transfers_, flows_,
-              "aero/" + config_.key, /*metrics=*/nullptr,
-              partition_uuid_seed(config_.key)),
-      eagle_("eagle", loop_, auth_),
-      scratch_("scratch", loop_, auth_),
-      login_("login", loop_, auth_, kLoginSlots),
+      platform_("aero/" + config_.key, partition_uuid_seed(config_.key),
+                config_.tracing),
       outbox_(config_.ordinal, config_.seed) {
-  OSPREY_REQUIRE(!config_.key.empty(), "partition needs a key");
-  OSPREY_REQUIRE(config_.key.find('/') == std::string::npos,
-                 "partition key must not contain '/': " + config_.key);
+  require_partition_key(config_.key);
   OSPREY_REQUIRE(config_.ordinal >= 1, "ordinal 0 is the coordinator");
 
-  tracer_.set_shard_label(config_.key);
-  if (config_.tracing) {
-    // Untraced, the services hold no recorder at all, so they never
-    // build span names only to drop them.
-    timers_.set_tracer(&tracer_);
-    transfers_.set_tracer(&tracer_);
-    flows_.set_tracer(&tracer_);
-    login_.set_tracer(&tracer_);
-    server_.set_tracer(&tracer_);
-  }
+  platform_.tracer().set_shard_label(config_.key);
+  aero::AeroServer& server = platform_.aero();
+  fabric::StorageEndpoint& eagle = platform_.add_storage_endpoint("eagle");
+  fabric::StorageEndpoint& scratch = platform_.add_storage_endpoint("scratch");
+  fabric::ComputeEndpoint& login =
+      platform_.add_login_endpoint("login", kLoginSlots);
+  eagle.create_collection("data", server.token());
+  scratch.create_collection("staging", server.token());
+  transform_fn_ = login.register_function("transform", transform_fn_impl,
+                                          kTransformCost);
+  analysis_fn_ = login.register_function("analysis", analysis_fn_impl,
+                                         kAnalysisCost);
+  aggregate_fn_ = login.register_function("aggregate", aggregate_fn_impl,
+                                          kAggregateCost);
 
-  eagle_.create_collection("data", server_.token());
-  scratch_.create_collection("staging", server_.token());
-  transform_fn_ = login_.register_function("transform", transform_fn_impl,
-                                           kTransformCost);
-  analysis_fn_ = login_.register_function("analysis", analysis_fn_impl,
-                                          kAnalysisCost);
-  aggregate_fn_ = login_.register_function("aggregate", aggregate_fn_impl,
-                                           kAggregateCost);
-
-  cache_ = std::make_unique<serve::ResultCache>(server_, loop_.metrics());
+  cache_ = std::make_unique<serve::ResultCache>(server, platform_.metrics());
   cache_->set_shard(config_.key);
 
-  server_.add_update_listener(
+  server.add_update_listener(
       [this](const std::string& uuid) { on_updated(uuid); });
 }
 
@@ -137,15 +129,14 @@ void ShardPartition::enable_chaos(const fabric::FaultPlan& master) {
   OSPREY_REQUIRE(chaos_ == nullptr, "chaos already enabled");
   chaos_ = std::make_unique<fabric::FaultPlan>(
       master.fork(stable_key_hash(config_.key)));
-  loop_.set_fault_plan(chaos_.get());
-  auth_.set_fault_plan(chaos_.get(), &loop_);
+  platform_.install_fault_plan(chaos_.get());
 }
 
 aero::RecoveryStats ShardPartition::enable_durability(
     osprey::util::DurableFs& fs, const std::string& base_dir) {
   aero::WalOptions options;
   options.dir = base_dir + "/" + config_.key;
-  return server_.enable_durability(fs, std::move(options));
+  return platform_.aero().enable_durability(fs, std::move(options));
 }
 
 void ShardPartition::deliver(const Envelope& env) {
@@ -169,36 +160,38 @@ void ShardPartition::deliver(const Envelope& env) {
   // Unknown topics are ignored (forward compatibility).
 }
 
+void ShardPartition::place(aero::FlowSpec& spec,
+                           const std::string& function_id) {
+  spec.compute = &platform_.compute_endpoint("login");
+  spec.function_id = function_id;
+  spec.staging = &platform_.storage_endpoint("scratch");
+  spec.staging_collection = "staging";
+  spec.storage = &platform_.storage_endpoint("eagle");
+  spec.collection = "data";
+}
+
 void ShardPartition::add_feed(const FeedSpec& spec) {
   aero::IngestionFlowSpec ing;
   ing.name = "ingest-" + spec.name;
   ing.source = std::make_shared<aero::ScriptedSource>(
       "https://feeds/" + spec.name, spec.timeline);
   ing.poll_period = spec.poll_period;
-  ing.compute = &login_;
-  ing.function_id = transform_fn_;
-  ing.staging = &scratch_;
-  ing.staging_collection = "staging";
-  ing.storage = &eagle_;
-  ing.collection = "data";
+  place(ing, transform_fn_);
   ing.base_path = "feed/" + spec.name;
   ing.retry.max_attempts = spec.max_retries;
-  aero::IngestionHandles handles = server_.register_ingestion(std::move(ing));
+  aero::IngestionHandles handles =
+      platform_.aero().register_ingestion(std::move(ing));
 
   aero::AnalysisFlowSpec ana;
   ana.name = "analyze-" + spec.name;
   ana.input_uuids = {handles.output_uuid};
   ana.policy = aero::TriggerPolicy::kAny;
-  ana.compute = &login_;
-  ana.function_id = analysis_fn_;
-  ana.staging = &scratch_;
-  ana.staging_collection = "staging";
-  ana.storage = &eagle_;
-  ana.collection = "data";
+  place(ana, analysis_fn_);
   ana.base_path = "analysis/" + spec.name;
   ana.output_names = {"out"};
   ana.retry.max_attempts = spec.max_retries;
-  std::string analysis_uuid = server_.register_analysis(std::move(ana))[0];
+  std::string analysis_uuid =
+      platform_.aero().register_analysis(std::move(ana))[0];
 
   tracked_[analysis_uuid] = Tracked{spec.name, "analysis"};
   feeds_.push_back(FeedInfo{spec.name, handles.output_uuid, analysis_uuid});
@@ -212,14 +205,10 @@ void ShardPartition::host_aggregate(const std::string& campaign,
   ing.name = "aggregate-" + campaign;
   ing.source = aggregate_source_;
   ing.poll_period = poll_period;
-  ing.compute = &login_;
-  ing.function_id = aggregate_fn_;
-  ing.staging = &scratch_;
-  ing.staging_collection = "staging";
-  ing.storage = &eagle_;
-  ing.collection = "data";
+  place(ing, aggregate_fn_);
   ing.base_path = "aggregate/" + campaign;
-  aero::IngestionHandles handles = server_.register_ingestion(std::move(ing));
+  aero::IngestionHandles handles =
+      platform_.aero().register_ingestion(std::move(ing));
 
   aggregate_campaign_ = campaign;
   aggregate_uuid_ = handles.output_uuid;
@@ -229,7 +218,8 @@ void ShardPartition::host_aggregate(const std::string& campaign,
 void ShardPartition::on_updated(const std::string& uuid) {
   auto it = tracked_.find(uuid);
   if (it == tracked_.end()) return;
-  std::optional<aero::DataVersion> latest = server_.db().latest_version(uuid);
+  std::optional<aero::DataVersion> latest =
+      platform_.aero().db().latest_version(uuid);
   if (!latest) return;  // degradation flip without a new version
   int& posted = last_version_posted_[uuid];
   if (latest->version <= posted) return;
@@ -247,7 +237,7 @@ void ShardPartition::on_updated(const std::string& uuid) {
 
 void ShardPartition::run_epoch(std::uint64_t tick, SimTime until) {
   tick_ = tick;
-  loop_.run_until(until);
+  platform_.run_until(until);
 }
 
 std::vector<Envelope> ShardPartition::collect() { return outbox_.drain(); }

@@ -2,9 +2,9 @@
 
 /// \file partition.hpp
 /// One partition of the ShardedFabric: a self-contained mini-universe of
-/// the orchestration stack — its own EventLoop, auth/timer/transfer/flow
-/// services, AERO server (with a partition-stable uuid seed), storage and
-/// compute endpoints, serving-tier cache and observability sinks — owning
+/// the orchestration stack — its own aero::OspreyPlatform (AERO named
+/// "aero/<key>" with a partition-stable uuid seed) with eagle, scratch
+/// and login endpoints, plus a serving-tier cache and an outbox — owning
 /// exactly one surveillance feed (or one campaign's aggregation hub).
 ///
 /// The PARTITION, not the shard, is the determinism unit: everything a
@@ -26,16 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "aero/server.hpp"
-#include "fabric/compute.hpp"
-#include "fabric/event_loop.hpp"
+#include "aero/platform.hpp"
 #include "fabric/fault.hpp"
-#include "fabric/flows.hpp"
-#include "fabric/storage.hpp"
-#include "fabric/timer.hpp"
-#include "fabric/transfer.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/cache.hpp"
 #include "shard/campaign.hpp"
 #include "shard/mailbox.hpp"
@@ -45,9 +37,13 @@ namespace osprey::shard {
 
 class MailboxSource;  // defined in partition.cpp
 
+/// The partition-key rules: non-empty, and no '/' (reserved by the
+/// "<partition>/<uuid>" serve addressing). Throws util::InvalidArgument.
+void require_partition_key(const std::string& key);
+
 struct PartitionConfig {
-  /// Partition key: the feed name or "<campaign>-hub". Must not contain
-  /// '/' (reserved by the "<partition>/<uuid>" serve addressing).
+  /// Partition key: the feed name or "<campaign>-hub"
+  /// (require_partition_key).
   std::string key;
   /// Stable 1-based ordinal in fabric registration order (0 is the
   /// coordinator). This — never the ephemeral shard/thread id — is the
@@ -110,42 +106,45 @@ class ShardPartition {
   /// Aggregate output uuid ("" unless this partition hosts a hub).
   const std::string& aggregate_uuid() const { return aggregate_uuid_; }
 
-  std::uint64_t events_processed() const { return loop_.events_processed(); }
+  std::uint64_t events_processed() const {
+    return platform_.loop().events_processed();
+  }
   /// Chaos incident log (nullptr without chaos).
   const fabric::IncidentLog* incident_log() const {
     return chaos_ ? &chaos_->log() : nullptr;
   }
-  std::vector<obs::SpanRecord> spans() const { return tracer_.snapshot(); }
+  std::vector<obs::SpanRecord> spans() const {
+    return platform_.tracer().snapshot();
+  }
   /// The partition's metrics registry: its event loop's.
-  const obs::MetricsRegistry& metrics() const { return loop_.metrics(); }
-  obs::MetricsRegistry& metrics() { return loop_.metrics(); }
+  const obs::MetricsRegistry& metrics() const { return platform_.metrics(); }
+  obs::MetricsRegistry& metrics() { return platform_.metrics(); }
 
   /// Test/tool introspection into the partition's orchestration stack.
-  aero::AeroServer& server() { return server_; }
+  aero::AeroServer& server() { return platform_.aero(); }
   serve::ResultCache& cache() { return *cache_; }
-  const fabric::TransferService& transfers() const { return transfers_; }
-  const fabric::FlowsService& flows() const { return flows_; }
-  const fabric::ComputeEndpoint& login() const { return login_; }
+  const fabric::TransferService& transfers() const {
+    return platform_.transfers();
+  }
+  const fabric::FlowsService& flows() const { return platform_.flows(); }
+  const fabric::ComputeEndpoint& login() const {
+    return platform_.compute_endpoint("login");
+  }
 
  private:
+  /// Run `spec` as `function_id` on the login node, staged through
+  /// scratch and stored in eagle's "data" collection.
+  void place(aero::FlowSpec& spec, const std::string& function_id);
   void add_feed(const FeedSpec& spec);
   void host_aggregate(const std::string& campaign, SimTime poll_period);
   /// Update-listener hook: report newly published versions upward.
   void on_updated(const std::string& uuid);
 
   PartitionConfig config_;
-  obs::TraceRecorder tracer_;
-  fabric::EventLoop loop_;
-  fabric::AuthService auth_;
-  fabric::TimerService timers_;
-  fabric::TransferService transfers_;
-  fabric::FlowsService flows_;
+  /// Declared before the stack so it outlives every service reading it.
   std::unique_ptr<fabric::FaultPlan> chaos_;
-  aero::AeroServer server_;
-  fabric::StorageEndpoint eagle_;
-  fabric::StorageEndpoint scratch_;
-  fabric::ComputeEndpoint login_;
-  /// Declared after server_ so it detaches before the server dies.
+  aero::OspreyPlatform platform_;
+  /// Declared after the stack so it detaches before the server dies.
   std::unique_ptr<serve::ResultCache> cache_;
   std::string transform_fn_;
   std::string analysis_fn_;

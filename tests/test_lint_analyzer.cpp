@@ -185,6 +185,50 @@ TEST(LintAnalyzer, ShardIsolationExemptsPartitionAndHonorsAllow) {
   EXPECT_TRUE(run_rule(a, "shard-isolation").empty());
 }
 
+TEST(LintAnalyzer, StackWiringFlagsByValueServiceMember) {
+  ol::Analyzer a(test_layers());
+  a.add_file("src/shard/partition.hpp",
+             "class ShardPartition {\n"
+             "  fabric::EventLoop loop_;\n"
+             "  fabric::TimerService timers_;\n"
+             "  aero::AeroServer server_;\n"
+             "};\n");
+  a.add_file("src/core/wiring.cpp",
+             "void f() { fabric::FlowsService flows(loop, auth); }\n");
+  std::vector<ol::Finding> found = run_rule(a, "stack-wiring");
+  ASSERT_EQ(found.size(), 3u);
+  EXPECT_EQ(found[0].file, "src/core/wiring.cpp");
+  EXPECT_EQ(found[0].line, 1u);
+  EXPECT_EQ(found[1].file, "src/shard/partition.hpp");
+  EXPECT_EQ(found[1].line, 3u);
+  EXPECT_EQ(found[2].line, 4u);
+}
+
+TEST(LintAnalyzer, StackWiringPassesReferencesAndDefinitions) {
+  ol::Analyzer a(test_layers());
+  // A reference accessor, a pointer and an owning smart pointer pass.
+  a.add_file("src/shard/partition.hpp",
+             "class ShardPartition {\n"
+             " public:\n"
+             "  const fabric::TransferService& transfers() const;\n"
+             "  aero::AeroServer* server_;\n"
+             "  std::unique_ptr<aero::AeroServer> owned_;\n"
+             "};\n");
+  // A class definition, even outside the owners, declares no service.
+  a.add_file("src/serve/stub.hpp",
+             "class TimerService;\n"
+             "class AeroServer {\n"
+             "  AeroServer(const AeroServer&) = delete;\n"
+             "};\n");
+  // The fabric and the stack's two owners hold services by value.
+  a.add_file("src/fabric/flows.cpp", "TimerService timers_;\n");
+  a.add_file("src/aero/platform.hpp", "AeroServer aero_;\n");
+  a.add_file("src/aero/server.hpp", "TransferService& transfers_;\n");
+  // Outside src/ (tests, benches, examples) anything goes.
+  a.add_file("tests/test_x.cpp", "aero::AeroServer server(loop, auth);\n");
+  EXPECT_TRUE(run_rule(a, "stack-wiring").empty());
+}
+
 TEST(LintAnalyzer, StaleSuppressionFiresAndCannotBeSuppressed) {
   ol::Analyzer a(test_layers());
   a.add_file("src/fabric/old.hpp",

@@ -7,15 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "aero/source.hpp"
 #include "core/platform.hpp"
 #include "core/usecase_ww.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "shard/fabric.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 
@@ -269,4 +274,181 @@ TEST(GoldenDeterminism, CriticalPathMakespanMatchesWorkflowTimeline) {
   EXPECT_EQ(reparsed.makespan_ns, report.makespan_ns);
   EXPECT_EQ(reparsed.path_ns, report.path_ns);
   EXPECT_EQ(reparsed.span_count, report.span_count);
+}
+
+// --- trace wiring layout -------------------------------------------------
+
+namespace {
+
+namespace oa = osprey::aero;
+namespace sh = osprey::shard;
+using ou::Value;
+using ou::ValueObject;
+
+/// (category, name) -> count over every recorded span and instant.
+std::map<std::string, int> trace_layout(
+    const std::vector<obs::SpanRecord>& spans) {
+  std::map<std::string, int> layout;
+  for (const obs::SpanRecord& span : spans) {
+    ++layout[std::string(obs::category_name(span.category)) + " " +
+             span.name];
+  }
+  return layout;
+}
+
+std::set<std::string> shard_labels(const std::vector<obs::SpanRecord>& spans) {
+  std::set<std::string> labels;
+  for (const obs::SpanRecord& span : spans) labels.insert(span.shard);
+  return labels;
+}
+
+/// Two daily publications, one feed.
+std::vector<std::pair<SimTime, std::string>> two_day_timeline() {
+  return {{0, "day0"}, {kDay, "day1"}};
+}
+
+}  // namespace
+
+TEST(TraceLayout, PlatformAndPartition) {
+  // A platform whose scheduler and endpoints are added after it is
+  // built: one ingestion on the login node, one analysis on the batch
+  // endpoint, two days.
+  oc::OspreyPlatform platform;
+  oa::AeroServer& server = platform.aero();
+  of::StorageEndpoint& eagle = platform.add_storage_endpoint("eagle");
+  of::StorageEndpoint& scratch = platform.add_storage_endpoint("scratch");
+  eagle.create_collection("data", server.token());
+  scratch.create_collection("staging", server.token());
+  platform.add_scheduler("pbs", 2);
+  of::ComputeEndpoint& login = platform.add_login_endpoint("login", 2);
+  of::ComputeEndpoint& batch =
+      platform.add_batch_endpoint("batch", platform.scheduler("pbs"));
+
+  oa::IngestionFlowSpec ing;
+  ing.name = "ingest";
+  ing.source =
+      std::make_shared<oa::ScriptedSource>("https://feed", two_day_timeline());
+  ing.compute = &login;
+  ing.function_id = login.register_function(
+      "transform",
+      [](const Value& args) {
+        ValueObject out;
+        out["output"] = args.at("input");
+        return Value(std::move(out));
+      },
+      kMinute);
+  ing.staging = &scratch;
+  ing.staging_collection = "staging";
+  ing.storage = &eagle;
+  ing.collection = "data";
+  ing.base_path = "feed";
+  const std::string ingest_uuid =
+      server.register_ingestion(std::move(ing)).output_uuid;
+
+  oa::AnalysisFlowSpec ana;
+  ana.name = "analyze";
+  ana.input_uuids = {ingest_uuid};
+  ana.policy = oa::TriggerPolicy::kAny;
+  ana.compute = &batch;
+  ana.function_id = batch.register_function(
+      "analysis",
+      [](const Value&) {
+        ValueObject outputs;
+        outputs["out"] = Value("analyzed");
+        ValueObject out;
+        out["outputs"] = Value(std::move(outputs));
+        return Value(std::move(out));
+      },
+      kMinute);
+  ana.staging = &scratch;
+  ana.staging_collection = "staging";
+  ana.storage = &eagle;
+  ana.collection = "data";
+  ana.base_path = "analysis";
+  ana.output_names = {"out"};
+  server.register_analysis(std::move(ana));
+  platform.run_days(2);
+
+  const std::vector<obs::SpanRecord> platform_spans =
+      platform.tracer().snapshot();
+  const std::map<std::string, int> platform_layout = {
+      {"aero analyze:analyze", 2},
+      {"aero ingest:ingest", 2},
+      {"aero update:ingest", 2},
+      {"compute compute:analysis", 2},
+      {"compute compute:transform", 2},
+      {"compute job:gc:analysis", 2},
+      {"flow flow:analyze", 2},
+      {"flow flow:ingest", 2},
+      {"flow step:execute", 2},
+      {"flow step:register-metadata", 4},
+      {"flow step:stage-in", 2},
+      {"flow step:stage-out", 4},
+      {"flow step:transform", 2},
+      {"flow step:upload-raw", 2},
+      {"flow timer:poll:ingest", 3},
+      {"transfer transfer:eagle->scratch", 2},
+      {"transfer transfer:scratch->eagle", 6},
+  };
+  EXPECT_EQ(trace_layout(platform_spans), platform_layout);
+  EXPECT_EQ(shard_labels(platform_spans), std::set<std::string>{""});
+
+  // The same feed on a one-shard fabric, whose partition wires its own
+  // stack: traced, every partition span carries the partition key;
+  // untraced, the partition records nothing and only the coordinator's
+  // registration instant remains.
+  sh::CampaignSpec campaign;
+  campaign.name = "layout";
+  campaign.aggregate = false;
+  sh::FeedSpec feed;
+  feed.name = "feed0";
+  feed.timeline = two_day_timeline();
+  campaign.feeds.push_back(feed);
+  const std::map<std::string, int> partition_layout = {
+      {"aero analyze:analyze-feed0", 2},
+      {"aero ingest:ingest-feed0", 2},
+      {"aero update:ingest-feed0", 2},
+      {"compute compute:analysis", 2},
+      {"compute compute:transform", 2},
+      {"flow flow:analyze-feed0", 2},
+      {"flow flow:ingest-feed0", 2},
+      {"flow step:execute", 2},
+      {"flow step:register-metadata", 4},
+      {"flow step:stage-in", 2},
+      {"flow step:stage-out", 4},
+      {"flow step:transform", 2},
+      {"flow step:upload-raw", 2},
+      {"flow timer:poll:ingest-feed0", 3},
+      {"transfer transfer:eagle->scratch", 2},
+      {"transfer transfer:scratch->eagle", 6},
+  };
+  const std::map<std::string, int> coordinator_layout = {
+      {"other coord:register:layout", 1},
+  };
+  for (bool tracing : {true, false}) {
+    SCOPED_TRACE(tracing ? "traced" : "untraced");
+    sh::ShardedFabricConfig config;
+    config.tracing = tracing;
+    sh::ShardedFabric fabric(config);
+    fabric.register_campaign(campaign);
+    fabric.run_until(2 * kDay);
+    const std::vector<obs::SpanRecord> partition_spans =
+        fabric.partition("feed0").spans();
+    const std::vector<obs::SpanRecord> merged = fabric.merged_spans();
+    if (tracing) {
+      EXPECT_EQ(trace_layout(partition_spans), partition_layout);
+      EXPECT_EQ(shard_labels(partition_spans),
+                std::set<std::string>{"feed0"});
+      std::map<std::string, int> merged_layout = partition_layout;
+      merged_layout.insert(coordinator_layout.begin(),
+                           coordinator_layout.end());
+      EXPECT_EQ(trace_layout(merged), merged_layout);
+      EXPECT_EQ(shard_labels(merged),
+                (std::set<std::string>{"coordinator", "feed0"}));
+    } else {
+      EXPECT_TRUE(partition_spans.empty());
+      EXPECT_EQ(trace_layout(merged), coordinator_layout);
+      EXPECT_EQ(shard_labels(merged), std::set<std::string>{"coordinator"});
+    }
+  }
 }

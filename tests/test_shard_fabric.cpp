@@ -13,6 +13,8 @@
 #include <array>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/usecase_shard.hpp"
 #include "obs/export.hpp"
@@ -558,4 +560,48 @@ TEST(ShardFabric, RejectsMalformedKeysAndUnknownPartitions) {
   fabric.register_campaign(small_campaign(1, 7));
   EXPECT_THROW(fabric.partition("nope"), std::exception);
   EXPECT_THROW(fabric.lookup("no-slash"), std::exception);
+}
+
+TEST(ShardFabric, RejectedCampaignCreatesNoPartition) {
+  sh::ShardedFabric fabric;
+  sh::FeedSpec a, b, c;
+  a.name = "a";
+  b.name = "a/b";  // rejected only after "a" passed its own checks
+  c.name = "c";
+
+  sh::CampaignSpec bad;
+  bad.name = "camp";
+  bad.feeds = {a, b};
+  EXPECT_THROW(fabric.register_campaign(bad), std::exception);
+  EXPECT_EQ(fabric.num_partitions(), 0u);
+
+  // The same campaign, fixed, registers cleanly afterwards.
+  b.name = "b";
+  sh::CampaignSpec fixed = bad;
+  fixed.feeds = {a, b};
+  fabric.register_campaign(fixed);
+  EXPECT_EQ(fabric.partition_keys(),
+            (std::vector<std::string>{"a", "b", "camp-hub"}));
+
+  // A reused campaign name is the coordinator's to reject, and its new
+  // feed must not get a partition first.
+  sh::CampaignSpec reused;
+  reused.name = "camp";
+  reused.feeds = {c};
+  reused.aggregate = false;
+  EXPECT_THROW(fabric.register_campaign(reused), std::exception);
+  EXPECT_EQ(fabric.num_partitions(), 3u);
+
+  // A hub key that collides with a feed of the same campaign.
+  sh::CampaignSpec clash;
+  clash.name = "x";
+  sh::FeedSpec hub_named;
+  hub_named.name = "x-hub";
+  clash.feeds = {c, hub_named};
+  EXPECT_THROW(fabric.register_campaign(clash), std::exception);
+  EXPECT_EQ(fabric.num_partitions(), 3u);
+
+  fabric.run_until(2 * kDay);
+  EXPECT_EQ(fabric.partition("a").feeds().size(), 1u);
+  EXPECT_EQ(fabric.partition("b").feeds().size(), 1u);
 }

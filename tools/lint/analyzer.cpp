@@ -55,6 +55,19 @@ bool shard_isolation_applies(const std::string& p) {
          !starts_with(p, "src/shard/partition.");
 }
 
+// Stack wiring: the timer/transfer/flows services and the AERO server
+// are constructed only by the fabric itself and by the two files that
+// own the orchestration stack.
+bool stack_wiring_applies(const std::string& p) {
+  return starts_with(p, "src/") && !starts_with(p, "src/fabric/") &&
+         !starts_with(p, "src/aero/server.") &&
+         !starts_with(p, "src/aero/platform.");
+}
+bool stack_service(const std::string& s) {
+  return s == "TimerService" || s == "TransferService" ||
+         s == "FlowsService" || s == "AeroServer";
+}
+
 bool counter_name(const std::string& s) {
   if (s.size() < 2 || s.back() != '_') return false;
   for (char c : s) {
@@ -142,6 +155,11 @@ const std::vector<RuleInfo>& rule_catalog() {
        "raw-thread / getenv / unordered-iteration sink through the call "
        "graph (full call chain in the diagnostic); sanctioned owners are "
        "declared as taint barriers in tools/osprey_layers.txt"},
+      {"stack-wiring",
+       "by-value TimerService / TransferService / FlowsService / "
+       "AeroServer declaration in src outside src/fabric and "
+       "src/aero/{server,platform}.* — the orchestration stack is built "
+       "once, by aero::OspreyPlatform; hold a reference to its services"},
       {"shard-isolation",
        "orchestration-state type (MetadataDb / FlowsService / AeroServer / "
        "serve_latest) referenced in src/shard outside partition.* — the "
@@ -215,6 +233,7 @@ void Analyzer::token_rules(const std::string& path, const Entry& e,
   const bool serve_on = serve_applies(path);
   const bool aero_on = aero_applies(path);
   const bool shard_on = shard_isolation_applies(path);
+  const bool stack_on = stack_wiring_applies(path);
 
   auto bare_or_std = [&](std::size_t j) {
     if (j == 0) return true;
@@ -323,6 +342,21 @@ void Analyzer::token_rules(const std::string& path, const Entry& e,
                  ") in src/shard outside partition.*; the fabric and "
                  "coordinator communicate only through mailbox envelopes — "
                  "move the access into ShardPartition");
+    }
+    if (stack_on && stack_service(s) && j + 2 < toks.size() &&
+        is_ident(toks[j + 1]) &&
+        (is_punct(toks[j + 2], ";") || is_punct(toks[j + 2], "(") ||
+         is_punct(toks[j + 2], "{") || is_punct(toks[j + 2], "=") ||
+         is_punct(toks[j + 2], ",")) &&
+        !(j >= 1 && is_ident(toks[j - 1]) &&
+          (toks[j - 1].text == "class" || toks[j - 1].text == "struct"))) {
+      // `[ns::]AeroServer server_;` or `... server(loop, ...)`: a
+      // service owned by value. `AeroServer& s`, `AeroServer* p`,
+      // `class AeroServer {` and `unique_ptr<AeroServer>` all pass.
+      report("stack-wiring", t.line,
+             "by-value " + s + " outside src/fabric and "
+             "src/aero/{server,platform}.*; build on aero::OspreyPlatform "
+             "(src/aero/platform.hpp) and hold a reference to its " + s);
     }
     if (serve_on && s == "serve_latest" && call_next) {
       report("serve-direct-origin", t.line,

@@ -8,6 +8,9 @@
 ///     wall-clock, raw-thread, relative-include, fabric-raw-throw,
 ///     adhoc-counter, serve-direct-origin) — now immune to the
 ///     string/comment false-positive class by construction;
+///   * stack-wiring: the timer/transfer/flows services and the AERO
+///     server are held by value only in src/fabric and
+///     src/aero/{server,platform}.*, so the stack is wired once;
 ///   * test-registration (tests/test_*.cpp present in CMakeLists.txt);
 ///   * stale-suppression (a "grandfathered" allow() outliving its PR);
 ///   * layering: every src-to-src include edge must be declared in
