@@ -395,6 +395,21 @@ static void BM_ValueParseJson(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueParseJson)->Unit(benchmark::kMicrosecond);
 
+/// The hub's read of the same round: the round number and the member
+/// count, through parse_json_members (validates all of it, builds no
+/// tree).
+static void BM_HubRoundRead(benchmark::State& state) {
+  const std::string json = aggregate_round(1500).to_json();
+  for (auto _ : state) {
+    auto round = util::parse_json_members(json);
+    benchmark::DoNotOptimize(round.at("round").value.as_int());
+    benchmark::DoNotOptimize(round.at("inputs").size);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(json.size()));
+}
+BENCHMARK(BM_HubRoundRead)->Unit(benchmark::kMicrosecond);
+
 // One AERO publication's metadata: start_run + add_version +
 // finish_run. Arg 0 = no WAL hook attached, 1 = a hook that keeps the
 // last operation record (the record-building cost a WAL pays, without
@@ -452,29 +467,26 @@ static void BM_CoordinatorVersionReports(benchmark::State& state) {
     shard::FeedSpec feed;
     feed.name = "bench-feed" + std::to_string(m);
     spec.feeds.push_back(feed);
-    util::ValueObject payload;
-    payload["partition"] = util::Value(feed.name);
-    payload["feed"] = util::Value(feed.name);
-    payload["kind"] = util::Value("analysis");
-    payload["uuid"] = util::Value("uuid-" + std::to_string(m));
-    payload["checksum"] =
-        util::Value(crypto::Sha256::hash_hex(std::to_string(m)));
-    payload["timestamp"] = util::Value(std::int64_t{0});
+    shard::VersionReport report;
+    report.partition = feed.name;
+    report.feed = feed.name;
+    report.kind = shard::VersionKind::kAnalysis;
+    report.uuid = "uuid-" + std::to_string(m);
+    report.checksum = crypto::Sha256::hash_hex(std::to_string(m));
     shard::Envelope env;
     env.origin = static_cast<std::uint32_t>(m + 1);
-    env.topic = "version";
-    env.payload = util::Value(std::move(payload));
+    env.body = std::move(report);
     week.push_back(std::move(env));
   }
   coord.register_campaign(spec);
   coord.collect();
-  std::int64_t version = 0;
+  int version = 0;
   for (auto _ : state) {
     state.PauseTiming();
     ++version;
     for (shard::Envelope& env : week) {
       env.tick = static_cast<std::uint64_t>(version);
-      env.payload.as_object()["version"] = util::Value(version);
+      std::get<shard::VersionReport>(env.body).version = version;
     }
     state.ResumeTiming();
     coord.begin_tick(static_cast<std::uint64_t>(version),

@@ -157,7 +157,7 @@ stage_bench() {
   test -s results/BENCH_fig2_rt.json &&
   echo "bench artifact: results/BENCH_fig2_rt.json" &&
   ./build/bench/bench_micro --benchmark_min_time=0.01 \
-      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson|GoldsteinWarmUpdate|DrawsFromCsv|FrontEnd|EventLoop|Zipf' &&
+      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson|ValueParseJson|HubRoundRead|GoldsteinWarmUpdate|DrawsFromCsv|FrontEnd|EventLoop|Zipf' &&
   python3 bench/osprey_bench/run.py --smoke
 }
 

@@ -41,7 +41,6 @@ class OspreyPlatform {
   fabric::EventLoop& loop() { return loop_; }
   const fabric::EventLoop& loop() const { return loop_; }
   fabric::AuthService& auth() { return auth_; }
-  fabric::TimerService& timers() { return timers_; }
   fabric::TransferService& transfers() { return transfers_; }
   const fabric::TransferService& transfers() const { return transfers_; }
   fabric::FlowsService& flows() { return flows_; }

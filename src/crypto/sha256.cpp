@@ -248,12 +248,11 @@ std::array<std::uint8_t, 32> Sha256::digest() {
 
 std::string Sha256::hex_digest() {
   auto d = digest();
-  static const char* hex = "0123456789abcdef";
-  std::string out;
-  out.reserve(64);
-  for (std::uint8_t b : d) {
-    out += hex[b >> 4];
-    out += hex[b & 0xf];
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out(2 * d.size(), '\0');
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    out[2 * i] = kHex[d[i] >> 4];
+    out[2 * i + 1] = kHex[d[i] & 0xf];
   }
   return out;
 }

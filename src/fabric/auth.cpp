@@ -37,7 +37,7 @@ void AuthService::set_fault_plan(FaultPlan* plan, const EventLoop* loop) {
 }
 
 const TokenInfo& AuthService::validate(
-    const std::string& token, const std::string& required_scope) const {
+    const std::string& token, std::string_view required_scope) const {
   auto it = tokens_.find(token);
   if (it == tokens_.end()) {
     throw osprey::util::AuthError("unknown token");
@@ -46,12 +46,13 @@ const TokenInfo& AuthService::validate(
     throw osprey::util::AuthError("token revoked");
   }
   if (!required_scope.empty() &&
-      it->second.scopes.count(required_scope) == 0) {
-    throw osprey::util::AuthError("token lacks scope: " + required_scope);
+      it->second.scopes.find(required_scope) == it->second.scopes.end()) {
+    throw osprey::util::AuthError("token lacks scope: " +
+                                  std::string(required_scope));
   }
   if (plan_ != nullptr && loop_ != nullptr && !required_scope.empty() &&
-      plan_->should_inject(FaultKind::kAuthExpiry, "auth", required_scope,
-                           loop_->now())) {
+      plan_->should_inject(FaultKind::kAuthExpiry, "auth",
+                           std::string(required_scope), loop_->now())) {
     // Transient expiry: the token itself stays valid, so the caller's
     // retry (with the same token) succeeds once the fault passes.
     throw osprey::util::AuthError("token expired (injected): re-authenticate");

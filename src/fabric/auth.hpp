@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fabric/fault.hpp"
@@ -32,7 +33,9 @@ inline const char* kServe = "serve";
 
 struct TokenInfo {
   std::string identity;
-  std::set<std::string> scopes;
+  /// Transparent comparator: validate() looks a scope up without
+  /// building a std::string.
+  std::set<std::string, std::less<>> scopes;
   bool revoked = false;
 };
 
@@ -59,7 +62,7 @@ class AuthService {
   /// Validate token + scope; throws AuthError on unknown/revoked tokens
   /// or missing scope. Returns the token's info on success.
   const TokenInfo& validate(const std::string& token,
-                            const std::string& required_scope) const;
+                            std::string_view required_scope) const;
 
   /// Identity behind a token (throws AuthError if unknown/revoked).
   const std::string& identity_of(const std::string& token) const;

@@ -42,7 +42,7 @@ StorageEndpoint::Collection& StorageEndpoint::collection_for(
 void StorageEndpoint::require_permission(const Collection& col,
                                          const std::string& token,
                                          Permission needed,
-                                         const std::string& scope) const {
+                                         std::string_view scope) const {
   const TokenInfo& info = auth_.validate(token, scope);
   if (info.identity == col.owner) return;  // owner always has full access
   auto it = col.acl.find(info.identity);

@@ -86,7 +86,7 @@ class StorageEndpoint {
   const Collection& collection_for(const std::string& name) const;
   Collection& collection_for(const std::string& name);
   void require_permission(const Collection& col, const std::string& token,
-                          Permission needed, const std::string& scope) const;
+                          Permission needed, std::string_view scope) const;
 
   void maybe_inject_acl_race(const std::string& collection) const;
 

@@ -5,9 +5,9 @@
 /// campaign names a set of upstream feeds (each becomes one partition
 /// with its own ingestion + analysis flows) and optionally a
 /// cross-region aggregation hosted on a dedicated hub partition. Specs
-/// are plain data with Value round-trips: the coordination layer ships
-/// them to partitions inside registration envelopes, so this header
-/// deliberately knows nothing about the orchestration services.
+/// are plain data: the coordination layer ships them to partitions
+/// inside registration envelopes, so this header deliberately knows
+/// nothing about the orchestration services.
 
 #include <cstdint>
 #include <string>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "util/sim_time.hpp"
-#include "util/value.hpp"
 
 namespace osprey::shard {
 
@@ -31,9 +30,6 @@ struct FeedSpec {
   std::vector<std::pair<SimTime, std::string>> timeline;
   SimTime poll_period = osprey::util::kDay;
   int max_retries = 0;
-
-  osprey::util::Value to_value() const;
-  static FeedSpec from_value(const osprey::util::Value& v);
 };
 
 /// A campaign: feeds + optional ALL-member aggregation.

@@ -1,14 +1,21 @@
 #include "shard/coordinator.hpp"
 
+#include <charconv>
 #include <set>
 
 #include "util/error.hpp"
+#include "util/value.hpp"
 
 namespace osprey::shard {
 
-using osprey::util::Value;
-using osprey::util::ValueArray;
-using osprey::util::ValueObject;
+namespace {
+
+void append_int(std::int64_t v, std::string& out) {
+  char buf[24];  // holds any int64
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
 
 Coordinator::Coordinator(std::uint64_t seed) : outbox_(kOrigin, seed) {
   tracer_.set_shard_label("coordinator");
@@ -47,20 +54,13 @@ void Coordinator::register_campaign(const CampaignSpec& spec) {
   for (const FeedSpec& feed : spec.feeds) {
     feed_index_[feed.name] = MemberRef{&campaign, campaign.members.size()};
     campaign.members.push_back(Member{feed.name, 0, 0, {}, {}});
-    ValueObject payload;
-    payload["campaign"] = Value(spec.name);
-    payload["feed"] = feed.to_value();
-    outbox_.post(tick_, feed.name, "register-feed", Value(std::move(payload)));
+    outbox_.post(tick_, feed.name, RegisterFeed{spec.name, feed});
   }
   campaign.behind = campaign.members.size();
   if (spec.aggregate) {
-    ValueObject payload;
-    payload["campaign"] = Value(spec.name);
-    payload["poll_period"] =
-        Value(static_cast<std::int64_t>(spec.aggregate_poll));
-    payload["members"] = Value(static_cast<std::int64_t>(spec.feeds.size()));
-    outbox_.post(tick_, hub_key(spec.name), "register-aggregate",
-                 Value(std::move(payload)));
+    outbox_.post(tick_, hub_key(spec.name),
+                 RegisterAggregate{spec.name, spec.aggregate_poll,
+                                   spec.feeds.size()});
   }
   campaigns_registered_->inc();
   tracer_.instant(obs::Category::kOther, "coord:register:" + spec.name,
@@ -73,44 +73,38 @@ void Coordinator::begin_tick(std::uint64_t tick, std::uint64_t now_ns) {
   now_ns_ = now_ns;
 }
 
-void Coordinator::deliver(const std::vector<Envelope>& merged) {
-  for (const Envelope& env : merged) {
+void Coordinator::deliver(const std::vector<Envelope>& batch) {
+  for (const Envelope& env : batch) {
     messages_->inc();
-    if (env.topic == "version") {
-      on_version(env);
+    if (const auto* report = std::get_if<VersionReport>(&env.body)) {
+      on_version(*report);
     }
-    // Unknown topics are counted but otherwise ignored: forward
+    // Other bodies are counted but otherwise ignored: forward
     // compatibility for partition-side extensions.
   }
 }
 
-void Coordinator::on_version(const Envelope& env) {
+void Coordinator::on_version(const VersionReport& report) {
   version_reports_->inc();
-  const ValueObject& report = env.payload.as_object();
-  const std::string& kind = env.payload.at("kind").as_string();
-  if (kind == "aggregate") {
+  if (report.kind == VersionKind::kAggregate) {
     // Hub partitions are keyed "<campaign>-hub"; recover the campaign
     // from the partition key.
-    const std::string& partition = env.payload.at("partition").as_string();
     for (auto& [name, campaign] : campaigns_) {
-      if (hub_key(name) == partition) {
+      if (hub_key(name) == report.partition) {
         ++campaign.aggregates;
         break;
       }
     }
     return;
   }
-  if (kind != "analysis") return;
-  auto feed = report.find("feed");
-  if (feed == report.end()) return;
-  auto it = feed_index_.find(feed->second.as_string());
+  auto it = feed_index_.find(report.feed);
   if (it == feed_index_.end()) return;
   Campaign& campaign = *it->second.campaign;
   Member& member = campaign.members[it->second.member];
   const bool was_behind = member.latest <= member.consumed;
-  member.latest = static_cast<int>(env.payload.at("version").as_int());
-  member.uuid = env.payload.at("uuid").as_string();
-  member.checksum = env.payload.at("checksum").as_string();
+  member.latest = report.version;
+  member.uuid = report.uuid;
+  member.checksum = report.checksum;
   const bool is_behind = member.latest <= member.consumed;
   if (was_behind && !is_behind) --campaign.behind;
   if (!was_behind && is_behind) ++campaign.behind;
@@ -120,30 +114,40 @@ void Coordinator::on_version(const Envelope& env) {
 void Coordinator::dispatch_round(Campaign& campaign) {
   ++campaign.rounds;
   rounds_->inc();
-  ValueArray inputs;
-  inputs.reserve(campaign.members.size());
-  for (Member& member : campaign.members) {
+  // The round's JSON, written directly: the keys of each object in
+  // sorted order, as Value::to_json would write its tree.
+  std::string json;
+  json += "{\"campaign\":";
+  util::append_json_string(campaign.name, json);
+  json += ",\"inputs\":[";
+  for (std::size_t i = 0; i < campaign.members.size(); ++i) {
+    Member& member = campaign.members[i];
     member.consumed = member.latest;
-    ValueObject input;
-    input["feed"] = Value(member.feed);
-    input["uuid"] = Value(member.uuid);
-    input["version"] = Value(static_cast<std::int64_t>(member.latest));
-    input["checksum"] = Value(member.checksum);
-    inputs.push_back(Value(std::move(input)));
+    json += i == 0 ? "{\"checksum\":" : ",{\"checksum\":";
+    util::append_json_string(member.checksum, json);
+    json += ",\"feed\":";
+    util::append_json_string(member.feed, json);
+    json += ",\"uuid\":";
+    util::append_json_string(member.uuid, json);
+    json += ",\"version\":";
+    append_int(member.latest, json);
+    json += '}';
   }
+  json += "],\"round\":";
+  append_int(static_cast<std::int64_t>(campaign.rounds), json);
+  json += '}';
   campaign.behind = campaign.members.size();
-  ValueObject payload;
-  payload["campaign"] = Value(campaign.name);
-  payload["round"] = Value(static_cast<std::int64_t>(campaign.rounds));
-  payload["inputs"] = Value(std::move(inputs));
-  outbox_.post(tick_, hub_key(campaign.name), "aggregate-input",
-               Value(std::move(payload)));
+  outbox_.post(tick_, hub_key(campaign.name), AggregateInput{std::move(json)});
   tracer_.instant(obs::Category::kOther, "coord:round:" + campaign.name,
                   now_ns_, obs::kNoSpan,
                   "round " + std::to_string(campaign.rounds));
 }
 
-std::vector<Envelope> Coordinator::collect() { return outbox_.drain(); }
+std::vector<Envelope> Coordinator::collect() {
+  std::vector<Envelope> out;
+  outbox_.drain_into(out);
+  return out;
+}
 
 std::uint64_t Coordinator::rounds_dispatched(
     const std::string& campaign) const {

@@ -5,13 +5,13 @@
 /// with a global view, and deliberately the only one WITHOUT access to
 /// any partition's orchestration state. It speaks exclusively in
 /// envelopes (enforced by osprey_lint's cross-shard-isolation rule):
-/// campaign registration fans out as "register-*" envelopes, partitions
-/// report published data versions as "version" envelopes, and the
-/// coordinator closes the loop by posting "aggregate-input" envelopes
-/// to the campaign's hub partition whenever every member has advanced —
-/// the cross-region aggregation round of the paper's multi-site
-/// workflows. All decisions are functions of envelope contents in their
-/// deterministic merge order, so the coordinator replays bit-identically
+/// campaign registration fans out as RegisterFeed / RegisterAggregate
+/// envelopes, partitions report published data versions as
+/// VersionReports, and the coordinator closes the loop by posting an
+/// AggregateInput (the round's JSON) to the campaign's hub partition
+/// whenever every member has advanced — the cross-region aggregation
+/// round of the paper's multi-site workflows. All decisions are functions of envelope contents in their
+/// deterministic barrier order, so the coordinator replays bit-identically
 /// no matter how many threads ran the shards.
 
 #include <cstdint>
@@ -46,9 +46,9 @@ class Coordinator {
   /// `now_ns`.
   void begin_tick(std::uint64_t tick, std::uint64_t now_ns);
 
-  /// Consume the barrier-merged envelope stream addressed to the
+  /// Consume the barrier's envelope batch addressed to the
   /// coordinator, in its deterministic order.
-  void deliver(const std::vector<Envelope>& merged);
+  void deliver(const std::vector<Envelope>& batch);
 
   /// Drain the coordinator's outbox for routing to partitions.
   std::vector<Envelope> collect();
@@ -86,7 +86,7 @@ class Coordinator {
     std::size_t member = 0;
   };
 
-  void on_version(const Envelope& env);
+  void on_version(const VersionReport& report);
   /// Post the aggregation round every member has advanced for.
   void dispatch_round(Campaign& campaign);
 

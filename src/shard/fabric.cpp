@@ -38,6 +38,7 @@ void ShardedFabric::create_partition(const std::string& key) {
       partitions_.size());
   keys_.push_back(key);
   partitions_.push_back(std::move(partition));
+  inboxes_.emplace_back();
 }
 
 void ShardedFabric::register_campaign(const CampaignSpec& spec) {
@@ -84,12 +85,11 @@ void ShardedFabric::run_until(SimTime t) {
 void ShardedFabric::step_epoch(SimTime until) {
   // 1. Route the coordinator's pending mail to per-partition inboxes
   //    (epoch-k posts are delivered at the start of epoch k+1).
-  std::vector<std::vector<Envelope>> inboxes(partitions_.size());
   for (Envelope& env : coordinator_.collect()) {
     auto it = by_key_.find(env.dest);
     OSPREY_REQUIRE(it != by_key_.end(),
                    "envelope addressed to unknown partition: " + env.dest);
-    inboxes[it->second].push_back(std::move(env));
+    inboxes_[it->second].push_back(std::move(env));
   }
 
   // 2. Run every shard over its partitions. Each partition is touched
@@ -98,9 +98,7 @@ void ShardedFabric::step_epoch(SimTime until) {
   const std::uint64_t tick = tick_;
   auto run_shard = [&](std::size_t shard) {
     for (std::size_t index : shard_members_[shard]) {
-      ShardPartition& partition = *partitions_[index];
-      for (const Envelope& env : inboxes[index]) partition.deliver(env);
-      partition.run_epoch(tick, until);
+      partitions_[index]->run_epoch(tick, until, inboxes_[index]);
     }
   };
   if (pool_) {
@@ -109,17 +107,19 @@ void ShardedFabric::step_epoch(SimTime until) {
     for (std::size_t s = 0; s < shard_members_.size(); ++s) run_shard(s);
   }
 
-  // 3. Barrier: drain outboxes in ordinal order and merge into the
-  //    (tick, origin, seq) total order — a pure function of logical
-  //    state, independent of which threads ran which shard.
-  std::vector<std::vector<Envelope>> outboxes;
-  outboxes.reserve(partitions_.size());
-  for (auto& partition : partitions_) outboxes.push_back(partition->collect());
+  // 3. Barrier: drain the outboxes in ordinal order into one batch.
+  //    Every envelope in it was posted under this tick, so ordinal
+  //    order is already the (tick, origin, seq) total order — a pure
+  //    function of logical state, independent of which threads ran
+  //    which shard.
+  for (auto& partition : partitions_) partition->drain_outbox(barrier_);
+  check_barrier_order(barrier_);
 
-  // 4. The coordinator consumes the merged stream; its responses are
-  //    posted under this tick and routed at the next epoch start.
+  // 4. The coordinator consumes the batch; its responses are posted
+  //    under this tick and routed at the next epoch start.
   coordinator_.begin_tick(tick_, obs::sim_ns(until));
-  coordinator_.deliver(merge_envelopes(std::move(outboxes)));
+  coordinator_.deliver(barrier_);
+  barrier_.clear();
 
   now_ = until;
   ++tick_;

@@ -7,13 +7,14 @@
 ///
 ///   every epoch: route coordinator mail → [parallel] each shard
 ///   delivers its partitions' inboxes and runs their event loops to the
-///   epoch boundary → join (barrier) → drain every outbox → merge into
-///   the (tick, origin, seq) total order → coordinator consumes the
-///   merged stream and posts responses for the next epoch.
+///   epoch boundary → join (barrier) → drain every outbox, in ordinal
+///   order, into one batch already in (tick, origin, seq) order →
+///   coordinator consumes the batch and posts responses for the next
+///   epoch.
 ///
 /// Messages posted in epoch k are delivered at the START of epoch k+1,
 /// so no partition ever observes another mid-epoch; combined with the
-/// stable-ordinal merge order this makes every run — and every merged
+/// stable-ordinal barrier order this makes every run — and every merged
 /// artifact: Chrome trace, incident log, metrics snapshot, Prometheus
 /// export — byte-identical across shard counts, thread interleavings
 /// and replays of the same seed.
@@ -111,6 +112,10 @@ class ShardedFabric {
   Coordinator coordinator_;
   std::vector<std::unique_ptr<ShardPartition>> partitions_;  // ordinal order
   std::vector<std::string> keys_;                            // parallel
+  /// Per-partition coordinator mail for the next epoch (parallel).
+  std::vector<std::vector<Envelope>> inboxes_;
+  /// The barrier's batch, reused across epochs.
+  std::vector<Envelope> barrier_;
   std::map<std::string, std::size_t> by_key_;
   /// shard -> its partitions' indexes, each in ordinal order.
   std::vector<std::vector<std::size_t>> shard_members_;

@@ -1,7 +1,7 @@
 #include "shard/mailbox.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <iterator>
 #include <tuple>
 
 #include "util/error.hpp"
@@ -30,6 +30,14 @@ std::uint64_t fnv1a(const std::string& s) {
 
 }  // namespace
 
+std::string_view topic(const Envelope& env) {
+  // In Body's alternative order.
+  static constexpr std::string_view kNames[] = {
+      "register-feed", "register-aggregate", "version", "aggregate-input"};
+  static_assert(std::size(kNames) == std::variant_size_v<Body>);
+  return kNames[env.body.index()];
+}
+
 bool envelope_before(const Envelope& a, const Envelope& b) {
   return std::tie(a.tick, a.origin, a.seq) < std::tie(b.tick, b.origin, b.seq);
 }
@@ -46,53 +54,24 @@ Outbox::Outbox(std::uint32_t origin, std::uint64_t seed)
       seed_(seed),
       base_stamp_(mix64(seed ^ mix64(origin))) {}
 
-void Outbox::post(std::uint64_t tick, std::string dest, std::string topic,
-                  osprey::util::Value payload) {
-  Envelope env;
+void Outbox::post(std::uint64_t tick, std::string dest, Body body) {
+  Envelope& env = pending_.emplace_back();
   env.tick = tick;
   env.origin = origin_;
   env.seq = seq_++;
   env.stamp = mix64(base_stamp_ ^ env.seq);
-  env.topic = std::move(topic);
   env.dest = std::move(dest);
-  env.payload = std::move(payload);
-  pending_.push_back(std::move(env));
+  env.body = std::move(body);
 }
 
-std::vector<Envelope> Outbox::drain() {
-  std::vector<Envelope> out;
-  out.swap(pending_);
-  return out;
+void Outbox::drain_into(std::vector<Envelope>& batch) {
+  std::move(pending_.begin(), pending_.end(), std::back_inserter(batch));
+  pending_.clear();
 }
 
-std::vector<Envelope> merge_envelopes(
-    std::vector<std::vector<Envelope>> sources) {
-  struct Head {
-    std::size_t source;
-    std::size_t index;
-  };
-  // Min-heap keyed by the head envelope of each source.
-  auto later = [&sources](const Head& a, const Head& b) {
-    return envelope_before(sources[b.source][b.index],
-                           sources[a.source][a.index]);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(later)> heap(later);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    total += sources[s].size();
-    if (!sources[s].empty()) heap.push(Head{s, 0});
-  }
-  std::vector<Envelope> merged;
-  merged.reserve(total);
-  while (!heap.empty()) {
-    Head head = heap.top();
-    heap.pop();
-    merged.push_back(std::move(sources[head.source][head.index]));
-    if (head.index + 1 < sources[head.source].size()) {
-      heap.push(Head{head.source, head.index + 1});
-    }
-  }
-  return merged;
+void check_barrier_order(const std::vector<Envelope>& batch) {
+  OSPREY_CHECK(std::is_sorted(batch.begin(), batch.end(), envelope_before),
+               "barrier batch is not in (tick, origin, seq) order");
 }
 
 }  // namespace osprey::shard

@@ -3,9 +3,9 @@
 /// \file mailbox.hpp
 /// Deterministic cross-shard messaging for the ShardedFabric
 /// (DESIGN.md §7). All communication between partitions and the
-/// coordination layer travels as Envelopes through seeded,
-/// counter-stamped Outboxes, and is merged at epoch barriers in a
-/// total order that depends only on logical state:
+/// coordination layer travels as Envelopes with typed bodies through
+/// seeded, counter-stamped Outboxes, and is collected at epoch barriers
+/// in a total order that depends only on logical state:
 ///
 ///   (tick, origin, seq)
 ///
@@ -18,11 +18,49 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
-#include "util/value.hpp"
+#include "shard/campaign.hpp"
 
 namespace osprey::shard {
+
+/// Coordinator -> feed partition: host this feed.
+struct RegisterFeed {
+  std::string campaign;
+  FeedSpec feed;
+};
+
+/// Coordinator -> hub partition: host the campaign's aggregation.
+struct RegisterAggregate {
+  std::string campaign;
+  SimTime poll_period = 0;
+  std::size_t members = 0;
+};
+
+/// What a reported data version is the output of.
+enum class VersionKind { kAnalysis, kAggregate };
+
+/// Partition -> coordinator: a data version newly published on it.
+struct VersionReport {
+  std::string partition;
+  std::string feed;  // "" for the aggregate output
+  VersionKind kind = VersionKind::kAnalysis;
+  std::string uuid;
+  int version = 0;
+  std::string checksum;
+  SimTime timestamp = 0;
+};
+
+/// Coordinator -> hub partition: one aggregation round, as the JSON
+/// text the hub's mailbox source serves.
+struct AggregateInput {
+  std::string json;
+};
+
+using Body =
+    std::variant<RegisterFeed, RegisterAggregate, VersionReport, AggregateInput>;
 
 /// One cross-shard message.
 struct Envelope {
@@ -33,12 +71,15 @@ struct Envelope {
   /// the same seed reproduce it bit-for-bit; two runs with different
   /// seeds are distinguishable at a glance in dumped mailboxes.
   std::uint64_t stamp = 0;
-  std::string topic;  // "register-feed", "version", "aggregate-input", ...
-  std::string dest;   // destination partition key ("" = coordinator)
-  osprey::util::Value payload;
+  std::string dest;  // destination partition key ("" = coordinator)
+  Body body;
 };
 
-/// Strict total order for the barrier merge: (tick, origin, seq).
+/// The body's name, for dumps and tests: "register-feed",
+/// "register-aggregate", "version" or "aggregate-input".
+std::string_view topic(const Envelope& env);
+
+/// Strict total order of delivery: (tick, origin, seq).
 bool envelope_before(const Envelope& a, const Envelope& b);
 
 /// FNV-1a of a partition key — the STABLE hash used for both shard
@@ -51,7 +92,7 @@ std::size_t shard_of(const std::string& key, std::size_t num_shards);
 
 /// Per-sender message buffer. Single-owner: only the owning partition
 /// (or the coordinator) posts into its outbox, inside its own epoch, so
-/// no locking is needed; the barrier merge happens after the join.
+/// no locking is needed; the barrier drains it after the join.
 class Outbox {
  public:
   Outbox(std::uint32_t origin, std::uint64_t seed);
@@ -59,12 +100,12 @@ class Outbox {
   std::uint32_t origin() const { return origin_; }
 
   /// Append an envelope posted in epoch `tick`.
-  void post(std::uint64_t tick, std::string dest, std::string topic,
-            osprey::util::Value payload);
+  void post(std::uint64_t tick, std::string dest, Body body);
 
-  /// Move out everything posted since the last drain (ascending
-  /// (tick, seq) by construction: ticks are monotone, seq increments).
-  std::vector<Envelope> drain();
+  /// Move everything posted since the last drain onto the end of
+  /// `batch` (ascending (tick, seq) by construction: ticks are monotone,
+  /// seq increments).
+  void drain_into(std::vector<Envelope>& batch);
 
   /// Total envelopes ever posted (not reset by drain).
   std::uint64_t posted() const { return seq_; }
@@ -77,10 +118,11 @@ class Outbox {
   std::vector<Envelope> pending_;
 };
 
-/// Merge per-sender envelope streams (each already ascending in
-/// (tick, seq)) into one stream totally ordered by envelope_before.
-/// Min-heap k-way merge: O(n log k), independent of thread timing.
-std::vector<Envelope> merge_envelopes(
-    std::vector<std::vector<Envelope>> sources);
+/// The epoch barrier's order check, O(n). The barrier drains every
+/// partition's outbox into one batch in ascending origin order, and a
+/// partition posts only under the epoch it is running, so the batch is
+/// already in envelope_before order and needs no merge. Throws
+/// util::Error if it is not.
+void check_barrier_order(const std::vector<Envelope>& batch);
 
 }  // namespace osprey::shard

@@ -1,21 +1,24 @@
 #include "shard/partition.hpp"
 
+#include <map>
 #include <optional>
 #include <utility>
 
 #include "aero/source.hpp"
 #include "util/error.hpp"
+#include "util/value.hpp"
 
 namespace osprey::shard {
 
+using osprey::util::JsonMember;
 using osprey::util::Value;
 using osprey::util::ValueObject;
 
 /// Upstream "URL" fed by coordinator envelopes instead of a scripted
 /// timeline: the hub's aggregation rides the normal AERO ingestion path
 /// (poll → checksum change → transform → publish), with each
-/// "aggregate-input" envelope becoming the next upstream payload. Every
-/// poll between two rounds returns the same buffer.
+/// AggregateInput's JSON becoming the next upstream payload. Every poll
+/// between two rounds returns the same buffer.
 class MailboxSource final : public aero::DataSource {
  public:
   explicit MailboxSource(std::string url) : url_(std::move(url)) {}
@@ -72,20 +75,28 @@ Value analysis_fn_impl(const Value& args) {
   return Value(std::move(out));
 }
 
-/// The hub's aggregation executes as the transform step of its
-/// mailbox-fed ingestion flow, so it sees {"input": <payload JSON>}
-/// where the payload is the coordinator's aggregate-input round (the
-/// member versions/checksums it merges over).
-Value aggregate_fn_impl(const Value& args) {
-  Value round = Value::parse_json(args.at("input").as_string());
-  ValueObject out;
-  out["output"] = Value(
-      "aggregated:round" + std::to_string(round.at("round").as_int()) + ":" +
-      std::to_string(round.at("inputs").size()));
-  return Value(std::move(out));
+/// A round's member as parse_json's object would hold it.
+const JsonMember& round_member(const std::map<std::string, JsonMember>& round,
+                               const std::string& key) {
+  auto it = round.find(key);
+  if (it == round.end()) throw osprey::util::NotFound("missing key: " + key);
+  return it->second;
 }
 
 }  // namespace
+
+Value hub_aggregate(const Value& args) {
+  const std::map<std::string, JsonMember> round =
+      osprey::util::parse_json_members(args.at("input").as_string());
+  const std::int64_t number = round_member(round, "round").value.as_int();
+  const JsonMember& inputs = round_member(round, "inputs");
+  OSPREY_REQUIRE(inputs.value.is_array() || inputs.value.is_object(),
+                 "size() on non-container value");
+  ValueObject out;
+  out["output"] = Value("aggregated:round" + std::to_string(number) + ":" +
+                        std::to_string(inputs.size));
+  return Value(std::move(out));
+}
 
 void require_partition_key(const std::string& key) {
   OSPREY_REQUIRE(!key.empty(), "partition key must not be empty");
@@ -113,7 +124,7 @@ ShardPartition::ShardPartition(PartitionConfig config)
                                           kTransformCost);
   analysis_fn_ = login.register_function("analysis", analysis_fn_impl,
                                          kAnalysisCost);
-  aggregate_fn_ = login.register_function("aggregate", aggregate_fn_impl,
+  aggregate_fn_ = login.register_function("aggregate", hub_aggregate,
                                           kAggregateCost);
 
   cache_ = std::make_unique<serve::ResultCache>(server, platform_.metrics());
@@ -139,25 +150,23 @@ aero::RecoveryStats ShardPartition::enable_durability(
   return platform_.aero().enable_durability(fs, std::move(options));
 }
 
-void ShardPartition::deliver(const Envelope& env) {
-  if (env.topic == "register-feed") {
-    FeedSpec spec = FeedSpec::from_value(env.payload.at("feed"));
-    OSPREY_REQUIRE(spec.name == config_.key,
-                   "feed routed to wrong partition: " + spec.name);
+void ShardPartition::deliver(Envelope& env) {
+  if (auto* reg = std::get_if<RegisterFeed>(&env.body)) {
+    OSPREY_REQUIRE(reg->feed.name == config_.key,
+                   "feed routed to wrong partition: " + reg->feed.name);
     for (const FeedInfo& feed : feeds_) {
-      if (feed.name == spec.name) return;  // idempotent re-registration
+      if (feed.name == reg->feed.name) return;  // idempotent re-registration
     }
-    add_feed(spec);
-  } else if (env.topic == "register-aggregate") {
+    add_feed(reg->feed);
+  } else if (auto* agg = std::get_if<RegisterAggregate>(&env.body)) {
     if (aggregate_source_) return;  // idempotent re-registration
-    host_aggregate(env.payload.at("campaign").as_string(),
-                   static_cast<SimTime>(env.payload.at("poll_period").as_int()));
-  } else if (env.topic == "aggregate-input") {
+    host_aggregate(agg->campaign, agg->poll_period);
+  } else if (auto* input = std::get_if<AggregateInput>(&env.body)) {
     OSPREY_REQUIRE(aggregate_source_ != nullptr,
                    "aggregate-input on a partition without a hub");
-    aggregate_source_->set_payload(env.payload.to_json());
+    aggregate_source_->set_payload(std::move(input->json));
   }
-  // Unknown topics are ignored (forward compatibility).
+  // Other bodies are ignored (forward compatibility).
 }
 
 void ShardPartition::place(aero::FlowSpec& spec,
@@ -193,7 +202,7 @@ void ShardPartition::add_feed(const FeedSpec& spec) {
   std::string analysis_uuid =
       platform_.aero().register_analysis(std::move(ana))[0];
 
-  tracked_[analysis_uuid] = Tracked{spec.name, "analysis"};
+  tracked_[analysis_uuid] = Tracked{spec.name, VersionKind::kAnalysis};
   feeds_.push_back(FeedInfo{spec.name, handles.output_uuid, analysis_uuid});
 }
 
@@ -212,7 +221,7 @@ void ShardPartition::host_aggregate(const std::string& campaign,
 
   aggregate_campaign_ = campaign;
   aggregate_uuid_ = handles.output_uuid;
-  tracked_[handles.output_uuid] = Tracked{"", "aggregate"};
+  tracked_[handles.output_uuid] = Tracked{"", VersionKind::kAggregate};
 }
 
 void ShardPartition::on_updated(const std::string& uuid) {
@@ -224,23 +233,24 @@ void ShardPartition::on_updated(const std::string& uuid) {
   int& posted = last_version_posted_[uuid];
   if (latest->version <= posted) return;
   posted = latest->version;
-  ValueObject payload;
-  payload["partition"] = Value(config_.key);
-  payload["feed"] = Value(it->second.feed);
-  payload["kind"] = Value(it->second.kind);
-  payload["uuid"] = Value(uuid);
-  payload["version"] = Value(static_cast<std::int64_t>(latest->version));
-  payload["checksum"] = Value(latest->checksum);
-  payload["timestamp"] = Value(static_cast<std::int64_t>(latest->timestamp));
-  outbox_.post(tick_, "", "version", Value(std::move(payload)));
+  outbox_.post(tick_, "",
+               VersionReport{config_.key, it->second.feed, it->second.kind,
+                             uuid, latest->version, latest->checksum,
+                             latest->timestamp});
 }
 
-void ShardPartition::run_epoch(std::uint64_t tick, SimTime until) {
+void ShardPartition::run_epoch(std::uint64_t tick, SimTime until,
+                               std::vector<Envelope>& inbox) {
+  // The tick is set first, so whatever delivery posts carries it too.
   tick_ = tick;
+  for (Envelope& env : inbox) deliver(env);
+  inbox.clear();
   platform_.run_until(until);
 }
 
-std::vector<Envelope> ShardPartition::collect() { return outbox_.drain(); }
+void ShardPartition::drain_outbox(std::vector<Envelope>& batch) {
+  outbox_.drain_into(batch);
+}
 
 serve::ResultCache::Result ShardPartition::lookup(const std::string& uuid) {
   return cache_->lookup(uuid);

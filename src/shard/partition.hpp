@@ -41,13 +41,22 @@ class MailboxSource;  // defined in partition.cpp
 /// "<partition>/<uuid>" serve addressing). Throws util::InvalidArgument.
 void require_partition_key(const std::string& key);
 
+/// The hub's aggregate function. The hub's aggregation executes as the
+/// transform step of its mailbox-fed ingestion flow, so it sees
+/// {"input": <round JSON>}, the coordinator's round (the member
+/// versions/checksums it merges over), and returns
+/// {"output": "aggregated:round<N>:<members>"}. It reads the round
+/// number and the member count without building the round's tree, and
+/// accepts and rejects exactly the texts Value::parse_json does.
+osprey::util::Value hub_aggregate(const osprey::util::Value& args);
+
 struct PartitionConfig {
   /// Partition key: the feed name or "<campaign>-hub"
   /// (require_partition_key).
   std::string key;
   /// Stable 1-based ordinal in fabric registration order (0 is the
   /// coordinator). This — never the ephemeral shard/thread id — is the
-  /// partition's origin in the envelope merge order.
+  /// partition's origin in the envelope order.
   std::uint32_t ordinal = 1;
   /// Fabric seed; envelope stamps and the uuid stream derive from
   /// (seed, key), so they are invariant under the shard count.
@@ -83,15 +92,15 @@ class ShardPartition {
   aero::RecoveryStats enable_durability(osprey::util::DurableFs& fs,
                                         const std::string& base_dir);
 
-  /// Apply one envelope addressed to this partition (start of an epoch,
-  /// on the owning shard's thread).
-  void deliver(const Envelope& env);
+  /// Run epoch `tick` on the owning shard's thread: apply the envelopes
+  /// of `inbox` (consumed, left empty), then advance the partition's
+  /// event loop to `until`. Everything posted meanwhile carries `tick`.
+  void run_epoch(std::uint64_t tick, SimTime until,
+                 std::vector<Envelope>& inbox);
 
-  /// Advance the partition's event loop to `until` within epoch `tick`.
-  void run_epoch(std::uint64_t tick, SimTime until);
-
-  /// Drain the partition's outbox (at the epoch barrier, post-join).
-  std::vector<Envelope> collect();
+  /// Move the partition's outbox onto the end of `batch` (at the epoch
+  /// barrier, post-join).
+  void drain_outbox(std::vector<Envelope>& batch);
 
   /// Serve a data object through the partition's cache tier.
   serve::ResultCache::Result lookup(const std::string& uuid);
@@ -132,6 +141,8 @@ class ShardPartition {
   }
 
  private:
+  /// Apply one envelope addressed to this partition.
+  void deliver(Envelope& env);
   /// Run `spec` as `function_id` on the login node, staged through
   /// scratch and stored in eagle's "data" collection.
   void place(aero::FlowSpec& spec, const std::string& function_id);
@@ -154,7 +165,7 @@ class ShardPartition {
 
   struct Tracked {
     std::string feed;  // "" for the aggregate output
-    std::string kind;  // "analysis" | "aggregate"
+    VersionKind kind = VersionKind::kAnalysis;
   };
   std::map<std::string, Tracked> tracked_;  // uuid -> provenance
   std::map<std::string, int> last_version_posted_;

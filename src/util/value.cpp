@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string_view>
 
 namespace osprey::util {
@@ -112,11 +113,9 @@ std::string Value::get_or(const std::string& key,
   return contains(key) ? at(key).as_string() : fallback;
 }
 
-namespace {
-
 /// Appends `s` as a JSON string literal: runs that need no escaping
 /// are copied whole.
-void append_escaped(const std::string& s, std::string& out) {
+void append_json_string(std::string_view s, std::string& out) {
   out += '"';
   std::size_t run = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
@@ -141,9 +140,11 @@ void append_escaped(const std::string& s, std::string& out) {
       out.append(buf, static_cast<std::size_t>(n));
     }
   }
-  out.append(s, run, std::string::npos);
+  out.append(s, run, std::string_view::npos);
   out += '"';
 }
+
+namespace {
 
 void write_json(const Value& v, std::string& out) {
   if (v.is_null()) {
@@ -170,7 +171,7 @@ void write_json(const Value& v, std::string& out) {
       if (digits.find_first_of(".eE") == std::string_view::npos) out += ".0";
     }
   } else if (v.is_string()) {
-    append_escaped(v.as_string(), out);
+    append_json_string(v.as_string(), out);
   } else if (v.is_array()) {
     out += '[';
     bool first = true;
@@ -186,7 +187,7 @@ void write_json(const Value& v, std::string& out) {
     for (const auto& [k, e] : v.as_object()) {
       if (!first) out += ',';
       first = false;
-      append_escaped(k, out);
+      append_json_string(k, out);
       out += ':';
       write_json(e, out);
     }
@@ -194,19 +195,60 @@ void write_json(const Value& v, std::string& out) {
   }
 }
 
-/// Recursive-descent JSON parser over a string view with an index cursor.
+/// Recursive-descent JSON parser over a string with an index cursor.
+/// `parse_value<true>` builds what it reads; `parse_value<false>` runs
+/// the same lexer and the same string, escape and number checks but
+/// builds nothing, so a caller can validate a subtree it does not need.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   Value parse() {
-    Value v = parse_value();
-    skip_ws();
-    OSPREY_REQUIRE(pos_ == text_.size(), "trailing characters after JSON");
+    Value v = parse_value<true>();
+    expect_end();
     return v;
   }
 
+  std::map<std::string, JsonMember> members() {
+    skip_ws();
+    if (peek() != '{') {
+      parse_value<false>();
+      expect_end();
+      throw InvalidArgument("value is not an object");
+    }
+    std::map<std::string, JsonMember> out;
+    parse_object<true>([&](std::string key) {
+      JsonMember member;
+      skip_ws();
+      if (peek() == '[') {
+        member.value = Value(ValueArray{});
+        parse_array([&] {
+          parse_value<false>();
+          ++member.size;
+        });
+      } else if (peek() == '{') {
+        member.value = Value(ValueObject{});
+        std::set<std::string> keys;
+        parse_object<true>([&](std::string inner) {
+          keys.insert(std::move(inner));
+          parse_value<false>();
+        });
+        member.size = keys.size();
+      } else {
+        member.value = parse_value<true>();
+      }
+      out[std::move(key)] = std::move(member);
+    });
+    expect_end();
+    return out;
+  }
+
  private:
+  void expect_end() {
+    skip_ws();
+    OSPREY_REQUIRE(pos_ == text_.size(), "trailing characters after JSON");
+  }
+
   void skip_ws() {
     while (pos_ < text_.size() &&
            std::isspace(static_cast<unsigned char>(text_[pos_]))) {
@@ -229,7 +271,7 @@ class JsonParser {
     OSPREY_REQUIRE(next() == c, std::string("expected '") + c + "'");
   }
 
-  bool consume_literal(const std::string& lit) {
+  bool consume_literal(std::string_view lit) {
     if (text_.compare(pos_, lit.size(), lit) == 0) {
       pos_ += lit.size();
       return true;
@@ -237,71 +279,101 @@ class JsonParser {
     return false;
   }
 
+  template <bool kBuild>
   Value parse_value() {
     skip_ws();
     char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return Value(parse_string());
+    if (c == '{') {
+      ValueObject obj;
+      parse_object<kBuild>([&](std::string key) {
+        if constexpr (kBuild) {
+          obj[std::move(key)] = parse_value<true>();
+        } else {
+          parse_value<false>();
+        }
+      });
+      return kBuild ? Value(std::move(obj)) : Value();
+    }
+    if (c == '[') {
+      ValueArray arr;
+      parse_array([&] {
+        if constexpr (kBuild) {
+          arr.push_back(parse_value<true>());
+        } else {
+          parse_value<false>();
+        }
+      });
+      return kBuild ? Value(std::move(arr)) : Value();
+    }
+    if (c == '"') {
+      std::string s;
+      parse_string(kBuild ? &s : nullptr);
+      return kBuild ? Value(std::move(s)) : Value();
+    }
     if (consume_literal("true")) return Value(true);
     if (consume_literal("false")) return Value(false);
     if (consume_literal("null")) return Value(nullptr);
     return parse_number();
   }
 
-  std::string parse_string() {
+  /// Reads one string literal, decoding it into `out` unless it is null.
+  void parse_string(std::string* out) {
     expect('"');
-    std::string out;
     while (true) {
-      OSPREY_REQUIRE(pos_ < text_.size(), "unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        OSPREY_REQUIRE(pos_ < text_.size(), "unterminated escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            OSPREY_REQUIRE(pos_ + 4 <= text_.size(), "bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else throw InvalidArgument("bad hex digit in \\u escape");
-            }
-            // Encode as UTF-8 (basic multilingual plane only).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            throw InvalidArgument("bad escape character");
-        }
-      } else {
-        out += c;
+      // Everything up to the next quote or backslash is taken verbatim.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\') {
+        ++pos_;
       }
+      if (out != nullptr) out->append(text_, run, pos_ - run);
+      OSPREY_REQUIRE(pos_ < text_.size(), "unterminated string");
+      if (text_[pos_++] == '"') break;
+      OSPREY_REQUIRE(pos_ < text_.size(), "unterminated escape");
+      char e = text_[pos_++];
+      char decoded = 0;
+      switch (e) {
+        case '"': decoded = '"'; break;
+        case '\\': decoded = '\\'; break;
+        case '/': decoded = '/'; break;
+        case 'n': decoded = '\n'; break;
+        case 'r': decoded = '\r'; break;
+        case 't': decoded = '\t'; break;
+        case 'b': decoded = '\b'; break;
+        case 'f': decoded = '\f'; break;
+        case 'u': {
+          OSPREY_REQUIRE(pos_ + 4 <= text_.size(), "bad \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else throw InvalidArgument("bad hex digit in \\u escape");
+          }
+          if (out == nullptr) continue;
+          // Encode as UTF-8 (basic multilingual plane only).
+          if (code < 0x80) {
+            *out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            *out += static_cast<char>(0xC0 | (code >> 6));
+            *out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            *out += static_cast<char>(0xE0 | (code >> 12));
+            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            *out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          continue;
+        }
+        default:
+          throw InvalidArgument("bad escape character");
+      }
+      if (out != nullptr) *out += decoded;
     }
-    return out;
   }
 
+  /// Numbers are converted in both modes: the conversion is the check.
   Value parse_number() {
     std::size_t start = pos_;
     if (peek() == '-') ++pos_;
@@ -341,44 +413,46 @@ class JsonParser {
     }
   }
 
-  Value parse_array() {
+  /// Reads '[' elements ']', calling `on_element` to read each element.
+  template <class OnElement>
+  void parse_array(OnElement&& on_element) {
     expect('[');
-    ValueArray arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return Value(std::move(arr));
+      return;
     }
     while (true) {
-      arr.push_back(parse_value());
+      on_element();
       skip_ws();
       char c = next();
       if (c == ']') break;
       OSPREY_REQUIRE(c == ',', "expected ',' or ']' in array");
     }
-    return Value(std::move(arr));
   }
 
-  Value parse_object() {
+  /// Reads '{' members '}', calling `on_member(key)` to read each value
+  /// after its key and ':'. Keys are decoded only when kKeys.
+  template <bool kKeys, class OnMember>
+  void parse_object(OnMember&& on_member) {
     expect('{');
-    ValueObject obj;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return Value(std::move(obj));
+      return;
     }
     while (true) {
       skip_ws();
-      std::string key = parse_string();
+      std::string key;
+      parse_string(kKeys ? &key : nullptr);
       skip_ws();
       expect(':');
-      obj[key] = parse_value();
+      on_member(std::move(key));
       skip_ws();
       char c = next();
       if (c == '}') break;
       OSPREY_REQUIRE(c == ',', "expected ',' or '}' in object");
     }
-    return Value(std::move(obj));
   }
 
   const std::string& text_;
@@ -395,6 +469,10 @@ std::string Value::to_json() const {
 
 Value Value::parse_json(const std::string& text) {
   return JsonParser(text).parse();
+}
+
+std::map<std::string, JsonMember> parse_json_members(const std::string& text) {
+  return JsonParser(text).members();
 }
 
 }  // namespace osprey::util

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -90,5 +91,25 @@ class Value {
                ValueArray, ValueObject>
       data_;
 };
+
+/// Appends `s` to `out` as a JSON string literal, quotes included,
+/// escaped exactly as Value::to_json escapes strings.
+void append_json_string(std::string_view s, std::string& out);
+
+/// One member of a JSON object as parse_json_members reads it.
+struct JsonMember {
+  /// The member's value; an array or object is left empty.
+  Value value;
+  /// The size() an array or object would have if built: its elements,
+  /// or its distinct keys. 0 for a scalar.
+  std::size_t size = 0;
+};
+
+/// Reads the members of a top-level JSON object without building the
+/// arrays and objects inside them: scalars come back whole, containers
+/// only as their size. `text` passes the same checks as in
+/// Value::parse_json, and a repeated key keeps its last value as there.
+/// Throws InvalidArgument on malformed text or a non-object.
+std::map<std::string, JsonMember> parse_json_members(const std::string& text);
 
 }  // namespace osprey::util

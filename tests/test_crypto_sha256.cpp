@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <utility>
@@ -154,4 +155,30 @@ TEST(Sha256, HardwareAndPortableKernelsAgree) {
   }
   EXPECT_EQ(ocd::digest_with(hardware, bytes.data(), bytes.size()),
             ocd::digest_with(ocd::portable_blocks, bytes.data(), bytes.size()));
+}
+
+// hex_digest writes two lowercase digits per digest byte, as printf's
+// %02x does.
+TEST(Sha256, HexDigestMatchesPrintfReference) {
+  std::uint64_t state = 0x5EED;
+  for (int i = 0; i < 1000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::string message(static_cast<std::size_t>(state >> 54), '\0');
+    for (char& c : message) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      c = static_cast<char>(state >> 56);
+    }
+    oc::Sha256 bytes;
+    bytes.update(message);
+    std::string reference;
+    for (std::uint8_t b : bytes.digest()) {
+      char digits[3];
+      std::snprintf(digits, sizeof(digits), "%02x", b);
+      reference += digits;
+    }
+    oc::Sha256 h;
+    h.update(message);
+    ASSERT_EQ(h.hex_digest(), reference) << "input " << i;
+    ASSERT_EQ(oc::Sha256::hash_hex(message), reference) << "input " << i;
+  }
 }

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "crypto/sha256.hpp"
 #include "fabric/auth.hpp"
 #include "fabric/event_loop.hpp"
+#include "fabric/fault.hpp"
 #include "fabric/storage.hpp"
 #include "util/error.hpp"
 
@@ -25,6 +29,36 @@ TEST_F(StorageAuthTest, TokenValidation) {
   EXPECT_THROW(auth.validate(t, of::scopes::kStorageWrite), ou::AuthError);
   EXPECT_THROW(auth.validate("tok-bogus", of::scopes::kStorageRead),
                ou::AuthError);
+}
+
+// The three rejections and the injected expiry keep their texts.
+TEST_F(StorageAuthTest, ValidateErrorMessages) {
+  auto message = [&](const std::string& token, std::string_view scope) {
+    try {
+      auth.validate(token, scope);
+    } catch (const ou::AuthError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  std::string t = auth.issue_token("carol", {of::scopes::kStorageRead});
+  EXPECT_EQ(message("tok-bogus", of::scopes::kStorageRead), "unknown token");
+  EXPECT_EQ(message(t, of::scopes::kStorageWrite),
+            "token lacks scope: storage:write");
+  EXPECT_EQ(message(t, of::scopes::kStorageRead), "accepted");
+  EXPECT_EQ(message(t, ""), "accepted");
+  auth.revoke(t);
+  EXPECT_EQ(message(t, of::scopes::kStorageRead), "token revoked");
+
+  of::FaultPlan plan(5);
+  plan.set_rate(of::FaultKind::kAuthExpiry, 1.0);
+  auth.set_fault_plan(&plan, &loop);
+  std::string u = auth.issue_token("dave", {of::scopes::kServe});
+  EXPECT_EQ(message(u, of::scopes::kServe),
+            "token expired (injected): re-authenticate");
+  EXPECT_EQ(message(u, ""), "accepted");
+  ASSERT_EQ(plan.log().size(), 1u);
+  auth.set_fault_plan(nullptr, nullptr);
 }
 
 TEST_F(StorageAuthTest, RevokedTokenRejected) {

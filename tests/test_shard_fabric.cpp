@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -46,36 +48,72 @@ TEST(ShardMailbox, EnvelopeOrderIsTickThenOriginThenSeq) {
   EXPECT_FALSE(sh::envelope_before(a, a));
 }
 
-TEST(ShardMailbox, OutboxStampsAreSeededAndReplayable) {
-  sh::Outbox a(3, 42), b(3, 42), c(3, 43), d(4, 42);
-  a.post(1, "x", "t", ou::Value());
-  b.post(1, "x", "t", ou::Value());
-  c.post(1, "x", "t", ou::Value());
-  d.post(1, "x", "t", ou::Value());
-  std::uint64_t sa = a.drain()[0].stamp;
-  EXPECT_EQ(sa, b.drain()[0].stamp);   // same (origin, seed): identical
-  EXPECT_NE(sa, c.drain()[0].stamp);   // different seed: distinct
-  EXPECT_NE(sa, d.drain()[0].stamp);   // different origin: distinct
+namespace {
+
+std::vector<sh::Envelope> drained(sh::Outbox& outbox) {
+  std::vector<sh::Envelope> out;
+  outbox.drain_into(out);
+  return out;
 }
 
-TEST(ShardMailbox, MergeIsTotalOrderAcrossSources) {
-  sh::Outbox coord(0, 7), p1(1, 7), p2(2, 7);
-  p2.post(1, "", "b", ou::Value());
-  p1.post(1, "", "a", ou::Value());
-  p1.post(2, "", "c", ou::Value());
-  coord.post(2, "", "d", ou::Value());
-  std::vector<sh::Envelope> merged = sh::merge_envelopes(
-      {coord.drain(), p1.drain(), p2.drain()});
-  ASSERT_EQ(merged.size(), 4u);
-  // tick 1: origin 1 before origin 2; tick 2: origin 0 before origin 1.
-  EXPECT_EQ(merged[0].topic, "a");
-  EXPECT_EQ(merged[1].topic, "b");
-  EXPECT_EQ(merged[2].topic, "d");
-  EXPECT_EQ(merged[3].topic, "c");
-  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end(),
-                             [](const sh::Envelope& x, const sh::Envelope& y) {
-                               return sh::envelope_before(x, y);
-                             }));
+}  // namespace
+
+TEST(ShardMailbox, OutboxStampsAreSeededAndReplayable) {
+  sh::Outbox a(3, 42), b(3, 42), c(3, 43), d(4, 42);
+  a.post(1, "x", sh::AggregateInput{});
+  b.post(1, "x", sh::AggregateInput{});
+  c.post(1, "x", sh::AggregateInput{});
+  d.post(1, "x", sh::AggregateInput{});
+  std::uint64_t sa = drained(a)[0].stamp;
+  EXPECT_EQ(sa, drained(b)[0].stamp);   // same (origin, seed): identical
+  EXPECT_NE(sa, drained(c)[0].stamp);   // different seed: distinct
+  EXPECT_NE(sa, drained(d)[0].stamp);   // different origin: distinct
+}
+
+TEST(ShardMailbox, TopicNamesTheBody) {
+  sh::Envelope env;
+  env.body = sh::RegisterFeed{};
+  EXPECT_EQ(sh::topic(env), "register-feed");
+  env.body = sh::RegisterAggregate{};
+  EXPECT_EQ(sh::topic(env), "register-aggregate");
+  env.body = sh::VersionReport{};
+  EXPECT_EQ(sh::topic(env), "version");
+  env.body = sh::AggregateInput{};
+  EXPECT_EQ(sh::topic(env), "aggregate-input");
+}
+
+TEST(ShardMailbox, BarrierBatchIsTotalOrderAcrossOrigins) {
+  // Outboxes drained in origin order, with some that posted nothing,
+  // concatenate into the (tick, origin, seq) order without a merge.
+  sh::Outbox p1(1, 7), p2(2, 7), p3(3, 7), p4(4, 7);
+  p3.post(5, "", sh::AggregateInput{"c"});
+  p1.post(5, "", sh::AggregateInput{"a"});
+  p1.post(5, "", sh::AggregateInput{"b"});
+  std::vector<sh::Envelope> batch;
+  for (sh::Outbox* outbox : {&p1, &p2, &p3, &p4}) outbox->drain_into(batch);
+  EXPECT_NO_THROW(sh::check_barrier_order(batch));
+  ASSERT_EQ(batch.size(), 3u);
+  const char* expected[] = {"a", "b", "c"};
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(std::get<sh::AggregateInput>(batch[i].body).json, expected[i]);
+  }
+  EXPECT_EQ(batch[0].origin, 1u);
+  EXPECT_EQ(batch[1].seq, 1u);
+  EXPECT_EQ(batch[2].origin, 3u);
+
+  // Drained outboxes start over; a batch that mixes ticks across
+  // origins, or drains origins out of order, fails the check.
+  batch.clear();
+  p2.post(5, "", sh::AggregateInput{});
+  p1.post(6, "", sh::AggregateInput{});
+  for (sh::Outbox* outbox : {&p1, &p2, &p3, &p4}) outbox->drain_into(batch);
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_THROW(sh::check_barrier_order(batch), ou::Error);
+  batch.clear();
+  p1.post(6, "", sh::AggregateInput{});
+  p2.post(6, "", sh::AggregateInput{});
+  for (sh::Outbox* outbox : {&p2, &p1}) outbox->drain_into(batch);
+  EXPECT_THROW(sh::check_barrier_order(batch), ou::Error);
 }
 
 TEST(ShardMailbox, StableHashAndShardPlacement) {
@@ -86,19 +124,6 @@ TEST(ShardMailbox, StableHashAndShardPlacement) {
     EXPECT_LT(shard, 8u);
     EXPECT_EQ(shard, sh::shard_of("feed" + std::to_string(f), 8));
   }
-}
-
-TEST(ShardCampaign, FeedSpecRoundTripsThroughValue) {
-  sh::FeedSpec spec;
-  spec.name = "plant-a";
-  spec.timeline = {{0, "week0"}, {7 * kDay, "week1"}};
-  spec.poll_period = 2 * kDay;
-  spec.max_retries = 3;
-  sh::FeedSpec back = sh::FeedSpec::from_value(spec.to_value());
-  EXPECT_EQ(back.name, spec.name);
-  EXPECT_EQ(back.timeline, spec.timeline);
-  EXPECT_EQ(back.poll_period, spec.poll_period);
-  EXPECT_EQ(back.max_retries, spec.max_retries);
 }
 
 TEST(ShardFault, ForkIsDeterministicAndPerSaltIndependent) {
@@ -141,24 +166,21 @@ struct RoundOracle {
   std::vector<Campaign> campaigns;
   std::vector<std::pair<std::string, std::string>> posted;  // dest, payload
 
-  void report(const ou::Value& payload) {
-    const std::string kind = payload.at("kind").as_string();
-    if (kind == "aggregate") {
+  void report(const sh::VersionReport& report) {
+    if (report.kind == sh::VersionKind::kAggregate) {
       for (Campaign& c : campaigns) {
-        if (sh::Coordinator::hub_key(c.name) ==
-            payload.at("partition").as_string()) {
+        if (sh::Coordinator::hub_key(c.name) == report.partition) {
           ++c.aggregates;
         }
       }
       return;
     }
-    if (kind != "analysis") return;
     for (Campaign& c : campaigns) {
       for (Member& m : c.members) {
-        if (m.feed != payload.at("feed").as_string()) continue;
-        m.latest = static_cast<int>(payload.at("version").as_int());
-        m.uuid = payload.at("uuid").as_string();
-        m.checksum = payload.at("checksum").as_string();
+        if (m.feed != report.feed) continue;
+        m.latest = report.version;
+        m.uuid = report.uuid;
+        m.checksum = report.checksum;
         if (c.aggregate) scan(c);
         return;
       }
@@ -229,13 +251,13 @@ TEST(ShardCoordinator, RoundDispatchMatchesFullScanOracle) {
       std::vector<sh::Envelope> batch;
       for (std::uint64_t n = splitmix(rng) % 6; n > 0; --n) {
         const std::uint64_t pick = splitmix(rng) % 100;
-        ou::ValueObject payload;
+        sh::VersionReport report;
         if (pick < 8) {
-          payload["partition"] = ou::Value(sh::Coordinator::hub_key(
-              (splitmix(rng) % 2 == 0) ? "agg" : "solo"));
-          payload["kind"] = ou::Value("aggregate");
-          payload["uuid"] = ou::Value("hub-uuid");
-          payload["version"] = ou::Value(static_cast<std::int64_t>(tick));
+          report.partition = sh::Coordinator::hub_key(
+              (splitmix(rng) % 2 == 0) ? "agg" : "solo");
+          report.kind = sh::VersionKind::kAggregate;
+          report.uuid = "hub-uuid";
+          report.version = static_cast<int>(tick);
         } else {
           // Members advance in a random order; some report the same
           // version again or skip ahead, and a few step back.
@@ -254,20 +276,22 @@ TEST(ShardCoordinator, RoundDispatchMatchesFullScanOracle) {
           } else if (step == 9 && v > 1) {
             v -= 1;
           }
-          payload["partition"] = ou::Value(feed);
-          payload["feed"] = ou::Value(feed);
-          payload["kind"] = ou::Value("analysis");
-          payload["uuid"] = ou::Value(feed + "-u" + std::to_string(v));
-          payload["version"] = ou::Value(static_cast<std::int64_t>(v));
+          report.partition = feed;
+          report.feed = feed;
+          report.kind = sh::VersionKind::kAnalysis;
+          report.uuid = feed + "-u" + std::to_string(v);
+          report.version = v;
         }
-        payload["checksum"] = ou::Value("sum-" + std::to_string(pick));
-        payload["timestamp"] = ou::Value(static_cast<std::int64_t>(tick));
+        // Escaped characters in the checksum exercise the round
+        // writer's string escaping.
+        report.checksum = "sum-" + std::to_string(pick) +
+                          (pick % 7 == 0 ? "\"q\\\n\x01" : "");
+        report.timestamp = static_cast<ou::SimTime>(tick);
+        oracle.report(report);
         sh::Envelope env;
         env.tick = tick;
         env.origin = 1;
-        env.topic = "version";
-        env.payload = ou::Value(std::move(payload));
-        oracle.report(env.payload);
+        env.body = std::move(report);
         batch.push_back(std::move(env));
       }
       coord.deliver(batch);
@@ -277,9 +301,12 @@ TEST(ShardCoordinator, RoundDispatchMatchesFullScanOracle) {
           << "seed " << seed << " tick " << tick;
       for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i].tick, tick);
-        EXPECT_EQ(out[i].topic, "aggregate-input");
+        EXPECT_EQ(sh::topic(out[i]), "aggregate-input");
         EXPECT_EQ(out[i].dest, oracle.posted[i].first);
-        EXPECT_EQ(out[i].payload.to_json(), oracle.posted[i].second)
+        // The round's directly written JSON is byte for byte what
+        // Value::to_json writes for the oracle's tree.
+        EXPECT_EQ(std::get<sh::AggregateInput>(out[i].body).json,
+                  oracle.posted[i].second)
             << "seed " << seed << " tick " << tick;
       }
       rounds_seen += out.size();
@@ -295,6 +322,150 @@ TEST(ShardCoordinator, RoundDispatchMatchesFullScanOracle) {
     EXPECT_EQ(coord.aggregates_published("solo"),
               oracle.campaigns[1].aggregates);
   }
+}
+
+// --- the hub's round read --------------------------------------------------
+
+namespace {
+
+/// The hub's output for `text` through the tree-building read it
+/// replaced, or nullopt where that read throws.
+std::optional<std::string> tree_read(const std::string& text) {
+  try {
+    ou::Value round = ou::Value::parse_json(text);
+    return "aggregated:round" + std::to_string(round.at("round").as_int()) +
+           ":" + std::to_string(round.at("inputs").size());
+  } catch (const ou::Error&) {
+    return std::nullopt;
+  }
+}
+
+/// sh::hub_aggregate's output for `text`, or nullopt where it throws.
+std::optional<std::string> hub_read(const std::string& text) {
+  ou::ValueObject args;
+  args["input"] = ou::Value(text);
+  try {
+    return sh::hub_aggregate(ou::Value(std::move(args)))
+        .at("output")
+        .as_string();
+  } catch (const ou::Error&) {
+    return std::nullopt;
+  }
+}
+
+/// A round as the coordinator writes it, members named by `feed_name`.
+std::string round_json(int members, std::int64_t number,
+                       const std::function<std::string(int)>& feed_name) {
+  ou::ValueArray inputs;
+  for (int m = 0; m < members; ++m) {
+    ou::ValueObject input;
+    input["feed"] = ou::Value(feed_name(m));
+    input["uuid"] = ou::Value(std::string("u-").append(std::to_string(m)));
+    input["version"] = ou::Value(static_cast<std::int64_t>(m % 5 + 1));
+    input["checksum"] =
+        ou::Value(std::string("c").append(std::to_string(m * 31)));
+    inputs.emplace_back(std::move(input));
+  }
+  ou::ValueObject round;
+  round["campaign"] = ou::Value("national");
+  round["round"] = ou::Value(number);
+  round["inputs"] = ou::Value(std::move(inputs));
+  return ou::Value(std::move(round)).to_json();
+}
+
+}  // namespace
+
+TEST(ShardPartition, RoundReadMatchesValueParse) {
+  std::vector<std::string> cases;
+  cases.push_back(round_json(1500, 12, [](int m) {
+    return "feed" + std::to_string(m);
+  }));
+  // Feed names that need escaping: quotes, backslashes, control
+  // characters, and bytes to_json writes as \u escapes.
+  const std::string escaped = round_json(6, 3, [](int m) {
+    const std::string odd[] = {"a\"b", "back\\slash", "tab\tnl\n",
+                               std::string("nul\0x", 5), "\x01\x1f", "/"};
+    return odd[m];
+  });
+  cases.push_back(escaped);
+  cases.push_back(round_json(0, 1, [](int) { return std::string(); }));
+  cases.insert(
+      cases.end(),
+      {
+          // Whitespace between every token.
+          " {\n\t\"campaign\" : \"c\" ,\r\n \"inputs\" : [ { \"feed\" : "
+          "\"f\" } , { } ] , \"round\" :\t7 }\n ",
+          "{\"round\":2,\"inputs\":[]}",
+          "{\"inputs\":[1,\"two\",[3],{\"four\":4},null,true,false],"
+          "\"round\":5}",
+          // Escapes the coordinator never writes, keys included.
+          "{\"r\\u006fund\":4,\"inputs\":[\"\\u00e9\\u20ac\\/\\b\\f\"]}",
+          "{\"round\":1,\"inputs\":[{\"feed\":\"\\uD83D\"}]}",
+          // A repeated key keeps its last value; an object counts its
+          // distinct keys.
+          "{\"round\":1,\"round\":9,\"inputs\":[1],\"inputs\":[1,2]}",
+          "{\"round\":1,\"inputs\":{\"a\":1,\"a\":2,\"b\":[]}}",
+          "{\"round\":1,\"inputs\":{}}",
+          // Numbers as the parser reads them.
+          "{\"round\":3.0,\"inputs\":[]}",
+          "{\"round\":-0.0,\"inputs\":[]}",
+          "{\"round\":1e2,\"inputs\":[]}",
+          "{\"round\":+5,\"inputs\":[]}",
+          "{\"round\":99999999999999999999,\"inputs\":[]}",
+          "{\"round\":1,\"inputs\":[1e400,-1e-400,0.5]}",
+          // Inputs today's read rejects.
+          "{\"round\":2.5,\"inputs\":[]}",
+          "{\"round\":\"7\",\"inputs\":[]}",
+          "{\"round\":[7],\"inputs\":[]}",
+          "{\"round\":{},\"inputs\":[]}",
+          "{\"round\":null,\"inputs\":[]}",
+          "{\"inputs\":[]}",
+          "{\"round\":1}",
+          "{\"round\":1,\"inputs\":3}",
+          "{\"round\":1,\"inputs\":\"abc\"}",
+          "{\"round\":1,\"inputs\":[]} x",
+          "{\"round\":1,\"inputs\":[1,]}",
+          "{\"round\":1,\"inputs\":[\"\\x\"]}",
+          "{\"round\":1,\"inputs\":[\"\\u12g4\"]}",
+          "{\"round\":1,\"inputs\":[1-2]}",
+          "{\"round\":1,\"inputs\":[tru]}",
+          "[{\"round\":1,\"inputs\":[]}]",
+          "\"round\"",
+          "17",
+          "",
+          "   ",
+          "{",
+          "{}",
+      });
+
+  // 1000 seeded truncations and single-byte mutations of the escaped
+  // round.
+  std::uint64_t rng = 0x40B5;
+  const std::string alphabet = "{}[]:,\"\\ \t\n0123456789.eE+-untrfalsx\x01";
+  for (int i = 0; i < 1000; ++i) {
+    std::string text = escaped;
+    const std::size_t at = splitmix(rng) % text.size();
+    if (i % 4 == 0) {
+      text.resize(at);
+    } else if (i % 4 == 1) {
+      text[at] = static_cast<char>(splitmix(rng) % 256);
+    } else {
+      text[at] = alphabet[splitmix(rng) % alphabet.size()];
+    }
+    cases.push_back(std::move(text));
+  }
+
+  std::size_t accepted = 0;
+  for (const std::string& text : cases) {
+    const std::optional<std::string> want = tree_read(text);
+    EXPECT_EQ(hub_read(text), want) << "input: " << text.substr(0, 200);
+    if (want) ++accepted;
+  }
+  EXPECT_EQ(tree_read(cases[0]), "aggregated:round12:1500");
+  EXPECT_EQ(hub_read(cases[2]), "aggregated:round1:0");
+  // The mutations keep some rounds valid and break others.
+  EXPECT_GT(accepted, 30u);
+  EXPECT_GT(cases.size() - accepted, 500u);
 }
 
 // --- end-to-end campaign ---------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 
 #include "util/error.hpp"
@@ -288,4 +289,42 @@ TEST(Value, ToJsonParseRoundTripIsStable) {
             "-1e999");
   EXPECT_EQ(ou::Value::parse_json("1e-310").as_double(), 1e-310);
   EXPECT_EQ(ou::Value::parse_json("1e-400").as_double(), 0.0);
+}
+
+TEST(Value, JsonMembersMatchTheParsedTree) {
+  Mix mix{20261019};
+  for (int i = 0; i < 5000; ++i) {
+    ou::ValueObject obj;
+    for (std::uint64_t n = mix.below(6); n > 0; --n) {
+      obj[random_text(mix)] = random_value(mix, 3);
+    }
+    const std::string json = ou::Value(std::move(obj)).to_json();
+    const std::map<std::string, ou::JsonMember> members =
+        ou::parse_json_members(json);
+    const ou::Value tree = ou::Value::parse_json(json);
+    ASSERT_EQ(members.size(), tree.size()) << json;
+    for (const auto& [key, value] : tree.as_object()) {
+      const ou::JsonMember& member = members.at(key);
+      if (value.is_array() || value.is_object()) {
+        EXPECT_EQ(member.value.is_array(), value.is_array()) << json;
+        EXPECT_EQ(member.value.size(), 0u) << json;
+        EXPECT_EQ(member.size, value.size()) << json;
+      } else {
+        EXPECT_EQ(member.value.to_json(), value.to_json()) << json;
+        EXPECT_EQ(member.size, 0u) << json;
+      }
+    }
+  }
+  // A repeated key keeps its last value; an object member counts its
+  // distinct keys.
+  const auto repeated =
+      ou::parse_json_members(R"({"a":1,"a":{"x":1,"x":2,"y":3},"b":[[],{}]})");
+  EXPECT_EQ(repeated.at("a").size, 2u);
+  EXPECT_TRUE(repeated.at("a").value.is_object());
+  EXPECT_EQ(repeated.at("b").size, 2u);
+  // Non-objects and malformed text throw, as parse_json does.
+  EXPECT_THROW(ou::parse_json_members("[1]"), ou::InvalidArgument);
+  EXPECT_THROW(ou::parse_json_members(R"({"a":[1,]})"), ou::InvalidArgument);
+  EXPECT_THROW(ou::parse_json_members(R"({"a":["\q"]})"), ou::InvalidArgument);
+  EXPECT_THROW(ou::parse_json_members(R"({"a":1} x)"), ou::InvalidArgument);
 }
