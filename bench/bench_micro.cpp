@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "aero/metadata_db.hpp"
+#include "aero/platform.hpp"
 #include "aero/server.hpp"
 #include "core/usecase_ww.hpp"
 #include "crypto/sha256.hpp"
@@ -576,6 +577,53 @@ static void BM_EventLoopDispatch(benchmark::State& state) {
   state.SetItemsProcessed(chain.fired);
 }
 BENCHMARK(BM_EventLoopDispatch);
+
+/// AERO's unchanged poll: one OspreyPlatform (untraced) hosting one
+/// hourly ingestion whose source published once, before the timed
+/// region. One iteration runs 64 virtual hours: 64 timer firings, each
+/// a fetch that hands back the buffer already seen. Items are polls.
+static void BM_UnchangedPoll(benchmark::State& state) {
+  constexpr int kPolls = 64;
+  aero::OspreyPlatform platform("aero", 0xAE70, /*tracing=*/false);
+  aero::AeroServer& server = platform.aero();
+  fabric::StorageEndpoint& eagle = platform.add_storage_endpoint("eagle");
+  fabric::StorageEndpoint& scratch = platform.add_storage_endpoint("scratch");
+  fabric::ComputeEndpoint& login = platform.add_login_endpoint("login", 2);
+  eagle.create_collection("data", server.token());
+  scratch.create_collection("staging", server.token());
+  aero::IngestionFlowSpec spec;
+  spec.name = "ingest-feed";
+  spec.source = std::make_shared<aero::ScriptedSource>(
+      "https://feeds/feed",
+      std::vector<std::pair<util::SimTime, std::string>>{{0, "day,value\n"}});
+  spec.poll_period = util::kHour;
+  spec.compute = &login;
+  spec.function_id = login.register_function(
+      "transform",
+      [](const util::Value& args) {
+        util::ValueObject out;
+        out["output"] = args.at("input");
+        return util::Value(std::move(out));
+      },
+      30 * util::kSecond);
+  spec.staging = &scratch;
+  spec.staging_collection = "staging";
+  spec.storage = &eagle;
+  spec.collection = "data";
+  spec.base_path = "feed";
+  server.register_ingestion(std::move(spec));
+  fabric::EventLoop& loop = platform.loop();
+  loop.run_until(util::kHour - 1);  // the first poll and its flow run
+  const std::uint64_t polls0 = server.polls();
+  for (auto _ : state) loop.run_until(loop.now() + kPolls * util::kHour);
+  if (server.ingestion_runs() != 1 ||
+      server.polls() - polls0 !=
+          static_cast<std::uint64_t>(state.iterations()) * kPolls) {
+    state.SkipWithError("expected only unchanged polls in the timed region");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(server.polls() - polls0));
+}
+BENCHMARK(BM_UnchangedPoll);
 
 /// One Zipf(1.0) draw over the 96 objects serve_flood reads.
 static void BM_ZipfItem(benchmark::State& state) {

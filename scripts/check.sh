@@ -22,7 +22,7 @@
 #           online refit beats the cold full refit; one short pass of
 #           the metadata, coordinator, SHA-256, JSON-writer, warm
 #           Goldstein refit, draws-parse, front-end hit, event-loop
-#           dispatch and Zipf-draw micro-benchmarks
+#           dispatch, Zipf-draw and unchanged-poll micro-benchmarks
 #           (bench_micro), so they keep compiling and running; then the
 #           repository
 #           benchmark's smoke run (bench/osprey_bench/run.py --smoke),
@@ -157,7 +157,7 @@ stage_bench() {
   test -s results/BENCH_fig2_rt.json &&
   echo "bench artifact: results/BENCH_fig2_rt.json" &&
   ./build/bench/bench_micro --benchmark_min_time=0.01 \
-      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson|ValueParseJson|HubRoundRead|GoldsteinWarmUpdate|DrawsFromCsv|FrontEnd|EventLoop|Zipf' &&
+      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson|ValueParseJson|HubRoundRead|GoldsteinWarmUpdate|DrawsFromCsv|FrontEnd|EventLoop|Zipf|UnchangedPoll' &&
   python3 bench/osprey_bench/run.py --smoke
 }
 

@@ -274,9 +274,11 @@ void AeroServer::poll_ingestion(std::size_t index) {
   }
   // A flaky upstream must not take the whole server down; failed
   // fetches are counted and retried on the next poll.
-  std::shared_ptr<const std::string> payload;
+  // The source's own buffer, valid until its next fetch: an unchanged
+  // poll compares through it and copies nothing.
+  const std::shared_ptr<const std::string>* fetched = nullptr;
   try {
-    payload = ing.spec.source->fetch(loop_.now());
+    fetched = &ing.spec.source->fetch(loop_.now());
   } catch (const std::exception& e) {
     fetch_errors_->inc();
     OSPREY_LOG_WARN("aero", "fetch failed for '" << ing.spec.name
@@ -289,6 +291,7 @@ void AeroServer::poll_ingestion(std::size_t index) {
   if (deg != degraded_.end() && deg->second == kOutageReason) {
     clear_degraded(ing.trigger.products, ing.spec.name);
   }
+  const std::shared_ptr<const std::string>& payload = *fetched;
   if (payload == nullptr) return;
   // The same buffer, or identical bytes, hash to an identical checksum:
   // skip the SHA-256 on an unchanged poll. This is pure short-circuit —
@@ -311,10 +314,10 @@ void AeroServer::poll_ingestion(std::size_t index) {
   OSPREY_LOG_INFO("aero", "update detected for '" << ing.spec.name << "' at "
                           << osprey::util::format_sim_time(loop_.now()));
   if (!admit(FlowKind::kIngestion, index)) {
-    ing.pending_payload = std::move(payload);
+    ing.pending_payload = ing.last_payload;
     return;
   }
-  ing.current_payload = std::move(payload);
+  ing.current_payload = ing.last_payload;
   run_flow(FlowKind::kIngestion, index, "poll:" + ing.spec.source->url());
 }
 

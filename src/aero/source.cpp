@@ -23,11 +23,12 @@ ScriptedSource::ScriptedSource(
   }
 }
 
-std::shared_ptr<const std::string> ScriptedSource::fetch(SimTime now) {
+const std::shared_ptr<const std::string>& ScriptedSource::fetch(
+    SimTime now) {
   ++fetches_;
   // The latest entry published at or before `now`.
   auto it = std::upper_bound(times_.begin(), times_.end(), now);
-  if (it == times_.begin()) return nullptr;
+  if (it == times_.begin()) return none_;
   return payloads_[static_cast<std::size_t>(it - times_.begin()) - 1];
 }
 

@@ -6,9 +6,10 @@
 /// Wastewater Surveillance System feed. Sources are polled; AERO
 /// detects updates by checksum change.
 ///
-/// A fetch hands out a shared, immutable buffer. A source that returns
-/// the buffer it returned last time tells AERO the content is unchanged
-/// without AERO reading a byte of it.
+/// A fetch hands out a reference to a shared, immutable buffer, valid
+/// until the next fetch on that source. A source that returns the buffer
+/// it returned last time tells AERO the content is unchanged without
+/// AERO reading a byte of it, or touching the buffer's reference count.
 
 #include <memory>
 #include <string>
@@ -30,8 +31,9 @@ class DataSource {
   virtual std::string url() const = 0;
 
   /// Current upstream content at virtual time `now`, or nullptr when
-  /// the source has published nothing yet.
-  virtual std::shared_ptr<const std::string> fetch(SimTime now) = 0;
+  /// the source has published nothing yet. The reference stays valid
+  /// until the next fetch on this source; keep a copy to hold it longer.
+  virtual const std::shared_ptr<const std::string>& fetch(SimTime now) = 0;
 };
 
 /// Test/demo source publishing pre-scripted payloads at fixed times.
@@ -41,7 +43,7 @@ class ScriptedSource final : public DataSource {
                  std::vector<std::pair<SimTime, std::string>> timeline);
 
   std::string url() const override { return url_; }
-  std::shared_ptr<const std::string> fetch(SimTime now) override;
+  const std::shared_ptr<const std::string>& fetch(SimTime now) override;
 
   std::size_t fetch_count() const { return fetches_; }
 
@@ -49,6 +51,7 @@ class ScriptedSource final : public DataSource {
   std::string url_;
   std::vector<SimTime> times_;  // sorted
   std::vector<std::shared_ptr<const std::string>> payloads_;  // by times_
+  std::shared_ptr<const std::string> none_;  // before the first entry
   std::size_t fetches_ = 0;
 };
 

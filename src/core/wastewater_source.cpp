@@ -22,12 +22,16 @@ std::string WastewaterSource::url() const {
   return "https://iwss.sim/feeds/" + slug + ".csv";
 }
 
-std::shared_ptr<const std::string> WastewaterSource::fetch(
+const std::shared_ptr<const std::string>& WastewaterSource::fetch(
     aero::SimTime now) {
   int day = static_cast<int>(osprey::util::sim_day(now));
   day = std::min(day, gen_->config().days - 1);
-  if (gen_->last_publication_day(day) < 0) return nullptr;
-  return std::make_shared<const std::string>(gen_->published_csv(day));
+  if (gen_->last_publication_day(day) < 0) {
+    buffer_ = nullptr;
+  } else {
+    buffer_ = std::make_shared<const std::string>(gen_->published_csv(day));
+  }
+  return buffer_;
 }
 
 }  // namespace osprey::core

@@ -19,12 +19,14 @@ class WastewaterSource final : public aero::DataSource {
   explicit WastewaterSource(std::shared_ptr<epi::WastewaterGenerator> gen);
 
   std::string url() const override;
-  std::shared_ptr<const std::string> fetch(aero::SimTime now) override;
+  const std::shared_ptr<const std::string>& fetch(aero::SimTime now) override;
 
   const epi::WastewaterGenerator& generator() const { return *gen_; }
 
  private:
   std::shared_ptr<epi::WastewaterGenerator> gen_;
+  /// The last fetch's buffer (nullptr before the first publication).
+  std::shared_ptr<const std::string> buffer_;
 };
 
 }  // namespace osprey::core

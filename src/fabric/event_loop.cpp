@@ -71,18 +71,12 @@ void EventLoop::fire_top() {
   // callback may schedule (reusing the slot) or cancel other events, and
   // cancelling its own id finds a bumped generation.
   Callback cb = take(entry.slot);
-  ++processed_;
+  processed_total_.inc();
   cb();
-}
-
-void EventLoop::fold_processed() {
-  processed_total_.inc(processed_ - folded_);
-  folded_ = processed_;
 }
 
 std::size_t EventLoop::run_until(SimTime t) {
   OSPREY_REQUIRE(t >= now_, "run_until into the past");
-  const FoldOnExit fold{*this};
   std::size_t fired = 0;
   while (has_live_top() && queue_.top().time <= t) {
     fire_top();
@@ -93,7 +87,6 @@ std::size_t EventLoop::run_until(SimTime t) {
 }
 
 std::size_t EventLoop::run_all(std::size_t max_events) {
-  const FoldOnExit fold{*this};
   std::size_t fired = 0;
   while (fired < max_events && has_live_top()) {
     fire_top();

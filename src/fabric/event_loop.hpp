@@ -35,11 +35,10 @@ using EventId = std::uint64_t;
 ///
 /// The loop owns the metrics registry of everything scheduled on it:
 /// every fabric service binds its counters and histograms from
-/// `metrics()` at construction, so one loop is one registry. Fired
-/// events are counted in a plain member; `fabric_events_processed_total`
-/// receives a run's count when run_until()/run_all() returns (also by
-/// exception), so the counter is exact whenever no run is in progress,
-/// which is when every snapshot and export is taken.
+/// `metrics()` at construction, so one loop is one registry. Every
+/// instrument in it is loop-confined (obs/metrics.hpp), so each fired
+/// event is one plain increment of `fabric_events_processed_total`,
+/// exact mid-run too.
 ///
 /// The loop also carries the chaos plan of everything scheduled on it:
 /// every fault-prone service reads `fault_plan()` at its injection
@@ -75,7 +74,7 @@ class EventLoop {
   bool empty() const { return live_ == 0; }
   std::size_t pending() const { return live_; }
   /// Events this loop has fired.
-  std::uint64_t events_processed() const { return processed_; }
+  std::uint64_t events_processed() const { return processed_total_.value(); }
 
   /// The registry shared by this loop and every service on it.
   obs::MetricsRegistry& metrics() { return metrics_; }
@@ -108,21 +107,10 @@ class EventLoop {
   bool has_live_top();
   /// Pop the (live) top entry and run its callback.
   void fire_top();
-  /// Add the events fired since the last fold to the registry counter.
-  void fold_processed();
-  /// Calls fold_processed() when a run leaves, by return or exception.
-  struct FoldOnExit {
-    EventLoop& loop;
-    ~FoldOnExit() { loop.fold_processed(); }
-  };
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
-  // Events fired; a run folds them into processed_total_ as it returns.
-  // osprey-lint: allow(adhoc-counter) reaches the registry at run end
-  std::uint64_t processed_ = 0;
-  std::uint64_t folded_ = 0;  // of processed_, already in processed_total_
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

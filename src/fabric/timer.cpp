@@ -18,10 +18,10 @@ TimerId TimerService::every(SimTime period, SimTime first_at,
   OSPREY_REQUIRE(period > 0, "timer period must be positive");
   OSPREY_REQUIRE(static_cast<bool>(fn), "null timer callback");
   OSPREY_REQUIRE(first_at >= loop_.now(), "first firing is in the past");
-  TimerId id = next_id_++;
+  const TimerId id = timers_.size();
   Timer& timer =
-      timers_.emplace(id, Timer{name, period, std::move(fn), first_at, 0})
-          .first->second;
+      timers_.emplace_back(Timer{name, period, std::move(fn), first_at, 0});
+  ++active_;
   arm(id, timer);
   return id;
 }
@@ -33,9 +33,8 @@ void TimerService::arm(TimerId id, Timer& timer) {
 }
 
 void TimerService::fire(TimerId id) {
-  auto it = timers_.find(id);
-  if (it == timers_.end()) return;  // cancelled meanwhile
-  Timer& timer = it->second;
+  // Only a live timer has a pending event: cancel() cancels it.
+  Timer& timer = timers_[id];
   fires_.inc();
   if (tracer_ != nullptr) {
     tracer_->instant(
@@ -45,16 +44,28 @@ void TimerService::fire(TimerId id) {
   }
   // Re-arm before invoking so the callback may cancel the timer.
   timer.next_at += timer.period;
-  std::function<void()> fn = timer.fn;  // copy: cancel() may erase
   arm(id, timer);
-  fn();
+  // The callback runs in place; a cancel() from inside it leaves it
+  // alive, and it is released here once it has returned (or thrown).
+  struct Running {
+    Timer& timer;
+    ~Running() {
+      timer.running = false;
+      if (timer.cancelled) timer.fn = nullptr;
+    }
+  } running{timer};
+  timer.running = true;
+  timer.fn();
 }
 
 bool TimerService::cancel(TimerId id) {
-  auto it = timers_.find(id);
-  if (it == timers_.end()) return false;
-  loop_.cancel(it->second.pending_event);
-  timers_.erase(it);
+  if (id >= timers_.size()) return false;
+  Timer& timer = timers_[id];
+  if (timer.cancelled) return false;
+  loop_.cancel(timer.pending_event);
+  timer.cancelled = true;
+  --active_;
+  if (!timer.running) timer.fn = nullptr;
   return true;
 }
 

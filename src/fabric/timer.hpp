@@ -6,8 +6,8 @@
 /// specifiable frequency, in this case daily" through this service.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
 
 #include "fabric/auth.hpp"
@@ -20,6 +20,13 @@ namespace osprey::fabric {
 using TimerId = std::uint64_t;
 
 /// Periodic callback scheduling with cancellation.
+///
+/// Timers live in a table indexed by their (dense, never reused) id. A
+/// std::deque keeps every entry's address stable while every() appends
+/// from inside a callback, so fire() runs the callback in place. A
+/// cancelled entry stays as a tombstone; its callback is released at
+/// once, or, when the timer cancels itself from inside that callback,
+/// as soon as the callback returns.
 class TimerService {
  public:
   TimerService(EventLoop& loop, AuthService& auth);
@@ -35,7 +42,7 @@ class TimerService {
   /// firing becomes an instant event ("timer:<name>").
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  std::size_t active_count() const { return timers_.size(); }
+  std::size_t active_count() const { return active_; }
   /// Timer firings on this service's loop (all its TimerServices).
   std::uint64_t total_fires() const { return fires_.value(); }
 
@@ -46,6 +53,8 @@ class TimerService {
     std::function<void()> fn;
     SimTime next_at;  // when the pending event fires
     EventId pending_event;
+    bool cancelled = false;
+    bool running = false;  // fn is on the stack: cancel() must keep it
   };
 
   /// Schedule the timer's next firing at `timer.next_at`.
@@ -54,8 +63,8 @@ class TimerService {
 
   EventLoop& loop_;
   AuthService& auth_;
-  std::map<TimerId, Timer> timers_;
-  TimerId next_id_ = 0;
+  std::deque<Timer> timers_;  // indexed by TimerId
+  std::size_t active_ = 0;
   obs::Counter& fires_;
   obs::TraceRecorder* tracer_ = nullptr;
 };

@@ -26,7 +26,6 @@ void Histogram::observe(double x) {
   // last bound the sample lands in the overflow bucket.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   const std::size_t bucket = static_cast<std::size_t>(it - bounds_.begin());
-  MutexLock lock(mutex_);
   ++buckets_[bucket];
   if (count_ == 0) {
     min_ = x;
@@ -39,36 +38,8 @@ void Histogram::observe(double x) {
   sum_ += x;
 }
 
-std::uint64_t Histogram::count() const {
-  MutexLock lock(mutex_);
-  return count_;
-}
-
-double Histogram::sum() const {
-  MutexLock lock(mutex_);
-  return sum_;
-}
-
-double Histogram::min() const {
-  MutexLock lock(mutex_);
-  return min_;
-}
-
-double Histogram::max() const {
-  MutexLock lock(mutex_);
-  return max_;
-}
-
-std::vector<double> Histogram::bounds() const { return bounds_; }
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  MutexLock lock(mutex_);
-  return buckets_;
-}
-
 double Histogram::quantile(double q) const {
   OSPREY_REQUIRE(q >= 0.0 && q <= 1.0, "quantile wants q in [0,1]");
-  MutexLock lock(mutex_);
   if (count_ == 0) return 0.0;
   const double target = q * static_cast<double>(count_);
   double before = 0.0;

@@ -5,8 +5,15 @@
 /// snapshot ordering (metric names sorted; bucket bounds fixed at
 /// registration). Instruments are owned by a MetricsRegistry and live
 /// as long as it does, so services bind `Counter*`/`Histogram*` once at
-/// wiring time and increment lock-free afterwards. The Prometheus text
-/// exporter lives in obs/export.hpp.
+/// wiring time and write them with plain loads and stores afterwards.
+/// The Prometheus text exporter lives in obs/export.hpp.
+///
+/// Counters and histograms are loop-confined (DESIGN.md §4d): one
+/// thread at a time writes them, the thread running the loop that owns
+/// the registry, and readers read after the run or across a join. The
+/// fields are plain, so a second concurrent writer or reader is a data
+/// race that ThreadSanitizer reports rather than a silently lost count.
+/// Registration itself is locked; gauges stay atomic.
 
 #include <atomic>
 #include <cstdint>
@@ -21,20 +28,18 @@
 
 namespace osprey::obs {
 
-/// Monotonic event counter (lock-free).
+/// Monotonic event counter (loop-confined: one writer at a time).
 class Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void inc(std::uint64_t delta = 1) {
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void inc(std::uint64_t delta = 1) { v_ += delta; }
+  std::uint64_t value() const { return v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 /// Point-in-time value (lock-free set/add; e.g. open circuit breakers).
@@ -57,7 +62,7 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket histogram. Buckets are defined by strictly increasing
+/// Fixed-bucket histogram (loop-confined, like Counter). Buckets are defined by strictly increasing
 /// upper bounds plus an implicit +Inf overflow bucket; a sample equal
 /// to a bound lands in that bound's bucket (Prometheus `le` semantics).
 class Histogram {
@@ -70,15 +75,15 @@ class Histogram {
 
   void observe(double x);
 
-  std::uint64_t count() const;
-  double sum() const;
-  double min() const;  ///< 0 when empty
-  double max() const;  ///< 0 when empty
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  double min() const { return min_; }  ///< 0 when empty
+  double max() const { return max_; }  ///< 0 when empty
 
   /// Upper bounds as registered (without the implicit +Inf).
-  std::vector<double> bounds() const;
+  std::vector<double> bounds() const { return bounds_; }
   /// Per-bucket counts, size bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const;
+  std::vector<std::uint64_t> bucket_counts() const { return buckets_; }
 
   /// Approximate q-quantile (q in [0,1]) by linear interpolation within
   /// the bucket containing the target rank, clamped to the observed
@@ -86,13 +91,12 @@ class Histogram {
   double quantile(double q) const;
 
  private:
-  mutable osprey::util::Mutex mutex_;
   std::vector<double> bounds_;  // immutable after construction
-  std::vector<std::uint64_t> buckets_ OSPREY_GUARDED_BY(mutex_);
-  std::uint64_t count_ OSPREY_GUARDED_BY(mutex_) = 0;
-  double sum_ OSPREY_GUARDED_BY(mutex_) = 0.0;
-  double min_ OSPREY_GUARDED_BY(mutex_) = 0.0;
-  double max_ OSPREY_GUARDED_BY(mutex_) = 0.0;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Named instrument registry. Instruments are created on first use and

@@ -17,7 +17,8 @@ void append_int(std::int64_t v, std::string& out) {
 
 }  // namespace
 
-Coordinator::Coordinator(std::uint64_t seed) : outbox_(kOrigin, seed) {
+Coordinator::Coordinator(std::uint64_t seed, bool tracing)
+    : tracing_(tracing), outbox_(kOrigin, seed) {
   tracer_.set_shard_label("coordinator");
   messages_ = &metrics_.counter("shard_coord_messages_total",
                                 "envelopes delivered to the coordinator");
@@ -63,9 +64,11 @@ void Coordinator::register_campaign(const CampaignSpec& spec) {
                                    spec.feeds.size()});
   }
   campaigns_registered_->inc();
-  tracer_.instant(obs::Category::kOther, "coord:register:" + spec.name,
-                  now_ns_, obs::kNoSpan,
-                  std::to_string(spec.feeds.size()) + " feeds");
+  if (tracing_) {
+    tracer_.instant(obs::Category::kOther, "coord:register:" + spec.name,
+                    now_ns_, obs::kNoSpan,
+                    std::to_string(spec.feeds.size()) + " feeds");
+  }
 }
 
 void Coordinator::begin_tick(std::uint64_t tick, std::uint64_t now_ns) {
@@ -138,9 +141,11 @@ void Coordinator::dispatch_round(Campaign& campaign) {
   json += '}';
   campaign.behind = campaign.members.size();
   outbox_.post(tick_, hub_key(campaign.name), AggregateInput{std::move(json)});
-  tracer_.instant(obs::Category::kOther, "coord:round:" + campaign.name,
-                  now_ns_, obs::kNoSpan,
-                  "round " + std::to_string(campaign.rounds));
+  if (tracing_) {
+    tracer_.instant(obs::Category::kOther, "coord:round:" + campaign.name,
+                    now_ns_, obs::kNoSpan,
+                    "round " + std::to_string(campaign.rounds));
+  }
 }
 
 std::vector<Envelope> Coordinator::collect() {

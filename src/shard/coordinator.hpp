@@ -32,7 +32,8 @@ class Coordinator {
   /// The coordinator's stable origin ordinal in the envelope order.
   static constexpr std::uint32_t kOrigin = 0;
 
-  explicit Coordinator(std::uint64_t seed);
+  /// Without `tracing`, the coordinator records no trace instants.
+  explicit Coordinator(std::uint64_t seed, bool tracing = true);
 
   /// Partition key of a campaign's aggregation hub. Derived with a
   /// suffix that keeps the key '/'-free and distinct from feed names.
@@ -90,6 +91,7 @@ class Coordinator {
   /// Post the aggregation round every member has advanced for.
   void dispatch_round(Campaign& campaign);
 
+  bool tracing_;
   obs::TraceRecorder tracer_;
   obs::MetricsRegistry metrics_;
   Outbox outbox_;

@@ -9,9 +9,7 @@
 namespace osprey::shard {
 
 ShardedFabric::ShardedFabric(ShardedFabricConfig config)
-    : config_(config),
-      coordinator_(config.seed),
-      shard_members_(std::max<std::size_t>(config.num_shards, 1)) {
+    : config_(config), coordinator_(config.seed, config.tracing) {
   OSPREY_REQUIRE(config_.num_shards >= 1, "need at least one shard");
   OSPREY_REQUIRE(config_.epoch > 0, "epoch must be positive");
   if (config_.num_shards > 1) {
@@ -34,8 +32,6 @@ void ShardedFabric::create_partition(const std::string& key) {
   auto partition = std::make_unique<ShardPartition>(std::move(config));
   if (master_chaos_) partition->enable_chaos(*master_chaos_);
   by_key_[key] = partitions_.size();
-  shard_members_[shard_of(key, config_.num_shards)].push_back(
-      partitions_.size());
   keys_.push_back(key);
   partitions_.push_back(std::move(partition));
   inboxes_.emplace_back();
@@ -92,26 +88,35 @@ void ShardedFabric::step_epoch(SimTime until) {
     inboxes_[it->second].push_back(std::move(env));
   }
 
-  // 2. Run every shard over its partitions. Each partition is touched
-  //    by exactly one task; the parallel_for join is the epoch barrier
-  //    (a happens-before edge, so the collection below is race-free).
+  // 2. The workers pull partitions off one cursor. Those with mail go
+  //    first: a delivery (the hub's aggregation round) is work beyond
+  //    the timers, so it starts while the rest are still queued. Each
+  //    partition is run by exactly one task; the parallel_for join is
+  //    the epoch barrier (a happens-before edge, so the collection
+  //    below is race-free), and its submit edge publishes order_.
+  order_.clear();
+  for (std::size_t i = 0; i < partitions_.size(); ++i) {
+    if (!inboxes_[i].empty()) order_.push_back(i);
+  }
+  for (std::size_t i = 0; i < partitions_.size(); ++i) {
+    if (inboxes_[i].empty()) order_.push_back(i);
+  }
   const std::uint64_t tick = tick_;
-  auto run_shard = [&](std::size_t shard) {
-    for (std::size_t index : shard_members_[shard]) {
-      partitions_[index]->run_epoch(tick, until, inboxes_[index]);
-    }
+  auto run_partition = [&](std::size_t k) {
+    const std::size_t index = order_[k];
+    partitions_[index]->run_epoch(tick, until, inboxes_[index]);
   };
   if (pool_) {
-    pool_->parallel_for(shard_members_.size(), run_shard);
+    pool_->parallel_for(order_.size(), run_partition);
   } else {
-    for (std::size_t s = 0; s < shard_members_.size(); ++s) run_shard(s);
+    for (std::size_t k = 0; k < order_.size(); ++k) run_partition(k);
   }
 
   // 3. Barrier: drain the outboxes in ordinal order into one batch.
   //    Every envelope in it was posted under this tick, so ordinal
   //    order is already the (tick, origin, seq) total order — a pure
   //    function of logical state, independent of which threads ran
-  //    which shard.
+  //    which partition, and in what order.
   for (auto& partition : partitions_) partition->drain_outbox(barrier_);
   check_barrier_order(barrier_);
 

@@ -1,23 +1,25 @@
 #pragma once
 
 /// \file fabric.hpp
-/// ShardedFabric (DESIGN.md §7): N event-loop shards on real threads,
-/// each owning a disjoint set of partitions (stable key hash → shard),
-/// advancing in epoch lockstep:
+/// ShardedFabric (DESIGN.md §7): partitions, each an event loop of its
+/// own, advancing in epoch lockstep on `num_shards` worker threads. The
+/// partition is both the determinism unit and the unit of work:
 ///
-///   every epoch: route coordinator mail → [parallel] each shard
-///   delivers its partitions' inboxes and runs their event loops to the
-///   epoch boundary → join (barrier) → drain every outbox, in ordinal
-///   order, into one batch already in (tick, origin, seq) order →
-///   coordinator consumes the batch and posts responses for the next
-///   epoch.
+///   every epoch: route coordinator mail → [parallel] the workers pull
+///   partitions, those with inbox mail first, each delivering its inbox
+///   and running its event loop to the epoch boundary → join (barrier)
+///   → drain every outbox, in ordinal order, into one batch already in
+///   (tick, origin, seq) order → coordinator consumes the batch and
+///   posts responses for the next epoch.
 ///
 /// Messages posted in epoch k are delivered at the START of epoch k+1,
-/// so no partition ever observes another mid-epoch; combined with the
-/// stable-ordinal barrier order this makes every run — and every merged
-/// artifact: Chrome trace, incident log, metrics snapshot, Prometheus
-/// export — byte-identical across shard counts, thread interleavings
-/// and replays of the same seed.
+/// so no partition ever observes another mid-epoch; a partition changes
+/// only through its own loop and the envelopes it is handed, so which
+/// worker ran it, and when, changes nothing. With the stable-ordinal
+/// barrier order this makes every run — and every merged artifact:
+/// Chrome trace, incident log, metrics snapshot, Prometheus export —
+/// byte-identical across shard counts, thread interleavings and replays
+/// of the same seed.
 
 #include <cstdint>
 #include <map>
@@ -39,6 +41,8 @@
 namespace osprey::shard {
 
 struct ShardedFabricConfig {
+  /// Worker threads that pull partitions each epoch (1: the caller
+  /// alone, no pool).
   std::size_t num_shards = 1;
   SimTime epoch = osprey::util::kDay;
   std::uint64_t seed = 0x05FA;
@@ -117,8 +121,9 @@ class ShardedFabric {
   /// The barrier's batch, reused across epochs.
   std::vector<Envelope> barrier_;
   std::map<std::string, std::size_t> by_key_;
-  /// shard -> its partitions' indexes, each in ordinal order.
-  std::vector<std::vector<std::size_t>> shard_members_;
+  /// The epoch's pull order, rebuilt each epoch in place: the indexes of
+  /// partitions with inbox mail, then the rest, each in ordinal order.
+  std::vector<std::size_t> order_;
   std::unique_ptr<fabric::FaultPlan> master_chaos_;
   std::unique_ptr<osprey::util::ThreadPool> pool_;
   SimTime now_ = 0;

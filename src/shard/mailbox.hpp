@@ -82,12 +82,15 @@ std::string_view topic(const Envelope& env);
 /// Strict total order of delivery: (tick, origin, seq).
 bool envelope_before(const Envelope& a, const Envelope& b);
 
-/// FNV-1a of a partition key — the STABLE hash used for both shard
-/// placement and per-partition seed derivation (never std::hash, whose
-/// value may differ across libraries/processes).
+/// FNV-1a of a partition key — the STABLE hash behind per-partition
+/// seed derivation and shard_of (never std::hash, whose value may
+/// differ across libraries/processes).
 std::uint64_t stable_key_hash(const std::string& key);
 
-/// Shard owning `key` out of `num_shards` (stable hash mod shards).
+/// Nominal shard of `key` out of `num_shards` (stable hash mod shards).
+/// ShardedFabric's workers pull partitions dynamically, so this names a
+/// hash split for reporting (osprey_bench's shard.event_skew), not the
+/// thread that runs the partition.
 std::size_t shard_of(const std::string& key, std::size_t num_shards);
 
 /// Per-sender message buffer. Single-owner: only the owning partition

@@ -24,7 +24,7 @@ class MailboxSource final : public aero::DataSource {
   explicit MailboxSource(std::string url) : url_(std::move(url)) {}
 
   std::string url() const override { return url_; }
-  std::shared_ptr<const std::string> fetch(SimTime) override {
+  const std::shared_ptr<const std::string>& fetch(SimTime) override {
     return payload_;
   }
 

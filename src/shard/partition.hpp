@@ -7,13 +7,14 @@
 /// and login endpoints, plus a serving-tier cache and an outbox — owning
 /// exactly one surveillance feed (or one campaign's aggregation hub).
 ///
-/// The PARTITION, not the shard, is the determinism unit: everything a
-/// partition computes is a pure function of its own registration
-/// envelopes, its delivered mailbox, and its forked fault-plan seed.
-/// Shards are pure execution units — any number of threads may execute
-/// any assignment of partitions and every artifact (trace, incident log,
-/// metrics, uuids) comes out bit-identical, which is what the replay
-/// sweep in tests/test_shard_replay.cpp proves.
+/// The PARTITION is both the determinism unit and the unit of work:
+/// everything a partition computes is a pure function of its own
+/// registration envelopes, its delivered mailbox, and its forked
+/// fault-plan seed. The fabric's worker threads pull partitions one at a
+/// time, so any thread may run a partition in any epoch, and every
+/// artifact (trace, incident log, metrics, uuids) comes out
+/// bit-identical, which is what the replay sweep in
+/// tests/test_shard_replay.cpp proves.
 ///
 /// This is the ONLY file in src/shard/ allowed to touch the aero/serve
 /// orchestration types (osprey_lint's cross-shard-isolation rule):
@@ -92,7 +93,7 @@ class ShardPartition {
   aero::RecoveryStats enable_durability(osprey::util::DurableFs& fs,
                                         const std::string& base_dir);
 
-  /// Run epoch `tick` on the owning shard's thread: apply the envelopes
+  /// Run epoch `tick` on whichever worker pulled it: apply the envelopes
   /// of `inbox` (consumed, left empty), then advance the partition's
   /// event loop to `until`. Everything posted meanwhile carries `tick`.
   void run_epoch(std::uint64_t tick, SimTime until,

@@ -35,6 +35,8 @@ std::int64_t Value::as_int() const {
   if (is_double()) {
     double d = std::get<double>(data_);
     OSPREY_REQUIRE(d == std::floor(d), "double is not integral");
+    // [-2^63, 2^63): both bounds are exact doubles, and ±inf fails.
+    OSPREY_REQUIRE(d >= -0x1p63 && d < 0x1p63, "double is out of int64 range");
     return static_cast<std::int64_t>(d);
   }
   throw InvalidArgument("value is not an integer");

@@ -541,15 +541,17 @@ namespace {
 class PublishedSource final : public oa::DataSource {
  public:
   std::string url() const override { return "https://feed/published"; }
-  std::shared_ptr<const std::string> fetch(of::SimTime) override {
+  const std::shared_ptr<const std::string>& fetch(of::SimTime) override {
     if (current == nullptr || !fresh_copies) return current;
-    return std::make_shared<const std::string>(*current);
+    copy = std::make_shared<const std::string>(*current);
+    return copy;
   }
   void publish(const std::string& bytes) {
     current = std::make_shared<const std::string>(bytes);
   }
 
   std::shared_ptr<const std::string> current;
+  std::shared_ptr<const std::string> copy;  // the last fresh copy
   bool fresh_copies = false;
 };
 
@@ -632,4 +634,50 @@ TEST_F(AeroServerTest, UnchangedPollSkipsWorkForSameBufferOrEqualBytes) {
   EXPECT_EQ(eagle.get("data", "queued/transformed", server.token()).bytes,
             "SECOND");
   EXPECT_EQ(updates->value(), 4u);  // week1, week2, first, second
+}
+
+// The DataSource contract: fetch hands back the source's own buffer by
+// reference, valid until the next fetch; a poll that sees the same
+// buffer or equal bytes runs no flow and publishes no version.
+TEST_F(AeroServerTest, FetchReferenceContractAndUnchangedPolls) {
+  oa::ScriptedSource scripted("https://feed/scripted",
+                              {{10, "v1"}, {20, "v2"}});
+  EXPECT_EQ(scripted.fetch(5), nullptr);
+  const std::shared_ptr<const std::string>& v1 = scripted.fetch(10);
+  ASSERT_NE(v1, nullptr);
+  const long held = v1.use_count();
+  EXPECT_EQ(&scripted.fetch(15), &v1);  // the same stored element
+  EXPECT_EQ(v1.use_count(), held);      // no copy was taken
+  EXPECT_EQ(*v1, "v1");
+  EXPECT_EQ(*scripted.fetch(25), "v2");
+
+  // A fresh copy lives in the source until its next fetch.
+  auto source = std::make_shared<PublishedSource>();
+  source->publish("week1");
+  source->fresh_copies = true;
+  const std::shared_ptr<const std::string>& copy = source->fetch(0);
+  const std::string* bytes = copy.get();
+  EXPECT_EQ(*bytes, "week1");
+  EXPECT_NE(bytes, source->current.get());
+
+  oa::IngestionFlowSpec spec = ingestion_spec("contract", source);
+  spec.poll_period = kHour;
+  oa::IngestionHandles handles = server.register_ingestion(std::move(spec));
+  loop.run_until(kHour - kSecond);  // the 0h poll ran the flow
+  ASSERT_EQ(server.ingestion_runs(), 1u);
+  ASSERT_EQ(server.db().latest_version_number(handles.output_uuid), 1);
+  const std::size_t versions =
+      server.db().object(handles.output_uuid).versions.size();
+  const std::size_t raw_versions =
+      server.db().object(handles.raw_uuid).versions.size();
+  for (bool fresh : {true, false}) {
+    source->fresh_copies = fresh;
+    loop.run_until(loop.now() + 4 * kHour);
+    EXPECT_EQ(server.ingestion_runs(), 1u);
+    EXPECT_EQ(server.db().object(handles.output_uuid).versions.size(),
+              versions);
+    EXPECT_EQ(server.db().object(handles.raw_uuid).versions.size(),
+              raw_versions);
+  }
+  EXPECT_EQ(server.polls(), 9u);  // 0h..8h
 }

@@ -120,8 +120,8 @@ TEST(EventLoop, ProcessedCounter) {
   EXPECT_EQ(loop.events_processed(), 7u);
 }
 
-// The loop counts fired events in a member and folds them into
-// fabric_events_processed_total as each run returns, however it returns.
+// The loop counts each fired event straight into
+// fabric_events_processed_total, however the run returns.
 TEST(EventLoop, RegistryCounterMatchesEventsProcessedAfterEveryRun) {
   of::EventLoop loop;
   for (int i = 1; i <= 5; ++i) loop.schedule_at(i * kSecond, [] {});
@@ -152,6 +152,23 @@ TEST(EventLoop, RegistryCounterMatchesEventsProcessedAfterEveryRun) {
   loop.run_all();
   EXPECT_EQ(loop.events_processed(), 10u);
   EXPECT_EQ(registry_events(loop), 10u);
+}
+
+// The counter is exact mid-run: a callback reading it sees every event
+// fired so far, its own included.
+TEST(EventLoop, RegistryCounterIsExactInsideCallbacks) {
+  of::EventLoop loop;
+  std::vector<std::uint64_t> seen;
+  auto record = [&] { seen.push_back(registry_events(loop)); };
+  for (int i = 1; i <= 3; ++i) loop.schedule_at(i * kSecond, record);
+  loop.schedule_at(4 * kSecond, [&] {
+    record();
+    loop.schedule_after(kSecond, record);
+  });
+  EXPECT_EQ(loop.run_until(2 * kSecond), 2u);
+  loop.run_all();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(loop.events_processed(), 5u);
 }
 
 // --- cancel/slot-reuse contract ------------------------------------------

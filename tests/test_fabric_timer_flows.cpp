@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "fabric/flows.hpp"
 #include "fabric/timer.hpp"
 #include "util/error.hpp"
@@ -8,6 +13,7 @@ namespace of = osprey::fabric;
 namespace ou = osprey::util;
 using ou::kDay;
 using ou::kHour;
+using ou::kMinute;
 using ou::kSecond;
 
 class TimerFlowsTest : public ::testing::Test {
@@ -53,6 +59,89 @@ TEST_F(TimerFlowsTest, TimerCanCancelItself) {
   loop.run_until(10 * kHour);
   EXPECT_EQ(count, 2);
   EXPECT_EQ(timers.active_count(), 0u);
+}
+
+// Cancelling from inside the timer's own callback lets that callback
+// finish (its captures stay alive until it returns) and stops later
+// fires.
+TEST_F(TimerFlowsTest, SelfCancelFinishesTheRunningCallback) {
+  auto alive = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = alive;
+  std::vector<int> after_cancel;
+  of::TimerId id = 0;
+  id = timers.every(kHour, 0,
+                    [&, alive = std::move(alive)] {
+                      ++*alive;
+                      EXPECT_TRUE(timers.cancel(id));
+                      EXPECT_EQ(timers.active_count(), 0u);
+                      EXPECT_FALSE(watch.expired());
+                      after_cancel.push_back(*alive);  // still valid
+                    },
+                    token);
+  EXPECT_EQ(timers.active_count(), 1u);
+  loop.run_until(5 * kHour);
+  EXPECT_EQ(after_cancel, std::vector<int>{1});
+  EXPECT_EQ(timers.total_fires(), 1u);
+  EXPECT_TRUE(watch.expired());  // released once it returned
+  EXPECT_FALSE(timers.cancel(id));
+  EXPECT_EQ(timers.active_count(), 0u);
+}
+
+// every() from inside a callback appends to the table: earlier ids,
+// the running timer's included, stay valid and cancellable.
+TEST_F(TimerFlowsTest, EveryFromInsideCallbackKeepsEarlierIds) {
+  std::vector<of::TimerId> spawned;
+  std::vector<std::string> fired;
+  of::TimerId parent = timers.every(
+      kHour, 0,
+      [&] {
+        fired.push_back("parent");
+        // Enough appends to move a vector's storage several times.
+        for (int i = 0; i < 64; ++i) {
+          const std::string name = "child" + std::to_string(spawned.size());
+          spawned.push_back(timers.every(
+              kDay, loop.now() + kMinute,
+              [&fired, name] { fired.push_back(name); }, token));
+        }
+      },
+      token);
+  EXPECT_EQ(parent, 0u);
+  loop.run_until(kHour + kSecond);  // the parent fired at 0 and 1h
+  ASSERT_EQ(spawned.size(), 128u);
+  EXPECT_EQ(spawned.front(), 1u);
+  EXPECT_EQ(spawned.back(), 128u);
+  EXPECT_EQ(timers.active_count(), 129u);
+  EXPECT_EQ(std::count(fired.begin(), fired.end(), "parent"), 2);
+  EXPECT_EQ(std::count(fired.begin(), fired.end(), "child0"), 1);
+  EXPECT_EQ(std::count(fired.begin(), fired.end(), "child64"), 0);
+  EXPECT_TRUE(timers.cancel(parent));
+  EXPECT_EQ(timers.active_count(), 128u);
+  for (of::TimerId id : spawned) EXPECT_TRUE(timers.cancel(id));
+  EXPECT_EQ(timers.active_count(), 0u);
+  const std::size_t total = fired.size();
+  loop.run_until(3 * kDay);
+  EXPECT_EQ(fired.size(), total);
+}
+
+TEST_F(TimerFlowsTest, CancelUnknownOrCancelledIdReturnsFalse) {
+  EXPECT_FALSE(timers.cancel(0));
+  EXPECT_FALSE(timers.cancel(12345));
+  of::TimerId a = timers.every(kHour, 0, [] {}, token);
+  of::TimerId b = timers.every(kHour, 0, [] {}, token);
+  EXPECT_EQ(timers.active_count(), 2u);
+  EXPECT_FALSE(timers.cancel(b + 1));
+  EXPECT_TRUE(timers.cancel(a));
+  EXPECT_EQ(timers.active_count(), 1u);
+  EXPECT_FALSE(timers.cancel(a));
+  EXPECT_EQ(timers.active_count(), 1u);
+  loop.run_until(2 * kHour + kSecond);
+  EXPECT_EQ(timers.total_fires(), 3u);  // b only: 0, 1h, 2h
+  EXPECT_TRUE(timers.cancel(b));
+  EXPECT_FALSE(timers.cancel(b));
+  EXPECT_EQ(timers.active_count(), 0u);
+  // Ids are never reused.
+  EXPECT_EQ(timers.every(kHour, loop.now(), [] {}, token), b + 1);
+  EXPECT_EQ(timers.active_count(), 1u);
 }
 
 TEST_F(TimerFlowsTest, TimerRequiresScope) {

@@ -463,6 +463,10 @@ TEST(ShardPartition, RoundReadMatchesValueParse) {
   }
   EXPECT_EQ(tree_read(cases[0]), "aggregated:round12:1500");
   EXPECT_EQ(hub_read(cases[2]), "aggregated:round1:0");
+  // A round number no int64 holds is rejected, not cast.
+  EXPECT_EQ(hub_read("{\"round\":99999999999999999999,\"inputs\":[]}"),
+            std::nullopt);
+  EXPECT_EQ(hub_read("{\"round\":-1e19,\"inputs\":[]}"), std::nullopt);
   // The mutations keep some rounds valid and break others.
   EXPECT_GT(accepted, 30u);
   EXPECT_GT(cases.size() - accepted, 500u);

@@ -37,6 +37,22 @@ TEST(Value, IntegralDoubleCoercesToInt) {
   EXPECT_THROW(ou::Value(3.5).as_int(), ou::InvalidArgument);
 }
 
+TEST(Value, AsIntRejectsDoublesOutsideInt64) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ou::Value(1e19).as_int(), ou::InvalidArgument);
+  EXPECT_THROW(ou::Value(-1e19).as_int(), ou::InvalidArgument);
+  EXPECT_THROW(ou::Value(inf).as_int(), ou::InvalidArgument);
+  EXPECT_THROW(ou::Value(-inf).as_int(), ou::InvalidArgument);
+  // 2^63 is one past INT64_MAX; -2^63 is INT64_MIN itself.
+  EXPECT_THROW(ou::Value(9223372036854775808.0).as_int(),
+               ou::InvalidArgument);
+  EXPECT_EQ(ou::Value(-9223372036854775808.0).as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(
+      ou::Value::parse_json(R"({"round":1e19})").at("round").as_int(),
+      ou::InvalidArgument);
+}
+
 TEST(Value, WrongTypeThrows) {
   ou::Value v("text");
   EXPECT_THROW(v.as_bool(), ou::InvalidArgument);
