@@ -434,9 +434,10 @@ osprey::util::Value MetadataDb::to_json() const {
 }
 
 void MetadataDb::load_snapshot(const osprey::util::Value& json) {
-  std::int64_t format = json.get_or("snapshot_format", std::int64_t{0});
-  OSPREY_REQUIRE(format == 1 || format == 2,
+  OSPREY_REQUIRE(json.get_or("snapshot_format", std::int64_t{0}) == 2,
                  "unsupported metadata snapshot format");
+  const auto uuid_state =
+      static_cast<std::uint64_t>(json.at("uuid_state").as_int());
   // osprey-lint: allow(wal-bypass) — snapshot restore resets state
   objects_.clear();
   runs_.clear();  // osprey-lint: allow(wal-bypass)
@@ -469,10 +470,7 @@ void MetadataDb::load_snapshot(const osprey::util::Value& json) {
     // osprey-lint: allow(wal-bypass) — snapshot restore
     runs_.push_back(std::move(rec));
   }
-  // Format 1 predates uuid-state persistence; restoring its original
-  // default seed reproduces the old (seed-reset) behaviour exactly.
-  uuids_.set_state(static_cast<std::uint64_t>(
-      json.get_or("uuid_state", std::int64_t{0xAE70})));
+  uuids_.set_state(uuid_state);
 }
 
 MetadataDb MetadataDb::from_json(const osprey::util::Value& json) {

@@ -189,7 +189,7 @@ class MetadataDb {
   /// provenance, uuid-generator state) as a JSON-like Value — what a
   /// production AERO server persists across restarts ("reproducible
   /// science" requires the metadata to outlive the process). Written as
-  /// snapshot_format 2; format-1 snapshots (no uuid_state) still load.
+  /// snapshot_format 2, the only format load_snapshot accepts.
   osprey::util::Value to_json() const;
   /// Restore a database from a to_json() snapshot.
   static MetadataDb from_json(const osprey::util::Value& json);

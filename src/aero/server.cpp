@@ -4,6 +4,7 @@
 
 #include "crypto/sha256.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace osprey::aero {
@@ -142,7 +143,7 @@ AeroServer::FlowTrigger AeroServer::new_trigger(
   t.name = spec.name;
   t.retry = spec.retry;
   t.breaker = osprey::util::CircuitBreaker(spec.breaker);
-  t.retry_key = osprey::util::stable_key(spec.name.c_str());
+  t.retry_key = osprey::util::fnv1a(spec.name);
   t.permanent = ingestion ? ingestion_permanent_ : analysis_permanent_;
   t.superseded = ingestion ? superseded_triggers_ : analysis_superseded_;
   for (const std::string& output : outputs) {

@@ -240,10 +240,8 @@ void Wal::on_record(osprey::util::Value&& record) {
   }
   record["lsn"] = Value(static_cast<std::int64_t>(lsn));
   fs_.append(current_segment_, encode_record(record.to_json()));
-  if (options_.sync_each_append) {
-    fs_.sync();
-    fsyncs_.inc();
-  }
+  fs_.sync();
+  fsyncs_.inc();
   ++next_lsn_;
   ++appends_since_checkpoint_;
   appends_.inc();

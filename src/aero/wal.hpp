@@ -18,12 +18,11 @@
 /// first damaged record and keeps the longest valid prefix.
 ///
 /// Protocol: Wal installs itself as the db's WAL hook, so every
-/// mutation's record is framed, appended and (optionally) fsynced
-/// BEFORE the state change applies. When a checkpoint falls due it is
-/// taken at the START of the next append — at that moment the db state
-/// reflects exactly the records already logged — then the segment
-/// rotates so no segment ever holds records newer than a later
-/// checkpoint. The last two checkpoint generations are retained.
+/// mutation's record is framed, appended and fsynced BEFORE the state
+/// change applies. When a checkpoint falls due it is taken at the START
+/// of the next append — at that moment the db state reflects exactly
+/// the records already logged — then the segment rotates so no segment
+/// ever holds records newer than a later checkpoint. The last two checkpoint generations are retained.
 
 #include <cstdint>
 #include <functional>
@@ -41,9 +40,6 @@ struct WalOptions {
   /// Appends between automatic checkpoints; 0 disables (explicit
   /// checkpoint() still works).
   std::uint64_t checkpoint_every = 0;
-  /// Durability barrier after every append (the safe default; benches
-  /// may batch).
-  bool sync_each_append = true;
 };
 
 enum class DecodeStatus { kOk, kTorn, kCorrupt };
@@ -98,7 +94,6 @@ class Wal {
   void checkpoint();
 
   std::uint64_t next_lsn() const { return next_lsn_; }
-  const WalOptions& options() const { return options_; }
 
  private:
   void on_record(osprey::util::Value&& record);

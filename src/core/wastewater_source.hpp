@@ -21,8 +21,6 @@ class WastewaterSource final : public aero::DataSource {
   std::string url() const override;
   const std::shared_ptr<const std::string>& fetch(aero::SimTime now) override;
 
-  const epi::WastewaterGenerator& generator() const { return *gen_; }
-
  private:
   std::shared_ptr<epi::WastewaterGenerator> gen_;
   /// The last fetch's buffer (nullptr before the first publication).

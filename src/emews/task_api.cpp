@@ -40,10 +40,6 @@ std::vector<TaskFuture> TaskQueue::submit_batch(
   return out;
 }
 
-void TaskQueue::wait_all(const std::vector<TaskFuture>& futures) {
-  for (const TaskFuture& f : futures) f.wait();
-}
-
 std::size_t TaskQueue::count_done(const std::vector<TaskFuture>& futures) {
   std::size_t n = 0;
   for (const TaskFuture& f : futures) {

@@ -54,9 +54,6 @@ class TaskQueue {
   std::vector<TaskFuture> submit_batch(
       std::vector<osprey::util::Value> payloads, int priority = 0);
 
-  /// Convenience: block until every future in `futures` is done.
-  static void wait_all(const std::vector<TaskFuture>& futures);
-
   /// Number of futures in `futures` that are done.
   static std::size_t count_done(const std::vector<TaskFuture>& futures);
 

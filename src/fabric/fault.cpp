@@ -3,8 +3,13 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::fabric {
+
+using osprey::util::fnv1a;
+using osprey::util::mix64;
+using osprey::util::unit_double;
 
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
@@ -81,28 +86,6 @@ std::string IncidentLog::to_string() const {
   return out;
 }
 
-namespace {
-
-/// splitmix64 finalizer: the same counter-based primitive the legacy
-/// TransferService injection uses; keeps fabric/ independent of num/.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 FaultPlan::FaultPlan(std::uint64_t seed) : seed_(seed) {
   std::fill(std::begin(kind_rates_), std::end(kind_rates_), 0.0);
 }
@@ -160,8 +143,7 @@ bool FaultPlan::probabilistic_hit(FaultKind kind, const std::string& site,
   std::uint64_t bits =
       mix64(seed_ ^ mix64(static_cast<std::uint64_t>(kind) ^
                           mix64(fnv1a(site) ^ mix64(op_index))));
-  double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  return u < rate;
+  return unit_double(bits) < rate;
 }
 
 bool FaultPlan::should_inject(FaultKind kind, const std::string& component,

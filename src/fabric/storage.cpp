@@ -20,10 +20,6 @@ void StorageEndpoint::create_collection(const std::string& collection,
   collections_.emplace(collection, std::move(col));
 }
 
-bool StorageEndpoint::has_collection(const std::string& collection) const {
-  return collections_.count(collection) > 0;
-}
-
 const StorageEndpoint::Collection& StorageEndpoint::collection_for(
     const std::string& name) const {
   auto it = collections_.find(name);

@@ -39,7 +39,6 @@ class StorageEndpoint {
   /// Create a collection owned by the token's identity.
   void create_collection(const std::string& collection,
                          const std::string& token);
-  bool has_collection(const std::string& collection) const;
 
   /// Grant `identity` access to `collection`; caller must be the owner.
   /// Mirrors "outputs are directly shareable with public health

@@ -55,7 +55,6 @@ class TransferService {
   /// duration exceeds it fails at the deadline instead of hanging the
   /// workflow. 0 disables (the default).
   void set_default_timeout(SimTime timeout);
-  SimTime default_timeout() const { return timeout_; }
 
   using Callback = std::function<void(const TransferRecord&)>;
 

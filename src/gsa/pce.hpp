@@ -30,7 +30,6 @@ class PceModel {
   double predict(const Vector& u) const;
 
   std::size_t num_terms() const { return coefficients_.size(); }
-  const Vector& coefficients() const { return coefficients_; }
 
   /// Analytic Sobol' indices of the expansion: with an orthonormal
   /// basis, Var = sum of squared non-constant coefficients; S1_i sums

@@ -4,16 +4,19 @@
 
 #include "num/special.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::num {
 
 namespace {
 
+using osprey::util::kGoldenGamma;
+using osprey::util::mix64;
+
 std::uint64_t splitmix64(std::uint64_t& x) {
-  std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  const std::uint64_t z = mix64(x);
+  x += kGoldenGamma;
+  return z;
 }
 
 inline std::uint64_t rotl(std::uint64_t x, int k) {
@@ -27,7 +30,7 @@ RngStream::RngStream(std::uint64_t seed, std::uint64_t stream)
   // Mix seed and stream id through splitmix64 to fill the state; a zero
   // state is impossible because splitmix64 output is never all-zero four
   // times in a row for distinct counters.
-  std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
+  std::uint64_t x = seed ^ (kGoldenGamma * (stream + 1));
   for (auto& si : s_) si = splitmix64(x);
 }
 
@@ -53,7 +56,7 @@ std::uint64_t RngStream::next_u64() {
 }
 
 double RngStream::uniform() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  return osprey::util::unit_double(next_u64());
 }
 
 double RngStream::uniform(double lo, double hi) {

@@ -63,11 +63,6 @@ void TraceRecorder::set_shard_label(std::string label) {
   shard_label_ = std::move(label);
 }
 
-std::string TraceRecorder::shard_label() const {
-  osprey::util::MutexLock lock(mutex_);
-  return shard_label_;
-}
-
 void TraceRecorder::end_span(SpanId id, std::uint64_t end_ns, bool ok,
                              const std::string& error) {
   if (id == kNoSpan) return;

@@ -120,7 +120,6 @@ class TraceRecorder {
   /// wiring time, before recording starts: per-shard recorders get the
   /// partition key, so merged exports keep each span attributable.
   void set_shard_label(std::string label);
-  std::string shard_label() const;
 
   /// Open a span at virtual `begin_ns`. `parent` defaults to the
   /// calling thread's current span.

@@ -4,15 +4,6 @@
 
 namespace osprey::serve {
 
-const char* cache_outcome_name(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kHit:        return "hit";
-    case CacheOutcome::kMiss:       return "miss";
-    case CacheOutcome::kRevalidate: return "revalidate";
-  }
-  return "?";
-}
-
 ResultCache::ResultCache(aero::AeroServer& server,
                          obs::MetricsRegistry& metrics)
     : server_(&server) {

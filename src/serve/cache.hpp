@@ -33,8 +33,6 @@ namespace osprey::serve {
 
 enum class CacheOutcome { kHit, kMiss, kRevalidate };
 
-const char* cache_outcome_name(CacheOutcome outcome);
-
 class ResultCache {
  public:
   /// Registers an update listener on `server` for invalidation; the
@@ -91,7 +89,6 @@ class ResultCache {
   /// crash-recovery path: the restarted partition re-qualifies every
   /// subsequently served version).
   void rebind(aero::AeroServer& server, std::string shard);
-  bool attached() const { return server_ != nullptr; }
 
   std::size_t size() const { return entries_.size(); }
   std::uint64_t hits() const { return hits_->value(); }

@@ -4,25 +4,12 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::serve {
 
-namespace {
-
-/// splitmix64 finalizer — the repo's standard counter-based generator
-/// (same construction as util::RetryPolicy jitter and num:: streams).
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-double uniform01(std::uint64_t bits) {
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
+using osprey::util::mix64;
+using osprey::util::unit_double;
 
 ZipfTrace::ZipfTrace(std::size_t num_items, double exponent,
                      std::uint64_t seed)
@@ -48,7 +35,7 @@ ZipfTrace::ZipfTrace(std::size_t num_items, double exponent,
 }
 
 std::size_t ZipfTrace::item(std::uint64_t request_index) const {
-  return rank(uniform01(mix64(seed_ ^ mix64(request_index))));
+  return rank(unit_double(mix64(seed_ ^ mix64(request_index))));
 }
 
 std::size_t ZipfTrace::rank(double u) const {

@@ -29,7 +29,6 @@ struct FeedSpec {
   /// (publish time, payload) — sorted ascending by time.
   std::vector<std::pair<SimTime, std::string>> timeline;
   SimTime poll_period = osprey::util::kDay;
-  int max_retries = 0;
 };
 
 /// A campaign: feeds + optional ALL-member aggregation.

@@ -57,20 +57,6 @@ void ShardedFabric::register_campaign(const CampaignSpec& spec) {
   for (const std::string& key : keys) create_partition(key);
 }
 
-ShardedFabric::RecoverySummary ShardedFabric::enable_durability(
-    osprey::util::DurableFs& fs, const std::string& base_dir) {
-  RecoverySummary summary;
-  for (auto& partition : partitions_) {
-    aero::RecoveryStats stats = partition->enable_durability(fs, base_dir);
-    ++summary.partitions;
-    if (stats.checkpoint_loaded) ++summary.checkpoints_loaded;
-    summary.replayed += stats.replayed;
-    summary.torn += stats.torn;
-    summary.corrupt += stats.corrupt;
-  }
-  return summary;
-}
-
 void ShardedFabric::run_until(SimTime t) {
   OSPREY_REQUIRE(t >= now_, "run_until must not go backwards");
   while (now_ < t) {

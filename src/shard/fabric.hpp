@@ -34,7 +34,6 @@
 #include "shard/coordinator.hpp"
 #include "shard/mailbox.hpp"
 #include "shard/partition.hpp"
-#include "util/durable_fs.hpp"
 #include "util/thread_pool.hpp"
 #include "util/value.hpp"
 
@@ -65,19 +64,6 @@ class ShardedFabric {
   /// campaign's aggregation hub, and hand the spec to the coordinator
   /// (whose registration envelopes land at the next epoch boundary).
   void register_campaign(const CampaignSpec& spec);
-
-  /// Per-partition durable metadata under `<base_dir>/<key>`; recovery
-  /// replays each partition's own WAL segment directory. Call after
-  /// register_campaign and before run_until.
-  struct RecoverySummary {
-    std::size_t partitions = 0;
-    std::size_t checkpoints_loaded = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t torn = 0;
-    std::uint64_t corrupt = 0;
-  };
-  RecoverySummary enable_durability(osprey::util::DurableFs& fs,
-                                    const std::string& base_dir);
 
   /// Advance every partition in epoch lockstep to virtual time `t`.
   void run_until(SimTime t);

@@ -5,30 +5,12 @@
 #include <tuple>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::shard {
 
-namespace {
-
-/// splitmix64 finalizer (same counter-stamp primitive the fault plan
-/// uses; file-local so shard/ carries no extra dependency for it).
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
+using osprey::util::fnv1a;
+using osprey::util::mix64;
 
 std::string_view topic(const Envelope& env) {
   // In Body's alternative order.

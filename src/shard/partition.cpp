@@ -6,6 +6,7 @@
 
 #include "aero/source.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/value.hpp"
 
 namespace osprey::shard {
@@ -45,19 +46,11 @@ constexpr SimTime kTransformCost = 30 * osprey::util::kSecond;
 constexpr SimTime kAnalysisCost = osprey::util::kMinute;
 constexpr SimTime kAggregateCost = osprey::util::kMinute;
 
-/// splitmix64 finalizer (file-local copy, repo idiom).
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Partition-stable uuid seed: a function of the key only, so the uuid
 /// stream is invariant under the shard count AND across crash-recovery
 /// restarts (WAL replay re-draws uuids in lockstep from this seed).
 std::uint64_t partition_uuid_seed(const std::string& key) {
-  return mix64(0xAE70 ^ stable_key_hash(key));
+  return osprey::util::mix64(0xAE70 ^ stable_key_hash(key));
 }
 
 Value transform_fn_impl(const Value& args) {
@@ -187,7 +180,6 @@ void ShardPartition::add_feed(const FeedSpec& spec) {
   ing.poll_period = spec.poll_period;
   place(ing, transform_fn_);
   ing.base_path = "feed/" + spec.name;
-  ing.retry.max_attempts = spec.max_retries;
   aero::IngestionHandles handles =
       platform_.aero().register_ingestion(std::move(ing));
 
@@ -198,7 +190,6 @@ void ShardPartition::add_feed(const FeedSpec& spec) {
   place(ana, analysis_fn_);
   ana.base_path = "analysis/" + spec.name;
   ana.output_names = {"out"};
-  ana.retry.max_attempts = spec.max_retries;
   std::string analysis_uuid =
       platform_.aero().register_analysis(std::move(ana))[0];
 

@@ -86,10 +86,12 @@ class ShardPartition {
   const fabric::FaultPlan* chaos() const { return chaos_.get(); }
 
   /// Durable metadata under `<base_dir>/<key>` — each partition owns a
-  /// disjoint WAL segment directory (PR 9 layout), so recovery is
-  /// per-partition and embarrassingly parallel. Must precede the first
-  /// epoch (registration envelopes are applied idempotently on top of
-  /// the recovered state).
+  /// disjoint WAL segment directory, so recovery is per-partition and
+  /// embarrassingly parallel. This is the only way to make a sharded run
+  /// durable: give every partition its own `fs`, since a DurableFs is
+  /// not synchronised and any worker thread may run any partition. Must
+  /// precede the first epoch (registration envelopes are applied
+  /// idempotently on top of the recovered state).
   aero::RecoveryStats enable_durability(osprey::util::DurableFs& fs,
                                         const std::string& base_dir);
 

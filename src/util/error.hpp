@@ -32,12 +32,6 @@ class AuthError : public Error {
   explicit AuthError(const std::string& what) : Error(what) {}
 };
 
-/// Data failed an integrity check (checksum mismatch, malformed payload).
-class IntegrityError : public Error {
- public:
-  explicit IntegrityError(const std::string& what) : Error(what) {}
-};
-
 /// A numerical routine failed to converge or met a singular system.
 class NumericalError : public Error {
  public:

@@ -5,25 +5,9 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::util {
-
-namespace {
-
-/// splitmix64 finalizer: counter-based, stateless, replayable. Kept
-/// local so util/ stays independent of num/'s RNG streams.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-double uniform01(std::uint64_t bits) {
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 SimTime RetryPolicy::cap() const {
   if (max_backoff > 0) return max_backoff;
@@ -60,21 +44,11 @@ SimTime RetryPolicy::jittered(int attempt, std::uint64_t key) const {
       mix64(seed ^ mix64(key ^ mix64(static_cast<std::uint64_t>(attempt))));
   // Factor in [1 - jitter, 1 + jitter]. Saturate like backoff(): a base
   // at the SimTime ceiling times an upward jitter must not overflow.
-  double factor = 1.0 + jitter * (2.0 * uniform01(bits) - 1.0);
+  double factor = 1.0 + jitter * (2.0 * unit_double(bits) - 1.0);
   double scaled = static_cast<double>(base) * factor;
   constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
   if (!(scaled < static_cast<double>(kMax))) return kMax;
   return std::max<SimTime>(1, static_cast<SimTime>(std::llround(scaled)));
-}
-
-std::uint64_t stable_key(const char* s) {
-  // FNV-1a: stable across runs and platforms, unlike std::hash.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (; *s != '\0'; ++s) {
-    h ^= static_cast<unsigned char>(*s);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 const char* breaker_state_name(BreakerState s) {

@@ -59,9 +59,6 @@ struct RetryPolicy {
   SimTime jittered(int attempt, std::uint64_t key = 0) const;
 };
 
-/// Stable 64-bit hash for strings, for RetryPolicy::jittered keys.
-std::uint64_t stable_key(const char* s);
-
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 const char* breaker_state_name(BreakerState s);

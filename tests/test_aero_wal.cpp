@@ -373,24 +373,18 @@ TEST(MetadataSnapshot, InFlightRunSentinelRoundTrips) {
   EXPECT_EQ(restored.run(0).started, 42);
 }
 
-TEST(MetadataSnapshot, FormatOneSnapshotStillLoads) {
-  oa::MetadataDb db;
-  db.register_object("legacy", "flow");
-  ou::Value snapshot = db.to_json();
-  snapshot.as_object()["snapshot_format"] = ou::Value(std::int64_t{1});
-  snapshot.as_object().erase("uuid_state");
-  oa::MetadataDb restored = oa::MetadataDb::from_json(snapshot);
-  EXPECT_EQ(restored.object_uuids().size(), 1u);
-  // Format 1 never persisted generator state; the default seed is
-  // restored, reproducing the old behaviour.
-  EXPECT_EQ(restored.uuid_state(), oa::MetadataDb().uuid_state());
-}
-
 TEST(MetadataSnapshot, UnknownFormatThrows) {
   oa::MetadataDb db;
-  ou::Value snapshot = db.to_json();
-  snapshot.as_object()["snapshot_format"] = ou::Value(std::int64_t{99});
-  EXPECT_THROW(oa::MetadataDb::from_json(snapshot), ou::InvalidArgument);
+  db.register_object("legacy", "flow");
+  // Format 2 is the only snapshot format: format 1 (no uuid_state) is
+  // rejected like any unknown one.
+  for (std::int64_t format : {std::int64_t{1}, std::int64_t{99}}) {
+    ou::Value snapshot = db.to_json();
+    snapshot.as_object()["snapshot_format"] = ou::Value(format);
+    if (format == 1) snapshot.as_object().erase("uuid_state");
+    EXPECT_THROW(oa::MetadataDb::from_json(snapshot), ou::InvalidArgument)
+        << "format " << format;
+  }
 }
 
 // --- operation-record bytes -------------------------------------------

@@ -120,6 +120,28 @@ TEST(LintAnalyzer, RngRuleAndAllowCoverage) {
   EXPECT_EQ(found[0].line, 1u);
 }
 
+TEST(LintAnalyzer, RngRuleFlagsHashConstantOutsideHashHeader) {
+  ol::Analyzer a(test_layers());
+  // The one seeded-hash primitive may spell the constant; a copy may not,
+  // in any spelling of the literal.
+  a.add_file("src/util/hash.hpp",
+             "constexpr unsigned long long k = 0x9e3779b97f4a7c15ULL;\n");
+  a.add_file("tests/test_oracle.cpp",  // an independent test oracle
+             "unsigned long long k = 0x9e3779b97f4a7c15ULL;\n");
+  a.add_file("src/serve/copy.cpp",
+             "// 0x9e3779b97f4a7c15 in a comment is fine\n"
+             "unsigned long long mix(unsigned long long z) {\n"
+             "  return z + 0x9E3779B97F4A7C15ull;\n"
+             "}\n"
+             "unsigned long long k = 0x9e37'79b9'7f4a'7c15;\n"
+             "unsigned long long other = 0x9e3779b97f4a7c16ULL;\n");
+  std::vector<ol::Finding> found = run_rule(a, "rng");
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0].file, "src/serve/copy.cpp");
+  EXPECT_EQ(found[0].line, 3u);
+  EXPECT_EQ(found[1].line, 5u);
+}
+
 TEST(LintAnalyzer, AdhocCounterInFabric) {
   ol::Analyzer a(test_layers());
   a.add_file("src/fabric/svc.hpp",

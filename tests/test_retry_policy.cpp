@@ -182,12 +182,6 @@ TEST(RetryPolicy, CapSaturatesNearTheSimTimeCeiling) {
   EXPECT_EQ(policy.backoff(64), kMax);
 }
 
-TEST(RetryPolicy, StableKeyIsStable) {
-  EXPECT_EQ(ou::stable_key("ingest-plant-a"), ou::stable_key("ingest-plant-a"));
-  EXPECT_NE(ou::stable_key("ingest-plant-a"), ou::stable_key("ingest-plant-b"));
-  EXPECT_NE(ou::stable_key(""), ou::stable_key("x"));
-}
-
 // ---------------------------------------------------------------------------
 // CircuitBreaker: full state-machine coverage, driven by the EventLoop's
 // virtual clock.

@@ -13,6 +13,7 @@
 #include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -622,35 +623,86 @@ TEST(ShardFabric, ChaosForksIndependentPerPartitionPlans) {
   EXPECT_NE(log.find("transfer-drop"), std::string::npos);
 }
 
-TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
-  ou::MemFs fs;
-  sh::CampaignSpec campaign = small_campaign(2, 28);
+namespace {
+
+/// One MemFs per partition key: the "disks" that outlive a whole-fabric
+/// crash. A DurableFs is not synchronised and any worker thread may run
+/// any partition, so partitions never share one.
+using PartitionDisks = std::map<std::string, std::unique_ptr<ou::MemFs>>;
+
+/// Give every partition durable metadata under "wal/<key>" on its own
+/// disk (made on first use) and sum the partitions' recovery stats.
+osprey::aero::RecoveryStats enable_partition_durability(
+    sh::ShardedFabric& fabric, PartitionDisks& disks) {
+  osprey::aero::RecoveryStats total;
+  for (const std::string& key : fabric.partition_keys()) {
+    std::unique_ptr<ou::MemFs>& disk = disks[key];
+    if (!disk) disk = std::make_unique<ou::MemFs>();
+    osprey::aero::RecoveryStats stats =
+        fabric.partition(key).enable_durability(*disk, "wal");
+    total.replayed += stats.replayed;
+    total.torn += stats.torn;
+    total.corrupt += stats.corrupt;
+  }
+  return total;
+}
+
+/// The canonical artifacts of a durable run, before and after the crash,
+/// and every byte its partitions left on their disks.
+struct DurableRunArtifacts {
+  std::string prometheus_before_crash;
+  std::string incidents_before_crash;
+  std::string prometheus;
+  std::string incidents;
+  std::map<std::string, std::string> disk_bytes;  // "<key>:<path>" -> bytes
+};
+
+/// Run a 2-feed campaign with chaos on to day 14, crash the whole fabric,
+/// recover every partition from its own disk and run on to day 28.
+DurableRunArtifacts run_durable_campaign(std::size_t shards) {
+  const sh::CampaignSpec campaign = small_campaign(2, 28);
+  osprey::fabric::FaultPlan master(0xC0);
+  master.set_rate(osprey::fabric::FaultKind::kTransferDrop, 0.08);
+  sh::ShardedFabricConfig config;
+  config.num_shards = shards;
+  DurableRunArtifacts artifacts;
+  PartitionDisks disks;
   std::string analysis_uuid_run1;
   std::string qualified;
   {
-    sh::ShardedFabric fabric;
+    sh::ShardedFabric fabric(config);
+    fabric.set_chaos(master);
     fabric.register_campaign(campaign);
-    auto summary = fabric.enable_durability(fs, "wal");
-    EXPECT_EQ(summary.partitions, 3u);
-    EXPECT_EQ(summary.replayed, 0u);  // cold start
+    osprey::aero::RecoveryStats recovery =
+        enable_partition_durability(fabric, disks);
+    EXPECT_EQ(disks.size(), 3u);
+    EXPECT_EQ(recovery.replayed, 0u);  // cold start
     fabric.run_until(14 * kDay);
-    ASSERT_FALSE(fabric.partition("iwss-feed0").feeds().empty());
+    EXPECT_FALSE(fabric.partition("iwss-feed0").feeds().empty());
+    if (fabric.partition("iwss-feed0").feeds().empty()) return artifacts;
     analysis_uuid_run1 = fabric.partition("iwss-feed0").feeds()[0].analysis_uuid;
     qualified = "iwss-feed0/" + analysis_uuid_run1;
     EXPECT_TRUE(fabric.lookup(qualified).estimate.version.has_value());
+    artifacts.prometheus_before_crash = fabric.merged_prometheus();
+    artifacts.incidents_before_crash = fabric.merged_incident_log();
   }  // whole-fabric crash: every partition's volatile state is gone
 
-  // Each partition owned a disjoint WAL segment directory.
-  EXPECT_FALSE(fs.list("wal/iwss-feed0/").empty());
-  EXPECT_FALSE(fs.list("wal/iwss-feed1/").empty());
-  EXPECT_FALSE(fs.list("wal/iwss-hub/").empty());
+  // Each partition owned a disjoint WAL segment directory on its disk.
+  for (const auto& [key, disk] : disks) {
+    EXPECT_FALSE(disk->list("wal/" + key + "/").empty()) << key;
+    EXPECT_EQ(disk->list("wal/").size(), disk->file_count()) << key;
+    EXPECT_EQ(disk->list("wal/" + key + "/").size(), disk->file_count())
+        << key;
+  }
 
-  sh::ShardedFabric fabric2;
+  sh::ShardedFabric fabric2(config);
+  fabric2.set_chaos(master);
   fabric2.register_campaign(campaign);
-  auto summary = fabric2.enable_durability(fs, "wal");
-  EXPECT_EQ(summary.partitions, 3u);
-  EXPECT_GT(summary.replayed, 0u);
-  EXPECT_EQ(summary.corrupt, 0u);
+  osprey::aero::RecoveryStats recovery =
+      enable_partition_durability(fabric2, disks);
+  EXPECT_EQ(disks.size(), 3u);
+  EXPECT_GT(recovery.replayed, 0u);
+  EXPECT_EQ(recovery.corrupt, 0u);
 
   // The partition-stable uuid seed means recovery reproduces the same
   // uuid stream: the pre-crash analysis uuid resolves straight from the
@@ -661,10 +713,44 @@ TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
 
   // And the workflow continues past the crash point under the same ids.
   fabric2.run_until(28 * kDay);
-  ASSERT_FALSE(fabric2.partition("iwss-feed0").feeds().empty());
-  EXPECT_EQ(fabric2.partition("iwss-feed0").feeds()[0].analysis_uuid,
-            analysis_uuid_run1);
+  EXPECT_FALSE(fabric2.partition("iwss-feed0").feeds().empty());
+  if (!fabric2.partition("iwss-feed0").feeds().empty()) {
+    EXPECT_EQ(fabric2.partition("iwss-feed0").feeds()[0].analysis_uuid,
+              analysis_uuid_run1);
+  }
   EXPECT_GT(fabric2.coordinator().rounds_dispatched("iwss"), 0u);
+  artifacts.prometheus = fabric2.merged_prometheus();
+  artifacts.incidents = fabric2.merged_incident_log();
+  for (const auto& [key, disk] : disks) {
+    for (const std::string& path : disk->list("")) {
+      artifacts.disk_bytes[key + ":" + path] = disk->read(path).value_or("");
+    }
+  }
+  return artifacts;
+}
+
+}  // namespace
+
+TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
+  // One disk per partition at every shard count; a partition's WAL, and
+  // so every merged artifact, is a function of the partition alone.
+  std::optional<DurableRunArtifacts> reference;
+  for (std::size_t shards : {1u, 2u, 8u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    DurableRunArtifacts run = run_durable_campaign(shards);
+    EXPECT_NE(run.incidents.find("transfer-drop"), std::string::npos);
+    EXPECT_NE(run.prometheus.find("aero_wal_appends_total"),
+              std::string::npos);
+    if (!reference) {
+      reference = std::move(run);
+      continue;
+    }
+    EXPECT_EQ(run.prometheus_before_crash, reference->prometheus_before_crash);
+    EXPECT_EQ(run.incidents_before_crash, reference->incidents_before_crash);
+    EXPECT_EQ(run.prometheus, reference->prometheus);
+    EXPECT_EQ(run.incidents, reference->incidents);
+    EXPECT_EQ(run.disk_bytes, reference->disk_bytes);
+  }
 }
 
 namespace {

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/sim_time.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -36,6 +37,30 @@ TEST(StringUtil, StartsWith) {
 TEST(StringUtil, Format) {
   EXPECT_EQ(ou::format("%d-%s-%.2f", 3, "x", 1.5), "3-x-1.50");
   EXPECT_EQ(ou::format("%s", ""), "");
+}
+
+// The seeded hashes are part of every replayable artifact: pin their bits
+// (splitmix64's first two outputs from seed 0; FNV-1a's offset basis and
+// its value for "a").
+static_assert(ou::mix64(0) == 0xe220a8397b1dcdafULL);
+static_assert(ou::mix64(ou::kGoldenGamma) == 0x6e789e6aa1b965f4ULL);
+static_assert(ou::fnv1a("") == 0xcbf29ce484222325ULL);
+static_assert(ou::fnv1a("a") == 0xaf63dc4c8601ec8cULL);
+static_assert(ou::unit_double(0) == 0.0);
+static_assert(ou::unit_double(~std::uint64_t{0}) == 1.0 - 0x1.0p-53);
+
+TEST(Hash, Fnv1aIsStableAndKeyed) {
+  EXPECT_EQ(ou::fnv1a("ingest-plant-a"), ou::fnv1a("ingest-plant-a"));
+  EXPECT_NE(ou::fnv1a("ingest-plant-a"), ou::fnv1a("ingest-plant-b"));
+  EXPECT_NE(ou::fnv1a(""), ou::fnv1a("x"));
+  // Bytes, not chars: a high-bit byte hashes as unsigned.
+  EXPECT_EQ(ou::fnv1a("\xff"),
+            (0xcbf29ce484222325ULL ^ 0xffULL) * 0x100000001b3ULL);
+}
+
+TEST(Hash, UnitDoubleKeepsTheTop53Bits) {
+  EXPECT_EQ(ou::unit_double(std::uint64_t{1} << 63), 0.5);
+  EXPECT_EQ(ou::unit_double((std::uint64_t{1} << 11) - 1), 0.0);
 }
 
 TEST(Uuid, CanonicalShape) {

@@ -29,6 +29,22 @@ bool is_punct(const Token& t, const char* text) {
 bool rng_applies(const std::string& p) {
   return !starts_with(p, "src/num/rng.");
 }
+// The splitmix64 constant belongs to the one seeded-hash primitive.
+bool golden_gamma_applies(const std::string& p) {
+  return starts_with(p, "src/") && p != "src/util/hash.hpp";
+}
+bool is_golden_gamma(const std::string& number) {
+  std::string digits;
+  for (char c : number) {
+    if (c != '\'') {
+      digits += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  while (!digits.empty() && (digits.back() == 'u' || digits.back() == 'l')) {
+    digits.pop_back();
+  }
+  return digits == "0x9e3779b97f4a7c15";
+}
 bool wall_clock_applies(const std::string& p) {
   return starts_with(p, "src/fabric/") || starts_with(p, "src/emews/") ||
          starts_with(p, "src/aero/") || starts_with(p, "src/serve/") ||
@@ -117,7 +133,8 @@ const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> kRules = {
       {"rng",
        "std::rand/srand/random_device outside src/num/rng — all randomness "
-       "flows through the deterministic num::RngStream"},
+       "flows through the deterministic num::RngStream; and the splitmix64 "
+       "constant outside src/util/hash.hpp — seeded hashes use its mix64"},
       {"wall-clock",
        "chrono clocks / time() in a simulated layer (fabric, emews, aero, "
        "serve) — use virtual time or the injected util::Clock"},
@@ -227,6 +244,7 @@ void Analyzer::token_rules(const std::string& path, const Entry& e,
   }
 
   const bool rng_on = rng_applies(path);
+  const bool golden_on = golden_gamma_applies(path);
   const bool clock_on = wall_clock_applies(path);
   const bool thread_on = raw_thread_applies(path);
   const bool fabric_on = fabric_applies(path);
@@ -249,6 +267,11 @@ void Analyzer::token_rules(const std::string& path, const Entry& e,
 
   for (std::size_t j = 0; j < toks.size(); ++j) {
     const Token& t = toks[j];
+    if (golden_on && t.kind == Tok::kNumber && is_golden_gamma(t.text)) {
+      report("rng", t.line,
+             "splitmix64 constant outside src/util/hash.hpp; use "
+             "util::mix64 or util::kGoldenGamma");
+    }
     if (!is_ident(t)) continue;
     const std::string& s = t.text;
     const bool call_next = j + 1 < toks.size() && is_punct(toks[j + 1], "(");
