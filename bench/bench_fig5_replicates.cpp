@@ -56,11 +56,14 @@ int main() {
       }
       panel.add_row(std::move(line));
     }
-    std::vector<std::string> line{std::to_string(rows.back().n)};
-    for (const auto& rep : result.replicates) {
-      line.push_back(util::TextTable::num(rep.trajectory.back().s1[j], 3));
+    // The stride above already printed the last row when it lands on it.
+    if ((rows.size() - 1) % 25 != 0) {
+      std::vector<std::string> line{std::to_string(rows.back().n)};
+      for (const auto& rep : result.replicates) {
+        line.push_back(util::TextTable::num(rep.trajectory.back().s1[j], 3));
+      }
+      panel.add_row(std::move(line));
     }
-    panel.add_row(std::move(line));
     std::printf("Panel: %s\n%s\n", ranges[j].name.c_str(),
                 panel.render().c_str());
   }

@@ -122,35 +122,53 @@ namespace {
 
 /// A GP conditioned on an n-point 5-D LHS with fixed hyperparameters —
 /// the shared starting state of the add_point scaling cases.
-osprey::gp::GaussianProcess prefit_gp(std::size_t n, bool incremental) {
-  num::RngStream rng(1);
-  num::Matrix x = num::latin_hypercube(n, 5, rng);
-  num::Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = x(i, 0) + std::sin(3.0 * x(i, 1)) + 0.1 * rng.normal();
-  }
+osprey::gp::GaussianProcess prefit_gp(const num::Matrix& x,
+                                      const num::Vector& y) {
   gp::GpConfig cfg;
   cfg.mle_restarts = 0;
   cfg.mle_max_iterations = 40;
-  cfg.incremental = incremental;
-  cfg.reopt_every = 0;  // isolate the conditioning cost per added point
   gp::GaussianProcess gp(cfg);
   gp.fit(x, y);
   return gp;
 }
 
-void run_gp_add_point(benchmark::State& state, bool incremental) {
+num::Matrix prefit_design(std::size_t n, num::Vector& y) {
+  num::RngStream rng(1);
+  num::Matrix x = num::latin_hypercube(n, 5, rng);
+  y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = x(i, 0) + std::sin(3.0 * x(i, 1)) + 0.1 * rng.normal();
+  }
+  return x;
+}
+
+/// Appends kAdds points one at a time, each through add_point (rank-1)
+/// or through update_data on the grown set (full re-factorization).
+void run_gp_add_point(benchmark::State& state, bool full_refit) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kAdds = 16;
-  gp::GaussianProcess base = prefit_gp(n, incremental);
+  num::Vector y0;
+  num::Matrix x0 = prefit_design(n, y0);
+  gp::GaussianProcess base = prefit_gp(x0, y0);
   num::RngStream rng(2);
   num::Matrix extra = num::latin_hypercube(kAdds, 5, rng);
   for (auto _ : state) {
     state.PauseTiming();
     gp::GaussianProcess gp = base;
+    num::Matrix x = x0;
+    num::Vector y = y0;
     state.ResumeTiming();
     for (std::size_t i = 0; i < kAdds; ++i) {
-      gp.add_point(extra.row(i), extra(i, 0));
+      if (!full_refit) {
+        gp.add_point(extra.row(i), extra(i, 0));
+        continue;
+      }
+      num::Matrix grown(x.rows() + 1, x.cols());
+      for (std::size_t r = 0; r < x.rows(); ++r) grown.set_row(r, x.row(r));
+      grown.set_row(x.rows(), extra.row(i));
+      x = std::move(grown);
+      y.push_back(extra(i, 0));
+      gp.update_data(x, y);
     }
     benchmark::DoNotOptimize(gp.predict({0.5, 0.5, 0.5, 0.5, 0.5}).mean);
   }
@@ -162,27 +180,30 @@ void run_gp_add_point(benchmark::State& state, bool incremental) {
 
 /// The MUSIC acquisition hot path: one design point appended per step.
 /// Incremental = rank-1 Cholesky extension (O(n^2)); FullRefit = the
-/// seed behavior (rebuild + refactorize, O(n^3) per point).
+/// seed behavior (rebuild + refactorize via update_data, O(n^3) per
+/// point).
 static void BM_GpAddPointIncremental(benchmark::State& state) {
-  run_gp_add_point(state, true);
+  run_gp_add_point(state, false);
 }
 BENCHMARK(BM_GpAddPointIncremental)->Arg(50)->Arg(100)->Arg(200);
 
 static void BM_GpAddPointFullRefit(benchmark::State& state) {
-  run_gp_add_point(state, false);
+  run_gp_add_point(state, true);
 }
 BENCHMARK(BM_GpAddPointFullRefit)->Arg(50)->Arg(100)->Arg(200);
 
 static void BM_GpLeaveOneOut(benchmark::State& state) {
-  gp::GaussianProcess gp =
-      prefit_gp(static_cast<std::size_t>(state.range(0)), true);
+  num::Vector y;
+  num::Matrix x = prefit_design(static_cast<std::size_t>(state.range(0)), y);
+  gp::GaussianProcess gp = prefit_gp(x, y);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gp.leave_one_out().rmse);
   }
 }
 BENCHMARK(BM_GpLeaveOneOut)->Arg(100)->Arg(200);
 
-/// Args: {n training points, parallel batch prediction on/off}.
+/// Arg: n training points. 1024 rows always take the pooled path; run
+/// with OSPREY_THREADS=1 for the serial comparison.
 static void BM_GpPredictMean(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   num::RngStream rng(1);
@@ -192,7 +213,6 @@ static void BM_GpPredictMean(benchmark::State& state) {
   gp::GpConfig cfg;
   cfg.mle_restarts = 0;
   cfg.mle_max_iterations = 40;
-  cfg.parallel = state.range(1) != 0;
   gp::GaussianProcess gp(cfg);
   gp.fit(x, y);
   num::Matrix queries = num::latin_hypercube(1024, 5, rng);
@@ -201,11 +221,7 @@ static void BM_GpPredictMean(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_GpPredictMean)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({200, 0})
-    ->Args({200, 1});
+BENCHMARK(BM_GpPredictMean)->Arg(100)->Arg(200);
 
 static void BM_SaltelliOnCheapModel(benchmark::State& state) {
   auto ranges = std::vector<num::ParamRange>{

@@ -5,6 +5,9 @@
 # shard seed sweep (ShardReplayTest, seeds 0-15, 1-shard run) on both
 # sides with OSPREY_ARTIFACT_DIR set, and diffs the artifacts: for each
 # seed the incident log, Chrome trace, metrics JSON and Prometheus text.
+# The GSA side adds the `%.17g` trajectories of MusicCoop's sync/async
+# run and of the pinned MUSIC and calibrator runs (test_gsa_music,
+# test_calibrate_catalog).
 # It then builds osprey_bench (bench/osprey_bench/CMakeLists.txt) for
 # both sides under build-parity/<sha>/, runs every BENCHMARK.json
 # workload once with --smoke --seed 1 and diffs the reports' `work`
@@ -18,8 +21,10 @@
 #   `diff build-parity/<sha>/artifacts/{ref,head}/X`, and the reports in
 #   build-parity/<sha>/work/{ref,head}/<workload>.json.
 #   The ref's seed tests must write artifacts (tests/artifact_dump.hpp);
-#   older refs produce none and every file is reported as head-only. A
-#   ref without bench/osprey_bench skips the work-map check.
+#   older refs produce none and every file is reported as head-only.
+#   The GSA trajectory files first appear with the change that adds
+#   them, so against its parent they show as head-only once. A ref
+#   without bench/osprey_bench skips the work-map check.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,7 +38,8 @@ sha="$(git rev-parse --verify --quiet "$1^{commit}")" || {
 }
 JOBS="$(nproc 2>/dev/null || echo 4)"
 root="build-parity/$sha"
-targets=(--target test_chaos_fabric test_shard_replay)
+targets=(--target test_chaos_fabric test_shard_replay test_gsa_music
+         test_calibrate_catalog)
 
 # A plain export leaves no worktree registration behind in .git.
 if [[ ! -f "$root/src/CMakeLists.txt" ]]; then
@@ -59,7 +65,12 @@ sweep() {  # sweep <build dir> <artifact dir> <log>
   OSPREY_ARTIFACT_DIR="$out" "$bin/test_chaos_fabric" \
       --gtest_filter='Seeds/ChaosSeedTest.*' >"$log" 2>&1 &&
   OSPREY_ARTIFACT_DIR="$out" "$bin/test_shard_replay" \
-      --gtest_filter='Seeds/ShardReplayTest.*' >>"$log" 2>&1
+      --gtest_filter='Seeds/ShardReplayTest.*' >>"$log" 2>&1 &&
+  OSPREY_ARTIFACT_DIR="$out" "$bin/test_gsa_music" \
+      --gtest_filter='MusicCoop.MatchesSynchronousRun:MusicPinned.*' \
+      >>"$log" 2>&1 &&
+  OSPREY_ARTIFACT_DIR="$out" "$bin/test_calibrate_catalog" \
+      --gtest_filter='CalibratorPinned.*' >>"$log" 2>&1
 }
 
 echo "== seed sweeps (both sides in parallel) =="

@@ -40,7 +40,6 @@ class MusicCoop final : public osprey::emews::CoopAlgorithm {
   osprey::emews::PollResult poll() override;
 
   bool finished() const { return finished_; }
-  const MusicEngine& engine() const { return engine_; }
   MusicResult result() const { return engine_.result(); }
   std::uint64_t replicate() const { return replicate_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "num/optim.hpp"
 #include "num/stats.hpp"
@@ -58,16 +57,7 @@ void GaussianProcess::add_point(const Vector& x, double y) {
   x_ = std::move(x2);
   y_.push_back(y);
   restandardize();
-  ++points_since_reopt_;
 
-  if (config_.reopt_every > 0 && points_since_reopt_ >= config_.reopt_every) {
-    reoptimize();
-    return;
-  }
-  if (!config_.incremental) {
-    condition();
-    return;
-  }
   // Rank-1 path: the kernel matrix of the first n points is unchanged
   // (hyperparameters are fixed here), so only the new row/column enters
   // the factor — O(n^2) instead of the O(n^3) re-factorization. The
@@ -142,9 +132,7 @@ void GaussianProcess::reoptimize() {
   // nlml() only reads const state, so the multistarts are safe to fan
   // out; the result is bit-identical to the serial path.
   osprey::util::ThreadPool* pool =
-      (config_.parallel && config_.mle_restarts > 0)
-          ? &osprey::util::global_pool()
-          : nullptr;
+      config_.mle_restarts > 0 ? &osprey::util::global_pool() : nullptr;
   osprey::num::OptimResult best = osprey::num::multistart_minimize(
       [this](const Vector& p) { return nlml(p); }, x0, config_.mle_restarts,
       1.5, rng, options, pool);
@@ -154,7 +142,6 @@ void GaussianProcess::reoptimize() {
   }
   kernel_.variance = std::exp(best.x[d]);
   nugget_ = std::exp(best.x[d + 1]);
-  points_since_reopt_ = 0;
   condition();
 }
 
@@ -209,8 +196,7 @@ Vector GaussianProcess::predict_mean(const Matrix& xstar) const {
   // Rows are independent and each writes its own slot, so the fan-out
   // is bit-identical to the serial loop. Only batches with real work
   // (rows x training points) go to the pool.
-  if (config_.parallel && xstar.rows() >= 32 &&
-      xstar.rows() * x_.rows() >= 16384) {
+  if (xstar.rows() >= 32 && xstar.rows() * x_.rows() >= 16384) {
     osprey::util::global_pool().parallel_for(xstar.rows(), predict_row);
   } else {
     for (std::size_t p = 0; p < xstar.rows(); ++p) predict_row(p);
@@ -249,24 +235,6 @@ GaussianProcess::LooDiagnostics GaussianProcess::leave_one_out() const {
   out.rmse = std::sqrt(acc / static_cast<double>(n));
   out.coverage95 = static_cast<double>(inside) / static_cast<double>(n);
   return out;
-}
-
-double GaussianProcess::nearest_response(const Vector& xstar) const {
-  OSPREY_REQUIRE(fitted(), "nearest_response before fit");
-  std::size_t best = 0;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < x_.rows(); ++i) {
-    double q = 0.0;
-    for (std::size_t j = 0; j < x_.cols(); ++j) {
-      double diff = (x_(i, j) - xstar[j]) / kernel_.lengthscales[j];
-      q += diff * diff;
-    }
-    if (q < best_dist) {
-      best_dist = q;
-      best = i;
-    }
-  }
-  return y_[best];
 }
 
 }  // namespace osprey::gp

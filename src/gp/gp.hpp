@@ -29,18 +29,6 @@ struct GpConfig {
   double min_nugget = 1e-8;
   double max_nugget = 1.0;        // relative to unit output variance
   std::uint64_t seed = 7;         // restarts' perturbation stream
-  /// add_point(): extend the Cholesky factor by one row/column in
-  /// O(n^2) instead of re-factorizing in O(n^3). Hyperparameters are
-  /// unchanged on this path, so the factor is exact (up to rounding);
-  /// a failed extension falls back to the full re-factorization.
-  bool incremental = true;
-  /// add_point(): run a full hyperparameter reoptimize() every this
-  /// many appended points (0 = never; the caller drives the cadence,
-  /// as the MUSIC engine does).
-  std::size_t reopt_every = 25;
-  /// Fan wide batch predictions and MLE multistarts out on the shared
-  /// util::global_pool(). Results are bit-identical to the serial path.
-  bool parallel = true;
 };
 
 struct GpPrediction {
@@ -59,10 +47,11 @@ class GaussianProcess {
   /// path for active-learning loops between re-optimizations).
   void update_data(const Matrix& x, const Vector& y);
 
-  /// Append one observation. With config.incremental this is the O(n^2)
-  /// rank-1 Cholesky extension (the active-learning hot path); every
-  /// config.reopt_every appended points it instead runs a full
-  /// reoptimize() so the hyperparameters track the growing design.
+  /// Append one observation through the O(n^2) rank-1 Cholesky
+  /// extension (the active-learning hot path). Hyperparameters are
+  /// unchanged, so the factor is exact up to rounding; a failed
+  /// extension falls back to the full re-factorization. The caller
+  /// decides when to reoptimize().
   void add_point(const Vector& x, double y);
 
   /// Re-run the hyperparameter optimization on the current data.
@@ -70,7 +59,6 @@ class GaussianProcess {
 
   bool fitted() const { return chol_.has_value(); }
   std::size_t n() const { return x_.rows(); }
-  std::size_t dim() const { return x_.cols(); }
 
   GpPrediction predict(const Vector& xstar) const;
   /// Mean-only batch prediction (O(n·d) per point; used by the
@@ -82,10 +70,6 @@ class GaussianProcess {
 
   const ArdSqExpKernel& kernel() const { return kernel_; }
   double nugget() const { return nugget_; }
-
-  /// The training response closest (in the kernel metric) to x — the
-  /// y(x_nn) term of the EIGF acquisition.
-  double nearest_response(const Vector& xstar) const;
 
   /// Leave-one-out cross-validation diagnostics, via the closed form
   /// mu_{-i} = y_i - [K^{-1} y]_i / [K^{-1}]_{ii} (no n refits). The
@@ -122,7 +106,6 @@ class GaussianProcess {
   double cond_jitter_ = 0.0;
   Vector alpha_;       // K^{-1} y_std
   double lml_ = 0.0;
-  std::size_t points_since_reopt_ = 0;  // add_point()s since last MLE
 };
 
 }  // namespace osprey::gp

@@ -20,6 +20,7 @@
 
 #include "gp/gp.hpp"
 #include "gsa/sobol.hpp"
+#include "gsa/surrogate_loop.hpp"
 
 namespace osprey::gsa {
 
@@ -48,35 +49,31 @@ struct CalibrationResult {
   std::size_t evaluations = 0;
 };
 
-/// Stepwise calibrator (design / ingest / advance), mirroring
-/// MusicEngine so it can also run over an EMEWS queue.
+/// Stepwise calibrator (design / ingest / advance) on the same
+/// SurrogateLoop as MusicEngine, so it can also run over an EMEWS queue.
 class Calibrator {
  public:
   explicit Calibrator(CalibrationConfig config);
 
-  std::size_t dim() const { return config_.ranges.size(); }
-  std::size_t n_evaluated() const { return y_.size(); }
-  bool done() const { return y_.size() >= config_.n_total; }
+  bool done() const { return loop_.done(); }
 
   /// Initial LHS design (box coordinates); call once.
-  Matrix initial_design_box();
+  Matrix initial_design_box() { return loop_.initial_design_box(); }
   /// Record an evaluated (point, loss).
   void ingest(const Vector& x_box, double loss);
-  /// Refit and return the next expected-improvement point, or nullopt
-  /// when the budget is exhausted.
+  /// Refresh the surrogate and return the next expected-improvement
+  /// point, or nullopt when the budget is exhausted.
   std::optional<Vector> advance();
+
+  const osprey::gp::GaussianProcess& surrogate() const {
+    return loop_.surrogate();
+  }
 
   CalibrationResult result() const;
 
  private:
-  CalibrationConfig config_;
-  osprey::num::RngStream rng_;
-  osprey::gp::GaussianProcess gp_;
-  std::vector<Vector> x_unit_;
-  std::vector<double> y_;
+  SurrogateLoop loop_;
   std::vector<CalibrationStep> trajectory_;
-  bool gp_initialized_ = false;
-  std::size_t last_reopt_n_ = 0;
 };
 
 /// Synchronous driver.

@@ -4,51 +4,23 @@
 #include <cmath>
 #include <limits>
 
-#include "num/sampling.hpp"
 #include "util/error.hpp"
 
 namespace osprey::gsa {
 
-using osprey::num::Matrix;
-using osprey::num::Vector;
-
 MusicEngine::MusicEngine(MusicConfig config)
     : config_(std::move(config)),
-      rng_(config_.seed, 0xBEEF),
-      gp_([&] {
-        // The engine drives the refit cadence (config_.reopt_every), so
-        // the GP's own add_point auto-reoptimize must stay out of the way.
-        osprey::gp::GpConfig gp_config = config_.gp;
-        gp_config.reopt_every = 0;
-        return gp_config;
-      }()) {
-  OSPREY_REQUIRE(!config_.ranges.empty(), "MUSIC needs parameter ranges");
-  OSPREY_REQUIRE(config_.n_init >= 4, "initial design too small");
-  OSPREY_REQUIRE(config_.n_total >= config_.n_init,
-                 "n_total < n_init");
-  unit_ranges_.resize(config_.ranges.size());
-  for (std::size_t j = 0; j < unit_ranges_.size(); ++j) {
-    unit_ranges_[j] = ParamRange{config_.ranges[j].name, 0.0, 1.0};
+      loop_(config_.ranges, config_.n_init, config_.n_total,
+            config_.n_candidates, config_.reopt_every, config_.gp,
+            config_.seed, 0xBEEF) {
+  for (const ParamRange& r : config_.ranges) {
+    unit_ranges_.push_back(ParamRange{r.name, 0.0, 1.0});
   }
-}
-
-Matrix MusicEngine::initial_design_box() {
-  osprey::num::RngStream design_rng = rng_.substream(1);
-  Matrix unit = osprey::num::latin_hypercube(config_.n_init, dim(),
-                                             design_rng);
-  return osprey::num::scale_design(unit, config_.ranges);
-}
-
-void MusicEngine::ingest(const Vector& x_box, double y) {
-  OSPREY_REQUIRE(x_box.size() == dim(), "point dimension mismatch");
-  OSPREY_REQUIRE(std::isfinite(y), "non-finite response");
-  x_unit_.push_back(osprey::num::scale_to_unit(x_box, config_.ranges));
-  y_.push_back(y);
 }
 
 SobolIndices MusicEngine::estimate_surrogate_indices() const {
   BatchModelFn surrogate = [this](const Matrix& u) {
-    return gp_.predict_mean(u);
+    return loop_.surrogate().predict_mean(u);
   };
   SobolIndices idx =
       saltelli_indices(surrogate, unit_ranges_, config_.surrogate_mc_n);
@@ -70,7 +42,9 @@ const char* acquisition_name(Acquisition acquisition) {
 }
 
 double MusicEngine::acquisition_score(const Vector& u) const {
-  osprey::gp::GpPrediction pred = gp_.predict(u);
+  const std::vector<Vector>& x_unit = loop_.x_unit();
+  const std::vector<double>& y = loop_.y();
+  osprey::gp::GpPrediction pred = loop_.surrogate().predict(u);
   double sd = std::sqrt(std::max(pred.variance, 0.0));
   switch (config_.acquisition) {
     case Acquisition::kEigf: {
@@ -78,10 +52,10 @@ double MusicEngine::acquisition_score(const Vector& u) const {
       // as in the EIGF definition).
       double best_dist = std::numeric_limits<double>::infinity();
       std::size_t nn = 0;
-      for (std::size_t i = 0; i < x_unit_.size(); ++i) {
+      for (std::size_t i = 0; i < x_unit.size(); ++i) {
         double q = 0.0;
         for (std::size_t j = 0; j < u.size(); ++j) {
-          double d = x_unit_[i][j] - u[j];
+          double d = x_unit[i][j] - u[j];
           q += d * d;
         }
         if (q < best_dist) {
@@ -89,14 +63,14 @@ double MusicEngine::acquisition_score(const Vector& u) const {
           nn = i;
         }
       }
-      double local = pred.mean - y_[nn];
+      double local = pred.mean - y[nn];
       return local * local + pred.variance;
     }
     case Acquisition::kVariance:
       return pred.variance;
     case Acquisition::kEi: {
       // Expected improvement over the best (largest) observed response.
-      double best_y = *std::max_element(y_.begin(), y_.end());
+      double best_y = *std::max_element(y.begin(), y.end());
       if (sd <= 0.0) return 0.0;
       double z = (pred.mean - best_y) / sd;
       double phi = std::exp(-0.5 * z * z) / std::sqrt(2.0 * M_PI);
@@ -106,85 +80,38 @@ double MusicEngine::acquisition_score(const Vector& u) const {
     case Acquisition::kUcb:
       return pred.mean + config_.ucb_beta * sd;
     case Acquisition::kRandom:
-      return 0.0;  // handled by the caller (all scores tie)
+      break;  // advance() draws from the pool without a score
   }
   return 0.0;
 }
 
-Vector MusicEngine::acquire_next() {
-  osprey::num::RngStream cand_rng = rng_.substream(1000 + y_.size());
-  Matrix candidates = osprey::num::latin_hypercube(config_.n_candidates,
-                                                   dim(), cand_rng);
-  if (config_.acquisition == Acquisition::kRandom) {
-    return candidates.row(
-        static_cast<std::size_t>(cand_rng.uniform_int(candidates.rows())));
-  }
-  double best_score = -std::numeric_limits<double>::infinity();
-  std::size_t best = 0;
-  for (std::size_t c = 0; c < candidates.rows(); ++c) {
-    double score = acquisition_score(candidates.row(c));
-    if (score > best_score) {
-      best_score = score;
-      best = c;
-    }
-  }
-  return candidates.row(best);
-}
-
 std::optional<Vector> MusicEngine::advance() {
-  OSPREY_REQUIRE(y_.size() >= config_.n_init,
-                 "advance() before the initial design is evaluated");
-
-  // Refresh the surrogate: full MLE at init and every reopt_every new
-  // points; otherwise append the new evaluations through the GP's
-  // O(n^2) incremental rank-1 path (hyperparameters unchanged).
-  if (!gp_initialized_ || y_.size() >= last_reopt_n_ + config_.reopt_every) {
-    Matrix x(x_unit_.size(), dim());
-    for (std::size_t i = 0; i < x_unit_.size(); ++i) x.set_row(i, x_unit_[i]);
-    gp_.update_data(x, y_);
-    gp_.reoptimize();
-    gp_initialized_ = true;
-    last_reopt_n_ = y_.size();
-  } else {
-    for (std::size_t i = gp_.n(); i < x_unit_.size(); ++i) {
-      gp_.add_point(x_unit_[i], y_[i]);
-    }
-  }
-
+  loop_.refresh();
   SobolIndices idx = estimate_surrogate_indices();
-  trajectory_.push_back(MusicStep{y_.size(), std::move(idx.first_order),
+  trajectory_.push_back(MusicStep{loop_.y().size(),
+                                  std::move(idx.first_order),
                                   std::move(idx.total_order)});
-
   if (done()) return std::nullopt;
-  Vector u = acquire_next();
-  return osprey::num::scale_to_box(u, config_.ranges);
+  if (config_.acquisition == Acquisition::kRandom) return loop_.acquire({});
+  return loop_.acquire(
+      [this](const Vector& u) { return acquisition_score(u); });
 }
 
 MusicResult MusicEngine::result() const {
   MusicResult out;
   out.trajectory = trajectory_;
   if (!trajectory_.empty()) out.final_s1 = trajectory_.back().s1;
-  out.x_box = Matrix(x_unit_.size(), dim());
-  for (std::size_t i = 0; i < x_unit_.size(); ++i) {
-    out.x_box.set_row(
-        i, osprey::num::scale_to_box(x_unit_[i], config_.ranges));
+  out.x_box = Matrix(loop_.x_unit().size(), loop_.dim());
+  for (std::size_t i = 0; i < out.x_box.rows(); ++i) {
+    out.x_box.set_row(i, loop_.x_box(i));
   }
-  out.y = y_;
-  out.evaluations = y_.size();
+  out.y = loop_.y();
+  out.evaluations = out.y.size();
   return out;
 }
 
 MusicResult run_music(const MusicConfig& config, const ModelFn& model) {
-  MusicEngine engine(config);
-  Matrix design = engine.initial_design_box();
-  for (std::size_t i = 0; i < design.rows(); ++i) {
-    Vector x = design.row(i);
-    engine.ingest(x, model(x));
-  }
-  while (std::optional<Vector> next = engine.advance()) {
-    engine.ingest(*next, model(*next));
-  }
-  return engine.result();
+  return run_inline(MusicEngine(config), model);
 }
 
 std::size_t stabilization_n(const std::vector<MusicStep>& trajectory,

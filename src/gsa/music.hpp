@@ -22,6 +22,7 @@
 
 #include "gp/gp.hpp"
 #include "gsa/sobol.hpp"
+#include "gsa/surrogate_loop.hpp"
 
 namespace osprey::gsa {
 
@@ -77,42 +78,34 @@ class MusicEngine {
  public:
   explicit MusicEngine(MusicConfig config);
 
-  const MusicConfig& config() const { return config_; }
-  std::size_t dim() const { return config_.ranges.size(); }
-  std::size_t n_evaluated() const { return y_.size(); }
-  bool done() const { return y_.size() >= config_.n_total; }
+  bool done() const { return loop_.done(); }
 
   /// The initial LHS design in box coordinates (call once).
-  Matrix initial_design_box();
+  Matrix initial_design_box() { return loop_.initial_design_box(); }
 
   /// Record one evaluated point (box coordinates).
-  void ingest(const Vector& x_box, double y);
+  void ingest(const Vector& x_box, double y) { loop_.ingest(x_box, y); }
 
-  /// Fit/refresh the surrogate on everything ingested so far, append a
+  /// Refresh the surrogate on everything ingested so far, append a
   /// trajectory record, and — unless the budget is exhausted — return
-  /// the next EIGF point to evaluate (box coordinates).
+  /// the next point to evaluate (box coordinates).
   std::optional<Vector> advance();
 
-  const std::vector<MusicStep>& trajectory() const { return trajectory_; }
-  const osprey::gp::GaussianProcess& surrogate() const { return gp_; }
+  const osprey::gp::GaussianProcess& surrogate() const {
+    return loop_.surrogate();
+  }
 
   /// Collect the final result (valid once done()).
   MusicResult result() const;
 
  private:
   SobolIndices estimate_surrogate_indices() const;
-  Vector acquire_next();
   double acquisition_score(const Vector& u) const;
 
   MusicConfig config_;
   std::vector<ParamRange> unit_ranges_;
-  osprey::num::RngStream rng_;
-  osprey::gp::GaussianProcess gp_;
-  std::vector<Vector> x_unit_;
-  std::vector<double> y_;
+  SurrogateLoop loop_;
   std::vector<MusicStep> trajectory_;
-  bool gp_initialized_ = false;
-  std::size_t last_reopt_n_ = 0;
 };
 
 /// Synchronous driver: evaluates `model` inline.

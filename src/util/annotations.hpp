@@ -49,11 +49,6 @@
 #define OSPREY_RELEASE(...) \
   OSPREY_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function attempts to acquire the capability; the first argument is
-/// the return value that signals success.
-#define OSPREY_TRY_ACQUIRE(...) \
-  OSPREY_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must NOT hold the listed capabilities (deadlock prevention;
 /// also documents that the function locks internally).
 #define OSPREY_EXCLUDES(...) \

@@ -25,7 +25,6 @@ class OSPREY_CAPABILITY("mutex") Mutex {
 
   void lock() OSPREY_ACQUIRE() { m_.lock(); }
   void unlock() OSPREY_RELEASE() { m_.unlock(); }
-  bool try_lock() OSPREY_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   std::mutex m_;

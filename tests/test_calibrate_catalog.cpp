@@ -5,6 +5,8 @@
 
 #include <cmath>
 
+#include "artifact_dump.hpp"
+#include "bit_pin.hpp"
 #include "core/artifact_catalog.hpp"
 #include "core/metarvm_gsa.hpp"
 #include "gsa/calibrate.hpp"
@@ -117,6 +119,98 @@ TEST(Calibrator, RecoversMetaRvmTransmissionRate) {
                        osprey::epi::MetaRvmParams::nominal().psh};
   EXPECT_LT(result.best_loss, 0.4 * loss(nominal_x));
   EXPECT_NEAR(result.best_x[0], truth.ts, 0.15);
+}
+
+TEST(CalibratorCadence, RefitsHyperparametersExactlyOnCadence) {
+  // Same loop as MUSIC: a full MLE at n_init and at every
+  // n_init + k * reopt_every, rank-1 appends with frozen hyperparameters
+  // everywhere else. The final advance() refreshes nothing.
+  og::CalibrationConfig cfg = quad_config();
+  og::Calibrator calibrator(cfg);
+  og::LossFn loss = [](const on::Vector& x) {
+    return (x[0] - 0.3) * (x[0] - 0.3) + (x[1] - 0.7) * (x[1] - 0.7);
+  };
+  auto hyperparameters = [&calibrator] {
+    const osprey::gp::GaussianProcess& gp = calibrator.surrogate();
+    std::vector<double> h = gp.kernel().lengthscales;
+    h.push_back(gp.kernel().variance);
+    h.push_back(gp.nugget());
+    return h;
+  };
+  on::Matrix design = calibrator.initial_design_box();
+  for (std::size_t i = 0; i < design.rows(); ++i) {
+    calibrator.ingest(design.row(i), loss(design.row(i)));
+  }
+  std::vector<double> previous;
+  std::size_t refits = 0;
+  for (std::size_t n = cfg.n_init;; ++n) {
+    std::optional<on::Vector> next = calibrator.advance();
+    if (!next) break;
+    std::vector<double> current = hyperparameters();
+    if (n > cfg.n_init) {
+      bool on_cadence = (n - cfg.n_init) % cfg.reopt_every == 0;
+      EXPECT_EQ(current != previous, on_cadence) << "n = " << n;
+      refits += on_cadence ? 1 : 0;
+    }
+    previous = current;
+    calibrator.ingest(*next, loss(*next));
+  }
+  EXPECT_EQ(refits, 2u);  // n = 20 and 30
+}
+
+TEST(CalibratorPinned, ChosenPointsAndBestLoss) {
+  // Refits at n = 10 and 20, rank-1 appends in between and after; the
+  // loss records every point the calibrator asks for, in order.
+  og::CalibrationConfig cfg = quad_config();
+  cfg.n_total = 24;
+  std::vector<double> evaluated;
+  og::LossFn loss = [&evaluated](const on::Vector& x) {
+    evaluated.insert(evaluated.end(), x.begin(), x.end());
+    return std::sin(5.0 * x[0]) + (x[1] - 0.4) * (x[1] - 0.4);
+  };
+  og::CalibrationResult result = og::calibrate(cfg, loss);
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < result.trajectory.size(); ++i) {
+    rows.push_back({static_cast<double>(result.trajectory[i].n),
+                    evaluated[2 * i], evaluated[2 * i + 1],
+                    result.trajectory[i].best_loss});
+  }
+  osprey::testing::dump_artifacts(
+      "calibrator_pinned",
+      {{"trajectory.txt", osprey::testing::format_rows(rows)}});
+  osprey::testing::expect_bits(
+      evaluated,
+      {
+        0x1.f03d5eac94675p-2, 0x1.42df325d2adbcp-1, 0x1.22bfe475a8cb4p-1,
+        0x1.71ffac642a7f5p-1, 0x1.be416d252b5a6p-1, 0x1.c0fd6aa1aaa68p-1,
+        0x1.5941ab041d33ep-3, 0x1.176f80a34afebp-1, 0x1.760f9b8e0ce66p-1,
+        0x1.e46dcf9a9b75dp-2, 0x1.59f23138d8dp-1, 0x1.f0f3cccb7ea8p-3,
+        0x1.712a8790afd7cp-4, 0x1.b8a0dcab4b0e6p-4, 0x1.9fa2cdf9a3845p-3,
+        0x1.fa8458cbc0ffbp-1, 0x1.8d05c122c8b5p-2, 0x1.677dd507cb6a7p-2,
+        0x1.e0304f26d92a5p-1, 0x1.c8d9c6bff743p-5, 0x1.e9183172c7656p-1,
+        0x1.94c5d75dc51a3p-2, 0x1.f92acbecede8fp-1, 0x1.62ae678e93945p-2,
+        0x1.e8847ef5039acp-1, 0x1.b60c96165f66fp-2, 0x1.e3dd9c3c78114p-1,
+        0x1.68c5682d45c33p-2, 0x1.d830fb88caf46p-1, 0x1.c20adf969c5bap-2,
+        0x1.4eee1c38c3d3dp-6, 0x1.ea63a7b26385ap-1, 0x1.e9a47d3551fcap-1,
+        0x1.986ca6530ace5p-2, 0x1.e93cf71083ac6p-1, 0x1.835ac9a9a2b3dp-2,
+        0x1.9e1942f7c41d2p-11, 0x1.6208d7005c4cap-2, 0x1.f4303a378488cp-1,
+        0x1.ca069cfd72edbp-1, 0x1.e1341184fcf7dp-1, 0x1.8c48a4ff5f0bap-2,
+        0x1.e3e7b878b98b2p-1, 0x1.bc102adfa0e0fp-2, 0x1.d92494927b317p-1,
+        0x1.55cd5bb435e94p-2, 0x1.e039e6dcd5f0ep-1, 0x1.ab3dffd7cec51p-2,
+      },
+      "evaluated");
+  osprey::testing::expect_bits(
+      {result.best_loss},
+      {
+        -0x1.ffde86442fe57p-1,
+      },
+      "best_loss");
+  osprey::testing::expect_bits(
+      result.best_x,
+      {
+        0x1.e1341184fcf7dp-1, 0x1.8c48a4ff5f0bap-2,
+      },
+      "best_x");
 }
 
 TEST(Calibrator, Validation) {

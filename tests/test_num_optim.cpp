@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+
+#include "util/thread_pool.hpp"
 
 namespace on = osprey::num;
 
@@ -66,4 +69,29 @@ TEST(Multistart, EscapesLocalMinimum) {
   on::OptimResult multi = on::multistart_minimize(fn, {2.0}, 12, 5.0, rng);
   EXPECT_LT(multi.f, local.f - 0.5);
   EXPECT_NEAR(multi.x[0], -2.0, 0.3);
+}
+
+TEST(Multistart, PoolResultBitIdenticalToSerial) {
+  // Starts are drawn before the searches run, and each search writes its
+  // own slot, so a 4-thread pool returns exactly the serial result.
+  auto fn = [](const on::Vector& v) {
+    return std::pow(1.0 - v[0], 2.0) +
+           100.0 * std::pow(v[1] - v[0] * v[0], 2.0) + std::sin(3.0 * v[0]);
+  };
+  on::RngStream serial_rng(9);
+  on::RngStream pooled_rng(9);
+  osprey::util::ThreadPool pool(4);
+  on::OptimResult serial =
+      on::multistart_minimize(fn, {-1.0, 1.5}, 6, 1.5, serial_rng);
+  on::OptimResult pooled = on::multistart_minimize(
+      fn, {-1.0, 1.5}, 6, 1.5, pooled_rng, {}, &pool);
+  ASSERT_EQ(pooled.x.size(), serial.x.size());
+  EXPECT_EQ(std::memcmp(pooled.x.data(), serial.x.data(),
+                        serial.x.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&pooled.f, &serial.f, sizeof(double)), 0);
+  EXPECT_EQ(pooled.iterations, serial.iterations);
+  EXPECT_EQ(pooled.evaluations, serial.evaluations);
+  EXPECT_EQ(pooled.converged, serial.converged);
+  EXPECT_EQ(pooled_rng.uniform(), serial_rng.uniform());
 }
