@@ -1,8 +1,8 @@
 /// Micro-benchmarks (google-benchmark) of the substrates: throughput
 /// numbers that bound how far the simulated platform scales — storage
 /// puts, EMEWS task round-trips, MetaRVM steps/s, GP fit/predict
-/// scaling, Saltelli throughput, the Goldstein MCMC iteration cost and
-/// one warm weekly refit, the aggregation's draws-CSV parse, and
+/// scaling, Saltelli throughput, the Goldstein MCMC iteration cost,
+/// one warm weekly refit and its renewal recursion, the aggregation's draws-CSV parse, and
 /// the SHA-256 kernels and JSON codec every AERO payload goes through,
 /// one AERO publication's metadata ops, the shard coordinator's
 /// handling of a week of version reports, and the serving tier's
@@ -15,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "crypto/sha256.hpp"
 #include "emews/task_api.hpp"
 #include "emews/worker_pool.hpp"
+#include "epi/kernels.hpp"
 #include "epi/metarvm.hpp"
 #include "epi/wastewater.hpp"
 #include "fabric/event_loop.hpp"
@@ -36,6 +38,7 @@
 #include "gsa/sobol.hpp"
 #include "num/rng.hpp"
 #include "num/sampling.hpp"
+#include "num/simd.hpp"
 #include "rt/ensemble.hpp"
 #include "rt/goldstein.hpp"
 #include "serve/cache.hpp"
@@ -281,6 +284,37 @@ static void BM_GoldsteinWarmUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cfg.update_iterations);
 }
 BENCHMARK(BM_GoldsteinWarmUpdate)->Unit(benchmark::kMillisecond);
+
+/// The Goldstein sweep's renewal recursion at the warm refit's
+/// 218-day horizon: one recursion (arg 1) against three interleaved
+/// (arg 3), as a speculative knot pair runs its common suffix.
+static void BM_RenewalIncidence(benchmark::State& state) {
+  const int days = 218;
+  const std::vector<double> w = epi::default_generation_interval();
+  const int wlen = static_cast<int>(w.size());
+  num::RngStream rng(7);
+  std::array<std::vector<double>, 3> rt;
+  std::array<std::vector<double>, 3> inc;
+  for (std::size_t x = 0; x < 3; ++x) {
+    rt[x].resize(static_cast<std::size_t>(days));
+    for (double& r : rt[x]) r = 0.9 + 0.2 * rng.uniform();
+    inc[x].assign(static_cast<std::size_t>(wlen + days), 50.0);
+  }
+  const double* const rts[3] = {rt[0].data(), rt[1].data(), rt[2].data()};
+  double* const incs[3] = {inc[0].data(), inc[1].data(), inc[2].data()};
+  const bool three = state.range(0) == 3;
+  for (auto _ : state) {
+    if (three) {
+      num::simd::renewal_incidence3(rts, w.data(), wlen, wlen, 0, days, incs);
+    } else {
+      num::simd::renewal_incidence(rts[0], w.data(), wlen, wlen, 0, days,
+                                   incs[0]);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * days);
+}
+BENCHMARK(BM_RenewalIncidence)->Arg(1)->Arg(3)->Unit(benchmark::kMicrosecond);
 
 /// rt-aggregate's input parse: 4 plants' published draws CSVs
 /// (60 draws x 218 days each) read back into posterior matrices.

@@ -7,7 +7,8 @@
 # seed the incident log, Chrome trace, metrics JSON and Prometheus text.
 # The GSA side adds the `%.17g` trajectories of MusicCoop's sync/async
 # run and of the pinned MUSIC and calibrator runs (test_gsa_music,
-# test_calibrate_catalog).
+# test_calibrate_catalog), and the R(t) side the pinned warm Goldstein
+# refit's draw cells and acceptance rates (test_rt_online).
 # It then builds osprey_bench (bench/osprey_bench/CMakeLists.txt) for
 # both sides under build-parity/<sha>/, runs every BENCHMARK.json
 # workload once with --smoke --seed 1 and diffs the reports' `work`
@@ -22,8 +23,9 @@
 #   build-parity/<sha>/work/{ref,head}/<workload>.json.
 #   The ref's seed tests must write artifacts (tests/artifact_dump.hpp);
 #   older refs produce none and every file is reported as head-only.
-#   The GSA trajectory files first appear with the change that adds
-#   them, so against its parent they show as head-only once. A ref
+#   The GSA trajectory files and the R(t) pin file first appear with
+#   the changes that add them, so against their parents they show as
+#   head-only once. A ref
 #   without bench/osprey_bench skips the work-map check.
 set -uo pipefail
 
@@ -39,7 +41,7 @@ sha="$(git rev-parse --verify --quiet "$1^{commit}")" || {
 JOBS="$(nproc 2>/dev/null || echo 4)"
 root="build-parity/$sha"
 targets=(--target test_chaos_fabric test_shard_replay test_gsa_music
-         test_calibrate_catalog)
+         test_calibrate_catalog test_rt_online)
 
 # A plain export leaves no worktree registration behind in .git.
 if [[ ! -f "$root/src/CMakeLists.txt" ]]; then
@@ -70,7 +72,9 @@ sweep() {  # sweep <build dir> <artifact dir> <log>
       --gtest_filter='MusicCoop.MatchesSynchronousRun:MusicPinned.*' \
       >>"$log" 2>&1 &&
   OSPREY_ARTIFACT_DIR="$out" "$bin/test_calibrate_catalog" \
-      --gtest_filter='CalibratorPinned.*' >>"$log" 2>&1
+      --gtest_filter='CalibratorPinned.*' >>"$log" 2>&1 &&
+  OSPREY_ARTIFACT_DIR="$out" "$bin/test_rt_online" \
+      --gtest_filter='RtPinned.*' >>"$log" 2>&1
 }
 
 echo "== seed sweeps (both sides in parallel) =="

@@ -39,6 +39,29 @@ void renewal_incidence(const double* rt, const double* w, int wlen,
   }
 }
 
+void renewal_incidence3(const double* const rt[3], const double* w, int wlen,
+                        int burnin, int from_day, int days,
+                        double* const inc[3]) {
+  double* const a = inc[0];
+  double* const b = inc[1];
+  double* const c = inc[2];
+  for (int t = from_day; t < days; ++t) {
+    const int idx = burnin + t;
+    const int smax = std::min(wlen, idx);
+    double sa = 0.0;
+    double sb = 0.0;
+    double sc = 0.0;
+    for (int s = 1; s <= smax; ++s) {
+      sa += w[s - 1] * a[idx - s];
+      sb += w[s - 1] * b[idx - s];
+      sc += w[s - 1] * c[idx - s];
+    }
+    a[idx] = rt[0][t] * sa;
+    b[idx] = rt[1][t] * sb;
+    c[idx] = rt[2][t] * sc;
+  }
+}
+
 namespace {
 
 /// One day's shedding sum in s-ascending order, stopping where the

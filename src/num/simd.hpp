@@ -65,6 +65,16 @@ void interp_log_knots_exp(const double* log_knots, int n_knots, int spacing,
 void renewal_incidence(const double* rt, const double* w, int wlen,
                        int burnin, int from_day, int days, double* inc);
 
+/// Three independent renewal recursions run side by side over
+/// [from_day, days): for each x in 0..2, inc[x] follows rt[x] exactly
+/// as renewal_incidence(rt[x], w, wlen, burnin, from_day, days, inc[x])
+/// would. Each recursion keeps its own s-ascending sum, so every value
+/// is bitwise equal to the lone call; interleaving only lets the three
+/// sums' dependency chains overlap in the pipeline.
+void renewal_incidence3(const double* const rt[3], const double* w, int wlen,
+                        int burnin, int from_day, int days,
+                        double* const inc[3]);
+
 /// Shedding-load convolution normalized by plant flow, at sample days:
 ///   mu[i] = scale * (sum_{s>=0} shed[s] * inc[burnin + day[i] - s]) / flow
 /// for samples i in [from, n), truncating the sum where

@@ -113,29 +113,42 @@ void GoldsteinEstimator::run_chain(LikelihoodWorkspace& ws,
   std::uint64_t samp_prop = 0;
   for (int iter = 0; iter < iterations; ++iter) {
     const bool in_burnin = iter < burnin;
-    // Component-wise Metropolis sweep; the workspace recomputes only
-    // the suffix the perturbed component can influence.
-    for (std::size_t j = 0; j < dim; ++j) {
-      double old = theta[j];
-      theta[j] = old + step[j] * rng.normal();
-      double cand = ws.propose(theta, j);
+    // One Metropolis decision on component j, whose candidate scored
+    // `cand`; accepting adopts the workspace's candidate.
+    auto metropolis = [&](std::size_t j, double cand, double u) {
       ++proposals[j];
-      if (in_burnin) {
-        ++burn_prop;
-      } else {
-        ++samp_prop;
+      ++(in_burnin ? burn_prop : samp_prop);
+      if (!(std::log(u + 1e-300) < current - cand)) return false;
+      current = cand;
+      ws.accept();
+      ++accepts[j];
+      ++(in_burnin ? burn_acc : samp_acc);
+      return true;
+    };
+    // Component-wise Metropolis sweep; the workspace recomputes only
+    // the suffix the perturbed component can influence. Each component
+    // draws normal() then uniform() whatever the decisions, so the
+    // draws of component j+1 are taken before j is decided, and the
+    // workspace prepares j+1's move under both of j's outcomes.
+    for (std::size_t j = 0; j < dim; j += 2) {
+      const double z = rng.normal();
+      const double u = rng.uniform();
+      const double old = theta[j];
+      theta[j] = old + step[j] * z;
+      if (j + 1 == dim) {
+        if (!metropolis(j, ws.propose(theta, j), u)) theta[j] = old;
+        break;
       }
-      if (std::log(rng.uniform() + 1e-300) < current - cand) {
-        current = cand;
-        ws.accept();
-        ++accepts[j];
-        if (in_burnin) {
-          ++burn_acc;
-        } else {
-          ++samp_acc;
-        }
-      } else {
+      const double z_next = rng.normal();
+      const double u_next = rng.uniform();
+      const double old_next = theta[j + 1];
+      const double next = old_next + step[j + 1] * z_next;
+      if (!metropolis(j, ws.propose_pair(theta, j, next), u)) {
         theta[j] = old;
+      }
+      theta[j + 1] = next;
+      if (!metropolis(j + 1, ws.propose(theta, j + 1), u_next)) {
+        theta[j + 1] = old_next;
       }
     }
     // Adapt step sizes toward ~44% acceptance during burn-in.

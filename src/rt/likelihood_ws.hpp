@@ -24,12 +24,24 @@
 /// concentration only at the sample days of the suffix (the likelihood
 /// reads it nowhere else).
 ///
-/// **Candidate R mirror.** The recursion reads the candidate's daily R
-/// over the whole suffix, but a proposal writes only its window. So
-/// the candidate array is kept equal to the committed one outside the
-/// last window written into it: the next proposal first restores that
-/// window from the committed R, and accept() copies just the window
-/// back the other way.
+/// **Candidate slots.** A candidate lives in a slot: its theta, its
+/// plan, and every series the plan recomputes. A slot's daily R is a
+/// mirror: the recursion reads the candidate's R over the whole
+/// suffix, but a proposal writes only its window, so the slot's array
+/// is kept equal to the committed one outside a dirty range. The next
+/// evaluation in the slot first restores that range from the committed
+/// R; accept() copies the adopted slot's window back the other way and
+/// adds it to every slot's dirty range.
+///
+/// **Speculative knot pairs.** The sweep's draws never depend on an
+/// accept decision, so knot j+1's move is known before knot j is
+/// decided. propose_pair() scores knot j's move (slot A) and runs the
+/// renewal recursion of knot j+1's move under both outcomes: B moves
+/// j+1 alone (j rejected) and C moves both (j accepted). A runs alone
+/// over the days before j+1's window, where C equals A and B is the
+/// committed incidence; the three then run interleaved over the common
+/// suffix. The following propose() for j+1 only finishes the survivor
+/// (shedding convolution, log terms, sum).
 ///
 /// **Bit-identity contract.** propose() returns the same IEEE double a
 /// from-scratch evaluation of the candidate theta would return: cached
@@ -45,6 +57,7 @@
 /// falls back to full evaluation until a finite state is committed,
 /// matching the reference arithmetic there too.
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -76,7 +89,17 @@ class LikelihoodWorkspace {
   /// accept() to adopt the candidate, or simply propose again.
   double propose(const std::vector<double>& theta, std::size_t j);
 
-  /// Adopt the most recent propose()/commit_full() candidate.
+  /// propose(theta, j) for a knot j whose successor j+1 is a knot too,
+  /// that also prepares knot j+1's move to `next`: after this call and
+  /// an optional accept(), propose(theta', j+1) with theta'[j+1] ==
+  /// `next` returns its value without a renewal recursion of its own.
+  /// Values are bitwise those of propose(). From a degenerate committed
+  /// state, or when j+1 is not a knot, this is plain propose(theta, j).
+  double propose_pair(const std::vector<double>& theta, std::size_t j,
+                      double next);
+
+  /// Adopt the most recent propose()/propose_pair()/commit_full()
+  /// candidate.
   void accept();
 
   bool committed_degenerate() const { return degenerate_; }
@@ -93,9 +116,32 @@ class LikelihoodWorkspace {
     bool sigma_only = false;  // reuse cached log(mu), rescale terms
   };
 
+  /// One candidate and the series its plan recomputes.
+  struct Slot {
+    std::vector<double> theta;
+    std::vector<double> rt;  // the committed R outside [dirty_from, dirty_to)
+    int dirty_from = 0;
+    int dirty_to = 0;
+    std::vector<double> inc;
+    std::vector<double> mu;  // per sample, valid from plan.sample_from
+    std::vector<double> log_mu;
+    std::vector<double> contrib;
+    Plan plan;
+    double prior = 0.0;  // the priors: value's accumulation starts here
+    double value = 0.0;
+    bool degenerate = true;
+  };
+
   Plan plan_for(std::size_t j) const;
   Plan full_plan() const;
-  double eval(const std::vector<double>& theta, const Plan& plan);
+  /// Score slot 0's theta (already set) under `plan`.
+  double eval(const Plan& plan);
+  /// The stages of an evaluation. begin() checks the theta guard,
+  /// sums the priors, writes the R window and seeds the incidence
+  /// prefix; false when the guard fired (value is then final). The
+  /// caller runs the recursion; finish() adds the observation terms.
+  bool begin(Slot& s, const Plan& plan);
+  double finish(Slot& s);
   /// First sample index at/after `day` (all earlier indices are
   /// strictly before it, whatever the input order).
   std::size_t first_sample_at(int day) const;
@@ -120,18 +166,13 @@ class LikelihoodWorkspace {
   double value_ = 0.0;
   bool degenerate_ = true;  // nothing committed yet
 
-  // --- candidate state (filled by propose/commit_full) ---
-  std::vector<double> cand_theta_;
-  std::vector<double> cand_rt_;  // rt_ outside [cand_rt_from_, cand_rt_to_)
-  int cand_rt_from_ = 0;
-  int cand_rt_to_ = 0;
-  std::vector<double> cand_inc_;
-  std::vector<double> cand_mu_;  // per sample, valid from sample_from
-  std::vector<double> cand_log_mu_;
-  std::vector<double> cand_contrib_;
-  Plan cand_plan_;
-  double cand_value_ = 0.0;
-  bool cand_degenerate_ = true;
+  // --- candidates: A (single proposals, or knot j of a pair), then a
+  // pair's B (j+1 moved alone) and C (both moved) ---
+  std::array<Slot, 3> slots_;
+  std::size_t last_ = 0;  // the slot accept() adopts
+  /// The component whose propose() a pair's B or C may answer.
+  static constexpr std::size_t kNoPair = static_cast<std::size_t>(-1);
+  std::size_t pending_ = kNoPair;
 };
 
 }  // namespace osprey::rt

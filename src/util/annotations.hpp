@@ -32,9 +32,6 @@
 /// Data member may only be read or written while holding `x`.
 #define OSPREY_GUARDED_BY(x) OSPREY_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointer member: the *pointee* may only be accessed while holding `x`.
-#define OSPREY_PT_GUARDED_BY(x) OSPREY_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// Function requires the listed capabilities to be held on entry (and
 /// they remain held on exit).
 #define OSPREY_REQUIRES(...) \
@@ -53,12 +50,3 @@
 /// also documents that the function locks internally).
 #define OSPREY_EXCLUDES(...) \
   OSPREY_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Function returns a reference to the given capability.
-#define OSPREY_RETURN_CAPABILITY(x) \
-  OSPREY_THREAD_ANNOTATION(lock_returned(x))
-
-/// Escape hatch: disables the analysis for one function. Use only where
-/// the locking pattern is correct but inexpressible.
-#define OSPREY_NO_THREAD_SAFETY_ANALYSIS \
-  OSPREY_THREAD_ANNOTATION(no_thread_safety_analysis)

@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "artifact_dump.hpp"
+#include "bit_pin.hpp"
+#include "core/usecase_ww.hpp"
 #include "epi/kernels.hpp"
 #include "epi/wastewater.hpp"
 #include "num/rng.hpp"
+#include "num/simd.hpp"
 #include "num/stats.hpp"
 #include "rt/goldstein.hpp"
 #include "rt/likelihood_ws.hpp"
@@ -153,6 +158,86 @@ TEST(KnotsToDaily, ExactDivisionUnchanged) {
   }
 }
 
+// --- the renewal kernels: one recursion and three interleaved -----------
+
+namespace {
+
+/// An incidence array of burnin + days random positive values: the
+/// prefix a recursion from any start day reads.
+std::vector<double> random_incidence(on::RngStream& rng, int burnin,
+                                     int days) {
+  std::vector<double> inc(static_cast<std::size_t>(burnin + days));
+  for (double& x : inc) x = 20.0 + 80.0 * rng.uniform();
+  return inc;
+}
+
+std::vector<double> random_rt(on::RngStream& rng, int days) {
+  std::vector<double> rt(static_cast<std::size_t>(days));
+  for (double& x : rt) x = 0.5 + rng.uniform();
+  return rt;
+}
+
+}  // namespace
+
+TEST(RenewalKernel, MatchesRenewalPressureBitwise) {
+  const std::vector<double> w = oe::default_generation_interval();
+  const int wlen = static_cast<int>(w.size());
+  const int days = 60;
+  on::RngStream rng(5);
+  // burnin 0 and 3: the first days' windows run off the start of the
+  // incidence array, where the reference sum stops early.
+  for (int burnin : {0, 3, wlen}) {
+    for (int from : {0, 1, 5, 20}) {
+      SCOPED_TRACE(::testing::Message() << "burnin " << burnin << " from "
+                                        << from);
+      const std::vector<double> rt = random_rt(rng, days);
+      std::vector<double> expected = random_incidence(rng, burnin, days);
+      std::vector<double> actual = expected;
+      for (int t = from; t < days; ++t) {
+        const std::size_t idx = static_cast<std::size_t>(burnin + t);
+        expected[idx] = rt[static_cast<std::size_t>(t)] *
+                        oe::renewal_pressure(expected, idx, w);
+      }
+      on::simd::renewal_incidence(rt.data(), w.data(), wlen, burnin, from,
+                                  days, actual.data());
+      osprey::testing::expect_bits(actual, expected, "incidence");
+    }
+  }
+}
+
+TEST(RenewalKernel, InterleavedMatchesThreeSeparateRecursions) {
+  const std::vector<double> w = oe::default_generation_interval();
+  const int wlen = static_cast<int>(w.size());
+  const int days = 218;
+  on::RngStream rng(6);
+  for (int burnin : {0, wlen}) {
+    for (int from : {0, 1, 7, 100, days - 1}) {
+      SCOPED_TRACE(::testing::Message() << "burnin " << burnin << " from "
+                                        << from);
+      std::array<std::vector<double>, 3> rt;
+      std::array<std::vector<double>, 3> expected;
+      for (std::size_t x = 0; x < 3; ++x) {
+        rt[x] = random_rt(rng, days);
+        expected[x] = random_incidence(rng, burnin, days);
+      }
+      std::array<std::vector<double>, 3> actual = expected;
+      for (std::size_t x = 0; x < 3; ++x) {
+        on::simd::renewal_incidence(rt[x].data(), w.data(), wlen, burnin,
+                                    from, days, expected[x].data());
+      }
+      const double* const rts[3] = {rt[0].data(), rt[1].data(),
+                                     rt[2].data()};
+      double* const incs[3] = {actual[0].data(), actual[1].data(),
+                               actual[2].data()};
+      on::simd::renewal_incidence3(rts, w.data(), wlen, burnin, from, days,
+                                   incs);
+      for (std::size_t x = 0; x < 3; ++x) {
+        osprey::testing::expect_bits(actual[x], expected[x], "incidence");
+      }
+    }
+  }
+}
+
 // --- tentpole: incremental evaluation is exact algebra ------------------
 
 TEST(LikelihoodWorkspace, ProposeBitIdenticalToFullEvaluation) {
@@ -256,6 +341,112 @@ TEST(LikelihoodWorkspace, ProposeBitIdenticalToFullEvaluation) {
       }
       EXPECT_FALSE(ws.committed_degenerate()) << "round " << round;
     }
+
+    // Paired proposals: A moves knot j, then knot j+1's move is scored
+    // under both of A's outcomes, B (A rejected) on a copy of the
+    // workspace and C (A accepted) on the other; `ws` follows
+    // `take_a` and `take_second`. Returns the A, B and C values.
+    auto pair = [&](std::size_t j, double old, double next, bool take_a,
+                    bool take_second, const char* what) {
+      std::array<double, 3> v{};
+      const double moved = theta[j];
+      const double old_next = theta[j + 1];
+      v[0] = ws.propose_pair(theta, j, next);
+      EXPECT_EQ(v[0], reference_nlp(est, theta, c.samples, c.days))
+          << what << " A at " << j;
+      auto second = [&](ort::LikelihoodWorkspace& w, bool a_accepted) {
+        if (a_accepted) {
+          w.accept();
+          EXPECT_EQ(w.committed_degenerate(), v[0] == 1e12) << what;
+        }
+        theta[j] = a_accepted ? moved : old;
+        theta[j + 1] = next;
+        const double value = w.propose(theta, j + 1);
+        EXPECT_EQ(value, reference_nlp(est, theta, c.samples, c.days))
+            << what << (a_accepted ? " C" : " B") << " at " << j;
+        v[a_accepted ? 2 : 1] = value;
+      };
+      ort::LikelihoodWorkspace other = ws;
+      second(other, !take_a);
+      second(ws, take_a);
+      if (take_second) {
+        ws.accept();
+      } else {
+        theta[j + 1] = old_next;
+      }
+      return v;
+    };
+
+    // The sweep in pairs, as run_chain takes it: knot pairs speculate,
+    // and a pair reaching log I0 or log sigma is a plain proposal.
+    on::RngStream pair_rng(4343);
+    for (int round = 0; round < 20; ++round) {
+      for (std::size_t j = 0; j + 1 < dim; j += 2) {
+        const double old = theta[j];
+        const double next = theta[j + 1] + 0.15 * pair_rng.normal();
+        theta[j] = old + 0.15 * pair_rng.normal();
+        const bool take_a = pair_rng.uniform() < 0.5;
+        pair(j, old, next, take_a, pair_rng.uniform() < 0.5, "paired sweep");
+      }
+    }
+    EXPECT_FALSE(ws.committed_degenerate());
+
+    // Knot j+1 moved to another value than the pair prepared: a plain
+    // evaluation, still exact.
+    {
+      const double old = theta[2];
+      const double next = theta[3] + 0.2;
+      theta[2] = old + 0.1;
+      EXPECT_EQ(ws.propose_pair(theta, 2, next),
+                reference_nlp(est, theta, c.samples, c.days));
+      ws.accept();
+      theta[3] = next + 0.1;
+      EXPECT_EQ(ws.propose(theta, 3),
+                reference_nlp(est, theta, c.samples, c.days));
+      ws.accept();
+    }
+
+    // Pairs around degenerate states on knots 0 and 1. A knot at -1e4
+    // zeroes R on its window; both knots there zero all incidence from
+    // day 0 on, so mu = 0 at every later sample (the guard value).
+    const std::vector<double> base = theta;
+    const double zero = -1e4;
+    const double guard = 1e12;
+    // C degenerate, A and B finite.
+    theta[0] = zero;
+    std::array<double, 3> v = pair(0, base[0], zero, false, false,
+                                   "C degenerate");
+    EXPECT_LT(v[0], guard);
+    EXPECT_LT(v[1], guard);
+    EXPECT_EQ(v[2], guard);
+    // B degenerate, from a finite committed state with knot 0 at zero;
+    // C = (base, zero) is adopted.
+    force(0, zero, "knot 0 zero");
+    EXPECT_FALSE(ws.committed_degenerate());
+    theta[0] = base[0];
+    v = pair(0, zero, zero, true, true, "B degenerate");
+    EXPECT_LT(v[0], guard);
+    EXPECT_EQ(v[1], guard);
+    EXPECT_LT(v[2], guard);
+    EXPECT_FALSE(ws.committed_degenerate());
+    // A degenerate and accepted, then C = (zero, base) recovers.
+    theta[0] = zero;
+    v = pair(0, base[0], base[1], true, true, "A degenerate");
+    EXPECT_EQ(v[0], guard);
+    EXPECT_LT(v[1], guard);
+    EXPECT_LT(v[2], guard);
+    EXPECT_FALSE(ws.committed_degenerate());
+    // A pair proposed from a degenerate committed state (zero, zero)
+    // is a plain full evaluation; C = base recovers.
+    force(1, zero, "both knots zero");
+    EXPECT_TRUE(ws.committed_degenerate());
+    theta[0] = base[0];
+    v = pair(0, zero, base[1], true, true, "from degenerate");
+    EXPECT_LT(v[0], guard);
+    EXPECT_LT(v[1], guard);
+    EXPECT_LT(v[2], guard);
+    EXPECT_FALSE(ws.committed_degenerate());
+    EXPECT_EQ(theta, base);
   }
 }
 
@@ -501,4 +692,60 @@ TEST(Goldstein, PerPhaseAcceptanceRates) {
                              posterior.acceptance_rate_sampling);
   EXPECT_GE(posterior.acceptance_rate, lo - 1e-12);
   EXPECT_LE(posterior.acceptance_rate, hi + 1e-12);
+}
+
+// --- the warm chain the wastewater use case runs, pinned to the bit -----
+
+TEST(RtPinned, WarmUpdateDraws) {
+  // BM_GoldsteinWarmUpdate's setup: a chain captured at day 211 (seed
+  // 11) and extended to 218 days (seed 12) with the use case's
+  // 400-sweep / 160-burn-in update settings.
+  const int days = 218;
+  oe::Plant plant = oe::chicago_plants()[0];
+  oe::WastewaterConfig ww;
+  ww.days = days;
+  oe::WastewaterGenerator gen(plant, oe::chicago_truths()[0], ww, 3);
+  std::vector<oe::WwSample> week_before;
+  for (const oe::WwSample& s : gen.samples()) {
+    if (s.day < days - 7) week_before.push_back(s);
+  }
+  const osprey::core::WwUseCaseConfig usecase;
+  ort::GoldsteinConfig cfg = usecase.goldstein;
+  cfg.flow_liters_per_day = plant.avg_flow_mgd * 3.785e6;
+  ort::GoldsteinEstimator est(cfg);
+  ort::GoldsteinChainState chain;
+  est.estimate(week_before, week_before.back().day + 1, 11, &chain);
+  ort::RtPosterior update = est.estimate_update(gen.samples(), days, 12, chain);
+  ASSERT_EQ(update.n_draws(), 60u);
+  ASSERT_EQ(update.days(), static_cast<std::size_t>(days));
+
+  std::vector<double> cells;
+  for (std::size_t draw : {0u, 29u, 59u}) {
+    for (std::size_t day : {0u, 50u, 109u, 180u, 211u, 217u}) {
+      cells.push_back(update.draws(draw, day));
+    }
+  }
+  const std::vector<double> rates = {update.acceptance_rate,
+                                     update.acceptance_rate_burnin,
+                                     update.acceptance_rate_sampling};
+  osprey::testing::dump_artifacts(
+      "rt_pinned_warm_update",
+      {{"draws.txt", osprey::testing::format_rows({cells, rates})}});
+  osprey::testing::expect_bits(
+      cells,
+      {
+        0x1.3aa449510229dp+0, 0x1.370fe2f84241bp+0, 0x1.374e77e5aed9ep-1,
+        0x1.db0a8cd1fdc95p-1, 0x1.584a2572ba981p-1, 0x1.505ba9ee45c77p-1,
+        0x1.0f38a86ff1eeep+0, 0x1.5137fdbb246aap+0, 0x1.5aa8a4fc723a9p-1,
+        0x1.f7a3dd18b7afap-1, 0x1.e65d050fd227fp-2, 0x1.06523d0e40bc2p-1,
+        0x1.4c403bf5705bap+0, 0x1.4b4be79321072p+0, 0x1.2a71d9936e59fp-1,
+        0x1.01224b33778d8p+0, 0x1.4098b604507e1p-1, 0x1.7454bb60b6598p-1,
+      },
+      "cells");
+  osprey::testing::expect_bits(
+      rates,
+      {
+        0x1.bcc3298ff65ccp-2, 0x1.b3c3c3c3c3c3cp-2, 0x1.c2c2c2c2c2c2cp-2,
+      },
+      "rates");
 }
