@@ -85,11 +85,14 @@ int main() {
   std::printf("Cross-replicate variability of the final estimates:\n%s\n",
               spread.render().c_str());
 
-  std::printf("workflow: %llu model evaluations, pool utilization %.0f%%, "
-              "%llu cooperative polls\n",
-              static_cast<unsigned long long>(result.tasks_evaluated),
-              100.0 * result.pool_utilization,
-              static_cast<unsigned long long>(result.driver_polls));
+  std::printf("workflow: %llu model evaluations\n",
+              static_cast<unsigned long long>(result.tasks_evaluated));
+  // Utilization and the poll count follow the worker threads'
+  // scheduling, so they go to stderr and stdout stays reproducible.
+  std::fprintf(stderr, "workflow: pool utilization %.0f%%, %llu cooperative "
+               "polls\n",
+               100.0 * result.pool_utilization,
+               static_cast<unsigned long long>(result.driver_polls));
 
   // --- CSV artifact for external plotting ------------------------------
   util::CsvTable csv({"replicate", "n", "parameter", "s1"});

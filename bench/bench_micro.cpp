@@ -15,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -286,35 +285,69 @@ static void BM_GoldsteinWarmUpdate(benchmark::State& state) {
 BENCHMARK(BM_GoldsteinWarmUpdate)->Unit(benchmark::kMillisecond);
 
 /// The Goldstein sweep's renewal recursion at the warm refit's
-/// 218-day horizon: one recursion (arg 1) against three interleaved
-/// (arg 3), as a speculative knot pair runs its common suffix.
+/// 218-day horizon on one lane buffer: one live lane (arg 1), as a
+/// single proposal runs, against three (arg 3), as a speculative knot
+/// pair runs its common suffix.
 static void BM_RenewalIncidence(benchmark::State& state) {
   const int days = 218;
   const std::vector<double> w = epi::default_generation_interval();
   const int wlen = static_cast<int>(w.size());
+  const int lanes = static_cast<int>(state.range(0));
   num::RngStream rng(7);
-  std::array<std::vector<double>, 3> rt;
-  std::array<std::vector<double>, 3> inc;
-  for (std::size_t x = 0; x < 3; ++x) {
-    rt[x].resize(static_cast<std::size_t>(days));
-    for (double& r : rt[x]) r = 0.9 + 0.2 * rng.uniform();
-    inc[x].assign(static_cast<std::size_t>(wlen + days), 50.0);
-  }
-  const double* const rts[3] = {rt[0].data(), rt[1].data(), rt[2].data()};
-  double* const incs[3] = {inc[0].data(), inc[1].data(), inc[2].data()};
-  const bool three = state.range(0) == 3;
-  for (auto _ : state) {
-    if (three) {
-      num::simd::renewal_incidence3(rts, w.data(), wlen, wlen, 0, days, incs);
-    } else {
-      num::simd::renewal_incidence(rts[0], w.data(), wlen, wlen, 0, days,
-                                   incs[0]);
+  std::vector<num::simd::Vec2d> rt(
+      static_cast<std::size_t>(days * num::simd::kRowVecs));
+  std::vector<num::simd::Vec2d> inc(
+      static_cast<std::size_t>((wlen + days) * num::simd::kRowVecs),
+      num::simd::Vec2d{50.0, 50.0});
+  for (int t = 0; t < days; ++t) {
+    for (int l = 0; l < num::simd::kRowLanes; ++l) {
+      num::simd::lane_set(rt.data(), t, l, 0.9 + 0.2 * rng.uniform());
     }
+  }
+  for (auto _ : state) {
+    num::simd::renewal_lanes(rt.data(), w.data(), wlen, wlen, 0, days, lanes,
+                             inc.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * days);
+  state.SetItemsProcessed(state.iterations() * lanes * days);
 }
 BENCHMARK(BM_RenewalIncidence)->Arg(1)->Arg(3)->Unit(benchmark::kMicrosecond);
+
+/// The warm refit's shedding convolution: the 218-day series' 94
+/// samples, the suffix from sample 47 on (a mid-horizon knot's
+/// proposal), read from one lane of the incidence lane buffer.
+static void BM_SheddingConvolve(benchmark::State& state) {
+  const int days = 218;
+  epi::Plant plant = epi::chicago_plants()[0];
+  epi::WastewaterConfig ww;
+  ww.days = days;
+  epi::WastewaterGenerator gen(plant, epi::chicago_truths()[0], ww, 3);
+  std::vector<int> day;
+  for (const epi::WwSample& s : gen.samples()) day.push_back(s.day);
+  const std::vector<double> shed = epi::default_shedding_kernel();
+  const int burnin =
+      static_cast<int>(epi::default_generation_interval().size());
+  num::RngStream rng(9);
+  std::vector<num::simd::Vec2d> inc(
+      static_cast<std::size_t>((burnin + days) * num::simd::kRowVecs));
+  for (int r = 0; r < burnin + days; ++r) {
+    for (int l = 0; l < num::simd::kRowLanes; ++l) {
+      num::simd::lane_set(inc.data(), r, l, 20.0 + 80.0 * rng.uniform());
+    }
+  }
+  std::vector<double> mu(day.size());
+  const std::size_t from = day.size() / 2;
+  for (auto _ : state) {
+    num::simd::shedding_convolve(inc.data(), 2, shed.data(),
+                                 static_cast<int>(shed.size()), burnin, 1.0e5,
+                                 3.0e8, day.data(), from, day.size(),
+                                 mu.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(day.size() - from));
+}
+BENCHMARK(BM_SheddingConvolve)->Unit(benchmark::kNanosecond);
 
 /// rt-aggregate's input parse: 4 plants' published draws CSVs
 /// (60 draws x 218 days each) read back into posterior matrices.

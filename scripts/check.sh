@@ -157,7 +157,7 @@ stage_bench() {
   test -s results/BENCH_fig2_rt.json &&
   echo "bench artifact: results/BENCH_fig2_rt.json" &&
   ./build/bench/bench_micro --benchmark_min_time=0.01 \
-      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson|ValueParseJson|HubRoundRead|GoldsteinWarmUpdate|RenewalIncidence|DrawsFromCsv|FrontEnd|EventLoop|Zipf|UnchangedPoll' &&
+      --benchmark_filter='MetadataDb|Coordinator|Sha256|ValueToJson|ValueParseJson|HubRoundRead|GoldsteinWarmUpdate|RenewalIncidence|SheddingConvolve|DrawsFromCsv|FrontEnd|EventLoop|Zipf|UnchangedPoll' &&
   python3 bench/osprey_bench/run.py --smoke
 }
 

@@ -2,8 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace osprey::num::simd {
+
+void lane_to_series(const Vec2d* buf, int lane, int from, int to,
+                    double* series) {
+  const Vec2d* col = buf + lane / 2;
+  const int bit = lane % 2;
+  for (int r = from; r < to; ++r) series[r] = col[r * kRowVecs][bit];
+}
+
+void series_to_lane(const double* series, int lane, int from, int to,
+                    Vec2d* buf) {
+  Vec2d* col = buf + lane / 2;
+  const int bit = lane % 2;
+  for (int r = from; r < to; ++r) col[r * kRowVecs][bit] = series[r];
+}
 
 void interp_log_knots_exp(const double* log_knots, int n_knots, int spacing,
                           int days, int from_day, int to_day, double* rt) {
@@ -24,64 +39,72 @@ void interp_log_knots_exp(const double* log_knots, int n_knots, int spacing,
   }
 }
 
-void renewal_incidence(const double* rt, const double* w, int wlen,
-                       int burnin, int from_day, int days, double* inc) {
-  for (int t = from_day; t < days; ++t) {
-    const int idx = burnin + t;
-    // Identical op order to epi::renewal_pressure: s ascending, one
-    // multiply-add per generation-interval day.
-    double sum = 0.0;
-    for (int s = 1; s <= wlen; ++s) {
-      if (s > idx) break;
-      sum += w[s - 1] * inc[idx - s];
-    }
-    inc[idx] = rt[t] * sum;
-  }
-}
+namespace {
 
-void renewal_incidence3(const double* const rt[3], const double* w, int wlen,
-                        int burnin, int from_day, int days,
-                        double* const inc[3]) {
-  double* const a = inc[0];
-  double* const b = inc[1];
-  double* const c = inc[2];
+/// renewal_lanes over the first V vectors of each row.
+template <int V>
+void renewal_vectors(const Vec2d* rt, const double* w, int wlen, int burnin,
+                     int from_day, int days, Vec2d* inc) {
+  // The day before the first: its row is an input. Later, each day's
+  // newest term is the row just computed, taken from the register
+  // rather than reloaded through the store.
+  Vec2d last[V] = {};
+  if (burnin + from_day > 0) {
+    for (int v = 0; v < V; ++v) {
+      last[v] = inc[(burnin + from_day - 1) * kRowVecs + v];
+    }
+  }
   for (int t = from_day; t < days; ++t) {
     const int idx = burnin + t;
     const int smax = std::min(wlen, idx);
-    double sa = 0.0;
-    double sb = 0.0;
-    double sc = 0.0;
-    for (int s = 1; s <= smax; ++s) {
-      sa += w[s - 1] * a[idx - s];
-      sb += w[s - 1] * b[idx - s];
-      sc += w[s - 1] * c[idx - s];
+    // Identical op order to epi::renewal_pressure in every lane: s
+    // ascending, one multiply-add per generation-interval day.
+    Vec2d sum[V] = {};
+    if (smax > 0) {
+      for (int v = 0; v < V; ++v) sum[v] += w[0] * last[v];
     }
-    a[idx] = rt[0][t] * sa;
-    b[idx] = rt[1][t] * sb;
-    c[idx] = rt[2][t] * sc;
+    for (int s = 2; s <= smax; ++s) {
+      const Vec2d* row = inc + (idx - s) * kRowVecs;
+      for (int v = 0; v < V; ++v) sum[v] += w[s - 1] * row[v];
+    }
+    const Vec2d* r = rt + t * kRowVecs;
+    Vec2d* out = inc + idx * kRowVecs;
+    for (int v = 0; v < V; ++v) {
+      last[v] = r[v] * sum[v];
+      out[v] = last[v];
+    }
   }
 }
 
-namespace {
-
-/// One day's shedding sum in s-ascending order, stopping where the
-/// window leaves the incidence array.
-double shedding_load(const double* inc, const double* shed, int slen,
+/// One day's shedding sum in s-ascending order over one lane, stopping
+/// where the window leaves the incidence rows.
+double shedding_load(const Vec2d* inc, int lane, const double* shed, int slen,
                      int burnin, int day) {
   double load = 0.0;
   for (int s = 0; s < slen; ++s) {
     const int src = burnin + day - s;
     if (src < 0) break;
-    load += shed[s] * inc[src];
+    load += shed[s] * lane_get(inc, src, lane);
   }
   return load;
 }
 
 }  // namespace
 
-void shedding_convolve(const double* inc, const double* shed, int slen,
-                       int burnin, double scale, double flow, const int* day,
-                       std::size_t from, std::size_t n, double* mu) {
+void renewal_lanes(const Vec2d* rt, const double* w, int wlen, int burnin,
+                   int from_day, int days, int lanes, Vec2d* inc) {
+  static_assert(kRowVecs == 2, "renewal_lanes dispatches on 1 or 2 vectors");
+  if (lanes > 2) {
+    renewal_vectors<2>(rt, w, wlen, burnin, from_day, days, inc);
+  } else {
+    renewal_vectors<1>(rt, w, wlen, burnin, from_day, days, inc);
+  }
+}
+
+void shedding_convolve(const Vec2d* inc, int lane, const double* shed,
+                       int slen, int burnin, double scale, double flow,
+                       const int* day, std::size_t from, std::size_t n,
+                       double* mu) {
   // A day's window is truncated when burnin + day - (slen - 1) < 0.
   const int first_full = slen - 1 - burnin;
   std::size_t i = from;
@@ -89,45 +112,39 @@ void shedding_convolve(const double* inc, const double* shed, int slen,
   // in the same s-ascending order as the scalar loop, so per-sample
   // results are bitwise identical; only independent days run side by
   // side. Days arrive in any order, so every lane is checked.
-  for (; i + kLanes <= n; i += kLanes) {
+  for (; i + 4 <= n; i += 4) {
     const int d0 = day[i];
     const int d1 = day[i + 1];
     const int d2 = day[i + 2];
     const int d3 = day[i + 3];
     if (std::min(std::min(d0, d1), std::min(d2, d3)) < first_full) {
-      for (std::size_t l = i; l < i + kLanes; ++l) {
-        mu[l] = scale * shedding_load(inc, shed, slen, burnin, day[l]) / flow;
+      for (std::size_t l = i; l < i + 4; ++l) {
+        mu[l] = scale * shedding_load(inc, lane, shed, slen, burnin, day[l]) /
+                flow;
       }
       continue;
     }
-    const double* p0 = inc + burnin + d0;
-    const double* p1 = inc + burnin + d1;
-    const double* p2 = inc + burnin + d2;
-    const double* p3 = inc + burnin + d3;
-#if OSPREY_SIMD_VEC_EXT
-    Vec4d load = {0.0, 0.0, 0.0, 0.0};
+    const int r0 = burnin + d0;
+    const int r1 = burnin + d1;
+    const int r2 = burnin + d2;
+    const int r3 = burnin + d3;
+    Vec2d lo = {0.0, 0.0};
+    Vec2d hi = {0.0, 0.0};
     for (int s = 0; s < slen; ++s) {
-      Vec4d x = {p0[-s], p1[-s], p2[-s], p3[-s]};
-      load += shed[s] * x;
+      const Vec2d xlo = {lane_get(inc, r0 - s, lane),
+                         lane_get(inc, r1 - s, lane)};
+      const Vec2d xhi = {lane_get(inc, r2 - s, lane),
+                         lane_get(inc, r3 - s, lane)};
+      lo += shed[s] * xlo;
+      hi += shed[s] * xhi;
     }
-    for (int l = 0; l < kLanes; ++l) {
-      mu[i + static_cast<std::size_t>(l)] = scale * load[l] / flow;
-    }
-#else
-    double load[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    for (int s = 0; s < slen; ++s) {
-      load[0] += shed[s] * p0[-s];
-      load[1] += shed[s] * p1[-s];
-      load[2] += shed[s] * p2[-s];
-      load[3] += shed[s] * p3[-s];
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      mu[i + static_cast<std::size_t>(l)] = scale * load[l] / flow;
-    }
-#endif
+    mu[i] = scale * lo[0] / flow;
+    mu[i + 1] = scale * lo[1] / flow;
+    mu[i + 2] = scale * hi[0] / flow;
+    mu[i + 3] = scale * hi[1] / flow;
   }
   for (; i < n; ++i) {
-    mu[i] = scale * shedding_load(inc, shed, slen, burnin, day[i]) / flow;
+    mu[i] = scale * shedding_load(inc, lane, shed, slen, burnin, day[i]) / flow;
   }
 }
 
@@ -148,17 +165,14 @@ bool lognormal_terms(const double* mu, const double* log_c,
 
 void axpy(double w, const double* x, double* out, std::size_t n) {
   std::size_t t = 0;
-#if OSPREY_SIMD_VEC_EXT
-  for (; t + kLanes <= n; t += kLanes) {
-    Vec4d xv = {x[t], x[t + 1], x[t + 2], x[t + 3]};
-    Vec4d ov = {out[t], out[t + 1], out[t + 2], out[t + 3]};
+  for (; t + 2 <= n; t += 2) {
+    Vec2d xv;
+    Vec2d ov;
+    std::memcpy(&xv, x + t, sizeof xv);
+    std::memcpy(&ov, out + t, sizeof ov);
     ov += w * xv;
-    out[t] = ov[0];
-    out[t + 1] = ov[1];
-    out[t + 2] = ov[2];
-    out[t + 3] = ov[3];
+    std::memcpy(out + t, &ov, sizeof ov);
   }
-#endif
   for (; t < n; ++t) out[t] += w * x[t];
 }
 
@@ -168,18 +182,15 @@ void scale(double s, double* out, std::size_t n) {
 
 void sub_square(const double* a, const double* b, double* out, std::size_t n) {
   std::size_t t = 0;
-#if OSPREY_SIMD_VEC_EXT
-  for (; t + kLanes <= n; t += kLanes) {
-    Vec4d av = {a[t], a[t + 1], a[t + 2], a[t + 3]};
-    Vec4d bv = {b[t], b[t + 1], b[t + 2], b[t + 3]};
-    Vec4d d = av - bv;
+  for (; t + 2 <= n; t += 2) {
+    Vec2d av;
+    Vec2d bv;
+    std::memcpy(&av, a + t, sizeof av);
+    std::memcpy(&bv, b + t, sizeof bv);
+    Vec2d d = av - bv;
     d *= d;
-    out[t] = d[0];
-    out[t + 1] = d[1];
-    out[t + 2] = d[2];
-    out[t + 3] = d[3];
+    std::memcpy(out + t, &d, sizeof d);
   }
-#endif
   for (; t < n; ++t) {
     const double d = a[t] - b[t];
     out[t] = d * d;

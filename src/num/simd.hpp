@@ -9,7 +9,7 @@
 ///  1. **Exact per-element order.** Every kernel performs, for each
 ///     output element, the same scalar operation sequence as the naive
 ///     loop it replaces. Vectorization happens ACROSS independent
-///     output elements (4 lanes of `t`), never by reassociating a
+///     output elements (the lanes of a vector), never by reassociating a
 ///     single element's accumulation. A kernel result is therefore
 ///     bitwise equal to the reference loop, so the Metropolis accept
 ///     decisions built on top of it replay identically.
@@ -18,28 +18,42 @@
 ///     incremental likelihood workspace recompute only the window or
 ///     suffix a proposal can change.
 ///
-/// The 4-wide type uses GCC/Clang vector extensions when available
-/// (SSE2/AVX codegen, per-lane IEEE semantics) and falls back to a
-/// plain array otherwise; either way lane arithmetic is ordinary double
-/// arithmetic, so the bit-identity contract holds on every compiler.
+/// The vector type is a GCC/Clang vector extension of two doubles, one
+/// SSE2 register on the default x86-64 target: lane arithmetic is
+/// ordinary per-lane IEEE double arithmetic, so the bit-identity
+/// contract holds whatever the compiler vectorizes. A wider type is not
+/// used: without AVX a 32-byte vector is assembled lane by lane through
+/// a stack slot on every step.
 
 #include <cstddef>
 
 namespace osprey::num::simd {
 
-/// Lanes processed per block in the batched kernels.
-inline constexpr int kLanes = 4;
+/// 2 doubles, element-wise IEEE ops (one SSE2 register).
+typedef double Vec2d __attribute__((vector_size(2 * sizeof(double))));
 
-#if defined(__GNUC__) || defined(__clang__)
-#define OSPREY_SIMD_VEC_EXT 1
-/// 4 doubles, element-wise IEEE ops (compiled to SSE2/AVX pairs).
-typedef double Vec4d __attribute__((vector_size(4 * sizeof(double))));
-#else
-#define OSPREY_SIMD_VEC_EXT 0
-struct Vec4d {
-  double lane[4];
-};
-#endif
+/// A lane buffer holds several series side by side, one row per day:
+/// row r's kRowLanes values sit in kRowVecs consecutive Vec2d, so a
+/// buffer of Vec2d keeps every vector load aligned. Lane l of row r is
+/// buf[r * kRowVecs + l / 2][l % 2].
+inline constexpr int kRowLanes = 4;
+inline constexpr int kRowVecs = kRowLanes / 2;
+
+inline double lane_get(const Vec2d* buf, int row, int lane) {
+  return buf[row * kRowVecs + lane / 2][lane % 2];
+}
+
+inline void lane_set(Vec2d* buf, int row, int lane, double x) {
+  buf[row * kRowVecs + lane / 2][lane % 2] = x;
+}
+
+/// series[r] = lane `lane` of row r of buf, for rows r in [from, to).
+void lane_to_series(const Vec2d* buf, int lane, int from, int to,
+                    double* series);
+
+/// Lane `lane` of row r of buf = series[r], for rows r in [from, to).
+void series_to_lane(const double* series, int lane, int from, int to,
+                    Vec2d* buf);
 
 /// Piecewise-linear interpolation of log-knots onto daily R values,
 /// rt[t] = exp(lerp(log_knots, t)), for t in [from_day, to_day) with
@@ -56,36 +70,34 @@ struct Vec4d {
 void interp_log_knots_exp(const double* log_knots, int n_knots, int spacing,
                           int days, int from_day, int to_day, double* rt);
 
-/// Renewal-equation incidence recursion:
-///   inc[burnin + t] = rt[t] * sum_{s=1..wlen} w[s-1] * inc[burnin+t-s]
-/// for t in [from_day, days). Entries of inc below burnin + from_day
-/// must already hold valid values (the i0 burn-in prefix and any cached
-/// prefix); they are read, never written. Inherently sequential (each
-/// day feeds the next), so this kernel is scalar by construction.
-void renewal_incidence(const double* rt, const double* w, int wlen,
-                       int burnin, int from_day, int days, double* inc);
+/// Renewal-equation incidence recursions, one per lane of the lane
+/// buffers `rt` (row t: day t's R) and `inc` (row burnin + t: day t's
+/// incidence). For each lane l in [0, lanes) and t in [from_day, days):
+///   inc[burnin+t][l] = rt[t][l] * sum_{s=1..wlen} w[s-1] * inc[burnin+t-s][l]
+/// with the sum in s-ascending order, stopping at row 0, exactly as
+/// epi::renewal_pressure. Rows below burnin + from_day must already hold
+/// valid values; they are read, never written. Each day feeds the next,
+/// so a lane is one sequential chain; the lanes of a vector run it
+/// together and each keeps its own sum, so every value is bitwise the
+/// scalar recursion's. Lanes advance in whole Vec2d: with an odd count
+/// the last vector's other lane runs too, on whatever its rows hold,
+/// and must hold nothing live. Later vectors are untouched.
+void renewal_lanes(const Vec2d* rt, const double* w, int wlen, int burnin,
+                   int from_day, int days, int lanes, Vec2d* inc);
 
-/// Three independent renewal recursions run side by side over
-/// [from_day, days): for each x in 0..2, inc[x] follows rt[x] exactly
-/// as renewal_incidence(rt[x], w, wlen, burnin, from_day, days, inc[x])
-/// would. Each recursion keeps its own s-ascending sum, so every value
-/// is bitwise equal to the lone call; interleaving only lets the three
-/// sums' dependency chains overlap in the pipeline.
-void renewal_incidence3(const double* const rt[3], const double* w, int wlen,
-                        int burnin, int from_day, int days,
-                        double* const inc[3]);
-
-/// Shedding-load convolution normalized by plant flow, at sample days:
+/// Shedding-load convolution normalized by plant flow, at sample days,
+/// over lane `lane` of the lane buffer `inc` (row burnin + t: day t):
 ///   mu[i] = scale * (sum_{s>=0} shed[s] * inc[burnin + day[i] - s]) / flow
 /// for samples i in [from, n), truncating the sum where
 /// burnin + day[i] - s < 0. Days may come in any order. Batched 4
-/// samples per block, gathered from their own days: each lane
-/// accumulates its day's sum in the same s-ascending order as the
-/// scalar loop, so each mu[i] is bitwise equal to the reference
+/// samples per block, gathered from their own days into two Vec2d:
+/// each lane accumulates its day's sum in the same s-ascending order as
+/// the scalar loop, so each mu[i] is bitwise equal to the reference
 /// per-day value; a block with any truncated lane runs scalar.
-void shedding_convolve(const double* inc, const double* shed, int slen,
-                       int burnin, double scale, double flow, const int* day,
-                       std::size_t from, std::size_t n, double* mu);
+void shedding_convolve(const Vec2d* inc, int lane, const double* shed,
+                       int slen, int burnin, double scale, double flow,
+                       const int* day, std::size_t from, std::size_t n,
+                       double* mu);
 
 /// Lognormal observation terms for samples [from, n), from the
 /// per-sample expected concentrations of shedding_convolve:

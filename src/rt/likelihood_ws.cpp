@@ -53,10 +53,18 @@ LikelihoodWorkspace::LikelihoodWorkspace(
   inc_.assign(ni, 0.0);
   log_mu_.assign(ns, 0.0);
   contrib_.assign(ns, 0.0);
-  for (Slot& s : slots_) {
+  min_day_from_.assign(ns + 1, days_);
+  for (std::size_t i = ns; i-- > 0;) {
+    min_day_from_[i] = std::min(sample_day_[i], min_day_from_[i + 1]);
+  }
+  const std::size_t row = num::simd::kRowVecs;
+  rt_lanes_.assign(nd * row, num::simd::Vec2d{0.0, 0.0});
+  inc_lanes_.assign(ni * row, num::simd::Vec2d{0.0, 0.0});
+  window_.assign(nd, 0.0);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    s.lane = static_cast<int>(i);
     s.theta.assign(dim(), 0.0);
-    s.rt.assign(nd, 0.0);
-    s.inc.assign(ni, 0.0);
     s.mu.assign(ns, 0.0);
     s.log_mu.assign(ns, 0.0);
     s.contrib.assign(ns, 0.0);
@@ -73,6 +81,13 @@ std::size_t LikelihoodWorkspace::first_sample_at(int day) const {
   std::size_t i = 0;
   while (i < sample_day_.size() && sample_day_[i] < day) ++i;
   return i;
+}
+
+int LikelihoodWorkspace::first_row_read(const Plan& plan) const {
+  const int recursion = plan.inc_from - static_cast<int>(w_.size());
+  const int shedding = min_day_from_[plan.sample_from] -
+                       (static_cast<int>(shed_.size()) - 1);
+  return std::max(0, burnin_ + std::min(recursion, shedding));
 }
 
 LikelihoodWorkspace::Plan LikelihoodWorkspace::plan_for(std::size_t j) const {
@@ -141,27 +156,32 @@ bool LikelihoodWorkspace::begin(Slot& s, const Plan& plan) {
   nlp += 0.5 * sigma * sigma / (shn * shn) - log_sigma;
   s.prior = nlp;
 
-  if (plan.rt_from < plan.rt_to) {
-    // The interpolation is element-local: only the window moves. Undo
-    // the mirror's dirty range first, so that it is the committed R
-    // everywhere else and the recursion can read it whole.
-    std::copy(rt_.begin() + s.dirty_from, rt_.begin() + s.dirty_to,
-              s.rt.begin() + s.dirty_from);
-    num::simd::interp_log_knots_exp(theta.data(), k_,
-                                    config_.knot_spacing_days, days_,
-                                    plan.rt_from, plan.rt_to, s.rt.data());
-    s.dirty_from = plan.rt_from;
-    s.dirty_to = plan.rt_to;
-  }
+  if (plan.inc_from == days_) return true;  // log sigma: no series moves
+
+  num::simd::Vec2d* rt = rt_lanes_.data();
+  num::simd::Vec2d* inc = inc_lanes_.data();
+  // The recursion reads the lane's R whole: undo its dirty range
+  // first, so that it is the committed R outside this plan's window.
+  num::simd::series_to_lane(rt_.data(), s.lane, s.dirty_from, s.dirty_to, rt);
+  s.dirty_from = plan.rt_from;
+  s.dirty_to = plan.rt_to;
+  // The interpolation is element-local: only the window moves (log I0
+  // plans none).
+  num::simd::interp_log_knots_exp(theta.data(), k_, config_.knot_spacing_days,
+                                  days_, plan.rt_from, plan.rt_to,
+                                  window_.data());
+  num::simd::series_to_lane(window_.data(), s.lane, plan.rt_from, plan.rt_to,
+                            rt);
   if (plan.inc_from == 0) {
     // Reference semantics: the burn-in prefix of the incidence array
     // holds the initial level I0.
-    std::fill(s.inc.begin(), s.inc.begin() + burnin_, std::exp(log_i0));
-  } else if (plan.inc_from < days_) {
-    // The recursion reads up to max(|w|, |shed|) days back across the
-    // restart point; copy the whole committed prefix (cheap, SoA).
-    std::copy(inc_.begin(), inc_.begin() + burnin_ + plan.inc_from,
-              s.inc.begin());
+    const double i0 = std::exp(log_i0);
+    for (int r = 0; r < burnin_; ++r) num::simd::lane_set(inc, r, s.lane, i0);
+  } else {
+    // The committed rows the recursion and the shedding windows read
+    // across the restart point.
+    num::simd::series_to_lane(inc_.data(), s.lane, first_row_read(plan),
+                              burnin_ + plan.inc_from, inc);
   }
   return true;
 }
@@ -174,7 +194,7 @@ double LikelihoodWorkspace::finish(Slot& s) {
   const std::size_t n = sample_day_.size();
   if (plan.inc_from < days_) {
     // Expected concentration only where a sample reads it.
-    num::simd::shedding_convolve(s.inc.data(), shed_.data(),
+    num::simd::shedding_convolve(inc_lanes_.data(), s.lane, shed_.data(),
                                  static_cast<int>(shed_.size()), burnin_,
                                  config_.shedding_scale,
                                  config_.flow_liters_per_day,
@@ -208,21 +228,19 @@ double LikelihoodWorkspace::finish(Slot& s) {
 
 double LikelihoodWorkspace::eval(const Plan& plan) {
   pending_ = kNoPair;
-  last_ = 0;
-  Slot& s = slots_[0];
+  last_ = kA;
+  Slot& s = slots_[kA];
   if (begin(s, plan) && plan.inc_from < days_) {
-    // log I0 plans no R window: its recursion reads the committed R.
-    const double* rt = plan.rt_from < plan.rt_to ? s.rt.data() : rt_.data();
-    num::simd::renewal_incidence(rt, w_.data(),
-                                 static_cast<int>(w_.size()), burnin_,
-                                 plan.inc_from, days_, s.inc.data());
+    num::simd::renewal_lanes(rt_lanes_.data(), w_.data(),
+                             static_cast<int>(w_.size()), burnin_,
+                             plan.inc_from, days_, 1, inc_lanes_.data());
   }
   return finish(s);
 }
 
 double LikelihoodWorkspace::commit_full(const std::vector<double>& theta) {
   OSPREY_REQUIRE(theta.size() == dim(), "theta size mismatch");
-  slots_[0].theta = theta;
+  slots_[kA].theta = theta;
   eval(full_plan());
   accept();
   return value_;
@@ -233,7 +251,7 @@ double LikelihoodWorkspace::propose(const std::vector<double>& theta,
   if (j == pending_) {
     // The pair's survivor: theta differs from the committed theta in j
     // alone, so it is C's if knot j-1's move was accepted, B's if not.
-    for (std::size_t i : {2, 1}) {
+    for (std::size_t i : {kC, kB}) {
       if (same_bits(theta, slots_[i].theta)) {
         pending_ = kNoPair;
         last_ = i;
@@ -241,7 +259,7 @@ double LikelihoodWorkspace::propose(const std::vector<double>& theta,
       }
     }
   }
-  slots_[0].theta = theta;
+  slots_[kA].theta = theta;
   return eval(plan_for(j));
 }
 
@@ -251,9 +269,9 @@ double LikelihoodWorkspace::propose_pair(const std::vector<double>& theta,
   if (degenerate_ || j + 1 >= static_cast<std::size_t>(k_)) {
     return propose(theta, j);
   }
-  Slot& a = slots_[0];
-  Slot& b = slots_[1];
-  Slot& c = slots_[2];
+  Slot& a = slots_[kA];
+  Slot& b = slots_[kB];
+  Slot& c = slots_[kC];
   a.theta = theta;
   b.theta = theta_;
   b.theta[j + 1] = next;
@@ -268,24 +286,21 @@ double LikelihoodWorkspace::propose_pair(const std::vector<double>& theta,
   begin(a, pa);
   begin(b, pb);
   begin(c, pc);
-  // Before j+1's window, C's R and incidence are A's.
+  // Before j+1's window C's R is A's, so A's vector (A, C) runs alone
+  // there and C's incidence comes out equal to A's; over the common
+  // suffix both vectors run, and B's lane joins.
   const int lead_end = pb.inc_from;
   const int wlen = static_cast<int>(w_.size());
-  num::simd::renewal_incidence(a.rt.data(), w_.data(), wlen, burnin_,
-                               pa.inc_from, lead_end, a.inc.data());
-  std::copy(a.inc.begin() + burnin_ + pa.inc_from,
-            a.inc.begin() + burnin_ + lead_end,
-            c.inc.begin() + burnin_ + pa.inc_from);
-  const double* const rt[3] = {a.rt.data(), b.rt.data(), c.rt.data()};
-  double* const inc[3] = {a.inc.data(), b.inc.data(), c.inc.data()};
-  num::simd::renewal_incidence3(rt, w_.data(), wlen, burnin_, lead_end, days_,
-                                inc);
+  num::simd::renewal_lanes(rt_lanes_.data(), w_.data(), wlen, burnin_,
+                           pa.inc_from, lead_end, 2, inc_lanes_.data());
+  num::simd::renewal_lanes(rt_lanes_.data(), w_.data(), wlen, burnin_,
+                           lead_end, days_, 3, inc_lanes_.data());
   // B and C were scored against the committed caches as they are now.
   // Accepting A (even a degenerate A, which writes no cache) leaves
   // every range C reads and C's own accept() overwrites describing
   // this same state, so C stays exact after A is adopted.
   pending_ = j + 1;
-  last_ = 0;
+  last_ = kA;
   return finish(a);
 }
 
@@ -301,8 +316,8 @@ void LikelihoodWorkspace::accept() {
   }
   const Plan& p = s.plan;
   if (p.rt_from < p.rt_to) {
-    std::copy(s.rt.begin() + p.rt_from, s.rt.begin() + p.rt_to,
-              rt_.begin() + p.rt_from);
+    num::simd::lane_to_series(rt_lanes_.data(), s.lane, p.rt_from, p.rt_to,
+                              rt_.data());
     // Every mirror may now differ from the committed R on the window
     // (the adopted slot's is dirty there already).
     for (Slot& o : slots_) {
@@ -312,9 +327,9 @@ void LikelihoodWorkspace::accept() {
     }
   }
   if (p.inc_from < days_) {
-    const std::ptrdiff_t from =
-        p.inc_from == 0 ? 0 : burnin_ + p.inc_from;
-    std::copy(s.inc.begin() + from, s.inc.end(), inc_.begin() + from);
+    num::simd::lane_to_series(inc_lanes_.data(), s.lane,
+                              p.inc_from == 0 ? 0 : burnin_ + p.inc_from,
+                              burnin_ + days_, inc_.data());
   }
   if (p.sigma_only) {
     std::copy(s.contrib.begin(), s.contrib.end(), contrib_.begin());

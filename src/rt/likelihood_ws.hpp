@@ -24,24 +24,32 @@
 /// concentration only at the sample days of the suffix (the likelihood
 /// reads it nowhere else).
 ///
-/// **Candidate slots.** A candidate lives in a slot: its theta, its
-/// plan, and every series the plan recomputes. A slot's daily R is a
-/// mirror: the recursion reads the candidate's R over the whole
-/// suffix, but a proposal writes only its window, so the slot's array
-/// is kept equal to the committed one outside a dirty range. The next
-/// evaluation in the slot first restores that range from the committed
-/// R; accept() copies the adopted slot's window back the other way and
-/// adds it to every slot's dirty range.
+/// **Candidate slots and the lane buffers.** A candidate lives in a
+/// slot: its theta, its plan, and the per-sample series its plan
+/// recomputes. Its daily R and incidence live in one lane of two
+/// lane buffers (num::simd), row t of the R buffer and row burnin + t
+/// of the incidence buffer holding A, C, B and a spare lane side by
+/// side, so one renewal kernel advances every live candidate a day at
+/// a time with 16-byte vectors. A slot's R lane is a mirror: the
+/// recursion reads the candidate's R over the whole suffix, but a
+/// proposal writes only its window, so the lane is kept equal to the
+/// committed R outside a dirty range. The next evaluation in the slot
+/// first restores that range from the committed R; accept() copies the
+/// adopted slot's window back the other way and adds it to every
+/// slot's dirty range. An evaluation copies into its incidence lane
+/// only the committed rows it reads before its first recomputed day.
 ///
 /// **Speculative knot pairs.** The sweep's draws never depend on an
 /// accept decision, so knot j+1's move is known before knot j is
 /// decided. propose_pair() scores knot j's move (slot A) and runs the
 /// renewal recursion of knot j+1's move under both outcomes: B moves
-/// j+1 alone (j rejected) and C moves both (j accepted). A runs alone
-/// over the days before j+1's window, where C equals A and B is the
-/// committed incidence; the three then run interleaved over the common
-/// suffix. The following propose() for j+1 only finishes the survivor
-/// (shedding convolution, log terms, sum).
+/// j+1 alone (j rejected) and C moves both (j accepted). Before j+1's
+/// window C's R equals A's and B's incidence is the committed one, so
+/// A and C run there as one vector; then A, C and B run together over
+/// the common suffix. The following propose() for j+1 only finishes
+/// the survivor (shedding convolution, log terms, sum). A single
+/// proposal runs A's vector alone; C's lane beside it holds nothing
+/// live outside a pair.
 ///
 /// **Bit-identity contract.** propose() returns the same IEEE double a
 /// from-scratch evaluation of the candidate theta would return: cached
@@ -62,6 +70,7 @@
 #include <vector>
 
 #include "epi/wastewater.hpp"
+#include "num/simd.hpp"
 #include "rt/goldstein.hpp"
 
 namespace osprey::rt {
@@ -116,13 +125,13 @@ class LikelihoodWorkspace {
     bool sigma_only = false;  // reuse cached log(mu), rescale terms
   };
 
-  /// One candidate and the series its plan recomputes.
+  /// One candidate and the per-sample series its plan recomputes.
   struct Slot {
     std::vector<double> theta;
-    std::vector<double> rt;  // the committed R outside [dirty_from, dirty_to)
+    int lane = 0;  // its R and incidence lane in the lane buffers
+    // The lane's R is the committed R outside [dirty_from, dirty_to).
     int dirty_from = 0;
     int dirty_to = 0;
-    std::vector<double> inc;
     std::vector<double> mu;  // per sample, valid from plan.sample_from
     std::vector<double> log_mu;
     std::vector<double> contrib;
@@ -145,6 +154,10 @@ class LikelihoodWorkspace {
   /// First sample index at/after `day` (all earlier indices are
   /// strictly before it, whatever the input order).
   std::size_t first_sample_at(int day) const;
+  /// First incidence row an evaluation under `plan` reads: the
+  /// recursion reaches wlen rows back from its first day, the shedding
+  /// window slen - 1 rows back from the earliest sample day it sums.
+  int first_row_read(const Plan& plan) const;
 
   // --- immutable problem description ---
   GoldsteinConfig config_;
@@ -156,6 +169,7 @@ class LikelihoodWorkspace {
   std::vector<int> sample_day_;
   std::vector<double> sample_log_c_;
   std::vector<unsigned char> sample_pos_c_;
+  std::vector<int> min_day_from_;  // min(sample_day_[i..n)); days_ at n
 
   // --- committed state ---
   std::vector<double> theta_;
@@ -167,8 +181,14 @@ class LikelihoodWorkspace {
   bool degenerate_ = true;  // nothing committed yet
 
   // --- candidates: A (single proposals, or knot j of a pair), then a
-  // pair's B (j+1 moved alone) and C (both moved) ---
+  // pair's C (both moved) and B (j+1 moved alone); slot i owns lane i ---
+  static constexpr std::size_t kA = 0;
+  static constexpr std::size_t kC = 1;
+  static constexpr std::size_t kB = 2;
   std::array<Slot, 3> slots_;
+  std::vector<num::simd::Vec2d> rt_lanes_;   // days_ rows
+  std::vector<num::simd::Vec2d> inc_lanes_;  // burnin_ + days_ rows
+  std::vector<double> window_;  // interpolation scratch, days_
   std::size_t last_ = 0;  // the slot accept() adopts
   /// The component whose propose() a pair's B or C may answer.
   static constexpr std::size_t kNoPair = static_cast<std::size_t>(-1);

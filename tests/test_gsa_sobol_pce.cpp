@@ -117,6 +117,25 @@ TEST(Saltelli, SubSquareKernelIsBitIdenticalToScalar) {
   }
 }
 
+TEST(SimdKernel, AxpyIsBitIdenticalToScalar) {
+  // num::simd::axpy accumulates ensemble members two days per vector;
+  // each element must be the scalar out += w * x. Odd n covers the
+  // vector tail path.
+  const double w = 0.37;
+  for (std::size_t n : {1ull, 2ull, 7ull, 64ull, 129ull}) {
+    std::vector<double> x(n), out(n), expected(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = std::sin(0.7 * static_cast<double>(i + 1)) * 1e2;
+      out[i] = std::cos(0.2 * static_cast<double>(i)) / 3.0;
+      expected[i] = out[i] + w * x[i];
+    }
+    osprey::num::simd::axpy(w, x.data(), out.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[i], expected[i]) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
 TEST(Saltelli, InputValidation) {
   EXPECT_THROW(
       og::saltelli_indices(og::ModelFn(linear_model), {}, 128),

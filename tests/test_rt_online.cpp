@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "artifact_dump.hpp"
@@ -158,81 +159,127 @@ TEST(KnotsToDaily, ExactDivisionUnchanged) {
   }
 }
 
-// --- the renewal kernels: one recursion and three interleaved -----------
+// --- the lane kernels: renewal recursion and shedding convolution ------
 
 namespace {
 
-/// An incidence array of burnin + days random positive values: the
-/// prefix a recursion from any start day reads.
-std::vector<double> random_incidence(on::RngStream& rng, int burnin,
-                                     int days) {
-  std::vector<double> inc(static_cast<std::size_t>(burnin + days));
-  for (double& x : inc) x = 20.0 + 80.0 * rng.uniform();
-  return inc;
+using on::simd::kRowLanes;
+using on::simd::kRowVecs;
+using on::simd::Vec2d;
+
+/// A lane buffer of `rows` rows, every lane random and positive.
+std::vector<Vec2d> random_lanes(on::RngStream& rng, int rows, double lo,
+                                double span) {
+  std::vector<Vec2d> buf(static_cast<std::size_t>(rows * kRowVecs));
+  for (int r = 0; r < rows; ++r) {
+    for (int l = 0; l < kRowLanes; ++l) {
+      on::simd::lane_set(buf.data(), r, l, lo + span * rng.uniform());
+    }
+  }
+  return buf;
 }
 
-std::vector<double> random_rt(on::RngStream& rng, int days) {
-  std::vector<double> rt(static_cast<std::size_t>(days));
-  for (double& x : rt) x = 0.5 + rng.uniform();
-  return rt;
+/// Lane `lane` of rows [0, rows) as a plain series.
+std::vector<double> lane_column(const std::vector<Vec2d>& buf, int rows,
+                                int lane) {
+  std::vector<double> col(static_cast<std::size_t>(rows));
+  for (int r = 0; r < rows; ++r) {
+    col[static_cast<std::size_t>(r)] = on::simd::lane_get(buf.data(), r, lane);
+  }
+  return col;
 }
 
 }  // namespace
 
-TEST(RenewalKernel, MatchesRenewalPressureBitwise) {
-  const std::vector<double> w = oe::default_generation_interval();
-  const int wlen = static_cast<int>(w.size());
-  const int days = 60;
-  on::RngStream rng(5);
-  // burnin 0 and 3: the first days' windows run off the start of the
-  // incidence array, where the reference sum stops early.
-  for (int burnin : {0, 3, wlen}) {
-    for (int from : {0, 1, 5, 20}) {
-      SCOPED_TRACE(::testing::Message() << "burnin " << burnin << " from "
-                                        << from);
-      const std::vector<double> rt = random_rt(rng, days);
-      std::vector<double> expected = random_incidence(rng, burnin, days);
-      std::vector<double> actual = expected;
-      for (int t = from; t < days; ++t) {
-        const std::size_t idx = static_cast<std::size_t>(burnin + t);
-        expected[idx] = rt[static_cast<std::size_t>(t)] *
-                        oe::renewal_pressure(expected, idx, w);
-      }
-      on::simd::renewal_incidence(rt.data(), w.data(), wlen, burnin, from,
-                                  days, actual.data());
-      osprey::testing::expect_bits(actual, expected, "incidence");
-    }
-  }
-}
-
-TEST(RenewalKernel, InterleavedMatchesThreeSeparateRecursions) {
+TEST(RenewalKernel, LanesMatchRenewalPressureBitwise) {
   const std::vector<double> w = oe::default_generation_interval();
   const int wlen = static_cast<int>(w.size());
   const int days = 218;
   on::RngStream rng(6);
-  for (int burnin : {0, wlen}) {
-    for (int from : {0, 1, 7, 100, days - 1}) {
-      SCOPED_TRACE(::testing::Message() << "burnin " << burnin << " from "
-                                        << from);
-      std::array<std::vector<double>, 3> rt;
-      std::array<std::vector<double>, 3> expected;
-      for (std::size_t x = 0; x < 3; ++x) {
-        rt[x] = random_rt(rng, days);
-        expected[x] = random_incidence(rng, burnin, days);
+  // burnin 0 and 3: the first days' windows run off the start of the
+  // incidence rows, where the reference sum stops early.
+  for (int burnin : {0, 3, wlen}) {
+    for (int lanes : {1, 3}) {
+      for (int from : {0, 1, 7, 100, days - 1}) {
+        SCOPED_TRACE(::testing::Message() << "burnin " << burnin << " lanes "
+                                          << lanes << " from " << from);
+        const int rows = burnin + days;
+        const std::vector<Vec2d> rt = random_lanes(rng, days, 0.5, 1.0);
+        const std::vector<Vec2d> before = random_lanes(rng, rows, 20.0, 80.0);
+        std::vector<Vec2d> inc = before;
+        on::simd::renewal_lanes(rt.data(), w.data(), wlen, burnin, from, days,
+                                lanes, inc.data());
+        for (int l = 0; l < lanes; ++l) {
+          std::vector<double> expected = lane_column(before, rows, l);
+          for (int t = from; t < days; ++t) {
+            const std::size_t idx = static_cast<std::size_t>(burnin + t);
+            expected[idx] = on::simd::lane_get(rt.data(), t, l) *
+                            oe::renewal_pressure(expected, idx, w);
+          }
+          osprey::testing::expect_bits(lane_column(inc, rows, l), expected,
+                                       "lane " + std::to_string(l));
+        }
+        // Lanes advance in whole vectors; the vectors past them are
+        // untouched.
+        for (int l = (lanes + 1) / 2 * 2; l < kRowLanes; ++l) {
+          osprey::testing::expect_bits(lane_column(inc, rows, l),
+                                       lane_column(before, rows, l),
+                                       "idle lane " + std::to_string(l));
+        }
       }
-      std::array<std::vector<double>, 3> actual = expected;
-      for (std::size_t x = 0; x < 3; ++x) {
-        on::simd::renewal_incidence(rt[x].data(), w.data(), wlen, burnin,
-                                    from, days, expected[x].data());
+    }
+  }
+}
+
+TEST(SheddingKernel, MatchesScalarLoopBitwise) {
+  const std::vector<double> shed = oe::default_shedding_kernel();
+  const int slen = static_cast<int>(shed.size());
+  const double scale = 1.3e5;
+  const double flow = 2.7e8;
+  const int days = 90;
+  // Padding rows ahead of row 0 hold a sentinel: a window that ran past
+  // the start of the incidence rows would read it and change the sum.
+  const int pad = slen;
+  on::RngStream rng(8);
+  for (int burnin : {0, 14}) {
+    const int first_full = slen - 1 - burnin;  // earlier windows truncate
+    std::vector<Vec2d> buf = random_lanes(rng, pad + burnin + days, 20.0, 80.0);
+    for (int r = 0; r < pad; ++r) {
+      for (int l = 0; l < kRowLanes; ++l) {
+        on::simd::lane_set(buf.data(), r, l, 1.0e9);
       }
-      const double* const rts[3] = {rt[0].data(), rt[1].data(),
-                                     rt[2].data()};
-      double* const incs[3] = {actual[0].data(), actual[1].data(),
-                               actual[2].data()};
-      on::simd::renewal_incidence3(rts, w.data(), wlen, burnin, from, days,
-                                   incs);
-      for (std::size_t x = 0; x < 3; ++x) {
-        osprey::testing::expect_bits(actual[x], expected[x], "incidence");
+    }
+    const Vec2d* inc = buf.data() + pad * kRowVecs;
+    // 23 samples (n % 4 == 3) on days in no order; the block of samples
+    // 8-11 has exactly one truncated lane, the third.
+    std::vector<int> day(23);
+    for (int& d : day) {
+      d = first_full + static_cast<int>((days - first_full) * rng.uniform());
+    }
+    day[5] = days - 1;
+    day[6] = first_full;
+    day[10] = std::max(0, first_full - 3);
+    day[17] = 0;
+    for (int lane = 0; lane < kRowLanes; ++lane) {
+      for (std::size_t from : {0u, 2u, 9u, 21u}) {
+        SCOPED_TRACE(::testing::Message() << "burnin " << burnin << " lane "
+                                          << lane << " from " << from);
+        std::vector<double> expected(day.size(), -1.0);
+        for (std::size_t i = from; i < day.size(); ++i) {
+          double load = 0.0;
+          for (int s = 0; s < slen; ++s) {
+            const int src = burnin + day[i] - s;
+            if (src < 0) break;
+            load += shed[static_cast<std::size_t>(s)] *
+                    on::simd::lane_get(inc, src, lane);
+          }
+          expected[i] = scale * load / flow;
+        }
+        std::vector<double> mu(day.size(), -1.0);
+        on::simd::shedding_convolve(inc, lane, shed.data(), slen, burnin,
+                                    scale, flow, day.data(), from, day.size(),
+                                    mu.data());
+        osprey::testing::expect_bits(mu, expected, "mu");
       }
     }
   }
