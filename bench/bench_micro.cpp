@@ -2,9 +2,10 @@
 /// numbers that bound how far the simulated platform scales — storage
 /// puts, EMEWS task round-trips, MetaRVM steps/s, GP fit/predict
 /// scaling, Saltelli throughput, the Goldstein MCMC iteration cost,
-/// one warm weekly refit and its renewal recursion, the aggregation's draws-CSV parse, and
-/// the SHA-256 kernels and JSON codec every AERO payload goes through,
-/// one AERO publication's metadata ops, the shard coordinator's
+/// one warm weekly refit and its renewal recursion, the aggregation's
+/// draws-CSV parse, a posterior's daily quantiles, a wastewater-feed
+/// poll between publications, the SHA-256 kernels and JSON codec every
+/// AERO payload goes through, one AERO publication's metadata ops, the shard coordinator's
 /// handling of a week of version reports, and the serving tier's
 /// per-read costs: a cached read through the front end, one event-loop
 /// dispatch, and one Zipf draw.
@@ -25,6 +26,7 @@
 #include "aero/platform.hpp"
 #include "aero/server.hpp"
 #include "core/usecase_ww.hpp"
+#include "core/wastewater_source.hpp"
 #include "crypto/sha256.hpp"
 #include "emews/task_api.hpp"
 #include "emews/worker_pool.hpp"
@@ -373,6 +375,21 @@ static void BM_DrawsFromCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_DrawsFromCsv)->Unit(benchmark::kMicrosecond);
 
+/// One warm refit's posterior summary: the median and 95% band of each
+/// day's 60 draws at 218 days (RtPosterior::summarize).
+static void BM_PosteriorSummarize(benchmark::State& state) {
+  rt::RtPosterior posterior;
+  posterior.draws = num::Matrix(60, 218);
+  num::RngStream rng(6);
+  for (double& v : posterior.draws.data()) v = 0.4 + 1.4 * rng.uniform();
+  for (auto _ : state) {
+    rt::RtSeries series = posterior.summarize();
+    benchmark::DoNotOptimize(series.median.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 218);
+}
+BENCHMARK(BM_PosteriorSummarize)->Unit(benchmark::kMicrosecond);
+
 /// The Figure-2 per-plant fan-out: 4 Goldstein chains, serially (arg 0)
 /// vs fanned out on a 4-thread pool (arg 1). Posteriors are
 /// bit-identical either way; only the wall clock changes.
@@ -707,6 +724,27 @@ static void BM_UnchangedPoll(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(server.polls() - polls0));
 }
 BENCHMARK(BM_UnchangedPoll);
+
+/// A daily poll of one plant's wastewater feed on a day with no new
+/// publication: day 220 of a 224-day horizon, whose last publication
+/// (day 217, 94 samples) an earlier poll already fetched.
+static void BM_WastewaterSourceFetch(benchmark::State& state) {
+  epi::WastewaterConfig ww;
+  ww.days = 224;
+  core::WastewaterSource source(std::make_shared<epi::WastewaterGenerator>(
+      epi::chicago_plants()[0], epi::chicago_truths()[0], ww, 1));
+  const util::SimTime day217 = 217 * util::kDay;
+  const util::SimTime day220 = 220 * util::kDay;
+  const std::shared_ptr<const std::string> published = source.fetch(day217);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source.fetch(day220).get());
+  }
+  if (published == nullptr || *source.fetch(day220) != *published) {
+    state.SkipWithError("expected the day-217 publication on day 220");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WastewaterSourceFetch);
 
 /// One Zipf(1.0) draw over the 96 objects serve_flood reads.
 static void BM_ZipfItem(benchmark::State& state) {

@@ -33,6 +33,10 @@ class DataSource {
   /// Current upstream content at virtual time `now`, or nullptr when
   /// the source has published nothing yet. The reference stays valid
   /// until the next fetch on this source; keep a copy to hold it longer.
+  /// A source whose content has not changed since the last fetch should
+  /// return the same buffer, not a fresh copy of equal bytes: AERO then
+  /// skips even the byte compare. A fresh buffer is still correct, but
+  /// every poll pays for building it and for comparing it.
   virtual const std::shared_ptr<const std::string>& fetch(SimTime now) = 0;
 };
 

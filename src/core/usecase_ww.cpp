@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "util/error.hpp"
 #include "util/mutex.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace osprey::core {
 
@@ -379,15 +381,28 @@ void WastewaterUseCase::register_harnesses() {
       [](const Value& args) -> Value {
         const ValueObject& draws = args.at("draws").as_object();
         const Value& weights = args.at("weights");
-        std::vector<rt::EnsembleMember> members;
+        std::vector<const ValueObject::value_type*> inputs;
+        for (const auto& entry : draws) inputs.push_back(&entry);
+        // Members parse side by side, each into its own slot. Failures
+        // surface below in member order, as one loop would raise them.
+        std::vector<rt::EnsembleMember> members(inputs.size());
+        std::vector<std::exception_ptr> failed(inputs.size());
+        osprey::util::global_pool().parallel_for(
+            inputs.size(), [&](std::size_t i) {
+              try {
+                members[i].posterior =
+                    draws_from_csv(inputs[i]->second.as_string());
+              } catch (...) {
+                failed[i] = std::current_exception();
+              }
+            });
         std::size_t min_days = SIZE_MAX;
-        for (const auto& [uuid, csv] : draws) {
-          rt::EnsembleMember m;
-          m.name = uuid;
-          m.population_weight = weights.at(uuid).as_double();
-          m.posterior = draws_from_csv(csv.as_string());
-          min_days = std::min(min_days, m.posterior.days());
-          members.push_back(std::move(m));
+        for (std::size_t i = 0; i < members.size(); ++i) {
+          members[i].name = inputs[i]->first;
+          members[i].population_weight =
+              weights.at(inputs[i]->first).as_double();
+          if (failed[i]) std::rethrow_exception(failed[i]);
+          min_days = std::min(min_days, members[i].posterior.days());
         }
         // Align horizons (plants publish on the same cadence, but guard
         // against off-by-one horizons).

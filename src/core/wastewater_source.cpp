@@ -26,10 +26,12 @@ const std::shared_ptr<const std::string>& WastewaterSource::fetch(
     aero::SimTime now) {
   int day = static_cast<int>(osprey::util::sim_day(now));
   day = std::min(day, gen_->config().days - 1);
-  if (gen_->last_publication_day(day) < 0) {
-    buffer_ = nullptr;
-  } else {
-    buffer_ = std::make_shared<const std::string>(gen_->published_csv(day));
+  const int pub_day = gen_->last_publication_day(day);
+  if (pub_day != buffer_day_) {
+    buffer_day_ = pub_day;
+    buffer_ = pub_day < 0 ? nullptr
+                          : std::make_shared<const std::string>(
+                                gen_->published_csv(pub_day));
   }
   return buffer_;
 }

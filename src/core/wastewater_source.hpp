@@ -5,7 +5,9 @@
 /// what the Illinois Wastewater Surveillance System URL is to the real
 /// deployment. The published CSV only changes on (weekly) publication
 /// days, so AERO's checksum-based update detection sees exactly one new
-/// version per publication.
+/// version per publication. The CSV is rendered once per publication:
+/// every poll until the next one returns the same buffer, which AERO
+/// recognises without reading it.
 
 #include <memory>
 
@@ -23,8 +25,10 @@ class WastewaterSource final : public aero::DataSource {
 
  private:
   std::shared_ptr<epi::WastewaterGenerator> gen_;
-  /// The last fetch's buffer (nullptr before the first publication).
+  /// The CSV of publication `buffer_day_` (nullptr before the first
+  /// publication, day -1).
   std::shared_ptr<const std::string> buffer_;
+  int buffer_day_ = -1;
 };
 
 }  // namespace osprey::core

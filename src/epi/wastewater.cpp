@@ -1,12 +1,12 @@
 #include "epi/wastewater.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
 #include "epi/kernels.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/string_util.hpp"
 
 namespace osprey::epi {
 
@@ -133,16 +133,27 @@ int WastewaterGenerator::last_publication_day(int day) const {
 }
 
 std::string WastewaterGenerator::published_csv(int day) const {
-  int pub_day = last_publication_day(day);
-  osprey::util::CsvTable table({"day", "plant", "concentration_gc_per_l"});
-  if (pub_day >= 0) {
-    for (const WwSample& s : samples_) {
-      if (s.day > pub_day) break;
-      table.add_row({std::to_string(s.day), plant_.name,
-                     osprey::util::format("%.6g", s.concentration)});
-    }
+  // Rendered straight into one string: the bytes a CsvTable of these
+  // rows writes, with "%.6g" concentrations (std::to_chars' general
+  // format at a given precision is printf's %g).
+  const int pub_day = last_publication_day(day);
+  const std::string plant = osprey::util::csv_field(plant_.name);
+  std::string out = "day,plant,concentration_gc_per_l\n";
+  for (const WwSample& s : samples_) {
+    if (s.day > pub_day) break;
+    out += std::to_string(s.day);
+    out += ',';
+    out += plant;
+    out += ',';
+    char buf[32];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, s.concentration,
+                      std::chars_format::general, 6);
+    OSPREY_CHECK(r.ec == std::errc{}, "concentration buffer too small");
+    out.append(buf, r.ptr);
+    out += '\n';
   }
-  return table.to_string();
+  return out;
 }
 
 }  // namespace osprey::epi

@@ -20,9 +20,13 @@ double weighted_mean(const std::vector<double>& xs,
 
 /// Quantile with linear interpolation (R type-7). q in [0, 1].
 double quantile(std::vector<double> xs, double q);
-/// Same, for data already sorted ascending — no copy, no re-sort. Use
-/// this when taking several quantiles of one sample (summaries,
-/// posterior bands): sort once, query many.
+/// Same, in place: reorders `xs` instead of copying it. Reads the two
+/// order statistics the interpolation needs by selection (a branch-free
+/// quickselect, then the minimum above it), so it returns the bits a
+/// full sort and quantile_sorted would, in expected O(n) per call.
+/// Several quantiles of one sample may be taken in turn on one vector.
+double quantile_select(std::vector<double>& xs, double q);
+/// Same, for data already sorted ascending — no copy, no reordering.
 double quantile_sorted(const std::vector<double>& sorted_xs, double q);
 double median(const std::vector<double>& xs);
 

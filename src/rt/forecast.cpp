@@ -51,11 +51,11 @@ Forecast forecast_incidence(const RtPosterior& posterior,
   std::vector<double> col(n_draws);
   for (std::size_t t = 0; t < h; ++t) {
     for (std::size_t d = 0; d < n_draws; ++d) col[d] = projections(d, t);
-    out.median[t] = osprey::num::quantile(col, 0.5);
-    out.lo95[t] = osprey::num::quantile(col, 0.025);
-    out.hi95[t] = osprey::num::quantile(col, 0.975);
+    out.median[t] = osprey::num::quantile_select(col, 0.5);
+    out.lo95[t] = osprey::num::quantile_select(col, 0.025);
+    out.hi95[t] = osprey::num::quantile_select(col, 0.975);
     for (std::size_t d = 0; d < n_draws; ++d) col[d] = rt_paths(d, t);
-    out.rt_median[t] = osprey::num::quantile(col, 0.5);
+    out.rt_median[t] = osprey::num::quantile_select(col, 0.5);
   }
   return out;
 }

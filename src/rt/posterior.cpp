@@ -1,7 +1,5 @@
 #include "rt/posterior.hpp"
 
-#include <algorithm>
-
 #include "num/stats.hpp"
 #include "util/error.hpp"
 
@@ -26,10 +24,9 @@ RtSeries RtPosterior::summarize() const {
   std::vector<double> col(n_draws());
   for (std::size_t t = 0; t < t_days; ++t) {
     for (std::size_t d = 0; d < n_draws(); ++d) col[d] = draws(d, t);
-    std::sort(col.begin(), col.end());
-    out.median[t] = osprey::num::quantile_sorted(col, 0.5);
-    out.lo95[t] = osprey::num::quantile_sorted(col, 0.025);
-    out.hi95[t] = osprey::num::quantile_sorted(col, 0.975);
+    out.median[t] = osprey::num::quantile_select(col, 0.5);
+    out.lo95[t] = osprey::num::quantile_select(col, 0.025);
+    out.hi95[t] = osprey::num::quantile_select(col, 0.975);
   }
   return out;
 }

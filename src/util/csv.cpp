@@ -82,17 +82,27 @@ bool needs_quoting(const std::string& field) {
   return field.find_first_of(",\"\n\r") != std::string::npos;
 }
 
-void write_field(const std::string& field, std::ostringstream& out) {
-  if (!needs_quoting(field)) {
-    out << field;
-    return;
-  }
-  out << '"';
+}  // namespace
+
+std::string csv_field(const std::string& field) {
+  if (!needs_quoting(field)) return field;
+  std::string out = "\"";
   for (char c : field) {
-    if (c == '"') out << '"';
-    out << c;
+    if (c == '"') out += '"';
+    out += c;
   }
-  out << '"';
+  out += '"';
+  return out;
+}
+
+namespace {
+
+void write_field(const std::string& field, std::ostringstream& out) {
+  if (needs_quoting(field)) {
+    out << csv_field(field);
+  } else {
+    out << field;
+  }
 }
 
 void write_row(const std::vector<std::string>& row, std::ostringstream& out) {

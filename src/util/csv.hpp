@@ -10,6 +10,12 @@
 
 namespace osprey::util {
 
+/// `field` as one CSV cell, as CsvTable::to_string writes it: quoted,
+/// with inner quotes doubled, when it holds a comma, a quote or a line
+/// break; unchanged otherwise. For writers that render rows straight
+/// into one string.
+std::string csv_field(const std::string& field);
+
 /// A parsed CSV document: one header row plus data rows of equal width.
 class CsvTable {
  public:

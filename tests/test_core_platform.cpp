@@ -288,4 +288,38 @@ TEST(WastewaterSource, AdaptsGeneratorAsDataSource) {
   ASSERT_TRUE(day10 != nullptr);
   EXPECT_EQ(*day10, *day13);   // same weekly publication
   EXPECT_NE(*day13, *day14);   // new publication on day 14
+
+  // One buffer per publication: every poll from day 7 to day 13 hands
+  // back the same pointer, so AERO never compares the bytes; day 14
+  // builds a new one. The bytes are the generator's published CSV.
+  oc::WastewaterSource polled(gen);
+  const std::shared_ptr<const std::string> week1 = polled.fetch(7 * ou::kDay);
+  ASSERT_TRUE(week1 != nullptr);
+  EXPECT_EQ(*week1, gen->published_csv(7));
+  for (int day = 7; day <= 13; ++day) {
+    for (ou::SimTime at : {day * ou::kDay, day * ou::kDay + 23 * ou::kHour}) {
+      EXPECT_EQ(polled.fetch(at).get(), week1.get()) << "day " << day;
+    }
+  }
+  const std::shared_ptr<const std::string> week2 = polled.fetch(14 * ou::kDay);
+  ASSERT_TRUE(week2 != nullptr);
+  EXPECT_NE(week2.get(), week1.get());
+  EXPECT_EQ(*week2, gen->published_csv(14));
+  EXPECT_EQ(*week1, gen->published_csv(13));  // the old buffer is intact
+
+  // Nothing before the first publication (day 0).
+  oc::WastewaterSource early(gen);
+  EXPECT_TRUE(early.fetch(-ou::kDay) == nullptr);
+  ASSERT_TRUE(early.fetch(0) != nullptr);
+  EXPECT_EQ(*early.fetch(0), gen->published_csv(0));
+
+  // Past the horizon the day is clamped to the last one, so the last
+  // publication's buffer stays the same pointer however late the poll.
+  const int days = gen->config().days;
+  const std::shared_ptr<const std::string> last =
+      polled.fetch((days - 1) * ou::kDay);
+  ASSERT_TRUE(last != nullptr);
+  EXPECT_EQ(*last, gen->published_csv(days - 1));
+  EXPECT_EQ(polled.fetch((days + 30) * ou::kDay).get(), last.get());
+  EXPECT_EQ(polled.fetch((days + 400) * ou::kDay).get(), last.get());
 }

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "crypto/sha256.hpp"
 #include "num/stats.hpp"
 #include "util/csv.hpp"
+#include "util/string_util.hpp"
 
 namespace oe = osprey::epi;
 
@@ -119,6 +121,35 @@ TEST(Wastewater, PublishedCsvParsesAndRespectsCutoff) {
   }
   EXPECT_EQ(table.column_strings("plant")[0], "O'Brien");
   EXPECT_EQ(table.num_rows(), gen.samples_through(28).size());
+
+  // The CSV is written straight into one string; it must be the bytes a
+  // CsvTable of the same rows writes, on every day of the horizon and
+  // for a plant name that needs quoting.
+  oe::Plant quoted = oe::chicago_plants()[2];
+  quoted.name = "Stickney \"South\", IL";
+  oe::WastewaterConfig long_run;
+  long_run.days = 224;
+  for (const oe::WastewaterGenerator& g :
+       {make_gen(7), oe::WastewaterGenerator(quoted, oe::chicago_truths()[2],
+                                             long_run, 3)}) {
+    for (int day = -1; day < g.config().days; ++day) {
+      osprey::util::CsvTable reference(
+          {"day", "plant", "concentration_gc_per_l"});
+      for (const oe::WwSample& s :
+           g.samples_through(g.last_publication_day(day))) {
+        reference.add_row({std::to_string(s.day), g.plant().name,
+                           osprey::util::format("%.6g", s.concentration)});
+      }
+      ASSERT_EQ(g.published_csv(day), reference.to_string())
+          << g.plant().name << " day " << day;
+    }
+  }
+  EXPECT_EQ(osprey::util::CsvTable::parse(
+                oe::WastewaterGenerator(quoted, oe::chicago_truths()[2],
+                                        long_run, 3)
+                    .published_csv(7))
+                .column_strings("plant")[0],
+            quoted.name);
 }
 
 TEST(Wastewater, ReportedCasesAreThinnedIncidence) {

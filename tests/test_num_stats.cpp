@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
+#include <vector>
 
+#include "bit_pin.hpp"
 #include "num/special.hpp"
 #include "util/error.hpp"
 
@@ -55,6 +58,52 @@ TEST(Stats, QuantileSortedMatchesQuantileOnRandomSample) {
   EXPECT_DOUBLE_EQ(on::quantile_sorted({7.0}, 0.31), 7.0);
   EXPECT_THROW(on::quantile_sorted({}, 0.5), osprey::util::InvalidArgument);
   EXPECT_THROW(on::quantile_sorted({1.0}, 1.5), osprey::util::InvalidArgument);
+}
+
+TEST(Stats, QuantileBySelectionIsBitwiseTheSortedQuantile) {
+  // quantile() and quantile_select() select the two order statistics
+  // type-7 interpolates between; a full sort + quantile_sorted() is the
+  // reference. Sizes 1..257, continuous and heavily tied samples, and
+  // several quantiles taken in turn on one reordered vector.
+  std::mt19937_64 rng(20251022);
+  std::uniform_real_distribution<double> unif(-3.0, 7.0);
+  std::uniform_int_distribution<int> level(0, 3);
+  const std::vector<double> qs{0.0, 0.025, 0.5, 0.975, 1.0};
+  for (std::size_t n = 1; n <= 257; ++n) {
+    for (bool tied : {false, true}) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = tied ? 1.0 + 0.25 * level(rng) : unif(rng);
+      }
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<double> expected;
+      std::vector<double> by_copy;
+      std::vector<double> in_turn;
+      std::vector<double> work = xs;
+      for (double q : qs) {
+        expected.push_back(on::quantile_sorted(sorted, q));
+        by_copy.push_back(on::quantile(xs, q));
+        in_turn.push_back(on::quantile_select(work, q));
+      }
+      expected.push_back(on::quantile_sorted(sorted, 0.5));
+      by_copy.push_back(on::median(xs));
+      in_turn.push_back(on::quantile_select(work, 0.5));
+      const std::string what = "n=" + std::to_string(n) +
+                               (tied ? " tied" : " continuous");
+      osprey::testing::expect_bits(by_copy, expected, "quantile " + what);
+      osprey::testing::expect_bits(in_turn, expected,
+                                   "quantile_select " + what);
+      // Selection only reorders: the sample's values are all still there.
+      std::sort(work.begin(), work.end());
+      osprey::testing::expect_bits(work, sorted, "reordered " + what);
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW(on::quantile_select(empty, 0.5),
+               osprey::util::InvalidArgument);
+  std::vector<double> one{1.0};
+  EXPECT_THROW(on::quantile_select(one, -0.1), osprey::util::InvalidArgument);
 }
 
 TEST(Stats, SummarizeMatchesIndividualQuantiles) {

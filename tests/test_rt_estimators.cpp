@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "bit_pin.hpp"
 #include "epi/kernels.hpp"
 #include "epi/wastewater.hpp"
 #include "num/stats.hpp"
@@ -344,4 +350,40 @@ TEST(RtSeries, CoverageComputation) {
   s.hi95 = {1.2, 1.2, 1.2, 1.2};
   std::vector<double> truth{1.0, 1.1, 1.5, 0.5};
   EXPECT_DOUBLE_EQ(s.coverage(truth), 0.5);
+}
+
+TEST(RtPosterior, SummarizeIsBitwiseTheSortedQuantiles) {
+  // summarize() selects each day's order statistics; a full sort +
+  // quantile_sorted() per day is the reference. Shapes of a warm refit
+  // (60 draws x 218 days) and a cold one (200 x 29); draws are rounded
+  // to three decimals so every day's column holds ties, as draws read
+  // back from a 5-decimal CSV do.
+  std::mt19937_64 rng(7);
+  std::lognormal_distribution<double> rt(0.0, 0.2);
+  for (auto [n_draws, days] : {std::pair<std::size_t, std::size_t>{60, 218},
+                               std::pair<std::size_t, std::size_t>{200, 29}}) {
+    ort::RtPosterior posterior;
+    posterior.draws = on::Matrix(n_draws, days);
+    for (std::size_t d = 0; d < n_draws; ++d) {
+      for (std::size_t t = 0; t < days; ++t) {
+        posterior.draws(d, t) = std::round(rt(rng) * 1000.0) / 1000.0;
+      }
+    }
+    ort::RtSeries expected;
+    for (std::size_t t = 0; t < days; ++t) {
+      std::vector<double> col(n_draws);
+      for (std::size_t d = 0; d < n_draws; ++d) col[d] = posterior.draws(d, t);
+      std::sort(col.begin(), col.end());
+      expected.median.push_back(on::quantile_sorted(col, 0.5));
+      expected.lo95.push_back(on::quantile_sorted(col, 0.025));
+      expected.hi95.push_back(on::quantile_sorted(col, 0.975));
+    }
+    const ort::RtSeries series = posterior.summarize();
+    const std::string shape =
+        std::to_string(n_draws) + "x" + std::to_string(days);
+    osprey::testing::expect_bits(series.median, expected.median,
+                                 "median " + shape);
+    osprey::testing::expect_bits(series.lo95, expected.lo95, "lo95 " + shape);
+    osprey::testing::expect_bits(series.hi95, expected.hi95, "hi95 " + shape);
+  }
 }
